@@ -45,7 +45,6 @@ from .errors import (
     CapExceeded,
     ConeTypesError,
     DepthExceedsBall,
-    FoldNewtonFailed,
     HorizonExceedsBall,
     IdentificationAmbiguity,
     Infeasible,

@@ -44,8 +44,6 @@ format_option = click.option(
 @click.group()
 @click.option("--tol-fold", type=float, default=1e-13, show_default=True,
               help="Fold-system Newton residual tolerance.")
-@click.option("--tol-bisect", type=float, default=1e-6, show_default=True,
-              help="Bracket width before Newton polish.")
 @click.option("--tol-eigen", type=float, default=1e-12, show_default=True,
               help="Eigenvector residual tolerance.")
 @click.option("--radius", type=int, default=None, help="Ball radius override.")
@@ -57,12 +55,12 @@ format_option = click.option(
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Optional ball cache directory.")
 @click.pass_context
-def main(ctx, tol_fold, tol_bisect, tol_eigen, radius, depth, root_type,
+def main(ctx, tol_fold, tol_eigen, radius, depth, root_type,
          oracle_mode, oracle_n_max, cache_dir):
     """Cone-type automata and spectral-radius bounds for triangle groups."""
     ctx.ensure_object(dict)
     ctx.obj["config"] = RunConfig(
-        tol_fold=tol_fold, tol_bisect=tol_bisect, tol_eigen=tol_eigen,
+        tol_fold=tol_fold, tol_eigen=tol_eigen,
         radius=radius, depth=depth, root_type=root_type,
         oracle_mode=oracle_mode, oracle_n_max=oracle_n_max, cache_dir=cache_dir,
     )

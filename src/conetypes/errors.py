@@ -57,10 +57,6 @@ class NotConverged(ConeTypesError):
     """An iterative eigensolver failed to reach its residual target."""
 
 
-class FoldNewtonFailed(ConeTypesError):
-    """Newton refinement of the fold point did not converge."""
-
-
 class ZeroPredecessor(ConeTypesError):
     """A reduced type has r_i = 0, so the sphere recursion is undefined."""
 

@@ -46,7 +46,6 @@ MAX_ESCALATIONS = 5
 @dataclass
 class RunConfig:
     tol_fold: float = 1e-13
-    tol_bisect: float = 1e-6
     tol_eigen: float = 1e-12
     radius: int | None = None
     depth: int | None = None
@@ -57,7 +56,7 @@ class RunConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
-        if min(self.tol_fold, self.tol_bisect, self.tol_eigen) <= 0:
+        if min(self.tol_fold, self.tol_eigen) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -239,6 +238,7 @@ def run_from_automaton(source: str, d: int = 3,
     diag["branch"] = ub.branch
     diag["root_type"] = ub.root_type
     diag["residuals"]["fold"] = ub.fold_residual
+    diag["fold_fallback"] = ub.fold_fallback
     lb = lower_bound(ra, d=d, residual_tol=config.tol_eigen)
     report.lower = lb.bound
     diag["nu"] = lb.nu

@@ -2,11 +2,12 @@
 
 The nearest-neighbour walk on the tree of geodesics has first-return series
 w_i = F_{-i}(z) solving the monotone polynomial system
-w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  The minimal solution exists up
-to a fold point R_F (Jacobian eigenvalue 1), located by bisection on
-convergence of the monotone iteration and polished by Newton on the extended
-fold system.  The Green-kernel radius is R_F itself when the first-return
-value there stays <= 1, else the smaller root of F(z) = 1.
+w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
+Newton's method from 0, exists up to a fold point R_F (Jacobian eigenvalue
+1).  R_F is bracketed by bisection on whether that solution exists and
+polished by Newton on the bordered fold system.  The Green-kernel radius is
+R_F itself when the first-return value there stays <= 1, else the smaller
+root of F(z) = 1.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import ReducedAutomaton
-from .errors import FoldNewtonFailed, InvalidRoot, NotConverged
+from .errors import InvalidRoot, NotConverged
 
-ITERATION_CAP = 1_000_000
+STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
 
 
@@ -118,26 +119,43 @@ def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray) -> np.ndarray:
 
 
 def minimal_fixed_point(spec: TreeWalkSpec, z: float):
-    """Monotone iteration from 0; FixedPointSolution or Diverged."""
+    """Newton's method from 0; FixedPointSolution or Diverged.
+
+    On this monotone system Newton from 0 increases to the least fixed point
+    when one exists, with no slowdown near the fold.  Each step also solves
+    (I - J) x = 1: x > 0 holds exactly when rho(J) < 1, and max(x) is
+    ||(I - J)^-1||_inf, which sets the roundoff floor of the step.  A singular
+    system, rho(J) >= 1, a step below -floor or a blow-up means z is past
+    the fold.
+    """
     K = spec.M.shape[0]
-    Mp = spec.M * spec.p_step[:, None]
-    base = z * spec.p_minus
+    eye, ones = np.eye(K), np.ones(K)
     w = np.zeros(K)
-    for it in range(1, ITERATION_CAP + 1):
-        nw = base + z * (w * (Mp @ w))
-        if nw.max() > DIVERGENCE_CAP:
+    for it in range(1, STEP_CAP + 1):
+        try:
+            step, x = np.linalg.solve(
+                eye - _jacobian(spec, z, w),
+                np.column_stack([_phi(spec, z, w) - w, ones]),
+            ).T
+        except np.linalg.LinAlgError:
+            return Diverged(z=z, iterations=it, cap_hit=False)
+        # roundoff in the step, measured within 1e-12 of the fold on every root
+        # of the reference automata, stays below 0.6 eps ||(I - J)^-1|| max(1, w)
+        floor = 1e-14 * float(x.max()) * max(1.0, float(w.max()))
+        if x.min() <= 0.0 or step.min() < -floor:
+            return Diverged(z=z, iterations=it, cap_hit=False)
+        w = w + step
+        if w.max() > DIVERGENCE_CAP:
             return Diverged(z=z, iterations=it, cap_hit=True)
-        delta = float(np.max(np.abs(nw - w)))
-        w = nw
-        # 5e-16 relative: a one-ulp limit cycle must still count as converged
-        if delta < 5e-16 * max(1.0, float(w.max())):
+        if float(np.max(np.abs(step))) <= floor:
+            rad = float(np.max(np.abs(np.linalg.eigvals(_jacobian(spec, z, w)))))
+            if rad >= 1.0:
+                return Diverged(z=z, iterations=it, cap_hit=False)
             residual = float(np.max(np.abs(_phi(spec, z, w) - w)))
-            jac = _jacobian(spec, z, w)
-            rad = float(np.max(np.abs(np.linalg.eigvals(jac))))
             return FixedPointSolution(
                 z=z, w=w, residual=residual, jacobian_spectral_radius=rad, iterations=it
             )
-    return Diverged(z=z, iterations=ITERATION_CAP, cap_hit=False)
+    return Diverged(z=z, iterations=STEP_CAP, cap_hit=False)
 
 
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
@@ -249,7 +267,10 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
         for t, rv in zip(spec.types, spec.r):
             if t != root and rv == 2:
                 other = tree_walk_spec(ra, int(t))
-                assert first_return_value(other, fold.R_F, fold.w) <= 1.0 + 1e-9
+                if first_return_value(other, fold.R_F, fold.w) > 1.0 + 1e-9:
+                    raise NotConverged(
+                        f"R_F branch depends on the root: F > 1 at R_F for root type "
+                        f"{t}, F <= 1 for root type {root}")
                 break
     else:
         branch = "z0"

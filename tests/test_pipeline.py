@@ -120,6 +120,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.theorem_match is True
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
+    assert report.diagnostics["fold_fallback"] is direct.diagnostics["fold_fallback"] is False
 
 
 def test_run_from_automaton_rejects_inconsistent_block(data444):

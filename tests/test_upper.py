@@ -18,6 +18,7 @@ from conetypes import (
     tree_walk_spec,
     upper_bound,
 )
+from conetypes.upper import _bracket_fold
 from conftest import TABLE, UPPER_BOUNDS
 
 # on the trivalent tree everything is solvable in closed form:
@@ -77,6 +78,42 @@ def test_divergence_past_fold(tree_reduced):
     assert isinstance(out, Diverged)
     with pytest.raises(NotConverged):
         first_return_value(spec, 1.2)
+
+
+def test_newton_fast_just_below_fold(tree_reduced, data444):
+    # Newton from 0 needs a few dozen steps next to the fold; plain
+    # fixed-point iteration needs ~3e5 there
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        R_F = fold_point(spec).R_F
+        sol = minimal_fixed_point(spec, R_F * (1.0 - 1e-9))
+        assert isinstance(sol, FixedPointSolution)
+        assert sol.iterations <= 60
+        assert sol.residual < 1e-13
+        assert sol.jacobian_spectral_radius < 1.0
+
+
+def test_newton_diverges_just_above_fold(tree_reduced, data444):
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        R_F = fold_point(spec).R_F
+        out = minimal_fixed_point(spec, R_F * (1.0 + 1e-9))
+        assert isinstance(out, Diverged)
+        assert out.iterations <= 100
+
+
+def test_newton_tree_closed_form_near_fold(tree_reduced):
+    spec = tree_walk_spec(tree_reduced, 0)
+    # below the fold the solution is accurate to its roundoff floor,
+    # about eps / sqrt(1 - z/R_F)
+    for gap in [1e-3, 1e-6, 1e-9]:
+        z = TREE_RF * (1.0 - gap)
+        assert minimal_fixed_point(spec, z).w[0] == pytest.approx(tree_w(z), abs=1e-10)
+    # the bracket built from the solver's verdicts holds the exact fold; the
+    # value 1/sqrt(2) at the fold itself is checked on the polished fold point,
+    # since at the rounded fold even the closed form is ~sqrt(eps) off
+    lo, hi, _ = _bracket_fold(spec, 1e-6)
+    assert lo <= TREE_RF <= hi
 
 
 def test_tree_fold_point(tree_reduced):
