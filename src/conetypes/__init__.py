@@ -74,6 +74,7 @@ from .pipeline import (
     BoundReport,
     RunConfig,
     curvature,
+    extract_escalating,
     report_to_csv_row,
     report_to_json,
     run_from_automaton,

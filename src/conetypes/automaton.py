@@ -5,8 +5,8 @@ point to v; on a bipartite norm-layered Cayley graph this is the closure of
 {x} under "has a predecessor in the cone".  Vertices are partitioned by
 rooted isomorphism of depth-k truncated cones: a fast interned-certificate
 refinement proposes the partition, and every class is then verified exactly
-(generator-twisted deterministic walks, with a complete backtracking matcher
-as fallback).
+by generator-twisted deterministic walks.  A pair no twist confirms fails
+the verification: the partition is refuted, never patched by a search.
 """
 
 from __future__ import annotations
@@ -190,22 +190,16 @@ class _ExactVerifier:
 
     A generator-twisted walk maps C(x) onto C(y) deterministically via
     phi(v . sigma_g) = phi(v) . sigma_perm(g); per-level injectivity plus
-    successor-edge counts certify a genuine rooted isomorphism.  Pairs no
-    twist confirms fall back to a complete backtracking matcher.
+    successor-edge counts certify a genuine rooted isomorphism.  A pair no
+    twist confirms is reported unconfirmed.
     """
 
-    def __init__(self, ball: CayleyBall, labels: list[np.ndarray]):
-        nbr_np = ball.neighbor_table()
-        self.nbr = array("l", nbr_np.reshape(-1).tolist())
+    def __init__(self, ball: CayleyBall):
+        self.nbr = array("l", ball.neighbor_table().reshape(-1).tolist())
         self.norm = array("l", ball.norms.astype(np.int64).tolist())
-        succ_np, nsucc_np, _ = ball.successor_table()
+        _, nsucc_np, _ = ball.successor_table()
         self.nsucc = array("l", nsucc_np.tolist())
-        self.width = succ_np.shape[1]
-        self.succ = array("l", succ_np.reshape(-1).tolist())
-        self.labels = [array("l", lab.tolist()) for lab in labels]
         self.perms = _admissible_perms(ball.params)
-        self.memo: dict[tuple[int, int, int], bool] = {}
-        self.fallbacks = 0
 
     def walk(self, x: int, y: int, depth: int, perm) -> bool:
         nbr, norm, nsucc = self.nbr, self.norm, self.nsucc
@@ -246,7 +240,11 @@ class _ExactVerifier:
         return True
 
     def confirm(self, x: int, y: int, depth: int, hint: int = 0) -> tuple[bool, int]:
-        """True iff C_depth(x) and C_depth(y) are isomorphic as rooted graphs."""
+        """True iff some admissible twisted walk maps C_depth(x) onto C_depth(y).
+
+        The returned index is the confirming permutation, tried first for
+        the next vertex of the class.
+        """
         if x == y:
             return True, hint
         nperm = len(self.perms)
@@ -254,67 +252,7 @@ class _ExactVerifier:
             idx = (hint + off) % nperm
             if self.walk(x, y, depth, self.perms[idx]):
                 return True, idx
-        self.fallbacks += 1
-        return self._match(x, y, depth), hint
-
-    def _succ_of(self, v: int) -> list[int]:
-        base = v * self.width
-        return [s for s in self.succ[base:base + self.nsucc[v]]]
-
-    def _match(self, x: int, y: int, depth: int) -> bool:
-        if x == y:
-            return True
-        key = (min(x, y), max(x, y), depth)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        lab = self.labels[depth]
-        res = lab[x] == lab[y] and self._level([x], [y], depth)
-        self.memo[key] = res
-        return res
-
-    def _level(self, xs: list[int], ys: list[int], rem: int) -> bool:
-        """Extend an aligned level map one level down, trying all bijections."""
-        if rem == 0:
-            return True
-        lab = self.labels[rem - 1]
-        childx: dict[int, list[int]] = {}
-        childy: dict[int, list[int]] = {}
-        for i, v in enumerate(xs):
-            for s in self._succ_of(v):
-                childx.setdefault(s, []).append(i)
-        for i, v in enumerate(ys):
-            for s in self._succ_of(v):
-                childy.setdefault(s, []).append(i)
-        if len(childx) != len(childy):
-            return False
-        bx: dict[tuple, list[int]] = {}
-        by: dict[tuple, list[int]] = {}
-        for s, ps in childx.items():
-            bx.setdefault((tuple(ps), lab[s]), []).append(s)
-        for s, ps in childy.items():
-            by.setdefault((tuple(ps), lab[s]), []).append(s)
-        if set(bx) != set(by):
-            return False
-        buckets = []
-        for k in sorted(bx):
-            gx, gy = sorted(bx[k]), sorted(by[k])
-            if len(gx) != len(gy):
-                return False
-            buckets.append((gx, gy))
-
-        def assign(i: int, nx: list[int], ny: list[int]) -> bool:
-            if i == len(buckets):
-                return self._level(nx, ny, rem - 1)
-            gx, gy = buckets[i]
-            if len(gx) == 1:
-                return assign(i + 1, nx + gx, ny + gy)
-            for perm in permutations(gy):
-                if assign(i + 1, nx + gx, ny + list(perm)):
-                    return True
-            return False
-
-        return assign(0, [], [])
+        return False, hint
 
 
 def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
@@ -345,13 +283,18 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
     Finds the least k with identical depth-k and depth-(k+1) partitions on
     the exact domains (class counts conserved across the domain restriction),
     checks successor determinism, and confirms every certificate class by
-    exact isomorphism at depths k and k+1.
+    exact isomorphism at depths k and k+1.  Stabilization is a heuristic:
+    it is only accepted with R - k >= max(l,m,n) + 1, so that the exact
+    domain contains whole relator cycles, and the verifier then either
+    confirms every class or raises VerificationFailed.
     """
     R = ball.radius
     offsets = ball.offsets
     labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    maxp = max(ball.params.triple())
+    k_max = R - maxp - 1
     k_star = None
-    for k in range(1, R - 1):
+    for k in range(1, k_max + 1):
         while len(labels) <= k + 1:
             if not _refine_labels(ball, labels):
                 break
@@ -366,7 +309,10 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
             k_star = k
             break
     if k_star is None:
-        raise NotStabilized(f"no depth k <= {R - 2} stabilizes within radius {R}")
+        raise NotStabilized(
+            f"no depth k with R - k >= max(l,m,n) + 1 = {maxp + 1} "
+            f"stabilizes within radius {R}"
+        )
 
     dom_k = int(offsets[R - k_star + 1])
     dom_k1 = int(offsets[R - k_star])
@@ -405,7 +351,7 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
         raise NonDeterministic("base-point type does not have r = 0")
 
     if verify:
-        ver = _ExactVerifier(ball, labels)
+        ver = _ExactVerifier(ball)
         for depth in (k_star + 1, k_star):
             dom = int(offsets[R - depth + 1])
             lv = labels[depth]
@@ -420,7 +366,8 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
                 ok, hint = ver.confirm(rep, v, depth, hints.get(rep, 0))
                 if not ok:
                     raise VerificationFailed(
-                        f"certificate class over-merges vertices {rep} and {v} at depth {depth}"
+                        f"no twisted walk confirms vertices {rep} and {v} "
+                        f"at depth {depth}: the certificate class over-merges"
                     )
                 hints[rep] = hint
 

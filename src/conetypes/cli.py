@@ -8,7 +8,6 @@ import click
 
 from .automaton import (
     automaton_to_json,
-    extract_automaton,
     reduce_automaton,
     theorem_case,
     to_digraph_dot,
@@ -26,9 +25,9 @@ from .pipeline import (
     table_to_csv,
     table_to_markdown,
     CSV_HEADER,
-    _ball_cached,
+    extract_escalating,
 )
-from .coxeter import new_params
+from .coxeter import build_ball, new_params
 
 
 def _config(ctx) -> RunConfig:
@@ -46,23 +45,20 @@ format_option = click.option(
               help="Fold-system Newton residual tolerance.")
 @click.option("--tol-eigen", type=float, default=1e-12, show_default=True,
               help="Eigenvector residual tolerance.")
-@click.option("--radius", type=int, default=None, help="Ball radius override.")
-@click.option("--depth", type=int, default=None, help="Cone depth override.")
+@click.option("--radius", type=int, default=None,
+              help="Ball radius; extraction uses it alone, with no escalation.")
 @click.option("--root-type", type=int, default=None, help="Root type override.")
 @click.option("--oracle-mode", type=click.Choice(["rational", "float"]),
               default="rational", show_default=True)
 @click.option("--oracle-n-max", type=int, default=20, show_default=True)
-@click.option("--cache-dir", type=click.Path(), default=None,
-              help="Optional ball cache directory.")
 @click.pass_context
-def main(ctx, tol_fold, tol_eigen, radius, depth, root_type,
-         oracle_mode, oracle_n_max, cache_dir):
+def main(ctx, tol_fold, tol_eigen, radius, root_type, oracle_mode, oracle_n_max):
     """Cone-type automata and spectral-radius bounds for triangle groups."""
     ctx.ensure_object(dict)
     ctx.obj["config"] = RunConfig(
         tol_fold=tol_fold, tol_eigen=tol_eigen,
-        radius=radius, depth=depth, root_type=root_type,
-        oracle_mode=oracle_mode, oracle_n_max=oracle_n_max, cache_dir=cache_dir,
+        radius=radius, root_type=root_type,
+        oracle_mode=oracle_mode, oracle_n_max=oracle_n_max,
     )
 
 
@@ -77,7 +73,7 @@ def ball(ctx, l, m, n, fmt):
     config = _config(ctx)
     params = new_params(l, m, n)
     radius = config.radius if config.radius is not None else 6
-    b = _ball_cached(params, radius, config)
+    b = build_ball(params, radius, config.max_vertices)
     if fmt == "json":
         click.echo(b.to_json())
     elif fmt == "csv":
@@ -99,11 +95,7 @@ def cone_types(ctx, l, m, n, fmt):
     """Extract and verify the cone-type automaton."""
     config = _config(ctx)
     params = new_params(l, m, n)
-    maxp = max(params.triple())
-    k_cap = config.depth if config.depth is not None else maxp + 2
-    radius = config.radius if config.radius is not None else k_cap + maxp + 4
-    b = _ball_cached(params, radius, config)
-    a = extract_automaton(b)
+    a = extract_escalating(params, config.radius, config.max_vertices)
     ra = reduce_automaton(a)
     vr = verify_counts(params, a)
     if fmt == "json":

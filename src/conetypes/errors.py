@@ -30,7 +30,7 @@ class DepthExceedsBall(ConeTypesError):
 
 
 class NotStabilized(ConeTypesError):
-    """No depth k within the ball yields two consecutive identical partitions."""
+    """No depth k with R - k >= max(l,m,n) + 1 yields two consecutive identical partitions."""
 
 
 class NonDeterministic(ConeTypesError):
@@ -38,7 +38,7 @@ class NonDeterministic(ConeTypesError):
 
 
 class VerificationFailed(ConeTypesError):
-    """Exact isomorphism check refuted the certificate partition."""
+    """No admissible twisted walk confirms two vertices of one certificate class."""
 
 
 class MultipleTerminalSCCs(ConeTypesError):
@@ -62,7 +62,7 @@ class ZeroPredecessor(ConeTypesError):
 
 
 class HorizonExceedsBall(ConeTypesError):
-    """Requested walk horizon exceeds the exact range of the ball."""
+    """Requested walk horizon exceeds twice the ball radius, its exact range."""
 
 
 class Infeasible(ConeTypesError):

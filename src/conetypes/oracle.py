@@ -1,10 +1,10 @@
 """Exact n-step return probabilities of the simple random walk on a ball.
 
-A walk of length <= n from the base point never leaves the ball of radius
-n, so distributing mass 1/3 per edge inside a ball of radius >= n_max gives
-the exact infinite-graph return probabilities.  The even-step envelope
-p^(2n)^(1/2n) is a nondecreasing certified lower bound for the spectral
-radius.
+A walk that returns to the base point at step k never goes beyond distance
+k/2, so counting walks inside a ball of radius R gives the exact
+infinite-graph return probabilities for every k <= 2R.  The even-step
+envelope p^(2n)^(1/2n) is a nondecreasing certified lower bound for the
+spectral radius.
 """
 
 from __future__ import annotations
@@ -34,41 +34,39 @@ class ReturnSeries:
 
 def return_probabilities(ball: CayleyBall, n_max: int,
                          mode: str = "rational") -> ReturnSeries:
-    """p^(k)(x0, x0) for k = 0..n_max; exact Fractions or doubles."""
-    if n_max > ball.radius:
-        raise HorizonExceedsBall(
-            f"horizon {n_max} exceeds ball radius {ball.radius}"
-        )
-    nbr = ball.neighbor_table()
+    """p^(k)(x0, x0) for k = 0..n_max; exact Fractions or doubles.
+
+    In rational mode the walks of length k ending at each vertex are
+    counted as integers, and p^(k) = count / 3^k.  The counts are int64
+    while 3^n_max < 2^63 bounds them, Python integers beyond that.  In
+    float mode the same recursion carries probabilities.
+    """
     if mode == "rational":
-        values: list = [Fraction(1)]
-        dist: dict[int, Fraction] = {0: Fraction(1)}
-        for _ in range(n_max):
-            new: dict[int, Fraction] = {}
-            for v, mass in dist.items():
-                share = mass / 3
-                for g in range(3):
-                    w = int(nbr[v, g])
-                    if w >= 0:
-                        new[w] = new.get(w, Fraction(0)) + share
-            dist = new
-            values.append(dist.get(0, Fraction(0)))
-        return ReturnSeries(n_max=n_max, values=values, mode="rational")
-    if mode == "float":
-        V = ball.n_vertices
-        vec = np.zeros(V)
-        vec[0] = 1.0
-        values = [1.0]
-        for _ in range(n_max):
-            new = np.zeros(V)
-            for g in range(3):
-                w = nbr[:, g]
-                ok = w >= 0
-                np.add.at(new, w[ok], vec[ok] / 3.0)
-            vec = new
+        dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
+    elif mode == "float":
+        dtype = np.float64
+    else:
+        raise ValueError(f"unknown oracle mode: {mode!r}")
+    if n_max > 2 * ball.radius:
+        raise HorizonExceedsBall(
+            f"horizon {n_max} exceeds twice the ball radius {ball.radius}"
+        )
+    V = ball.n_vertices
+    # a missing neighbour reads the always-zero entry at index V
+    nbr = ball.neighbor_table()
+    n0, n1, n2 = np.ascontiguousarray(np.where(nbr >= 0, nbr, V).T)
+    vec = np.zeros(V + 1, dtype=dtype)
+    vec[0] = 1
+    values: list = [Fraction(1) if mode == "rational" else 1.0]
+    for k in range(1, n_max + 1):
+        # the count at w is the sum over its neighbours (the graph is undirected)
+        vec[:V] = vec[n0] + vec[n1] + vec[n2]
+        if mode == "rational":
+            values.append(Fraction(int(vec[0]), 3 ** k))
+        else:
+            vec /= 3.0
             values.append(float(vec[0]))
-        return ReturnSeries(n_max=n_max, values=values, mode="float")
-    raise ValueError(f"unknown oracle mode: {mode!r}")
+    return ReturnSeries(n_max=n_max, values=values, mode=mode)
 
 
 def empirical_envelope(rs: ReturnSeries) -> float:

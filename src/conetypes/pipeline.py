@@ -1,8 +1,11 @@
 """Per-group orchestration: ball, automaton, verification, bounds, envelope.
 
-Each stage fails soft: an error is recorded in the report diagnostics and
-the dependent stages are skipped, so one bad group cannot abort a table
-run.  Stage timings and residuals are kept for budget checks.
+Two balls are built per group: the extraction ball at the least radius where
+a sound, verified automaton is found, and the oracle ball of radius
+ceil(oracle_n_max / 2).  Each stage fails soft: an error is recorded in the
+report diagnostics and the dependent stages are skipped, so one bad group
+cannot abort a table run.  Stage timings and residuals are kept for budget
+checks.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from .automaton import (
     theorem_case,
     verify_counts,
 )
-from .coxeter import DEFAULT_MAX_VERTICES, CayleyBall, GroupParams, build_ball, new_params
-from .errors import ConeTypesError, NotStabilized, SchemaError
+from .coxeter import DEFAULT_MAX_VERTICES, GroupParams, build_ball, new_params
+from .errors import ConeTypesError, NotStabilized, SchemaError, VerificationFailed
 from .lower import lower_bound
 from .oracle import empirical_envelope, return_probabilities
 from .upper import upper_bound
 
-CODE_VERSION = "0.1.0"
 BOUND_SCHEMA = "bnd-1"
 CSV_HEADER = "group,K_total,T_size,case,lower,upper,curvature_num,curvature_den,envelope"
 
@@ -40,6 +42,7 @@ TABLE_PARAMS = [
     (3, 4, 4), (3, 4, 5), (3, 5, 7), (4, 4, 4), (7, 7, 7),
 ]
 
+# sets the largest extraction radius tried (see extract_escalating)
 MAX_ESCALATIONS = 5
 
 
@@ -48,12 +51,10 @@ class RunConfig:
     tol_fold: float = 1e-13
     tol_eigen: float = 1e-12
     radius: int | None = None
-    depth: int | None = None
     root_type: int | None = None
     oracle_mode: str = "rational"
     oracle_n_max: int = 20
     max_vertices: int = DEFAULT_MAX_VERTICES
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if min(self.tol_fold, self.tol_eigen) <= 0:
@@ -95,26 +96,36 @@ def table_params() -> list[GroupParams]:
     return sorted(groups, key=lambda p: (-curvature(p), p.triple()))
 
 
-def _ball_cached(params: GroupParams, radius: int, config: RunConfig) -> CayleyBall:
-    if not config.cache_dir:
-        return build_ball(params, radius, config.max_vertices)
-    l, m, n = params.triple()
-    cache = Path(config.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"ball-{l}-{m}-{n}-r{radius}-v{CODE_VERSION}.npz"
-    if path.exists():
-        data = np.load(path)
-        return CayleyBall(
-            params=params, radius=radius,
-            norms=data["norms"], offsets=data["offsets"], edges=data["edges"],
-            parent=data["parent"], parent_gen=data["parent_gen"],
-        )
-    ball = build_ball(params, radius, config.max_vertices)
-    np.savez_compressed(
-        path, norms=ball.norms, offsets=ball.offsets, edges=ball.edges,
-        parent=ball.parent, parent_gen=ball.parent_gen,
-    )
-    return ball
+def extract_escalating(params: GroupParams, radius: int | None = None,
+                       max_vertices: int = DEFAULT_MAX_VERTICES,
+                       diag: dict | None = None) -> ConeTypeAutomaton:
+    """Verified automaton from the least ball radius where extraction succeeds.
+
+    Radii run from max(l,m,n) + 2 up to 2 max(l,m,n) + 6 + 2 MAX_ESCALATIONS
+    (= 2 max + 16), a ceiling that bounds the work on a group that never
+    stabilizes.  NotStabilized and VerificationFailed both mean "radius too
+    small"; the last such error is raised when every radius fails.  A given
+    `radius` is tried alone.  Ball and extraction times accumulate into
+    diag["timings"], and diag["escalations"] counts the radii tried - 1.
+    """
+    diag = {} if diag is None else diag
+    timings = diag.setdefault("timings", {})
+    maxp = max(params.triple())
+    radii = [radius] if radius is not None \
+        else range(maxp + 2, 2 * maxp + 7 + 2 * MAX_ESCALATIONS)
+    for attempt, R in enumerate(radii):
+        diag["escalations"] = attempt
+        t0 = time.perf_counter()
+        ball = build_ball(params, R, max_vertices)
+        t1 = time.perf_counter()
+        timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
+        try:
+            return extract_automaton(ball)
+        except (NotStabilized, VerificationFailed) as exc:
+            error = exc
+        finally:
+            timings["extract"] = timings.get("extract", 0.0) + (time.perf_counter() - t1)
+    raise error
 
 
 def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundReport:
@@ -125,33 +136,16 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     report.case = theorem_case(*params.triple())[0]
     report.curvature = curvature(params)
 
-    maxp = max(params.triple())
-    k_cap = config.depth if config.depth is not None else maxp + 2
-    a = ball = None
-    t0 = time.perf_counter()
-    for attempt in range(MAX_ESCALATIONS + 1):
-        radius = config.radius if config.radius is not None \
-            else max(k_cap + maxp + 4, config.oracle_n_max)
-        try:
-            ball = _ball_cached(params, radius, config)
-            diag["timings"]["ball"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            a = extract_automaton(ball)
-            diag["timings"]["extract"] = time.perf_counter() - t1
-            break
-        except NotStabilized as exc:
-            if config.radius is not None or attempt == MAX_ESCALATIONS:
-                diag["errors"]["extract"] = str(exc)
-                break
-            k_cap += 2
-            diag["escalations"] = attempt + 1
-        except ConeTypesError as exc:
-            diag["errors"]["ball"] = str(exc)
-            break
-    if a is None:
+    try:
+        a = extract_escalating(params, config.radius, config.max_vertices, diag)
+    except (NotStabilized, VerificationFailed) as exc:
+        diag["errors"]["extract"] = str(exc)
+        return report
+    except ConeTypesError as exc:
+        diag["errors"]["ball"] = str(exc)
         return report
 
-    diag["radius"] = ball.radius
+    diag["radius"] = a.radius
     diag["k_star"] = a.k_star
     report.K_total = a.K_total
     vr = verify_counts(params, a)
@@ -194,8 +188,12 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
 
     t1 = time.perf_counter()
     try:
-        n_max = min(config.oracle_n_max, ball.radius)
-        rs = return_probabilities(ball, n_max, mode=config.oracle_mode)
+        # a walk returning at step k stays within distance k/2
+        oracle_ball = build_ball(params, (config.oracle_n_max + 1) // 2,
+                                 config.max_vertices)
+        diag["oracle_radius"] = oracle_ball.radius
+        rs = return_probabilities(oracle_ball, config.oracle_n_max,
+                                  mode=config.oracle_mode)
         report.envelope = empirical_envelope(rs)
     except ConeTypesError as exc:
         diag["errors"]["oracle"] = str(exc)

@@ -1,5 +1,7 @@
 """Cone-type automaton extraction, verification, reduction, and export."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conetypes import (
     DepthExceedsBall,
     NotStabilized,
     SchemaError,
+    VerificationFailed,
     automaton_from_json,
     automaton_to_json,
     build_ball,
@@ -161,6 +164,33 @@ def test_not_stabilized_on_tiny_ball():
     ball = build_ball(new_params(4, 4, 4), 5)
     with pytest.raises(NotStabilized):
         extract_automaton(ball)
+
+
+# Radii at which stabilization alone accepts a wrong partition (K = 2, 4, 6
+# or 8, e.g. the 3-regular tree for (7,7,7)): all have R <= max(l,m,n).
+SPURIOUS_RADII = (
+    [((7, 7, 7), r) for r in (5, 6, 7)] + [((2, 3, 7), 7)]
+    + [((2, 3, 8), r) for r in (7, 8)] + [((2, 5, 5), 5)]
+    + [((2, 6, 6), r) for r in (5, 6)] + [((2, 7, 7), r) for r in (5, 6, 7)]
+    + [((3, 3, 7), 7), ((5, 5, 5), 5)]
+)
+
+
+@pytest.mark.parametrize("triple,radius", SPURIOUS_RADII)
+def test_no_spurious_stabilization(triple, radius):
+    ball = build_ball(new_params(*triple), radius)
+    with pytest.raises(NotStabilized):
+        extract_automaton(ball)
+
+
+@pytest.mark.parametrize("triple,radius", [((4, 5, 5), 11), ((6, 6, 5), 13)])
+def test_verifier_refutes_overmerged_partition(triple, radius):
+    # these radii stabilize on a partition that no twisted walk confirms
+    ball = build_ball(new_params(*triple), radius)
+    t0 = time.perf_counter()
+    with pytest.raises(VerificationFailed):
+        extract_automaton(ball)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_dot_output(data444):

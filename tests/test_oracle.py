@@ -73,11 +73,51 @@ def test_float_mode_agrees(data444):
         assert float(a) == pytest.approx(b, abs=1e-14)
 
 
-def test_horizon_guard(data444):
+def test_horizon_guard():
+    # exact up to twice the radius: a returning walk stays within half its length
+    ball = build_ball(new_params(4, 4, 4), 5)
+    return_probabilities(ball, 10)
     with pytest.raises(HorizonExceedsBall):
-        return_probabilities(data444["ball"], data444["ball"].radius + 1)
+        return_probabilities(ball, 11)
     with pytest.raises(ValueError):
-        return_probabilities(data444["ball"], 2, mode="exactish")
+        return_probabilities(ball, 2, mode="exactish")
+
+
+@pytest.mark.parametrize("triple", [(4, 4, 4), (3, 5, 7)])
+def test_half_radius_ball_is_exact(graph_data, triple):
+    big = graph_data[triple]["ball"]
+    assert big.radius >= 20
+    small = build_ball(big.params, 10)
+    assert return_probabilities(small, 20).values == \
+        return_probabilities(big, 20).values
+
+
+def loop_returns(ball, n_max):
+    """Reference: walk counts in Python integers, one edge at a time."""
+    nbr = ball.neighbor_table().tolist()
+    counts = {0: 1}
+    values = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        new = {}
+        for v, c in counts.items():
+            for w in nbr[v]:
+                if w >= 0:
+                    new[w] = new.get(w, 0) + c
+        counts = new
+        values.append(Fraction(counts.get(0, 0), 3 ** k))
+    return values
+
+
+def test_counts_beyond_int64_are_exact():
+    # 3^41 >= 2^63 > 3^39: the counts are Python integers at n = 41, int64 at 39
+    params = new_params(2, 3, 7)
+    assert 3 ** 41 >= 2 ** 63 > 3 ** 39
+    ball = build_ball(params, 21)
+    rs = return_probabilities(ball, 41)
+    assert rs.values == loop_returns(ball, 41)
+    assert rs.values == return_probabilities(build_ball(params, 24), 41).values
+    assert rs.values[:40] == return_probabilities(build_ball(params, 20), 39).values
+    assert all(rs.values[k] == 0 for k in range(1, 42, 2))
 
 
 def test_tree_series_closed_values():

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conetypes import (
+    NotStabilized,
     RunConfig,
     SchemaError,
     automaton_to_json,
@@ -79,7 +80,9 @@ def test_run_group_444():
     assert 0.8 < report.envelope < report.upper
     diag = report.diagnostics
     assert diag["k_star"] == 3
-    assert diag["radius"] >= 20
+    assert diag["radius"] == 9
+    assert diag["oracle_radius"] == 10
+    assert diag["escalations"] == 3
     assert diag["branch"] in ("R_F", "z0")
     assert not diag["errors"]
     for stage in ("ball", "extract", "upper", "lower", "oracle"):
@@ -190,19 +193,28 @@ def test_cli_cone_types(tmp_path):
     assert result.output.startswith("digraph")
 
 
-def test_cli_bounds_and_cache(tmp_path):
+def test_cli_bounds():
     runner = CliRunner()
-    cache = str(tmp_path / "cache")
-    args = ["--cache-dir", cache, "bounds", "4", "4", "4", "--format", "json"]
+    args = ["bounds", "4", "4", "4", "--format", "json"]
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["theorem_match"] is True
-    cached = list((tmp_path / "cache").glob("ball-4-4-4-*.npz"))
-    assert len(cached) == 1
-    # second run must reuse the cached ball and agree exactly
+    # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
     assert again["lower"] == doc["lower"] and again["upper"] == doc["upper"]
+
+
+@pytest.mark.parametrize("triple,K", [((2, 3, 7), 35), ((2, 3, 8), 37)])
+def test_cli_cone_types_escalates(triple, K):
+    runner = CliRunner()
+    args = ["cone-types", *map(str, triple), "--format", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert json.loads(result.output)["K_total"] == K
+    # a pinned radius is tried alone
+    result = runner.invoke(main, ["--radius", str(max(triple)), *args])
+    assert isinstance(result.exception, NotStabilized)
 
 
 def test_cli_from_automaton(tmp_path):
