@@ -32,7 +32,6 @@ from .certificate import (
 )
 from .coxeter import (
     CayleyBall,
-    Generator,
     GroupParams,
     ReflectionRep,
     build_ball,

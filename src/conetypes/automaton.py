@@ -5,14 +5,14 @@ point to v; on a bipartite norm-layered Cayley graph this is the closure of
 {x} under "has a predecessor in the cone".  Vertices are partitioned by
 rooted isomorphism of depth-k truncated cones: a fast interned-certificate
 refinement proposes the partition, and every class is then verified exactly
-by generator-twisted deterministic walks.  A pair no twist confirms fails
-the verification: the partition is refuted, never patched by a search.
+by generator-twisted deterministic maps, all members of a class at once.  A
+member no twist confirms fails the verification: the partition is refuted,
+never patched by a search.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -185,74 +185,18 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-class _ExactVerifier:
-    """Exact cone-isomorphism confirmation inside a ball.
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of an integer matrix: equal rows, equal ids.
 
-    A generator-twisted walk maps C(x) onto C(y) deterministically via
-    phi(v . sigma_g) = phi(v) . sigma_perm(g); per-level injectivity plus
-    successor-edge counts certify a genuine rooted isomorphism.  A pair no
-    twist confirms is reported unconfirmed.
+    Columns are folded in one at a time as int64 pair keys (id, value), so
+    each step is a 1-D unique.
     """
-
-    def __init__(self, ball: CayleyBall):
-        self.nbr = array("l", ball.neighbor_table().reshape(-1).tolist())
-        self.norm = array("l", ball.norms.astype(np.int64).tolist())
-        _, nsucc_np, _ = ball.successor_table()
-        self.nsucc = array("l", nsucc_np.tolist())
-        self.perms = _admissible_perms(ball.params)
-
-    def walk(self, x: int, y: int, depth: int, perm) -> bool:
-        nbr, norm, nsucc = self.nbr, self.norm, self.nsucc
-        phi = {x: y}
-        used = {y}
-        level = [x]
-        for _ in range(depth):
-            nxt = []
-            ex = ey = 0
-            for v in level:
-                fv = phi[v]
-                ey += nsucc[fv]
-                b = 3 * v
-                fb = 3 * fv
-                nv = norm[v]
-                nfv = norm[fv]
-                for g in range(3):
-                    s = nbr[b + g]
-                    if s < 0 or norm[s] <= nv:
-                        continue
-                    ex += 1
-                    w = nbr[fb + perm[g]]
-                    if w < 0 or norm[w] <= nfv:
-                        return False
-                    ps = phi.get(s)
-                    if ps is not None:
-                        if ps != w:
-                            return False
-                    else:
-                        if w in used:
-                            return False
-                        phi[s] = w
-                        used.add(w)
-                        nxt.append(s)
-            if ex != ey:
-                return False
-            level = nxt
-        return True
-
-    def confirm(self, x: int, y: int, depth: int, hint: int = 0) -> tuple[bool, int]:
-        """True iff some admissible twisted walk maps C_depth(x) onto C_depth(y).
-
-        The returned index is the confirming permutation, tried first for
-        the next vertex of the class.
-        """
-        if x == y:
-            return True, hint
-        nperm = len(self.perms)
-        for off in range(nperm):
-            idx = (hint + off) % nperm
-            if self.walk(x, y, depth, self.perms[idx]):
-                return True, idx
-        return False, hint
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        _, ids = np.unique(ids * span + (col - lo), return_inverse=True)
+    return ids
 
 
 def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
@@ -265,12 +209,83 @@ def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
     prev = labels[-1]
     gathered = np.where(succ[:dom] >= 0, prev[succ[:dom].clip(min=0)], -1)
     gathered.sort(axis=1)
-    rows = np.column_stack([prev[:dom], gathered])
-    _, inv = np.unique(rows, axis=0, return_inverse=True)
     lab = -np.ones(ball.n_vertices, dtype=np.int64)
-    lab[:dom] = inv.reshape(-1)
+    lab[:dom] = _row_ids(np.column_stack([prev[:dom], gathered]))
     labels.append(lab)
     return True
+
+
+def _cone_levels(ball: CayleyBall, x: int, depth: int) -> list:
+    """Up-edges of the depth-`depth` cone of x, level by level.
+
+    Each level is (src, gen, first, dst): edge j leaves vertex src[j] of the
+    level along generator gen[j] and reaches vertex dst[j] of the next level,
+    whose vertex i is first reached by edge first[i].
+    """
+    nbr, norms = ball.neighbor_table(), ball.norms
+    level = np.array([x])
+    out = []
+    for _ in range(depth):
+        nb = nbr[level]
+        src, gen = np.nonzero((nb >= 0) & (norms[nb] > norms[level][:, None]))
+        level, first, dst = np.unique(nb[src, gen], return_index=True, return_inverse=True)
+        out.append((src, gen, first, dst))
+    return out
+
+
+def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, perm) -> np.ndarray:
+    """Which ys the twist by `perm` maps the cone onto, as a boolean mask.
+
+    With phi(x) = y and phi(v . g) = phi(v) . perm(g), y passes when every
+    cone up-edge maps to an up-edge, phi is well defined and injective (on
+    each level; levels differ in norm), and the images' successor counts
+    match the cone's level by level: then phi is a rooted isomorphism.
+    """
+    nbr, norms = ball.neighbor_table(), ball.norms
+    _, nsucc, _ = ball.successor_table()
+    alive = np.arange(ys.size)
+    img = ys[:, None]
+    for src, gen, first, dst in levels:
+        fsrc = img[:, src]
+        w = nbr[fsrc, perm[gen]]
+        nxt = w[:, first]
+        srt = np.sort(nxt, axis=1)
+        ok = ((nsucc[img].sum(axis=1) == src.size)
+              & ((w >= 0) & (norms[w] > norms[fsrc])).all(axis=1)
+              & (w == nxt[:, dst]).all(axis=1)
+              & (srt[:, 1:] != srt[:, :-1]).all(axis=1))
+        alive, img = alive[ok], nxt[ok]
+    mask = np.zeros(ys.size, dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def _verify_classes(ball: CayleyBall, lab: np.ndarray, depth: int) -> None:
+    """Confirm every class of `lab` by twisted maps of depth-`depth` cones.
+
+    A class's representative is its least vertex x.  The cone of x is walked
+    once; all other members are then mapped at once, each admissible
+    generator permutation being tried on the members still unconfirmed.  A
+    member no permutation confirms raises VerificationFailed.
+    """
+    perms = [np.array(p) for p in _admissible_perms(ball.params)]
+    dom = int(ball.offsets[ball.radius - depth + 1])
+    order = np.argsort(lab[:dom], kind="stable")
+    bounds = np.flatnonzero(np.diff(lab[order])) + 1
+    for members in np.split(order, bounds):
+        x, ys = int(members[0]), members[1:]
+        if ys.size == 0:
+            continue
+        levels = _cone_levels(ball, x, depth)
+        for perm in perms:
+            ys = ys[~_twisted_maps(ball, levels, ys, perm)]
+            if ys.size == 0:
+                break
+        else:
+            raise VerificationFailed(
+                f"no twisted walk confirms vertices {x} and {int(ys[0])} "
+                f"at depth {depth}: the certificate class over-merges"
+            )
 
 
 def _class_count(lab: np.ndarray, dom: int) -> int:
@@ -283,10 +298,12 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
     Finds the least k with identical depth-k and depth-(k+1) partitions on
     the exact domains (class counts conserved across the domain restriction),
     checks successor determinism, and confirms every certificate class by
-    exact isomorphism at depths k and k+1.  Stabilization is a heuristic:
-    it is only accepted with R - k >= max(l,m,n) + 1, so that the exact
-    domain contains whole relator cycles, and the verifier then either
-    confirms every class or raises VerificationFailed.
+    exact isomorphism at depths k+1 and k (see _verify_classes: one cone
+    walk per class, its members mapped in one batch per permutation).
+    Stabilization is a heuristic: it is only accepted with
+    R - k >= max(l,m,n) + 1, so that the exact domain contains whole relator
+    cycles, and the verifier then either confirms every class or raises
+    VerificationFailed.
     """
     R = ball.radius
     offsets = ball.offsets
@@ -330,13 +347,15 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
     rows = np.where(succ[:dom_k1] >= 0, type_of[succ[:dom_k1].clip(min=0)], -1)
     rows.sort(axis=1)
     tvec = type_of[:dom_k1]
-    uniq_rows = np.unique(np.column_stack([tvec, rows]), axis=0)
-    if uniq_rows.shape[0] != np.unique(tvec).size:
+    table = np.column_stack([tvec, rows])
+    _, firsts = np.unique(_row_ids(table), return_index=True)
+    uniq_rows = table[firsts]
+    n_types = np.unique(tvec).size
+    if uniq_rows.shape[0] != n_types:
         raise NonDeterministic("equal-type vertices disagree on successor types")
-    if np.unique(tvec).size != K:
+    if n_types != K:
         raise NotStabilized("a cone type has no interior representative")
-    pred_pairs = np.unique(np.column_stack([tvec, npred[:dom_k1]]), axis=0)
-    if pred_pairs.shape[0] != K:
+    if _row_ids(np.column_stack([tvec, npred[:dom_k1]])).max() + 1 != K:
         raise NonDeterministic("equal-type vertices disagree on predecessor counts")
 
     M = np.zeros((K, K), dtype=np.int64)
@@ -351,25 +370,8 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
         raise NonDeterministic("base-point type does not have r = 0")
 
     if verify:
-        ver = _ExactVerifier(ball)
         for depth in (k_star + 1, k_star):
-            dom = int(offsets[R - depth + 1])
-            lv = labels[depth]
-            _, firsts = np.unique(lv[:dom], return_index=True)
-            rep_of = dict(zip(lv[firsts].tolist(), firsts.tolist()))
-            hints: dict[int, int] = {}
-            ll = lv[:dom].tolist()
-            for v in range(dom):
-                rep = rep_of[ll[v]]
-                if rep == v:
-                    continue
-                ok, hint = ver.confirm(rep, v, depth, hints.get(rep, 0))
-                if not ok:
-                    raise VerificationFailed(
-                        f"no twisted walk confirms vertices {rep} and {v} "
-                        f"at depth {depth}: the certificate class over-merges"
-                    )
-                hints[rep] = hint
+            _verify_classes(ball, labels[depth], depth)
 
     return ConeTypeAutomaton(
         params=ball.params,

@@ -194,7 +194,8 @@ class MultiPoly:
         drop = [i for i in range(len(self.vars)) if self.vars[i] not in variables]
         t = {}
         for e, c in self.terms.items():
-            assert all(e[i] == 0 for i in drop), "variable in use cannot be dropped"
+            if any(e[i] for i in drop):
+                raise Infeasible("a variable in use cannot be dropped")
             t[tuple(e[i] for i in keep)] = c
         return MultiPoly(variables, t)
 
@@ -203,7 +204,8 @@ class MultiPoly:
         i = self.vars.index(name)
         out = [0] * (self.degree(name) + 1)
         for e, c in self.terms.items():
-            assert all(k == 0 for j, k in enumerate(e) if j != i)
+            if any(k for j, k in enumerate(e) if j != i):
+                raise Infeasible(f"polynomial is not univariate in {name}")
             out[e[i]] = c
         return out
 
@@ -284,7 +286,8 @@ def _bareiss_det(mat: list[list[MultiPoly]], variables) -> MultiPoly:
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q = num.divide(prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise Infeasible("Bareiss division is not exact")
                 m[i][j] = q
             m[i][k] = MultiPoly.zero(variables)
         prev = m[k][k]
@@ -387,7 +390,8 @@ def discriminant(p: MultiPoly, name: str) -> MultiPoly:
     if q is None:
         # divide primitive parts instead; exact up to the integer scalar allowed
         q = res.normalized().divide(lc.normalized())
-        assert q is not None, "discriminant division must be exact"
+        if q is None:
+            raise Infeasible("discriminant division is not exact")
     return q.normalized()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,12 +27,6 @@ from .ring import CosineRing, reflection_tensors
 
 COEFF_GUARD = 2 ** 57
 DEFAULT_MAX_VERTICES = 8_000_000
-
-
-class Generator(IntEnum):
-    L = 0
-    M = 1
-    N = 2
 
 
 GEN_NAMES = ("L", "M", "N")
@@ -159,18 +152,13 @@ def tits_equal(params: GroupParams, w1, w2, cap: int = 24) -> bool:
 
 
 @dataclass
-class BallVertex:
-    """Per-vertex view assembled on demand from the ball arrays."""
-
-    id: int
-    norm: int
-    key: tuple
-    word: tuple[int, ...]
-
-
-@dataclass
 class CayleyBall:
-    """Radius-R ball of the Cayley graph with exact vertex identification."""
+    """Radius-R ball of the Cayley graph with exact vertex identification.
+
+    Vertex ids run sphere by sphere, and `edges` is sorted by (u, v, g), so
+    the radius-R ball is a prefix of the radius-(R+1) ball and `grow`
+    extends it in place.
+    """
 
     params: GroupParams
     radius: int
@@ -179,6 +167,10 @@ class CayleyBall:
     edges: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
+    # exact state of the last sphere, from which grow() continues
+    _W: np.ndarray | None = field(default=None, repr=False)
+    _mats: np.ndarray | None = field(default=None, repr=False)
+    _down: np.ndarray | None = field(default=None, repr=False)
     _succ: np.ndarray | None = field(default=None, repr=False)
     _nsucc: np.ndarray | None = field(default=None, repr=False)
     _npred: np.ndarray | None = field(default=None, repr=False)
@@ -199,28 +191,6 @@ class CayleyBall:
             v = int(self.parent[v])
         return tuple(reversed(out))
 
-    def canonical_key(self, v: int) -> tuple:
-        """Exact coefficient tensor of the vertex matrix, as a flat tuple."""
-        ring = CosineRing(self.params.orders().values())
-        W = reflection_tensors(self.params.orders(), ring)
-        mat = np.zeros((3, 3, ring.dim), dtype=np.int64)
-        for i in range(3):
-            mat[i, i] = ring.one()
-        for g in self.representative_word(v):
-            out = np.empty_like(mat)
-            for t in range(3):
-                out[:, t, :] = mat[:, t, :] + mat[:, g, :] @ W[g, t]
-            mat = out
-        return tuple(int(c) for c in mat.reshape(-1))
-
-    def vertex(self, v: int) -> BallVertex:
-        return BallVertex(
-            id=v,
-            norm=int(self.norms[v]),
-            key=self.canonical_key(v),
-            word=self.representative_word(v),
-        )
-
     def successor_table(self):
         """CSR-like successor table: succ[v] lists up-neighbors, padded with -1."""
         if self._succ is None:
@@ -231,13 +201,11 @@ class CayleyBall:
             npred = np.bincount(v, minlength=V)
             width = int(nsucc.max()) if V > 1 else 0
             succ = -np.ones((V, width), dtype=np.int64)
-            order = np.argsort(u, kind="stable")
-            us = u[order]
-            vs = v[order]
+            # edges are sorted by u, so each vertex's up-edges are contiguous
             starts = np.zeros(V, dtype=np.int64)
             starts[1:] = np.cumsum(nsucc)[:-1]
-            slot = np.arange(us.size) - starts[us]
-            succ[us, slot] = vs
+            slot = np.arange(u.size) - starts[u]
+            succ[u, slot] = v
             self._succ, self._nsucc, self._npred = succ, nsucc, npred
         return self._succ, self._nsucc, self._npred
 
@@ -278,37 +246,17 @@ class CayleyBall:
             lines.append(f"{v},{int(self.norms[v])},{ns}")
         return "\n".join(lines) + "\n"
 
+    def grow(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+        """Add the next sphere in place; every existing id is kept.
 
-def build_ball(params: GroupParams, radius: int,
-               max_vertices: int = DEFAULT_MAX_VERTICES) -> CayleyBall:
-    """Breadth-first exact construction of the radius-R ball.
-
-    Each frontier vertex is expanded along its non-predecessor generators;
-    bipartiteness guarantees all candidates live on the next sphere, so
-    deduplication is a per-layer exact row unique.  Vertex ids are
-    deterministic: (norm, coefficient-row lexicographic order).
-    """
-    if radius < 1:
-        raise InvalidParameter("radius must be >= 1")
-    orders = params.orders()
-    ring = CosineRing(orders.values())
-    W = reflection_tensors(orders, ring)
-    dim = ring.dim
-
-    mats = np.zeros((1, 3, 3, dim), dtype=np.int64)
-    for i in range(3):
-        mats[0, i, i] = ring.one()
-    down = np.zeros((1, 3), dtype=bool)
-    layer_ids = np.array([0], dtype=np.int64)
-
-    norms = [np.zeros(1, dtype=np.int16)]
-    offsets = [0, 1]
-    edge_chunks = []
-    parent = [np.array([-1], dtype=np.int64)]
-    parent_gen = [np.array([-1], dtype=np.int16)]
-    total = 1
-
-    for k in range(radius):
+        Each last-sphere vertex is expanded along its non-predecessor
+        generators; bipartiteness puts every candidate on the next sphere,
+        so deduplication is an exact unique of coefficient rows, and new ids
+        follow their lexicographic order.
+        """
+        W, mats, down = self._W, self._mats, self._down
+        k = self.radius
+        base = int(self.offsets[-2])
         cand_list, par_list, gen_list = [], [], []
         for s in range(3):
             mask = ~down[:, s]
@@ -319,7 +267,7 @@ def build_ball(params: GroupParams, radius: int,
             for t in range(3):
                 out[:, :, t, :] = sub[:, :, t, :] + sub[:, :, s, :] @ W[s, t]
             cand_list.append(out)
-            par_list.append(layer_ids[mask])
+            par_list.append(base + np.flatnonzero(mask))
             gen_list.append(np.full(int(mask.sum()), s, dtype=np.int64))
         cand = np.concatenate(cand_list)
         pars = np.concatenate(par_list)
@@ -333,42 +281,54 @@ def build_ball(params: GroupParams, radius: int,
             raise IdentificationAmbiguity(
                 f"coefficient guard 2^57 exhausted at radius {k + 1}"
             )
-        total += n_new
-        if total > max_vertices:
+        if self.n_vertices + n_new > max_vertices:
             raise MemoryCap(f"ball would exceed {max_vertices} vertices at radius {k + 1}")
 
-        base = offsets[-1]
-        child_ids = base + inv
-        edge_chunks.append(
-            np.column_stack([pars, child_ids, gens]).astype(np.int64)
-        )
+        first = int(self.offsets[-1])
+        chunk = np.column_stack([pars, first + inv, gens])
+        chunk = chunk[np.lexsort((chunk[:, 2], chunk[:, 1], chunk[:, 0]))]
         new_down = np.zeros((n_new, 3), dtype=bool)
         new_down[inv, gens] = True
-
-        first = np.full(n_new, -1, dtype=np.int64)
-        first_gen = np.full(n_new, -1, dtype=np.int64)
+        par = np.full(n_new, -1, dtype=np.int64)
+        par_gen = np.full(n_new, -1, dtype=np.int16)
         # last write wins; reverse order makes the lowest-index parent canonical
         order = np.arange(inv.size - 1, -1, -1)
-        first[inv[order]] = pars[order]
-        first_gen[inv[order]] = gens[order]
+        par[inv[order]] = pars[order]
+        par_gen[inv[order]] = gens[order]
 
-        norms.append(np.full(n_new, k + 1, dtype=np.int16))
-        parent.append(first)
-        parent_gen.append(first_gen.astype(np.int16))
-        offsets.append(base + n_new)
+        self.radius = k + 1
+        self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
+        self.offsets = np.append(self.offsets, first + n_new)
+        self.edges = np.concatenate([self.edges, chunk])
+        self.parent = np.concatenate([self.parent, par])
+        self.parent_gen = np.concatenate([self.parent_gen, par_gen])
+        self._mats = uniq.reshape(n_new, 3, 3, W.shape[-1])
+        self._down = new_down
+        self._succ = self._nsucc = self._npred = self._nbr = None
 
-        mats = uniq.reshape(n_new, 3, 3, dim)
-        down = new_down
-        layer_ids = np.arange(base, base + n_new, dtype=np.int64)
 
-    edges = np.concatenate(edge_chunks)
-    edges = edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))]
-    return CayleyBall(
+def build_ball(params: GroupParams, radius: int,
+               max_vertices: int = DEFAULT_MAX_VERTICES) -> CayleyBall:
+    """Exact radius-R ball, grown sphere by sphere from the identity."""
+    if radius < 1:
+        raise InvalidParameter("radius must be >= 1")
+    orders = params.orders()
+    ring = CosineRing(orders.values())
+    mats = np.zeros((1, 3, 3, ring.dim), dtype=np.int64)
+    for i in range(3):
+        mats[0, i, i] = ring.one()
+    ball = CayleyBall(
         params=params,
-        radius=radius,
-        norms=np.concatenate(norms),
-        offsets=np.array(offsets, dtype=np.int64),
-        edges=edges,
-        parent=np.concatenate(parent),
-        parent_gen=np.concatenate(parent_gen),
+        radius=0,
+        norms=np.zeros(1, dtype=np.int16),
+        offsets=np.array([0, 1], dtype=np.int64),
+        edges=np.zeros((0, 3), dtype=np.int64),
+        parent=np.array([-1], dtype=np.int64),
+        parent_gen=np.array([-1], dtype=np.int16),
+        _W=reflection_tensors(orders, ring),
+        _mats=mats,
+        _down=np.zeros((1, 3), dtype=bool),
     )
+    while ball.radius < radius:
+        ball.grow(max_vertices)
+    return ball

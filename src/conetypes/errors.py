@@ -66,7 +66,9 @@ class HorizonExceedsBall(ConeTypesError):
 
 
 class Infeasible(ConeTypesError):
-    """Exact elimination requested for a system above the size guard."""
+    """Exact elimination cannot be carried out: the system is above the size
+    guard, or a step that must be exact (a polynomial division, a projection
+    onto fewer variables) is not."""
 
 
 class ZeroResultant(ConeTypesError):

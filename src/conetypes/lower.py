@@ -61,7 +61,8 @@ def perron(mat: np.ndarray, primitive: bool = True,
 
 def symmetrize(ra: ReducedAutomaton, A: np.ndarray) -> np.ndarray:
     """M'' = (M' + M'^T)/2 with M' = D^{-1/2} M^T D^{1/2}, D = diag(A)."""
-    assert (A > 0).all()
+    if not (A > 0).all():
+        raise NotConverged("the Perron vector A is not positive")
     s = np.sqrt(A)
     Mp = (ra.M.T.astype(float) * s[None, :]) / s[:, None]
     return 0.5 * (Mp + Mp.T)

@@ -103,20 +103,27 @@ def extract_escalating(params: GroupParams, radius: int | None = None,
 
     Radii run from max(l,m,n) + 2 up to 2 max(l,m,n) + 6 + 2 MAX_ESCALATIONS
     (= 2 max + 16), a ceiling that bounds the work on a group that never
-    stabilizes.  NotStabilized and VerificationFailed both mean "radius too
-    small"; the last such error is raised when every radius fails.  A given
-    `radius` is tried alone.  Ball and extraction times accumulate into
-    diag["timings"], and diag["escalations"] counts the radii tried - 1.
+    stabilizes.  One ball is built at the first radius and grown by one
+    sphere per further radius.  NotStabilized and VerificationFailed both
+    mean "radius too small"; the last such error is raised when every radius
+    fails.  A given `radius` is tried alone.  Ball and extraction times
+    accumulate into diag["timings"], and diag["escalations"] counts the radii
+    tried - 1.
     """
     diag = {} if diag is None else diag
     timings = diag.setdefault("timings", {})
     maxp = max(params.triple())
-    radii = [radius] if radius is not None \
-        else range(maxp + 2, 2 * maxp + 7 + 2 * MAX_ESCALATIONS)
-    for attempt, R in enumerate(radii):
-        diag["escalations"] = attempt
+    if radius is None:
+        first, last = maxp + 2, 2 * maxp + 6 + 2 * MAX_ESCALATIONS
+    else:
+        first = last = radius
+    for R in range(first, last + 1):
+        diag["escalations"] = R - first
         t0 = time.perf_counter()
-        ball = build_ball(params, R, max_vertices)
+        if R == first:
+            ball = build_ball(params, R, max_vertices)
+        else:
+            ball.grow(max_vertices)
         t1 = time.perf_counter()
         timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
         try:

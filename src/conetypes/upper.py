@@ -212,7 +212,11 @@ def _bracket_fold(spec: TreeWalkSpec, width: float) -> tuple[float, float, Fixed
 
 
 def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
-    """Locate R_F: bisection bracket, then Newton on the fold system."""
+    """Locate R_F: bisection bracket, then Newton on the fold system.
+
+    The polished point is accepted only inside the bracket; otherwise the
+    bracket is bisected down to 1e-12 and the result flagged as a fallback.
+    """
     lo, hi, sol = _bracket_fold(spec, 1e-6)
     J = _jacobian(spec, lo, sol.w)
     vals, vecs = np.linalg.eig(J)
@@ -223,7 +227,7 @@ def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
     out = _fold_newton(spec, sol.w, u, 0.5 * (lo + hi), tol)
     if out is not None:
         w, u, z, res = out
-        if lo - 1e-4 <= z <= hi + 1e-4 and (w >= -1e-12).all() and (u > 0).all():
+        if lo <= z <= hi and (w >= -1e-12).all() and (u > 0).all():
             return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False)
     # fallback: pure bisection refined to 1e-12, flagged
     while hi - lo > 1e-12:

@@ -23,6 +23,12 @@ from conetypes import (
     truncated_cone,
     verify_counts,
 )
+from conetypes.automaton import (
+    _admissible_perms,
+    _cone_levels,
+    _refine_labels,
+    _twisted_maps,
+)
 from conftest import EXPECTED_COUNTS, TABLE
 
 # adjacency matrix of the (4,4,4) automaton in canonical numbering
@@ -191,6 +197,67 @@ def test_verifier_refutes_overmerged_partition(triple, radius):
     with pytest.raises(VerificationFailed):
         extract_automaton(ball)
     assert time.perf_counter() - t0 < 5.0
+
+
+def _reference_walk(nbr, norm, nsucc, x, y, depth, perm):
+    """The twisted walk one vertex at a time, on the ball's tables as lists."""
+    phi, used, level = {x: y}, {y}, [x]
+    for _ in range(depth):
+        nxt, ex, ey = [], 0, 0
+        for v in level:
+            fv = phi[v]
+            ey += nsucc[fv]
+            for g in range(3):
+                s = nbr[v][g]
+                if s < 0 or norm[s] <= norm[v]:
+                    continue
+                ex += 1
+                w = nbr[fv][perm[g]]
+                if w < 0 or norm[w] <= norm[fv]:
+                    return False
+                if s in phi:
+                    if phi[s] != w:
+                        return False
+                elif w in used:
+                    return False
+                else:
+                    phi[s] = w
+                    used.add(w)
+                    nxt.append(s)
+        if ex != ey:
+            return False
+        level = nxt
+    return True
+
+
+@pytest.mark.parametrize("triple,radius,depth", [((4, 4, 5), 13, 6), ((4, 5, 5), 11, 5)])
+def test_twisted_maps_match_reference_walk(triple, radius, depth):
+    # (4,4,5) at its k* = 6; (4,5,5) at depth 5 holds the class refuted above
+    ball = build_ball(new_params(*triple), radius)
+    labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    while len(labels) <= depth:
+        _refine_labels(ball, labels)
+    dom = int(ball.offsets[radius - depth + 1])
+    lab = labels[depth][:dom]
+    tables = (ball.neighbor_table().tolist(), ball.norms.tolist(),
+              ball.successor_table()[1].tolist())
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for c in np.unique(lab):
+        members = np.flatnonzero(lab == c)
+        x = int(members[0])
+        ys = np.concatenate([members[1:], rng.integers(0, dom, 20)])
+        levels = _cone_levels(ball, x, depth)
+        confirmed = np.zeros(ys.size, dtype=bool)
+        for perm in _admissible_perms(ball.params):
+            got = _twisted_maps(ball, levels, ys, np.array(perm)).tolist()
+            want = [_reference_walk(*tables, x, int(y), depth, perm) for y in ys]
+            assert got == want
+            confirmed |= want
+        outcomes.update(zip(confirmed.tolist(), np.isin(ys, members).tolist()))
+    # confirmed members, refuted outsiders, and members no twist confirms
+    assert {(True, True), (False, False)} <= outcomes
+    assert ((False, True) in outcomes) == (triple == (4, 5, 5))
 
 
 def test_dot_output(data444):

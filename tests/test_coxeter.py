@@ -154,6 +154,24 @@ def test_ball_deterministic_rebuild():
     assert np.array_equal(b1.parent, b2.parent)
 
 
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 5, 7), (4, 4, 5)])
+def test_grown_ball_equals_fresh_build(triple):
+    params = new_params(*triple)
+    ball = build_ball(params, 1)
+    while ball.radius < 13:
+        # fill the lazy tables, which growing must invalidate
+        ball.successor_table()
+        ball.neighbor_table()
+        ball.grow()
+        fresh = build_ball(params, ball.radius)
+        for name in ("norms", "offsets", "edges", "parent", "parent_gen"):
+            got, want = getattr(ball, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for got, want in zip(ball.successor_table(), fresh.successor_table()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(ball.neighbor_table(), fresh.neighbor_table())
+
+
 def test_representative_words_are_geodesics():
     ball = build_ball(new_params(4, 4, 4), 6)
     p = ball.params

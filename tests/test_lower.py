@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conetypes import (
+    NotConverged,
     ReducedAutomaton,
     ZeroPredecessor,
     lower_bound,
@@ -64,6 +65,15 @@ def test_symmetrize_scale_invariant(data444):
     S2 = symmetrize(ra, 7.5 * A)
     assert np.allclose(S1, S2, atol=1e-14)
     assert np.allclose(S1, S1.T, atol=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25])
+def test_symmetrize_rejects_nonpositive_vector(data444, bad):
+    ra = data444["reduced"]
+    A = np.full(len(ra.types), 0.25)
+    A[1] = bad
+    with pytest.raises(NotConverged):
+        symmetrize(ra, A)
 
 
 def test_jacobi_matches_eigvalsh(data444):

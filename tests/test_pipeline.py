@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -12,7 +13,10 @@ from conetypes import (
     RunConfig,
     SchemaError,
     automaton_to_json,
+    build_ball,
     curvature,
+    extract_automaton,
+    extract_escalating,
     new_params,
     report_to_csv_row,
     report_to_json,
@@ -24,7 +28,7 @@ from conetypes import (
 )
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
-from conftest import LOWER_BOUNDS, UPPER_BOUNDS
+from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS
 
 # exact combinatorial curvature, as the rational multiple q of pi
 CURVATURES = {
@@ -87,6 +91,17 @@ def test_run_group_444():
     assert not diag["errors"]
     for stage in ("ball", "extract", "upper", "lower", "oracle"):
         assert diag["timings"][stage] >= 0.0
+
+
+@pytest.mark.parametrize("triple", TABLE)
+def test_grown_ball_extraction_equals_fresh_ball(triple):
+    params = new_params(*triple)
+    grown = extract_escalating(params)
+    fresh = extract_automaton(build_ball(params, grown.radius))
+    assert (grown.K_total, grown.k_star, grown.radius) == \
+        (fresh.K_total, fresh.k_star, fresh.radius)
+    assert np.array_equal(grown.M, fresh.M)
+    assert np.array_equal(grown.type_of, fresh.type_of)
 
 
 def test_run_group_radius_too_small_fails_soft():

@@ -26,6 +26,14 @@ def test_minpoly_degree_matches_totient(k):
     assert len(minpoly_2cos(k)) - 1 == expected
 
 
+def test_minpoly_matches_sympy():
+    x = sympy.Symbol("x")
+    for k in range(2, 61):
+        poly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / k), x)
+        want = tuple(int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs()))
+        assert minpoly_2cos(k) == want, k
+
+
 @pytest.mark.parametrize("orders", [(4, 4, 4), (5, 7, 3), (7, 7, 7), (2, 5, 5), (6, 6, 2)])
 def test_ring_dimension_and_unit(orders):
     ring = CosineRing(orders)

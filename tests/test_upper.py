@@ -128,6 +128,22 @@ def test_tree_fold_point(tree_reduced):
     assert critical_radius(spec) == pytest.approx(TREE_RF, abs=1e-12)
 
 
+def test_fold_outside_bracket_falls_back(tree_reduced, monkeypatch):
+    import conetypes.upper as upper
+
+    polish = upper._fold_newton
+
+    def off_bracket(spec, w0, u0, z0, tol):
+        # z0 is the bracket midpoint and the bracket is 1e-6 wide
+        w, u, z, res = polish(spec, w0, u0, z0, tol)
+        return w, u, z0 + 1e-6, res
+
+    monkeypatch.setattr(upper, "_fold_newton", off_bracket)
+    fold = fold_point(tree_walk_spec(tree_reduced, 0))
+    assert fold.fallback
+    assert fold.R_F == pytest.approx(TREE_RF, abs=1e-11)
+
+
 def test_tree_first_return_value(tree_reduced):
     spec = tree_walk_spec(tree_reduced, 0)
     # F(z) = z * 2 w(z) / 3; at the fold this equals 1/2
