@@ -1,5 +1,6 @@
-"""Cone-type automata of hyperbolic triangle groups and certified
-spectral-radius bounds for the simple random walk on their Cayley graphs."""
+"""Cone-type automata of hyperbolic triangle groups and two-sided
+spectral-radius bounds, the upper one exactly certified, for the simple
+random walk on their Cayley graphs."""
 
 from .automaton import (
     ConeTypeAutomaton,
@@ -17,19 +18,6 @@ from .automaton import (
     truncated_cone,
     verify_counts,
 )
-from .certificate import (
-    CertificateReport,
-    MultiPoly,
-    RootInterval,
-    UnivariateCandidateSet,
-    candidate_set,
-    certify,
-    discriminant,
-    eliminate,
-    real_positive_roots,
-    resultant,
-    system_polynomials,
-)
 from .coxeter import (
     CayleyBall,
     GroupParams,
@@ -46,12 +34,10 @@ from .errors import (
     DepthExceedsBall,
     HorizonExceedsBall,
     IdentificationAmbiguity,
-    Infeasible,
     InvalidParameter,
     InvalidRoot,
     MemoryCap,
     MultipleTerminalSCCs,
-    NoMatchingCandidate,
     NonDeterministic,
     NonHyperbolic,
     NotConverged,
@@ -60,7 +46,6 @@ from .errors import (
     SchemaError,
     VerificationFailed,
     ZeroPredecessor,
-    ZeroResultant,
 )
 from .lower import LowerBoundResult, lower_bound, perron, symmetrize, tilde_matrix
 from .oracle import (
@@ -89,10 +74,10 @@ from .upper import (
     FixedPointSolution,
     TreeWalkSpec,
     UpperBoundResult,
-    critical_radius,
     default_root_type,
     first_return_value,
     fold_point,
+    is_post_fixed_point,
     minimal_fixed_point,
     tree_walk_spec,
     upper_bound,

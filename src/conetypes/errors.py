@@ -65,19 +65,5 @@ class HorizonExceedsBall(ConeTypesError):
     """Requested walk horizon exceeds twice the ball radius, its exact range."""
 
 
-class Infeasible(ConeTypesError):
-    """Exact elimination cannot be carried out: the system is above the size
-    guard, or a step that must be exact (a polynomial division, a projection
-    onto fewer variables) is not."""
-
-
-class ZeroResultant(ConeTypesError):
-    """Every elimination order collapsed to the zero polynomial."""
-
-
-class NoMatchingCandidate(ConeTypesError):
-    """No certified root interval contains the numeric value."""
-
-
 class SchemaError(ConeTypesError):
     """An imported document does not conform to the expected schema."""

@@ -29,9 +29,9 @@ from .automaton import (
 )
 from .coxeter import DEFAULT_MAX_VERTICES, GroupParams, build_ball, new_params
 from .errors import ConeTypesError, NotStabilized, SchemaError, VerificationFailed
-from .lower import lower_bound
+from .lower import LowerBoundResult, lower_bound
 from .oracle import empirical_envelope, return_probabilities
-from .upper import upper_bound
+from .upper import UpperBoundResult, upper_bound
 
 BOUND_SCHEMA = "bnd-1"
 CSV_HEADER = "group,K_total,T_size,case,lower,upper,curvature_num,curvature_den,envelope"
@@ -167,45 +167,52 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
         diag["errors"]["reduce"] = str(exc)
         return report
 
-    t1 = time.perf_counter()
+    ub = _stage(diag, "upper", upper_bound, ra, root_type=config.root_type,
+                tol_fold=config.tol_fold)
+    lb = _stage(diag, "lower", lower_bound, ra, d=3, residual_tol=config.tol_eigen)
+    _record_bounds(report, ub, lb)
+    report.envelope = _stage(diag, "oracle", _envelope, params, config, diag)
+    return report
+
+
+def _stage(diag: dict, name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), timed into diag; a ConeTypesError is recorded, giving None."""
+    t0 = time.perf_counter()
     try:
-        ub = upper_bound(ra, root_type=config.root_type, tol_fold=config.tol_fold)
+        return fn(*args, **kwargs)
+    except ConeTypesError as exc:
+        diag["errors"][name] = str(exc)
+        return None
+    finally:
+        diag["timings"][name] = time.perf_counter() - t0
+
+
+def _envelope(params: GroupParams, config: RunConfig, diag: dict) -> float:
+    # a walk returning at step k stays within distance k/2
+    ball = build_ball(params, (config.oracle_n_max + 1) // 2, config.max_vertices)
+    diag["oracle_radius"] = ball.radius
+    rs = return_probabilities(ball, config.oracle_n_max, mode=config.oracle_mode)
+    return empirical_envelope(rs)
+
+
+def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,
+                   lb: LowerBoundResult | None) -> None:
+    """Copy the bound results that exist into the report and its diagnostics."""
+    diag = report.diagnostics
+    if ub is not None:
         report.upper = ub.rho_T
         diag["R_F"] = ub.R_F
         diag["F_at_RF"] = ub.F_at_RF
-        diag["branch"] = ub.branch
         diag["root_type"] = ub.root_type
         diag["residuals"]["fold"] = ub.fold_residual
         diag["fold_fallback"] = ub.fold_fallback
-    except ConeTypesError as exc:
-        diag["errors"]["upper"] = str(exc)
-    diag["timings"]["upper"] = time.perf_counter() - t1
-
-    t1 = time.perf_counter()
-    try:
-        lb = lower_bound(ra, d=3, residual_tol=config.tol_eigen)
+        diag["upper_certified"] = ub.certified_upper
+    if lb is not None:
         report.lower = lb.bound
         diag["nu"] = lb.nu
         diag["lambda"] = lb.lam
         diag["residuals"]["nu"] = lb.residual_nu
-        diag["residuals"]["jacobi_off"] = lb.jacobi_offnorm
-    except ConeTypesError as exc:
-        diag["errors"]["lower"] = str(exc)
-    diag["timings"]["lower"] = time.perf_counter() - t1
-
-    t1 = time.perf_counter()
-    try:
-        # a walk returning at step k stays within distance k/2
-        oracle_ball = build_ball(params, (config.oracle_n_max + 1) // 2,
-                                 config.max_vertices)
-        diag["oracle_radius"] = oracle_ball.radius
-        rs = return_probabilities(oracle_ball, config.oracle_n_max,
-                                  mode=config.oracle_mode)
-        report.envelope = empirical_envelope(rs)
-    except ConeTypesError as exc:
-        diag["errors"]["oracle"] = str(exc)
-    diag["timings"]["oracle"] = time.perf_counter() - t1
-    return report
+        diag["residuals"]["lam"] = lb.residual_lam
 
 
 def run_table(config: RunConfig | None = None) -> list[BoundReport]:
@@ -236,18 +243,11 @@ def run_from_automaton(source: str, d: int = 3,
         report.curvature = curvature(a.params)
         vr = verify_counts(a.params, a)
         report.theorem_match = vr.matches
-    ub = upper_bound(ra, root_type=config.root_type, tol_fold=config.tol_fold)
-    report.upper = ub.rho_T
-    diag["R_F"] = ub.R_F
-    diag["F_at_RF"] = ub.F_at_RF
-    diag["branch"] = ub.branch
-    diag["root_type"] = ub.root_type
-    diag["residuals"]["fold"] = ub.fold_residual
-    diag["fold_fallback"] = ub.fold_fallback
-    lb = lower_bound(ra, d=d, residual_tol=config.tol_eigen)
-    report.lower = lb.bound
-    diag["nu"] = lb.nu
-    diag["lambda"] = lb.lam
+    _record_bounds(
+        report,
+        upper_bound(ra, root_type=config.root_type, tol_fold=config.tol_fold),
+        lower_bound(ra, d=d, residual_tol=config.tol_eigen),
+    )
     return report
 
 

@@ -106,27 +106,6 @@ class CosineRing:
         idx = self.factors.index(k)
         return self._embed(idx, self.companions[idx].T.copy())
 
-    def basis_mul_matrix(self, i: int) -> np.ndarray:
-        """Matrix of multiplication by the i-th basis monomial."""
-        out = np.eye(1, dtype=np.int64)
-        rest = i
-        for f in range(len(self.factors) - 1, -1, -1):
-            d = self.degrees[f]
-            e = rest % d
-            rest //= d
-            out = np.kron(
-                np.linalg.matrix_power(self.companions[f], e).astype(np.int64), out
-            )
-        return out
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product of two ring elements."""
-        acc = np.zeros(self.dim, dtype=object)
-        for i, ai in enumerate(a):
-            if ai:
-                acc = acc + int(ai) * (self.basis_mul_matrix(i).astype(object) @ b.astype(object))
-        return acc
-
     def basis_values(self) -> np.ndarray:
         """Float values of the basis monomials, for numeric evaluation."""
         vals = np.array([1.0])

@@ -5,14 +5,28 @@ w_i = F_{-i}(z) solving the monotone polynomial system
 w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
 Newton's method from 0, exists up to a fold point R_F (Jacobian eigenvalue
 1).  R_F is bracketed by bisection on whether that solution exists and
-polished by Newton on the bordered fold system.  The Green-kernel radius is
-R_F itself when the first-return value there stays <= 1, else the smaller
-root of F(z) = 1.
+polished by Newton on the bordered fold system.
+
+The Green-kernel radius R_Gk is R_F itself.  The root's own row of the
+system reads w_root = z r_root/d_root + w_root F(z), so the first-return
+value F(z) = 1 - z r_root/(d_root w_root) stays below 1 wherever the
+minimal solution exists, as r_root >= 1 (only the identity's type has no
+predecessor, and it is not in the reduced set).  So F never reaches 1 up
+to the fold, and no smaller root of F(z) = 1 can bound the radius;
+upper_bound raises NotConverged should F(R_F) >= 1 all the same.
+
+The bound is certified exactly.  A rational z and w >= 0 with
+z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
+z sum_j M_root,j w_j < d_root make w a post-fixed point of the monotone
+system, so the least solution exists at z and lies below w (Etessami and
+Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check runs in
+Fractions on the polished fold solution at z = z_w (1 - CERT_MARGIN).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +35,9 @@ from .errors import InvalidRoot, NotConverged
 
 STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
+# relative step below the fold point at which the exact check is made; far
+# above the fold residual (< 1e-13), far below the reported digits
+CERT_MARGIN = 1e-9
 
 
 @dataclass
@@ -57,10 +74,11 @@ class Diverged:
 @dataclass
 class FoldResult:
     R_F: float
-    w: np.ndarray
+    w: np.ndarray  # the minimal fixed point at z_w
     u: np.ndarray
     residual: float
     fallback: bool
+    z_w: float  # R_F, or the bracket's lower end on a fallback
 
 
 @dataclass
@@ -69,11 +87,11 @@ class UpperBoundResult:
     F_at_RF: float
     R_Gk: float
     rho_T: float
-    branch: str
     root_type: int
     fold_residual: float
     fold_fallback: bool
     jacobian_radius: float
+    certified_upper: Fraction | None
 
 
 def default_root_type(ra: ReducedAutomaton) -> int:
@@ -228,7 +246,7 @@ def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
     if out is not None:
         w, u, z, res = out
         if lo <= z <= hi and (w >= -1e-12).all() and (u > 0).all():
-            return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False)
+            return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False, z_w=z)
     # fallback: pure bisection refined to 1e-12, flagged
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -239,12 +257,7 @@ def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
             lo = mid
             sol = outm
     return FoldResult(R_F=0.5 * (lo + hi), w=sol.w, u=u, residual=float("nan"),
-                      fallback=True)
-
-
-def critical_radius(spec: TreeWalkSpec) -> float:
-    """R_F, the supremum of z admitting a minimal fixed point."""
-    return fold_point(spec).R_F
+                      fallback=True, z_w=lo)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None) -> float:
@@ -257,48 +270,46 @@ def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None
     return float(z * np.dot(spec.root_row, w) / spec.root_d)
 
 
+def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
+    """Exact check that w >= 0 satisfies Phi(z, w) <= w and F(z, w) < 1.
+
+    Rows are multiplied through by d_i, so the check is
+    z(r_i + w_i sum_j M_ij w_j) <= d_i w_i and z sum_j M_root,j w_j < d_root,
+    in Fractions on the exact binary values of w.
+    """
+    W = [Fraction(x) for x in w.tolist()]
+    if min(W) < 0:
+        return False
+    # M holds integer counts stored as floats
+    for row, di, ri, wi in zip(spec.M.tolist(), spec.d.tolist(), spec.r.tolist(), W):
+        out = sum(int(m) * wj for m, wj in zip(row, W) if m)
+        if z * (ri + wi * out) > di * wi:
+            return False
+    root = sum(int(m) * wj for m, wj in zip(spec.root_row.tolist(), W) if m)
+    return z * root < spec.root_d
+
+
 def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
                 tol_fold: float = 1e-13) -> UpperBoundResult:
-    """rho_T = 1/R_Gk from the fold point and the F(R_F) <= 1 decision."""
+    """rho_T = 1/R_F, with 1/z certified exactly just above it (or None)."""
     root = default_root_type(ra) if root_type is None else root_type
     spec = tree_walk_spec(ra, root)
     fold = fold_point(spec, tol=tol_fold)
     F_rf = first_return_value(spec, fold.R_F, fold.w)
-    if F_rf <= 1.0 + 1e-12:
-        branch = "R_F"
-        R_Gk = fold.R_F
-        # the R_F branch is root-independent; spot-check one other candidate
-        for t, rv in zip(spec.types, spec.r):
-            if t != root and rv == 2:
-                other = tree_walk_spec(ra, int(t))
-                if first_return_value(other, fold.R_F, fold.w) > 1.0 + 1e-9:
-                    raise NotConverged(
-                        f"R_F branch depends on the root: F > 1 at R_F for root type "
-                        f"{t}, F <= 1 for root type {root}")
-                break
-    else:
-        branch = "z0"
-        lo, hi = 1e-9, fold.R_F
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if first_return_value(spec, mid) >= 1.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-13:
-                break
-        R_Gk = 0.5 * (lo + hi)
+    if F_rf >= 1.0:
+        raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
+    z = Fraction(fold.z_w * (1.0 - CERT_MARGIN))
     jac_rad = float(
         np.max(np.abs(np.linalg.eigvals(_jacobian(spec, fold.R_F, fold.w))))
     )
     return UpperBoundResult(
         R_F=fold.R_F,
         F_at_RF=F_rf,
-        R_Gk=R_Gk,
-        rho_T=1.0 / R_Gk,
-        branch=branch,
+        R_Gk=fold.R_F,
+        rho_T=1.0 / fold.R_F,
         root_type=root,
         fold_residual=fold.residual,
         fold_fallback=fold.fallback,
         jacobian_radius=jac_rad,
+        certified_upper=1 / z if is_post_fixed_point(spec, z, fold.w) else None,
     )

@@ -76,20 +76,6 @@ def test_symmetrize_rejects_nonpositive_vector(data444, bad):
         symmetrize(ra, A)
 
 
-def test_jacobi_matches_eigvalsh(data444):
-    from conetypes.lower import _jacobi_eigenvalues
-
-    ra = data444["reduced"]
-    _, A, _ = perron(tilde_matrix(ra))
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(7, 7))
-    for S in [symmetrize(ra, A), 0.5 * (X + X.T)]:
-        eigs, off = _jacobi_eigenvalues(S)
-        assert off < 1e-12
-        assert np.allclose(eigs, np.linalg.eigvalsh(S), atol=1e-11)
-        assert eigs.sum() == pytest.approx(np.trace(S), abs=1e-11)
-
-
 def test_tree_bound_is_exact(tree_reduced):
     # on the tree the comparison bound is tight: 2 sqrt 2 / 3
     res = lower_bound(tree_reduced)
@@ -103,6 +89,6 @@ def test_all_groups_match_reference(graph_data):
         res = lower_bound(graph_data[triple]["reduced"])
         assert res.bound == pytest.approx(LOWER_BOUNDS[triple], abs=1e-9), triple
         assert res.residual_nu < 1e-12
-        assert res.jacobi_offnorm < 1e-12
+        assert res.residual_lam < 1e-12
         assert res.nu > 1.0  # exponential sphere growth
         assert (res.A > 0).all()

@@ -87,7 +87,8 @@ def test_run_group_444():
     assert diag["radius"] == 9
     assert diag["oracle_radius"] == 10
     assert diag["escalations"] == 3
-    assert diag["branch"] in ("R_F", "z0")
+    assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
+    assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
     for stage in ("ball", "extract", "upper", "lower", "oracle"):
         assert diag["timings"][stage] >= 0.0
@@ -139,6 +140,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold_fallback"] is direct.diagnostics["fold_fallback"] is False
+    assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
 def test_run_from_automaton_rejects_inconsistent_block(data444):
@@ -215,6 +217,8 @@ def test_cli_bounds():
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["theorem_match"] is True
+    cert = doc["diagnostics"]["upper_certified"]
+    assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
     assert again["lower"] == doc["lower"] and again["upper"] == doc["upper"]

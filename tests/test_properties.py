@@ -1,4 +1,4 @@
-"""Property-based invariants for words, polynomials, roots, and iterations."""
+"""Property-based invariants for words, curvature, and iterations."""
 
 import math
 from fractions import Fraction
@@ -9,14 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conetypes import (
-    MultiPoly,
     curvature,
     free_reduce,
     minimal_fixed_point,
     new_params,
     perron,
-    real_positive_roots,
-    resultant,
     tits_equal,
     tree_return_series,
     tree_walk_spec,
@@ -59,80 +56,6 @@ def test_curvature_negative_iff_hyperbolic(l, m, n):
         assert q >= 1
         return
     assert curvature(params) < 0
-
-
-# polynomial strategies: few terms, small exponents, small coefficients
-exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=5).map(
-    lambda t: MultiPoly(("x", "y"), t)
-)
-points = st.tuples(st.fractions(-3, 3, max_denominator=4),
-                   st.fractions(-3, 3, max_denominator=4))
-
-
-@given(polys, polys, points)
-def test_evaluation_is_a_ring_homomorphism(f, g, pt):
-    at = {"x": pt[0], "y": pt[1]}
-    assert (f + g).evaluate(at) == f.evaluate(at) + g.evaluate(at)
-    assert (f * g).evaluate(at) == f.evaluate(at) * g.evaluate(at)
-
-
-@given(polys, polys)
-def test_product_division_recovers_factor(f, g):
-    assume(not g.is_zero())
-    assert (f * g).divide(g) == f
-
-
-@settings(max_examples=30, deadline=None)
-@given(polys, polys)
-def test_resultant_matches_sylvester_determinant(f, g):
-    # oracle is the definition itself: det of the Sylvester matrix, computed
-    # symbolically (sympy's `resultant` uses a PRS whose sign can drift on
-    # degenerate inputs, e.g. res(x+1, x^3))
-    import sympy
-
-    assume(f.degree("x") >= 1 and g.degree("x") >= 1)
-    sx, sy = sympy.symbols("x y")
-
-    def lift(p):
-        return sum(sympy.Integer(c) * sx ** e[0] * sy ** e[1]
-                   for e, c in p.terms.items())
-
-    ours = resultant(f, g, "x")
-    fp = sympy.Poly(lift(f), sx)
-    gp = sympy.Poly(lift(g), sx)
-    dp, dq = fp.degree(), gp.degree()
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + fp.all_coeffs() + [0] * (dq - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + gp.all_coeffs() + [0] * (dp - 1 - i))
-    ref = sympy.expand(sympy.Matrix(rows).det())
-    assert sympy.expand(lift(ours) - ref) == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(polys, polys, polys)
-def test_resultant_multiplicative(f, g, h):
-    assume(f.degree("x") >= 1 and g.degree("x") >= 1 and h.degree("x") >= 1)
-    lhs = resultant(f, g * h, "x")
-    rhs = resultant(f, g, "x") * resultant(f, h, "x")
-    assert lhs == rhs
-
-
-@given(st.lists(
-    st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6),
-    min_size=1, max_size=4, unique=True,
-))
-def test_root_isolation_on_constructed_products(roots):
-    z = MultiPoly.var(("z",), "z")
-    p = MultiPoly.const(("z",), 1)
-    for q in roots:
-        p = p * (q.denominator * z - q.numerator * MultiPoly.const(("z",), 1))
-    found = real_positive_roots(p)
-    assert len(found) == len(roots)
-    for interval, root in zip(found, sorted(roots)):
-        assert interval.lo <= root <= interval.hi
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Tree-walk fixed point, fold detection, and the upper spectral-radius bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from conetypes import (
     FixedPointSolution,
     InvalidRoot,
     NotConverged,
-    critical_radius,
+    ReducedAutomaton,
     default_root_type,
     first_return_value,
     fold_point,
+    is_post_fixed_point,
     minimal_fixed_point,
     tree_walk_spec,
     upper_bound,
 )
-from conetypes.upper import _bracket_fold
+from conetypes.upper import CERT_MARGIN, _bracket_fold
 from conftest import TABLE, UPPER_BOUNDS
 
 # on the trivalent tree everything is solvable in closed form:
@@ -125,7 +127,6 @@ def test_tree_fold_point(tree_reduced):
     # minimal solution at the fold: w = 1/sqrt(2), Jacobian has eigenvalue 1
     assert fold.w[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
     assert abs(fold.u).sum() == pytest.approx(1.0, abs=1e-12)
-    assert critical_radius(spec) == pytest.approx(TREE_RF, abs=1e-12)
 
 
 def test_fold_outside_bracket_falls_back(tree_reduced, monkeypatch):
@@ -154,7 +155,6 @@ def test_tree_first_return_value(tree_reduced):
 
 def test_tree_upper_bound(tree_reduced):
     res = upper_bound(tree_reduced)
-    assert res.branch == "R_F"
     assert res.R_F == pytest.approx(TREE_RF, abs=1e-12)
     assert res.F_at_RF == pytest.approx(0.5, abs=1e-10)
     assert res.rho_T == pytest.approx(TREE_RHO, abs=1e-10)
@@ -182,3 +182,52 @@ def test_all_groups_match_reference(graph_data):
         res = upper_bound(graph_data[triple]["reduced"])
         assert res.rho_T == pytest.approx(UPPER_BOUNDS[triple], abs=1e-9), triple
         assert res.fold_residual < 1e-10
+
+
+def test_tree_certified_upper(tree_reduced):
+    cert = upper_bound(tree_reduced).certified_upper
+    assert isinstance(cert, Fraction)
+    # cert > 2 sqrt 2 / 3 exactly, since both sides are positive
+    assert cert * cert > Fraction(8, 9)
+    assert float(cert) - TREE_RHO <= 2e-9
+
+
+def test_certificate_rejects_non_post_fixed_points(tree_reduced, data444):
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        fold = fold_point(spec)
+        z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
+        assert is_post_fixed_point(spec, z, fold.w)
+        assert not is_post_fixed_point(spec, z, -fold.w)
+        # past the fold no w is a post-fixed point
+        past = Fraction(fold.R_F * (1.0 + 1e-6))
+        assert not is_post_fixed_point(spec, past, fold.w)
+        assert not is_post_fixed_point(spec, past, 2.0 * fold.w)
+        # a shrunken w violates some row; on the tree only at second order
+        # in the shrinkage, so check it at the fold, where no margin hides it
+        assert not is_post_fixed_point(spec, Fraction(fold.R_F), fold.w * (1.0 - 1e-6))
+    # on (4,4,4) the violation is first order, far above the margin
+    assert not is_post_fixed_point(spec, z, fold.w * (1.0 - 1e-6))
+
+
+def test_certificate_demands_first_return_below_one():
+    # with r_root = 0 the root row allows F = 1; only the strict root check
+    # rejects w = 1/z, where Phi(z, w) = z w^2 = w
+    ra = ReducedAutomaton(types=(0,), M=np.array([[3]]), d=np.array([3]),
+                          r=np.array([0]), p=1)
+    spec = tree_walk_spec(ra, 0)
+    assert first_return_value(spec, 1.0, np.array([1.0])) == 1.0
+    assert not is_post_fixed_point(spec, Fraction(1), np.array([1.0]))
+    assert is_post_fixed_point(spec, Fraction(1), np.array([0.5]))
+
+
+def test_every_summit_root_is_certified(data444, data237):
+    for data in [data444, data237]:
+        ra = data["reduced"]
+        for t, rv in zip(ra.types, ra.r):
+            if rv != 2:
+                continue
+            res = upper_bound(ra, root_type=int(t))
+            assert res.certified_upper is not None, t
+            gap = res.certified_upper - Fraction(res.rho_T)
+            assert 0 < gap <= 2e-9, (t, float(gap))
