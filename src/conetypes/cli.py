@@ -9,7 +9,6 @@ import click
 from .automaton import (
     automaton_to_json,
     reduce_automaton,
-    theorem_case,
     to_digraph_dot,
     verify_counts,
 )

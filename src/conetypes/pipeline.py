@@ -20,7 +20,6 @@ import numpy as np
 
 from .automaton import (
     ConeTypeAutomaton,
-    ReducedAutomaton,
     automaton_from_json,
     extract_automaton,
     reduce_automaton,
@@ -205,7 +204,8 @@ def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,
         diag["F_at_RF"] = ub.F_at_RF
         diag["root_type"] = ub.root_type
         diag["residuals"]["fold"] = ub.fold_residual
-        diag["fold_fallback"] = ub.fold_fallback
+        diag["fold"] = {"solves": ub.fold_solves, "newton_steps": ub.fold_newton_steps,
+                        "diverged": ub.fold_diverged}
         diag["upper_certified"] = ub.certified_upper
     if lb is not None:
         report.lower = lb.bound

@@ -3,9 +3,19 @@
 The nearest-neighbour walk on the tree of geodesics has first-return series
 w_i = F_{-i}(z) solving the monotone polynomial system
 w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
-Newton's method from 0, exists up to a fold point R_F (Jacobian eigenvalue
-1).  R_F is bracketed by bisection on whether that solution exists and
-polished by Newton on the bordered fold system.
+Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
+
+R_F is found in a few solves.  The system has a square-root singularity at
+the fold (Drmota-Lalley-Woods; Flajolet and Sedgewick, Analytic
+Combinatorics, Thm VII.6), so g = 1/max(x)^2 with x = (I - J)^-1 1, which
+every Newton step computes, is close to linear in R_F - z.  Starting at
+z = 1, z steps most of the way to where the last two solutions extrapolate
+g to 0, each solve warm-started from the previous solution (a pre-fixed
+point below the next least solution, so Newton still rises to it).  Near
+the estimate, Newton on the bordered fold system polishes it.  The polished
+z is accepted only if it lies above the last solved z and below any z found
+past the fold, and the minimal solution exists at z (1 - 1e-9) but not at
+z (1 + 1e-9).  There is no fallback: anything else raises NotConverged.
 
 The Green-kernel radius R_Gk is R_F itself.  The root's own row of the
 system reads w_root = z r_root/d_root + w_root F(z), so the first-return
@@ -20,11 +30,12 @@ z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
 z sum_j M_root,j w_j < d_root make w a post-fixed point of the monotone
 system, so the least solution exists at z and lies below w (Etessami and
 Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check runs in
-Fractions on the polished fold solution at z = z_w (1 - CERT_MARGIN).
+Fractions on the polished fold solution at z = R_F (1 - CERT_MARGIN).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +46,14 @@ from .errors import InvalidRoot, NotConverged
 
 STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
+# approach to the fold: first trial z, share of the estimated distance to
+# step, relative distance at which the bordered Newton takes over, and the
+# relative gap on each side of the polished z where the solver is rerun
+FIRST_STEP = 0.01
+APPROACH_STEP = 0.9
+HANDOFF = 1e-3
+CONFIRM_GAP = 1e-9
+SOLVE_CAP = 40
 # relative step below the fold point at which the exact check is made; far
 # above the fold residual (< 1e-13), far below the reported digits
 CERT_MARGIN = 1e-9
@@ -62,6 +81,7 @@ class FixedPointSolution:
     residual: float
     jacobian_spectral_radius: float
     iterations: int
+    x_max: float  # max of (I - J)^-1 1 at the last step, ||(I - J)^-1||_inf
 
 
 @dataclass
@@ -74,11 +94,15 @@ class Diverged:
 @dataclass
 class FoldResult:
     R_F: float
-    w: np.ndarray  # the minimal fixed point at z_w
+    w: np.ndarray  # the minimal fixed point at R_F
     u: np.ndarray
     residual: float
+    # always False; kept only because the benchmark's trace hook reads it
     fallback: bool
-    z_w: float  # R_F, or the bracket's lower end on a fallback
+    # fixed-point solves of the search, their Newton steps, Diverged count
+    solves: int
+    newton_steps: int
+    diverged: int
 
 
 @dataclass
@@ -89,9 +113,11 @@ class UpperBoundResult:
     rho_T: float
     root_type: int
     fold_residual: float
-    fold_fallback: bool
     jacobian_radius: float
     certified_upper: Fraction | None
+    fold_solves: int
+    fold_newton_steps: int
+    fold_diverged: int
 
 
 def default_root_type(ra: ReducedAutomaton) -> int:
@@ -136,19 +162,21 @@ def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray) -> np.ndarray:
     return z * (np.diag(Mp @ w) + w[:, None] * Mp)
 
 
-def minimal_fixed_point(spec: TreeWalkSpec, z: float):
-    """Newton's method from 0; FixedPointSolution or Diverged.
+def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = None):
+    """Newton's method from w0 (0 when None); FixedPointSolution or Diverged.
 
-    On this monotone system Newton from 0 increases to the least fixed point
-    when one exists, with no slowdown near the fold.  Each step also solves
-    (I - J) x = 1: x > 0 holds exactly when rho(J) < 1, and max(x) is
-    ||(I - J)^-1||_inf, which sets the roundoff floor of the step.  A singular
-    system, rho(J) >= 1, a step below -floor or a blow-up means z is past
-    the fold.
+    On this monotone system Newton from 0, or from any pre-fixed point below
+    the least fixed point (such as the least fixed point at a smaller z),
+    increases to the least fixed point when one exists, with no slowdown
+    near the fold (Esparza, Kiefer and Luttenberger, JACM 2010).  Each step
+    also solves (I - J) x = 1: x > 0 holds exactly when rho(J) < 1, and
+    max(x) is ||(I - J)^-1||_inf, which sets the roundoff floor of the step.
+    A singular system, rho(J) >= 1, a step below -floor or a blow-up means
+    z is past the fold.
     """
     K = spec.M.shape[0]
     eye, ones = np.eye(K), np.ones(K)
-    w = np.zeros(K)
+    w = np.zeros(K) if w0 is None else np.array(w0, dtype=float)
     for it in range(1, STEP_CAP + 1):
         try:
             step, x = np.linalg.solve(
@@ -171,7 +199,8 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float):
                 return Diverged(z=z, iterations=it, cap_hit=False)
             residual = float(np.max(np.abs(_phi(spec, z, w) - w)))
             return FixedPointSolution(
-                z=z, w=w, residual=residual, jacobian_spectral_radius=rad, iterations=it
+                z=z, w=w, residual=residual, jacobian_spectral_radius=rad,
+                iterations=it, x_max=float(x.max()),
             )
     return Diverged(z=z, iterations=STEP_CAP, cap_hit=False)
 
@@ -208,56 +237,65 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
     return None
 
 
-def _bracket_fold(spec: TreeWalkSpec, width: float) -> tuple[float, float, FixedPointSolution]:
-    lo, hi = 1.0, 3.0
-    sol = minimal_fixed_point(spec, lo)
-    if isinstance(sol, Diverged):
-        raise NotConverged("no minimal fixed point at z = 1")
-    while not isinstance(minimal_fixed_point(spec, hi), Diverged):
-        hi *= 1.5
-        if hi > 100:
-            raise NotConverged("could not bracket the fold point below z = 100")
-    last = sol
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        out = minimal_fixed_point(spec, mid)
-        if isinstance(out, Diverged):
-            hi = mid
-        else:
-            lo = mid
-            last = out
-    return lo, hi, last
-
-
 def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
-    """Locate R_F: bisection bracket, then Newton on the fold system.
+    """Locate R_F: extrapolated approach, bordered Newton, two-sided confirm.
 
-    The polished point is accepted only inside the bracket; otherwise the
-    bracket is bisected down to 1e-12 and the result flagged as a fallback.
+    Each solve is warm-started from the last converged one.  From the last
+    two converged points g = 1/max(x)^2 is extrapolated linearly to 0 (the
+    square-root singularity makes it nearly linear in R_F - z) and z steps
+    APPROACH_STEP of the way there, never past the midpoint to the least
+    z found Diverged.  Within HANDOFF z of the estimate, Newton on the fold
+    system polishes it.  The polished z is accepted only inside the bracket,
+    with w >= 0 and u > 0, when the minimal solution exists at
+    z (1 - CONFIRM_GAP) and not at z (1 + CONFIRM_GAP); else NotConverged.
     """
-    lo, hi, sol = _bracket_fold(spec, 1e-6)
-    J = _jacobian(spec, lo, sol.w)
-    vals, vecs = np.linalg.eig(J)
-    u = np.real(vecs[:, np.argmax(np.abs(vals))])
-    if u.sum() < 0:
-        u = -u
-    u = u / u.sum()
-    out = _fold_newton(spec, sol.w, u, 0.5 * (lo + hi), tol)
-    if out is not None:
-        w, u, z, res = out
-        if lo <= z <= hi and (w >= -1e-12).all() and (u > 0).all():
-            return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False, z_w=z)
-    # fallback: pure bisection refined to 1e-12, flagged
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        outm = minimal_fixed_point(spec, mid)
-        if isinstance(outm, Diverged):
-            hi = mid
+    counts = {"solves": 0, "newton_steps": 0, "diverged": 0}
+
+    def solve(z: float, w0: np.ndarray | None):
+        out = minimal_fixed_point(spec, z, w0)
+        counts["solves"] += 1
+        counts["newton_steps"] += out.iterations
+        counts["diverged"] += isinstance(out, Diverged)
+        return out
+
+    last = solve(1.0, None)
+    if isinstance(last, Diverged):
+        raise NotConverged("no minimal fixed point at z = 1")
+    prev, hi, z = None, math.inf, 1.0 + FIRST_STEP
+    while True:
+        if counts["solves"] >= SOLVE_CAP:
+            raise NotConverged(f"fold not approached in {SOLVE_CAP} solves")
+        out = solve(z, last.w)
+        if isinstance(out, Diverged):
+            hi = z
         else:
-            lo = mid
-            sol = outm
-    return FoldResult(R_F=0.5 * (lo + hi), w=sol.w, u=u, residual=float("nan"),
-                      fallback=True, z_w=lo)
+            prev, last = last, out
+        target = 0.5 * (last.z + hi)
+        if prev is not None:
+            # x grows with z, so g falls; equal values would leave no estimate
+            g0, g1 = prev.x_max ** -2, last.x_max ** -2
+            if g1 < g0:
+                target = min(target, last.z + g1 * (last.z - prev.z) / (g0 - g1))
+        if not math.isfinite(target):
+            raise NotConverged(f"1/max(x)^2 does not fall between z = {prev.z} and {last.z}")
+        if target - last.z <= HANDOFF * last.z:
+            break
+        z = last.z + APPROACH_STEP * (target - last.z)
+    vals, vecs = np.linalg.eig(_jacobian(spec, last.z, last.w))
+    u = np.real(vecs[:, np.argmax(np.abs(vals))])
+    polished = _fold_newton(spec, last.w, u / u.sum(), target, tol)
+    if polished is None:
+        raise NotConverged(f"bordered Newton failed from z = {target}")
+    w, u, z, res = polished
+    if not (last.z < z < hi and (w >= -1e-12).all() and (u > 0).all()):
+        raise NotConverged(f"polished fold z = {z} outside ({last.z}, {hi}) or not positive")
+    z_below = z * (1.0 - CONFIRM_GAP)
+    below = solve(z_below, last.w if last.z < z_below else None)
+    if isinstance(below, Diverged):
+        raise NotConverged(f"no minimal fixed point just below the polished fold z = {z}")
+    if not isinstance(solve(z * (1.0 + CONFIRM_GAP), below.w), Diverged):
+        raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
+    return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False, **counts)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None) -> float:
@@ -298,7 +336,7 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
     F_rf = first_return_value(spec, fold.R_F, fold.w)
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
-    z = Fraction(fold.z_w * (1.0 - CERT_MARGIN))
+    z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
     jac_rad = float(
         np.max(np.abs(np.linalg.eigvals(_jacobian(spec, fold.R_F, fold.w))))
     )
@@ -309,7 +347,9 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
         rho_T=1.0 / fold.R_F,
         root_type=root,
         fold_residual=fold.residual,
-        fold_fallback=fold.fallback,
         jacobian_radius=jac_rad,
         certified_upper=1 / z if is_post_fixed_point(spec, z, fold.w) else None,
+        fold_solves=fold.solves,
+        fold_newton_steps=fold.newton_steps,
+        fold_diverged=fold.diverged,
     )

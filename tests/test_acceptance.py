@@ -23,7 +23,6 @@ from conetypes import (
     fold_point,
     lower_bound,
     minimal_fixed_point,
-    new_params,
     perron,
     reflection_rep,
     return_probabilities,

@@ -16,7 +16,6 @@ from conetypes import (
     cones_isomorphic,
     extract_automaton,
     new_params,
-    reduce_automaton,
     sphere_type_census,
     theorem_case,
     to_digraph_dot,

@@ -88,6 +88,12 @@ def test_run_group_444():
     assert diag["oracle_radius"] == 10
     assert diag["escalations"] == 3
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
+    # the fold search: a few warm-started solves, one Diverged at least (the
+    # confirmation just above the fold)
+    fold = diag["fold"]
+    assert set(fold) == {"solves", "newton_steps", "diverged"}
+    assert 1 <= fold["diverged"] < fold["solves"] <= 8
+    assert fold["newton_steps"] >= fold["solves"]
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
     for stage in ("ball", "extract", "upper", "lower", "oracle"):
@@ -139,7 +145,8 @@ def test_run_from_automaton_round_trip(data444):
     assert report.theorem_match is True
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
-    assert report.diagnostics["fold_fallback"] is direct.diagnostics["fold_fallback"] is False
+    assert report.diagnostics["fold"] == direct.diagnostics["fold"]
+    assert report.diagnostics["fold"]["solves"] <= 8
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -219,6 +226,9 @@ def test_cli_bounds():
     assert doc["theorem_match"] is True
     cert = doc["diagnostics"]["upper_certified"]
     assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
+    fold = doc["diagnostics"]["fold"]
+    assert 1 <= fold["diverged"] < fold["solves"] <= 8
+    assert fold["newton_steps"] >= fold["solves"]
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
     assert again["lower"] == doc["lower"] and again["upper"] == doc["upper"]

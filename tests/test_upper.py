@@ -20,7 +20,7 @@ from conetypes import (
     tree_walk_spec,
     upper_bound,
 )
-from conetypes.upper import CERT_MARGIN, _bracket_fold
+from conetypes.upper import CERT_MARGIN
 from conftest import TABLE, UPPER_BOUNDS
 
 # on the trivalent tree everything is solvable in closed form:
@@ -111,11 +111,12 @@ def test_newton_tree_closed_form_near_fold(tree_reduced):
     for gap in [1e-3, 1e-6, 1e-9]:
         z = TREE_RF * (1.0 - gap)
         assert minimal_fixed_point(spec, z).w[0] == pytest.approx(tree_w(z), abs=1e-10)
-    # the bracket built from the solver's verdicts holds the exact fold; the
-    # value 1/sqrt(2) at the fold itself is checked on the polished fold point,
-    # since at the rounded fold even the closed form is ~sqrt(eps) off
-    lo, hi, _ = _bracket_fold(spec, 1e-6)
-    assert lo <= TREE_RF <= hi
+    # the confirmed fold, solvable just below and Diverged just above, holds
+    # the exact fold; the value 1/sqrt(2) at the fold itself is checked on the
+    # polished fold point, since at the rounded fold even the closed form is
+    # ~sqrt(eps) off
+    fold = fold_point(spec)
+    assert fold.R_F * (1.0 - 1e-9) <= TREE_RF <= fold.R_F * (1.0 + 1e-9)
 
 
 def test_tree_fold_point(tree_reduced):
@@ -129,20 +130,76 @@ def test_tree_fold_point(tree_reduced):
     assert abs(fold.u).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fold_outside_bracket_falls_back(tree_reduced, monkeypatch):
+def test_fold_off_the_fold_raises(tree_reduced, monkeypatch):
+    # a polished z 1e-6 past or short of the fold fails the two-sided confirm
     import conetypes.upper as upper
 
     polish = upper._fold_newton
+    spec = tree_walk_spec(tree_reduced, 0)
+    for shift in [1e-6, -1e-6]:
+        def off_fold(spec, w0, u0, z0, tol, shift=shift):
+            w, u, z, res = polish(spec, w0, u0, z0, tol)
+            return w, u, z + shift, res
 
-    def off_bracket(spec, w0, u0, z0, tol):
-        # z0 is the bracket midpoint and the bracket is 1e-6 wide
-        w, u, z, res = polish(spec, w0, u0, z0, tol)
-        return w, u, z0 + 1e-6, res
+        monkeypatch.setattr(upper, "_fold_newton", off_fold)
+        with pytest.raises(NotConverged):
+            fold_point(spec)
 
-    monkeypatch.setattr(upper, "_fold_newton", off_bracket)
+
+def test_first_trial_past_the_fold(tree_reduced, monkeypatch):
+    # a first trial z past the fold is Diverged; the search then steps no
+    # further than the midpoint and still finds the fold
+    import conetypes.upper as upper
+
+    monkeypatch.setattr(upper, "FIRST_STEP", 0.5)
     fold = fold_point(tree_walk_spec(tree_reduced, 0))
-    assert fold.fallback
-    assert fold.R_F == pytest.approx(TREE_RF, abs=1e-11)
+    assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
+    assert fold.diverged >= 2
+
+
+def test_warm_start_matches_cold_solve(tree_reduced, data444):
+    # Newton from the least solution at a smaller z rises to the same least
+    # solution, in no more steps than from 0.  Within 1e-7 of the fold the
+    # fixed point itself is only defined to about eps ||(I - J)^-1||_inf
+    # (5e-12 at 1e-9 on the tree, where both solves have residual 0), so
+    # the two agree to 1e-12 or to four times that, whichever is larger
+    eps = np.finfo(float).eps
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        R_F = fold_point(spec).R_F
+        gaps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
+        prev = minimal_fixed_point(spec, 1.0)
+        for z in [R_F * (1.0 - gap) for gap in gaps]:
+            cold = minimal_fixed_point(spec, z)
+            warm = minimal_fixed_point(spec, z, prev.w)
+            assert isinstance(cold, FixedPointSolution)
+            assert isinstance(warm, FixedPointSolution)
+            tol = max(1e-12, 4 * eps * cold.x_max)
+            assert np.max(np.abs(warm.w - cold.w)) <= tol, z
+            assert warm.iterations <= cold.iterations, z
+            prev = warm
+
+
+def test_fold_search_solve_count(tree_reduced, data444, data237, monkeypatch):
+    # the extrapolated approach plus the two confirming solves stay within 8
+    import conetypes.upper as upper
+
+    calls = []
+    solver = upper.minimal_fixed_point
+
+    def counted(spec, z, w0=None):
+        calls.append(z)
+        return solver(spec, z, w0)
+
+    monkeypatch.setattr(upper, "minimal_fixed_point", counted)
+    runs = [(tree_reduced, 0)] + [(data["reduced"], t) for data in [data444, data237]
+                                  for t in data["reduced"].types]
+    for ra, t in runs:
+        calls.clear()
+        res = upper_bound(ra, root_type=int(t))
+        assert res.fold_solves == len(calls) <= 8, (ra.types, t)
+        assert res.fold_diverged >= 1
+        assert res.fold_newton_steps >= res.fold_solves
 
 
 def test_tree_first_return_value(tree_reduced):
@@ -166,7 +223,6 @@ def test_444_upper_bound(data444):
     assert res.rho_T == pytest.approx(UPPER_BOUNDS[(4, 4, 4)], abs=1e-9)
     assert res.rho_T * res.R_Gk == pytest.approx(1.0, abs=1e-14)
     assert res.R_Gk <= res.R_F + 1e-12
-    assert not res.fold_fallback
 
 
 def test_upper_bound_root_independent(data444, data237):
