@@ -18,18 +18,8 @@ from .automaton import (
     truncated_cone,
     verify_counts,
 )
-from .coxeter import (
-    CayleyBall,
-    GroupParams,
-    ReflectionRep,
-    build_ball,
-    free_reduce,
-    new_params,
-    reflection_rep,
-    tits_equal,
-)
+from .coxeter import CayleyBall, GroupParams, build_ball, new_params
 from .errors import (
-    CapExceeded,
     ConeTypesError,
     DepthExceedsBall,
     HorizonExceedsBall,

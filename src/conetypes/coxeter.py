@@ -1,10 +1,14 @@
 """Triangle-group elements and exact Cayley-graph balls.
 
 The group Delta(l,m,n) = <L,M,N | L^2 = M^2 = N^2 = (LM)^n = (MN)^l = (NL)^m>
-is realized through its geometric reflection representation.  Balls of the
-Cayley graph are built breadth first with exact integer coordinates (see
-ring.py), so two words represent the same element iff their coefficient
-tensors are identical.
+acts on covectors through the contragredient of its geometric reflection
+representation, with exact integer coordinates (see ring.py).  The covector
+y0 = (1, 1, 1) is positive on every simple root, so it lies in the open
+fundamental chamber, whose points have trivial stabilizer (Tits; Humphreys,
+Reflection Groups and Coxeter Groups, 5.13).  Hence w is identified exactly
+by its orbit covector y_w = y0 P_w, where P_w is the product of the
+reflection matrices along any word for w, and balls of the right Cayley
+graph w -- ws are built breadth first from three ring coordinates per vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     IdentificationAmbiguity,
     InvalidParameter,
     MemoryCap,
@@ -66,98 +69,25 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
     return p
 
 
-@dataclass(frozen=True)
-class ReflectionRep:
-    """Geometric representation: sigma_s = I - 2 e_s (B e_s)^T."""
-
-    sigma: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gram: np.ndarray
-
-
-def reflection_rep(params: GroupParams) -> ReflectionRep:
-    orders = params.orders()
-    B = np.eye(3)
-    for (s, t), k in orders.items():
-        B[s, t] = -np.cos(np.pi / k)
-    sigmas = []
-    for s in range(3):
-        e = np.zeros(3)
-        e[s] = 1.0
-        sigmas.append(np.eye(3) - 2.0 * np.outer(e, B @ e))
-    return ReflectionRep(sigma=tuple(sigmas), gram=B)
-
-
-def free_reduce(word) -> tuple[int, ...]:
-    """Cancel adjacent equal letters (the involutions s^2 = e)."""
-    out: list[int] = []
-    for g in word:
-        if out and out[-1] == int(g):
-            out.pop()
-        else:
-            out.append(int(g))
-    return tuple(out)
-
-
-def _braid_run(a: int, b: int, length: int) -> tuple[int, ...]:
-    return tuple(a if i % 2 == 0 else b for i in range(length))
-
-
-@lru_cache(maxsize=65536)
-def _geodesic_closure(triple: tuple[int, int, int], word: tuple[int, ...]) -> frozenset:
-    """All geodesic words of the element, via braid moves plus cancellation."""
-    orders = GroupParams(*triple).orders()
-    current = free_reduce(word)
-    while True:
-        seen = {current}
-        queue = [current]
-        shorter = None
-        while queue and shorter is None:
-            w = queue.pop()
-            for i in range(len(w)):
-                for j in range(3):
-                    a = w[i]
-                    if j == a:
-                        continue
-                    k = orders[(a, j)]
-                    if i + k > len(w) or w[i:i + k] != _braid_run(a, j, k):
-                        continue
-                    v = w[:i] + _braid_run(j, a, k) + w[i + k:]
-                    r = free_reduce(v)
-                    if len(r) < len(v):
-                        shorter = r
-                        break
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-                if shorter is not None:
-                    break
-        if shorter is None:
-            return frozenset(seen)
-        current = shorter
-
-
-def tits_equal(params: GroupParams, w1, w2, cap: int = 24) -> bool:
-    """Exact word-problem oracle by exhaustive braid-move closure."""
-    w1 = tuple(int(g) for g in w1)
-    w2 = tuple(int(g) for g in w2)
-    if len(w1) + len(w2) > cap:
-        raise CapExceeded(f"total word length {len(w1) + len(w2)} exceeds cap {cap}")
-    c1 = _geodesic_closure(params.triple(), w1)
-    c2 = _geodesic_closure(params.triple(), w2)
-    g1 = next(iter(c1))
-    g2 = next(iter(c2))
-    if len(g1) != len(g2):
-        return False
-    return min(c1) == min(c2)
+@lru_cache(maxsize=None)
+def _multipliers(width: int) -> np.ndarray:
+    """Fixed odd uint64 weights of the fingerprint of a width-`width` row."""
+    rng = np.random.default_rng(0x9E3779B97F4A7C15)
+    mult = rng.integers(np.iinfo(np.uint64).max, size=width, dtype=np.uint64,
+                        endpoint=True) | np.uint64(1)
+    mult.flags.writeable = False
+    return mult
 
 
 @dataclass
 class CayleyBall:
     """Radius-R ball of the Cayley graph with exact vertex identification.
 
-    Vertex ids run sphere by sphere, and `edges` is sorted by (u, v, g), so
-    the radius-R ball is a prefix of the radius-(R+1) ball and `grow`
-    extends it in place.
+    Vertex ids run sphere by sphere and, within a sphere, in the shortlex
+    order of the vertices' normal forms (L < M < N).  parent[v] is the
+    least-id predecessor of v and parent_gen[v] the last letter of v's normal
+    form.  `edges` is sorted by (u, v, g), so the radius-R ball is a prefix of
+    the radius-(R+1) ball and `grow` extends it in place.
     """
 
     params: GroupParams
@@ -167,9 +97,11 @@ class CayleyBall:
     edges: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
-    # exact state of the last sphere, from which grow() continues
+    # exact state of the last sphere, from which grow() continues: the
+    # reflection tensors, one orbit covector [3, dim] per vertex and its
+    # descent set (the generators leading back to the previous sphere)
     _W: np.ndarray | None = field(default=None, repr=False)
-    _mats: np.ndarray | None = field(default=None, repr=False)
+    _y: np.ndarray | None = field(default=None, repr=False)
     _down: np.ndarray | None = field(default=None, repr=False)
     _succ: np.ndarray | None = field(default=None, repr=False)
     _nsucc: np.ndarray | None = field(default=None, repr=False)
@@ -249,60 +181,62 @@ class CayleyBall:
     def grow(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
         """Add the next sphere in place; every existing id is kept.
 
-        Each last-sphere vertex is expanded along its non-predecessor
-        generators; bipartiteness puts every candidate on the next sphere,
-        so deduplication is an exact unique of coefficient rows, and new ids
-        follow their lexicographic order.
+        Each last-sphere vertex w is expanded along its non-descent
+        generators s, in (id, s) order; bipartiteness puts every candidate ws
+        on the next sphere.  Right multiplication by s maps the covector y_w
+        to y_t + y_s W[s, t] (t != s) and -y_s.  Candidates are grouped by a
+        uint64 fingerprint, and every candidate must equal the first of its
+        group exactly, else IdentificationAmbiguity is raised: rows are never
+        merged on a fingerprint alone.  A new vertex takes the rank of its
+        first candidate, which is its shortlex position.
         """
-        W, mats, down = self._W, self._mats, self._down
+        W, y, down = self._W, self._y, self._down
         k = self.radius
-        base = int(self.offsets[-2])
-        cand_list, par_list, gen_list = [], [], []
+        src, gens = np.nonzero(~down)
+        cand = np.empty((src.size,) + y.shape[1:], dtype=np.int64)
         for s in range(3):
-            mask = ~down[:, s]
-            if not mask.any():
-                continue
-            sub = mats[mask]
-            out = np.empty_like(sub)
+            rows = np.flatnonzero(gens == s)
+            sub = y[src[rows]]
+            ys = sub[:, s].copy()
             for t in range(3):
-                out[:, :, t, :] = sub[:, :, t, :] + sub[:, :, s, :] @ W[s, t]
-            cand_list.append(out)
-            par_list.append(base + np.flatnonzero(mask))
-            gen_list.append(np.full(int(mask.sum()), s, dtype=np.int64))
-        cand = np.concatenate(cand_list)
-        pars = np.concatenate(par_list)
-        gens = np.concatenate(gen_list)
+                sub[:, t] = -ys if t == s else sub[:, t] + ys @ W[s, t]
+            cand[rows] = sub
 
-        keys = cand.reshape(cand.shape[0], -1)
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        n_new = uniq.shape[0]
-        if int(np.abs(uniq).max(initial=0)) >= COEFF_GUARD:
+        flat = cand.reshape(src.size, -1)
+        keys = flat.view(np.uint64) @ _multipliers(flat.shape[1])
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        n_new = first.size
+        if self.n_vertices + n_new > max_vertices:
+            raise MemoryCap(f"ball would exceed {max_vertices} vertices at radius {k + 1}")
+        dup = np.flatnonzero(first[inv] != np.arange(inv.size))
+        if not np.array_equal(flat[dup], flat[first[inv[dup]]]):
+            raise IdentificationAmbiguity(
+                f"distinct covectors share a fingerprint at radius {k + 1}"
+            )
+        # a class's id is the rank of its first candidate among all firsts
+        is_first = np.zeros(src.size, dtype=bool)
+        is_first[first] = True
+        keep = np.flatnonzero(is_first)
+        ids = (np.cumsum(is_first) - 1)[first][inv]
+        new_y = cand[keep]
+        if max(int(new_y.max()), -int(new_y.min())) >= COEFF_GUARD:
             raise IdentificationAmbiguity(
                 f"coefficient guard 2^57 exhausted at radius {k + 1}"
             )
-        if self.n_vertices + n_new > max_vertices:
-            raise MemoryCap(f"ball would exceed {max_vertices} vertices at radius {k + 1}")
 
-        first = int(self.offsets[-1])
-        chunk = np.column_stack([pars, first + inv, gens])
-        chunk = chunk[np.lexsort((chunk[:, 2], chunk[:, 1], chunk[:, 0]))]
+        base, first_id = int(self.offsets[-2]), int(self.offsets[-1])
+        chunk = np.column_stack([base + src, first_id + ids, gens])
+        chunk = chunk[np.lexsort((ids, src))]
         new_down = np.zeros((n_new, 3), dtype=bool)
-        new_down[inv, gens] = True
-        par = np.full(n_new, -1, dtype=np.int64)
-        par_gen = np.full(n_new, -1, dtype=np.int16)
-        # last write wins; reverse order makes the lowest-index parent canonical
-        order = np.arange(inv.size - 1, -1, -1)
-        par[inv[order]] = pars[order]
-        par_gen[inv[order]] = gens[order]
+        new_down[ids, gens] = True
 
         self.radius = k + 1
         self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
-        self.offsets = np.append(self.offsets, first + n_new)
+        self.offsets = np.append(self.offsets, first_id + n_new)
         self.edges = np.concatenate([self.edges, chunk])
-        self.parent = np.concatenate([self.parent, par])
-        self.parent_gen = np.concatenate([self.parent_gen, par_gen])
-        self._mats = uniq.reshape(n_new, 3, 3, W.shape[-1])
+        self.parent = np.concatenate([self.parent, base + src[keep]])
+        self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
+        self._y = new_y
         self._down = new_down
         self._succ = self._nsucc = self._npred = self._nbr = None
 
@@ -314,9 +248,8 @@ def build_ball(params: GroupParams, radius: int,
         raise InvalidParameter("radius must be >= 1")
     orders = params.orders()
     ring = CosineRing(orders.values())
-    mats = np.zeros((1, 3, 3, ring.dim), dtype=np.int64)
-    for i in range(3):
-        mats[0, i, i] = ring.one()
+    y0 = np.zeros((1, 3, ring.dim), dtype=np.int64)
+    y0[0, :] = ring.one()
     ball = CayleyBall(
         params=params,
         radius=0,
@@ -326,7 +259,7 @@ def build_ball(params: GroupParams, radius: int,
         parent=np.array([-1], dtype=np.int64),
         parent_gen=np.array([-1], dtype=np.int16),
         _W=reflection_tensors(orders, ring),
-        _mats=mats,
+        _y=y0,
         _down=np.zeros((1, 3), dtype=bool),
     )
     while ball.radius < radius:

@@ -13,12 +13,8 @@ class NonHyperbolic(ConeTypesError):
     """1/l + 1/m + 1/n >= 1: spherical or Euclidean triple."""
 
 
-class CapExceeded(ConeTypesError):
-    """Word-problem oracle called beyond its configured length cap."""
-
-
 class IdentificationAmbiguity(ConeTypesError):
-    """Vertex keys can no longer be trusted (integer coefficient guard exhausted)."""
+    """Vertex keys can no longer be trusted (fingerprint clash or coefficient guard exhausted)."""
 
 
 class MemoryCap(ConeTypesError):

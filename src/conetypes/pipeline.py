@@ -106,8 +106,9 @@ def extract_escalating(params: GroupParams, radius: int | None = None,
     sphere per further radius.  NotStabilized and VerificationFailed both
     mean "radius too small"; the last such error is raised when every radius
     fails.  A given `radius` is tried alone.  Ball and extraction times
-    accumulate into diag["timings"], and diag["escalations"] counts the radii
-    tried - 1.
+    accumulate into diag["timings"], diag["escalations"] counts the radii
+    tried - 1, and diag["sphere_sizes"] lists the vertices per sphere of the
+    last ball tried.
     """
     diag = {} if diag is None else diag
     timings = diag.setdefault("timings", {})
@@ -125,6 +126,7 @@ def extract_escalating(params: GroupParams, radius: int | None = None,
             ball.grow(max_vertices)
         t1 = time.perf_counter()
         timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
+        diag["sphere_sizes"] = ball.sphere_sizes().tolist()
         try:
             return extract_automaton(ball)
         except (NotStabilized, VerificationFailed) as exc:

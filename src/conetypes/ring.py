@@ -120,11 +120,13 @@ class CosineRing:
 
 
 def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:
-    """Column-update tensors W for right multiplication by a generator.
+    """Coordinate-update tensors W for right multiplication by a generator.
 
-    For s != t, (P sigma_s) column t equals P_t + P_s * 2cos(pi/order(s,t)),
-    and column s flips sign; W[s, t] holds the corresponding [dim, dim]
-    coefficient-space matrix so the update is P_t + P_s @ W[s, t] for all t.
+    A covector y = (y_0, y_1, y_2), such as a row of a matrix P, maps under
+    y -> y sigma_s to y_t + y_s * 2cos(pi/order(s,t)) in coordinate t != s,
+    and coordinate s flips sign.  W[s, t] holds the corresponding [dim, dim]
+    coefficient-space matrix, so the update is y_t + y_s @ W[s, t] for every
+    t (W[s, s] = -2 I gives the sign flip).
     """
     dim = ring.dim
     W = np.zeros((3, 3, dim, dim), dtype=np.int64)

@@ -24,17 +24,16 @@ from conetypes import (
     lower_bound,
     minimal_fixed_point,
     perron,
-    reflection_rep,
     return_probabilities,
     sphere_type_census,
     table_params,
     tilde_matrix,
-    tits_equal,
     tree_walk_spec,
     upper_bound,
     verify_counts,
 )
 from conftest import EXPECTED_COUNTS, LOWER_BOUNDS, TABLE, UPPER_BOUNDS
+from reference import reflection_rep, tits_equal
 
 TREE_BOUND = 2.0 * math.sqrt(2.0) / 3.0  # 0.9428090416
 

@@ -1,4 +1,4 @@
-"""Group parameters, word problem, and exact Cayley-ball construction."""
+"""Group parameters and exact Cayley-ball construction, against independent references."""
 
 from collections import Counter
 
@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from conetypes import (
-    CapExceeded,
+    CayleyBall,
+    CosineRing,
+    IdentificationAmbiguity,
     InvalidParameter,
     MemoryCap,
     NonHyperbolic,
+    NotStabilized,
+    VerificationFailed,
     build_ball,
-    free_reduce,
+    extract_automaton,
     new_params,
-    reflection_rep,
-    tits_equal,
+    reflection_tensors,
 )
-from conetypes.coxeter import _geodesic_closure
+from conetypes import coxeter
+from reference import WordCapExceeded, free_reduce, geodesic_closure, reflection_rep, tits_equal
 
 
 def tits_ball(triple, radius):
@@ -26,7 +30,7 @@ def tits_ball(triple, radius):
     word is the lex-least element of its braid-move closure.
     """
     def canon(word):
-        return min(_geodesic_closure(triple, word))
+        return min(geodesic_closure(triple, word))
 
     seen = {(): 0}
     levels = [[()]]
@@ -98,7 +102,7 @@ def test_tits_equal_relators():
 
 def test_tits_equal_cap():
     p = new_params(4, 4, 4)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(WordCapExceeded):
         tits_equal(p, (0, 1) * 10, (), cap=10)
 
 
@@ -216,3 +220,163 @@ def test_monotone_growth_and_export():
     lines = csv.strip().split("\n")
     assert lines[0] == "vertex,norm,neighbors"
     assert len(lines) == ball.n_vertices + 1
+
+
+def test_fingerprint_clash_raises(monkeypatch):
+    """With every fingerprint equal, the exact confirm refuses to merge."""
+    ball = build_ball(new_params(4, 4, 4), 3)
+    before = {name: getattr(ball, name).copy()
+              for name in ("norms", "offsets", "edges", "parent", "parent_gen")}
+    monkeypatch.setattr(coxeter, "_multipliers",
+                        lambda width: np.zeros(width, dtype=np.uint64))
+    with pytest.raises(IdentificationAmbiguity, match="radius 4"):
+        ball.grow()
+    assert ball.radius == 3
+    for name, want in before.items():
+        assert np.array_equal(getattr(ball, name), want), name
+    with pytest.raises(IdentificationAmbiguity):
+        build_ball(new_params(2, 3, 7), 2)
+
+
+def test_coefficient_guard_raises_at_first_radius_over_it(monkeypatch):
+    params = new_params(2, 3, 7)
+    ball = build_ball(params, 1)
+    peaks = [int(np.abs(ball._y).max())]
+    while ball.radius < 10:
+        ball.grow()
+        peaks.append(int(np.abs(ball._y).max()))
+    guard = peaks[-1]
+    first_over = 1 + next(i for i, p in enumerate(peaks) if p >= guard)
+    assert first_over > 2
+    monkeypatch.setattr(coxeter, "COEFF_GUARD", guard)
+    assert build_ball(params, first_over - 1).radius == first_over - 1
+    with pytest.raises(IdentificationAmbiguity, match=f"radius {first_over}$"):
+        build_ball(params, first_over)
+
+
+@pytest.mark.parametrize("triple,radius", [((4, 4, 4), 9), ((2, 3, 7), 14), ((3, 5, 7), 9)])
+def test_vertex_ids_are_shortlex(triple, radius):
+    """Ids follow ShortLex (L < M < N); parent is the least-id predecessor."""
+    ball = build_ball(new_params(*triple), radius)
+    V = ball.n_vertices
+    u, v = ball.edges[:, 0], ball.edges[:, 1]
+    least_pred = np.full(V, V, dtype=np.int64)
+    np.minimum.at(least_pred, v, u)
+    assert np.array_equal(ball.parent[1:], least_pred[1:])
+    key = ball.parent * 3 + ball.parent_gen
+    for k in range(1, radius + 1):
+        lo, hi = ball.offsets[k], ball.offsets[k + 1]
+        assert (np.diff(key[lo:hi]) > 0).all()
+    words = [ball.representative_word(x) for x in range(V)]
+    assert all((len(a), a) < (len(b), b) for a, b in zip(words, words[1:]))
+
+
+@pytest.mark.parametrize("triple,radius", [((4, 4, 4), 6), ((2, 3, 7), 8), ((3, 5, 7), 5)])
+def test_representative_word_is_shortlex_normal_form(triple, radius):
+    """The parent chain spells the lex-least geodesic of the braid closure."""
+    ball = build_ball(new_params(*triple), radius)
+    for v in range(ball.n_vertices):
+        w = ball.representative_word(v)
+        assert min(geodesic_closure(triple, w)) == w
+
+
+def matrix_balls(params, radius):
+    """Reference growth on full 3x3 reflection matrices, one ball per radius.
+
+    Each vertex keeps its whole matrix P_w in ring coordinates, candidates are
+    merged by an exact unique of the matrix rows, and new vertices are
+    numbered in the rows' lexicographic order.  This is the representation the
+    orbit-covector ball replaced.
+    """
+    orders = params.orders()
+    ring = CosineRing(orders.values())
+    W = reflection_tensors(orders, ring)
+    mats = np.zeros((1, 3, 3, ring.dim), dtype=np.int64)
+    for i in range(3):
+        mats[0, i, i] = ring.one()
+    down = np.zeros((1, 3), dtype=bool)
+    norms, offsets, edges = [0], [0, 1], np.zeros((0, 3), dtype=np.int64)
+    parent, parent_gen = [-1], [-1]
+    for k in range(radius):
+        base, first = offsets[-2], offsets[-1]
+        cands, pars, gens = [], [], []
+        for s in range(3):
+            mask = ~down[:, s]
+            sub = mats[mask]
+            out = np.empty_like(sub)
+            for t in range(3):
+                out[:, :, t, :] = sub[:, :, t, :] + sub[:, :, s, :] @ W[s, t]
+            cands.append(out)
+            pars.append(base + np.flatnonzero(mask))
+            gens.append(np.full(int(mask.sum()), s))
+        cand, pars, gens = np.concatenate(cands), np.concatenate(pars), np.concatenate(gens)
+        uniq, inv = np.unique(cand.reshape(len(cand), -1), axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        n_new = len(uniq)
+        mats = uniq.reshape(n_new, 3, 3, ring.dim)
+        down = np.zeros((n_new, 3), dtype=bool)
+        down[inv, gens] = True
+        chunk = np.column_stack([pars, first + inv, gens])
+        edges = np.concatenate([edges, chunk[np.lexsort(chunk.T[::-1])]])
+        par, par_gen = np.empty(n_new, dtype=np.int64), np.empty(n_new, dtype=np.int64)
+        par[inv], par_gen[inv] = pars, gens
+        norms += [k + 1] * n_new
+        offsets.append(first + n_new)
+        parent += par.tolist()
+        parent_gen += par_gen.tolist()
+        yield CayleyBall(params=params, radius=k + 1, norms=np.array(norms),
+                         offsets=np.array(offsets), edges=edges, parent=np.array(parent),
+                         parent_gen=np.array(parent_gen))
+
+
+def _extract(ball):
+    try:
+        return extract_automaton(ball)
+    except (NotStabilized, VerificationFailed) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("triple,radius", [
+    ((2, 3, 7), 22), ((3, 5, 7), 15), ((4, 4, 5), 13), ((2, 5, 6), 16), ((7, 7, 7), 15),
+])
+def test_covector_ball_matches_matrix_reference(triple, radius):
+    """Radius by radius: same spheres, same labelled edges and same cone types.
+
+    The vertex map follows parent/parent_gen from the identity; the extracted
+    types must correspond by a bijection that carries M to M.
+    """
+    params = new_params(*triple)
+    ball = build_ball(params, 1)
+    extracted = 0
+    for ref in matrix_balls(params, radius):
+        if ref.radius > 1:
+            ball.grow()
+        assert np.array_equal(ball.sphere_sizes(), ref.sphere_sizes())
+        phi = np.zeros(ball.n_vertices, dtype=np.int64)
+        ref_nbr = ref.neighbor_table()
+        for k in range(1, ball.radius + 1):
+            vs = np.arange(ball.offsets[k], ball.offsets[k + 1])
+            phi[vs] = ref_nbr[phi[ball.parent[vs]], ball.parent_gen[vs]]
+        assert np.array_equal(np.sort(phi), np.arange(ball.n_vertices))
+        mapped = np.column_stack([phi[ball.edges[:, 0]], phi[ball.edges[:, 1]],
+                                  ball.edges[:, 2]])
+        mapped = mapped[np.lexsort(mapped.T[::-1])]
+        assert np.array_equal(mapped, ref.edges)
+
+        if ref.radius <= max(triple) + 1:
+            continue
+        got, want = _extract(ball), _extract(ref)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        extracted += 1
+        assert (got.K_total, got.k_star) == (want.K_total, want.k_star)
+        dom = got.type_of >= 0
+        assert np.array_equal(dom, want.type_of[phi] >= 0)
+        pairs = np.unique(np.column_stack([got.type_of[dom], want.type_of[phi[dom]]]), axis=0)
+        assert len(pairs) == got.K_total
+        assert np.array_equal(pairs[:, 0], np.arange(got.K_total))
+        pi = pairs[:, 1]
+        assert np.array_equal(np.sort(pi), np.arange(got.K_total))
+        assert np.array_equal(got.M, want.M[np.ix_(pi, pi)])
+    assert extracted >= 1

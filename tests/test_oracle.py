@@ -12,9 +12,9 @@ from conetypes import (
     empirical_envelope,
     new_params,
     return_probabilities,
-    tits_equal,
     tree_return_series,
 )
+from reference import tits_equal
 
 TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 

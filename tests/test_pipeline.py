@@ -87,6 +87,9 @@ def test_run_group_444():
     assert diag["radius"] == 9
     assert diag["oracle_radius"] == 10
     assert diag["escalations"] == 3
+    sizes = diag["sphere_sizes"]
+    assert len(sizes) == diag["radius"] + 1
+    assert sizes[:7] == [1, 3, 6, 12, 21, 36, 63]
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
     # the fold search: a few warm-started solves, one Diverged at least (the
     # confirmation just above the fold)

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from conetypes import (
     curvature,
-    free_reduce,
     minimal_fixed_point,
     new_params,
     perron,
-    tits_equal,
     tree_return_series,
     tree_walk_spec,
 )
 from conetypes.errors import NonHyperbolic
+from reference import free_reduce, tits_equal
 
 words = st.lists(st.integers(0, 2), max_size=8)
 small_params = st.sampled_from([(4, 4, 4), (2, 3, 7), (3, 3, 4)])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import sympy
 
-from conetypes import CosineRing, minpoly_2cos, new_params, reflection_rep, reflection_tensors
+from conetypes import CosineRing, minpoly_2cos, new_params, reflection_tensors
+from reference import reflection_rep
 
 mpmath.mp.dps = 50
 
