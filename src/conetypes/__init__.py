@@ -5,23 +5,19 @@ random walk on their Cayley graphs."""
 from .automaton import (
     ConeTypeAutomaton,
     ReducedAutomaton,
-    TruncatedCone,
     VerificationReport,
     automaton_from_json,
     automaton_to_json,
-    cones_isomorphic,
     extract_automaton,
     reduce_automaton,
     sphere_type_census,
     theorem_case,
     to_digraph_dot,
-    truncated_cone,
     verify_counts,
 )
 from .coxeter import CayleyBall, GroupParams, build_ball, new_params
 from .errors import (
     ConeTypesError,
-    DepthExceedsBall,
     HorizonExceedsBall,
     IdentificationAmbiguity,
     InvalidParameter,

@@ -40,25 +40,13 @@ format_option = click.option(
 
 
 @click.group()
-@click.option("--tol-fold", type=float, default=1e-13, show_default=True,
-              help="Fold-system Newton residual tolerance.")
-@click.option("--tol-eigen", type=float, default=1e-12, show_default=True,
-              help="Eigenvector residual tolerance.")
 @click.option("--radius", type=int, default=None,
               help="Ball radius; extraction uses it alone, with no escalation.")
-@click.option("--root-type", type=int, default=None, help="Root type override.")
-@click.option("--oracle-mode", type=click.Choice(["rational", "float"]),
-              default="rational", show_default=True)
-@click.option("--oracle-n-max", type=int, default=20, show_default=True)
 @click.pass_context
-def main(ctx, tol_fold, tol_eigen, radius, root_type, oracle_mode, oracle_n_max):
+def main(ctx, radius):
     """Cone-type automata and spectral-radius bounds for triangle groups."""
     ctx.ensure_object(dict)
-    ctx.obj["config"] = RunConfig(
-        tol_fold=tol_fold, tol_eigen=tol_eigen,
-        radius=radius, root_type=root_type,
-        oracle_mode=oracle_mode, oracle_n_max=oracle_n_max,
-    )
+    ctx.obj["config"] = RunConfig(radius=radius)
 
 
 @main.command()
@@ -72,7 +60,7 @@ def ball(ctx, l, m, n, fmt):
     config = _config(ctx)
     params = new_params(l, m, n)
     radius = config.radius if config.radius is not None else 6
-    b = build_ball(params, radius, config.max_vertices)
+    b = build_ball(params, radius)
     if fmt == "json":
         click.echo(b.to_json())
     elif fmt == "csv":
@@ -94,7 +82,7 @@ def cone_types(ctx, l, m, n, fmt):
     """Extract and verify the cone-type automaton."""
     config = _config(ctx)
     params = new_params(l, m, n)
-    a = extract_escalating(params, config.radius, config.max_vertices)
+    a = extract_escalating(params, config.radius)
     ra = reduce_automaton(a)
     vr = verify_counts(params, a)
     if fmt == "json":
@@ -184,13 +172,10 @@ def curvature_cmd(l, m, n):
 
 @main.command("from-automaton")
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--degree", "-d", type=int, default=3, show_default=True)
 @format_option
-@click.pass_context
-def from_automaton(ctx, file, degree, fmt):
+def from_automaton(file, fmt):
     """Bounds from an externally supplied cta-1 automaton document."""
-    config = _config(ctx)
-    report = run_from_automaton(file, d=degree, config=config)
+    report = run_from_automaton(file)
     if fmt == "json":
         click.echo(report_to_json(report))
     elif fmt == "csv":
@@ -198,7 +183,7 @@ def from_automaton(ctx, file, degree, fmt):
         click.echo(report_to_csv_row(report))
     else:
         _echo_report(report)
-    if report.theorem_match is False or report.diagnostics.get("errors"):
+    if not report.ok:
         sys.exit(1)
 
 

@@ -153,14 +153,6 @@ class CayleyBall:
             self._nbr = nbr
         return self._nbr
 
-    def successors(self, v: int) -> list[int]:
-        succ, nsucc, _ = self.successor_table()
-        return [int(s) for s in succ[v] if s >= 0]
-
-    def predecessors(self, v: int) -> list[int]:
-        nbr = self.neighbor_table()
-        return [int(w) for w in nbr[v] if w >= 0 and self.norms[w] < self.norms[v]]
-
     def to_json(self) -> str:
         doc = {
             "params": list(self.params.triple()),

@@ -21,10 +21,6 @@ class MemoryCap(ConeTypesError):
     """Ball construction would exceed the configured vertex budget."""
 
 
-class DepthExceedsBall(ConeTypesError):
-    """Requested cone depth is not exact within the ball radius."""
-
-
 class NotStabilized(ConeTypesError):
     """No depth k with R - k >= max(l,m,n) + 1 yields two consecutive identical partitions."""
 

@@ -4,7 +4,8 @@ nu is the Perron-Frobenius eigenvalue of the sphere-recursion matrix
 M~_{ij} = M_{ji}/r_i, A its positive eigenvector, and lambda the largest
 eigenvalue of the symmetrization M'' of M' = D^{-1/2} M^T D^{1/2} with
 D = diag(A).  The graph is bipartite and d-regular, which is what makes
-the comparison argument behind the bound valid.
+the comparison argument behind the bound valid; d is read off the
+automaton, whose degree vector is constant.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 
 from .automaton import ReducedAutomaton
 from .errors import NotConverged, ZeroPredecessor
+
+# largest accepted eigenpair residual max|mat v - theta v|
+EIGEN_TOL = 1e-12
 
 
 @dataclass
@@ -36,7 +40,7 @@ def tilde_matrix(ra: ReducedAutomaton) -> np.ndarray:
     return ra.M.T.astype(float) / ra.r.astype(float)[:, None]
 
 
-def perron(mat: np.ndarray, residual_tol: float = 1e-12) -> tuple[float, np.ndarray, float]:
+def perron(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Perron eigenpair from a dense eigensolve.
 
     Returns (eigenvalue, eigenvector with sum 1, max|mat v - theta v|).  The
@@ -51,8 +55,8 @@ def perron(mat: np.ndarray, residual_tol: float = 1e-12) -> tuple[float, np.ndar
     if not (v > 0).all():
         raise NotConverged("the Perron vector is not positive")
     residual = float(np.max(np.abs(mat @ v - theta * v)))
-    if not residual < residual_tol:
-        raise NotConverged(f"Perron residual {residual} is not below {residual_tol}")
+    if not residual < EIGEN_TOL:
+        raise NotConverged(f"Perron residual {residual} is not below {EIGEN_TOL}")
     return theta, v, residual
 
 
@@ -65,11 +69,11 @@ def symmetrize(ra: ReducedAutomaton, A: np.ndarray) -> np.ndarray:
     return 0.5 * (Mp + Mp.T)
 
 
-def lower_bound(ra: ReducedAutomaton, d: int = 3,
-                residual_tol: float = 1e-12) -> LowerBoundResult:
-    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph."""
+def lower_bound(ra: ReducedAutomaton) -> LowerBoundResult:
+    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph, d = ra.d[0]."""
+    d = int(ra.d[0])
     tilde = tilde_matrix(ra)
-    nu, A, residual = perron(tilde, residual_tol=residual_tol)
+    nu, A, residual = perron(tilde)
     S = symmetrize(ra, A)
     vals, vecs = np.linalg.eigh(S)
     lam, v = float(vals[-1]), vecs[:, -1]

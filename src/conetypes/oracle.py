@@ -2,9 +2,9 @@
 
 A walk that returns to the base point at step k never goes beyond distance
 k/2, so counting walks inside a ball of radius R gives the exact
-infinite-graph return probabilities for every k <= 2R.  The even-step
-envelope p^(2n)^(1/2n) is a nondecreasing certified lower bound for the
-spectral radius.
+infinite-graph return probabilities for every k <= 2R.  Walks are counted
+in integers, so every p^(k) is an exact Fraction, and each even-step value
+p^(2n)^(1/2n) is a rigorous lower bound for the spectral radius.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import HorizonExceedsBall
 class ReturnSeries:
     n_max: int
     values: list
-    mode: str
 
     def envelope_sequence(self) -> list[float]:
         """e_n = p^(2n) ** (1/(2n)) for 2n <= n_max."""
@@ -32,21 +31,14 @@ class ReturnSeries:
         return out
 
 
-def return_probabilities(ball: CayleyBall, n_max: int,
-                         mode: str = "rational") -> ReturnSeries:
-    """p^(k)(x0, x0) for k = 0..n_max; exact Fractions or doubles.
+def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
+    """p^(k)(x0, x0) for k = 0..n_max as exact Fractions.
 
-    In rational mode the walks of length k ending at each vertex are
-    counted as integers, and p^(k) = count / 3^k.  The counts are int64
-    while 3^n_max < 2^63 bounds them, Python integers beyond that.  In
-    float mode the same recursion carries probabilities.
+    The walks of length k ending at each vertex are counted as integers,
+    and p^(k) = count / 3^k.  The counts are int64 while 3^n_max < 2^63
+    bounds them, Python integers beyond that.
     """
-    if mode == "rational":
-        dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
-    elif mode == "float":
-        dtype = np.float64
-    else:
-        raise ValueError(f"unknown oracle mode: {mode!r}")
+    dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
     if n_max > 2 * ball.radius:
         raise HorizonExceedsBall(
             f"horizon {n_max} exceeds twice the ball radius {ball.radius}"
@@ -57,16 +49,12 @@ def return_probabilities(ball: CayleyBall, n_max: int,
     n0, n1, n2 = np.ascontiguousarray(np.where(nbr >= 0, nbr, V).T)
     vec = np.zeros(V + 1, dtype=dtype)
     vec[0] = 1
-    values: list = [Fraction(1) if mode == "rational" else 1.0]
+    values: list = [Fraction(1)]
     for k in range(1, n_max + 1):
         # the count at w is the sum over its neighbours (the graph is undirected)
         vec[:V] = vec[n0] + vec[n1] + vec[n2]
-        if mode == "rational":
-            values.append(Fraction(int(vec[0]), 3 ** k))
-        else:
-            vec /= 3.0
-            values.append(float(vec[0]))
-    return ReturnSeries(n_max=n_max, values=values, mode=mode)
+        values.append(Fraction(int(vec[0]), 3 ** k))
+    return ReturnSeries(n_max=n_max, values=values)
 
 
 def empirical_envelope(rs: ReturnSeries) -> float:
@@ -93,4 +81,4 @@ def tree_return_series(n_max: int) -> ReturnSeries:
                 new[h - 1] = new.get(h - 1, 0) + c
         counts = new
         values.append(Fraction(counts.get(0, 0), 3 ** k))
-    return ReturnSeries(n_max=n_max, values=values, mode="rational")
+    return ReturnSeries(n_max=n_max, values=values)

@@ -2,7 +2,7 @@
 
 Two balls are built per group: the extraction ball at the least radius where
 a sound, verified automaton is found, and the oracle ball of radius
-ceil(oracle_n_max / 2).  Each stage fails soft: an error is recorded in the
+ORACLE_STEPS / 2.  Each stage fails soft: an error is recorded in the
 report diagnostics and the dependent stages are skipped, so one bad group
 cannot abort a table run.  Stage timings and residuals are kept for budget
 checks.
@@ -26,7 +26,7 @@ from .automaton import (
     theorem_case,
     verify_counts,
 )
-from .coxeter import DEFAULT_MAX_VERTICES, GroupParams, build_ball, new_params
+from .coxeter import GroupParams, build_ball, new_params
 from .errors import ConeTypesError, NotStabilized, SchemaError, VerificationFailed
 from .lower import LowerBoundResult, lower_bound
 from .oracle import empirical_envelope, return_probabilities
@@ -43,21 +43,14 @@ TABLE_PARAMS = [
 
 # sets the largest extraction radius tried (see extract_escalating)
 MAX_ESCALATIONS = 5
+# walk length of the return-probability envelope; its ball has radius 10
+ORACLE_STEPS = 20
 
 
 @dataclass
 class RunConfig:
-    tol_fold: float = 1e-13
-    tol_eigen: float = 1e-12
+    # pins extraction to this ball radius, with no escalation
     radius: int | None = None
-    root_type: int | None = None
-    oracle_mode: str = "rational"
-    oracle_n_max: int = 20
-    max_vertices: int = DEFAULT_MAX_VERTICES
-
-    def __post_init__(self):
-        if min(self.tol_fold, self.tol_eigen) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -96,7 +89,6 @@ def table_params() -> list[GroupParams]:
 
 
 def extract_escalating(params: GroupParams, radius: int | None = None,
-                       max_vertices: int = DEFAULT_MAX_VERTICES,
                        diag: dict | None = None) -> ConeTypeAutomaton:
     """Verified automaton from the least ball radius where extraction succeeds.
 
@@ -121,9 +113,9 @@ def extract_escalating(params: GroupParams, radius: int | None = None,
         diag["escalations"] = R - first
         t0 = time.perf_counter()
         if R == first:
-            ball = build_ball(params, R, max_vertices)
+            ball = build_ball(params, R)
         else:
-            ball.grow(max_vertices)
+            ball.grow()
         t1 = time.perf_counter()
         timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
         diag["sphere_sizes"] = ball.sphere_sizes().tolist()
@@ -145,7 +137,7 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     report.curvature = curvature(params)
 
     try:
-        a = extract_escalating(params, config.radius, config.max_vertices, diag)
+        a = extract_escalating(params, config.radius, diag)
     except (NotStabilized, VerificationFailed) as exc:
         diag["errors"]["extract"] = str(exc)
         return report
@@ -168,11 +160,10 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
         diag["errors"]["reduce"] = str(exc)
         return report
 
-    ub = _stage(diag, "upper", upper_bound, ra, root_type=config.root_type,
-                tol_fold=config.tol_fold)
-    lb = _stage(diag, "lower", lower_bound, ra, d=3, residual_tol=config.tol_eigen)
+    ub = _stage(diag, "upper", upper_bound, ra)
+    lb = _stage(diag, "lower", lower_bound, ra)
     _record_bounds(report, ub, lb)
-    report.envelope = _stage(diag, "oracle", _envelope, params, config, diag)
+    report.envelope = _stage(diag, "oracle", _envelope, params, diag)
     return report
 
 
@@ -188,11 +179,11 @@ def _stage(diag: dict, name: str, fn, *args, **kwargs):
         diag["timings"][name] = time.perf_counter() - t0
 
 
-def _envelope(params: GroupParams, config: RunConfig, diag: dict) -> float:
+def _envelope(params: GroupParams, diag: dict) -> float:
     # a walk returning at step k stays within distance k/2
-    ball = build_ball(params, (config.oracle_n_max + 1) // 2, config.max_vertices)
+    ball = build_ball(params, ORACLE_STEPS // 2)
     diag["oracle_radius"] = ball.radius
-    rs = return_probabilities(ball, config.oracle_n_max, mode=config.oracle_mode)
+    rs = return_probabilities(ball, ORACLE_STEPS)
     return empirical_envelope(rs)
 
 
@@ -222,10 +213,8 @@ def run_table(config: RunConfig | None = None) -> list[BoundReport]:
     return [run_group(p, config) for p in table_params()]
 
 
-def run_from_automaton(source: str, d: int = 3,
-                       config: RunConfig | None = None) -> BoundReport:
+def run_from_automaton(source: str) -> BoundReport:
     """Bounds from an externally supplied cta-1 automaton document."""
-    config = config or RunConfig()
     text = source
     p = Path(source)
     if "\n" not in source and not source.lstrip().startswith("{"):
@@ -245,11 +234,7 @@ def run_from_automaton(source: str, d: int = 3,
         report.curvature = curvature(a.params)
         vr = verify_counts(a.params, a)
         report.theorem_match = vr.matches
-    _record_bounds(
-        report,
-        upper_bound(ra, root_type=config.root_type, tol_fold=config.tol_fold),
-        lower_bound(ra, d=d, residual_tol=config.tol_eigen),
-    )
+    _record_bounds(report, upper_bound(ra), lower_bound(ra))
     return report
 
 

@@ -90,9 +90,6 @@ class CosineRing:
         e[0] = 1
         return e
 
-    def integer(self, n: int) -> np.ndarray:
-        return n * self.one()
-
     def mul_by_2cos(self, k: int) -> np.ndarray:
         """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows.
 

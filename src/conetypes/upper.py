@@ -17,7 +17,7 @@ z is accepted only if it lies above the last solved z and below any z found
 past the fold, and the minimal solution exists at z (1 - 1e-9) but not at
 z (1 + 1e-9).  There is no fallback: anything else raises NotConverged.
 
-The Green-kernel radius R_Gk is R_F itself.  The root's own row of the
+The Green-kernel radius is R_F itself.  The root's own row of the
 system reads w_root = z r_root/d_root + w_root F(z), so the first-return
 value F(z) = 1 - z r_root/(d_root w_root) stays below 1 wherever the
 minimal solution exists, as r_root >= 1 (only the identity's type has no
@@ -54,6 +54,8 @@ APPROACH_STEP = 0.9
 HANDOFF = 1e-3
 CONFIRM_GAP = 1e-9
 SOLVE_CAP = 40
+# residual at which the bordered Newton accepts the polished fold
+FOLD_TOL = 1e-13
 # relative step below the fold point at which the exact check is made; far
 # above the fold residual (< 1e-13), far below the reported digits
 CERT_MARGIN = 1e-9
@@ -88,7 +90,6 @@ class FixedPointSolution:
 class Diverged:
     z: float
     iterations: int
-    cap_hit: bool
 
 
 @dataclass
@@ -109,7 +110,6 @@ class FoldResult:
 class UpperBoundResult:
     R_F: float
     F_at_RF: float
-    R_Gk: float
     rho_T: float
     root_type: int
     fold_residual: float
@@ -184,25 +184,25 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
                 np.column_stack([_phi(spec, z, w) - w, ones]),
             ).T
         except np.linalg.LinAlgError:
-            return Diverged(z=z, iterations=it, cap_hit=False)
+            return Diverged(z=z, iterations=it)
         # roundoff in the step, measured within 1e-12 of the fold on every root
         # of the reference automata, stays below 0.6 eps ||(I - J)^-1|| max(1, w)
         floor = 1e-14 * float(x.max()) * max(1.0, float(w.max()))
         if x.min() <= 0.0 or step.min() < -floor:
-            return Diverged(z=z, iterations=it, cap_hit=False)
+            return Diverged(z=z, iterations=it)
         w = w + step
         if w.max() > DIVERGENCE_CAP:
-            return Diverged(z=z, iterations=it, cap_hit=True)
+            return Diverged(z=z, iterations=it)
         if float(np.max(np.abs(step))) <= floor:
             rad = float(np.max(np.abs(np.linalg.eigvals(_jacobian(spec, z, w)))))
             if rad >= 1.0:
-                return Diverged(z=z, iterations=it, cap_hit=False)
+                return Diverged(z=z, iterations=it)
             residual = float(np.max(np.abs(_phi(spec, z, w) - w)))
             return FixedPointSolution(
                 z=z, w=w, residual=residual, jacobian_spectral_radius=rad,
                 iterations=it, x_max=float(x.max()),
             )
-    return Diverged(z=z, iterations=STEP_CAP, cap_hit=False)
+    return Diverged(z=z, iterations=STEP_CAP)
 
 
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
@@ -237,7 +237,7 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
     return None
 
 
-def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
+def fold_point(spec: TreeWalkSpec) -> FoldResult:
     """Locate R_F: extrapolated approach, bordered Newton, two-sided confirm.
 
     Each solve is warm-started from the last converged one.  From the last
@@ -283,7 +283,7 @@ def fold_point(spec: TreeWalkSpec, tol: float = 1e-13) -> FoldResult:
         z = last.z + APPROACH_STEP * (target - last.z)
     vals, vecs = np.linalg.eig(_jacobian(spec, last.z, last.w))
     u = np.real(vecs[:, np.argmax(np.abs(vals))])
-    polished = _fold_newton(spec, last.w, u / u.sum(), target, tol)
+    polished = _fold_newton(spec, last.w, u / u.sum(), target, FOLD_TOL)
     if polished is None:
         raise NotConverged(f"bordered Newton failed from z = {target}")
     w, u, z, res = polished
@@ -327,12 +327,11 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     return z * root < spec.root_d
 
 
-def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
-                tol_fold: float = 1e-13) -> UpperBoundResult:
+def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:
     """rho_T = 1/R_F, with 1/z certified exactly just above it (or None)."""
     root = default_root_type(ra) if root_type is None else root_type
     spec = tree_walk_spec(ra, root)
-    fold = fold_point(spec, tol=tol_fold)
+    fold = fold_point(spec)
     F_rf = first_return_value(spec, fold.R_F, fold.w)
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
@@ -343,7 +342,6 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None,
     return UpperBoundResult(
         R_F=fold.R_F,
         F_at_RF=F_rf,
-        R_Gk=fold.R_F,
         rho_T=1.0 / fold.R_F,
         root_type=root,
         fold_residual=fold.residual,

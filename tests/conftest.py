@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conetypes import (
-    NotStabilized,
     ReducedAutomaton,
     build_ball,
     extract_automaton,
+    extract_escalating,
     new_params,
     reduce_automaton,
 )
@@ -46,6 +46,9 @@ UPPER_BOUNDS = {
     (3, 5, 7): 0.9650571213,
     (7, 7, 7): 0.9460344380,
 }
+# least radius of the balls in census_data
+CENSUS_RADIUS = 20
+
 EXPECTED_COUNTS = {
     (2, 3, 7): 35, (2, 4, 5): 25, (3, 3, 4): 11, (2, 5, 5): 15,
     (2, 6, 6): 17, (3, 4, 4): 12, (3, 4, 5): 22, (4, 4, 4): 6,
@@ -55,21 +58,17 @@ EXPECTED_COUNTS = {
 
 @pytest.fixture(scope="session")
 def graph_data():
-    """Ball, automaton and reduction for each group, with build timings."""
+    """Automaton, reduction and extraction ball of each group, with build timings.
+
+    The automaton comes from extract_escalating, as in the pipeline; the ball
+    is rebuilt at its radius, which gives the same vertex ids.
+    """
     out = {}
     for triple in TABLE:
         params = new_params(*triple)
-        maxp = max(triple)
-        k_cap = maxp + 2
         t0 = time.perf_counter()
-        while True:
-            radius = max(k_cap + maxp + 4, 20)
-            ball = build_ball(params, radius)
-            try:
-                automaton = extract_automaton(ball)
-                break
-            except NotStabilized:
-                k_cap += 2
+        automaton = extract_escalating(params)
+        ball = build_ball(params, automaton.radius)
         build_seconds = time.perf_counter() - t0
         out[triple] = {
             "params": params,
@@ -78,6 +77,24 @@ def graph_data():
             "reduced": reduce_automaton(automaton),
             "build_seconds": build_seconds,
         }
+    return out
+
+
+@pytest.fixture(scope="session")
+def census_data(graph_data):
+    """(ball, automaton) of radius max(R, 20) for each group, R its extraction radius.
+
+    The sphere census and the sphere growth are checked on these larger
+    balls.  (7,7,7) keeps its extraction ball: at radius 20 it has 2.65 M
+    vertices.
+    """
+    out = {}
+    for triple, data in graph_data.items():
+        ball, automaton = data["ball"], data["automaton"]
+        if triple != (7, 7, 7) and ball.radius < CENSUS_RADIUS:
+            ball = build_ball(data["params"], CENSUS_RADIUS)
+            automaton = extract_automaton(ball)
+        out[triple] = (ball, automaton)
     return out
 
 

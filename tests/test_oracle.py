@@ -66,26 +66,17 @@ def test_ball_radius_does_not_matter():
     assert rs10.values == rs13.values
 
 
-def test_float_mode_agrees(data444):
-    exact = return_probabilities(data444["ball"], 12, mode="rational")
-    fast = return_probabilities(data444["ball"], 12, mode="float")
-    for a, b in zip(exact.values, fast.values):
-        assert float(a) == pytest.approx(b, abs=1e-14)
-
-
 def test_horizon_guard():
     # exact up to twice the radius: a returning walk stays within half its length
     ball = build_ball(new_params(4, 4, 4), 5)
     return_probabilities(ball, 10)
     with pytest.raises(HorizonExceedsBall):
         return_probabilities(ball, 11)
-    with pytest.raises(ValueError):
-        return_probabilities(ball, 2, mode="exactish")
 
 
 @pytest.mark.parametrize("triple", [(4, 4, 4), (3, 5, 7)])
-def test_half_radius_ball_is_exact(graph_data, triple):
-    big = graph_data[triple]["ball"]
+def test_half_radius_ball_is_exact(census_data, triple):
+    big = census_data[triple][0]
     assert big.radius >= 20
     small = build_ball(big.params, 10)
     assert return_probabilities(small, 20).values == \
@@ -139,9 +130,9 @@ def test_tree_envelope_monotone_below_rho():
     assert empirical_envelope(rs) == env[-1]
 
 
-def test_envelope_lower_bounds_walk(data444):
+def test_envelope_lower_bounds_walk():
     # the envelope never exceeds the certified range of the true spectral radius
-    rs = return_probabilities(data444["ball"], 20)
+    rs = return_probabilities(build_ball(new_params(4, 4, 4), 10), 20)
     from conftest import UPPER_BOUNDS
 
     assert empirical_envelope(rs) <= UPPER_BOUNDS[(4, 4, 4)] + 1e-12

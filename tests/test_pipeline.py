@@ -56,6 +56,18 @@ TREE_DOC = json.dumps({
 })
 TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 
+# the 4-regular tree: rho = 2 sqrt(3) / 4
+TREE4_DOC = json.dumps({
+    "schema": "cta-1",
+    "params": None,
+    "K_total": 2,
+    "root_type": 0,
+    "M": [[0, 4], [0, 3]],
+    "d": [4, 4],
+    "r": [0, 1],
+    "reduced": {"types": [1], "M": [[3]], "p": 1},
+})
+
 
 def test_curvature_values():
     for triple, q in CURVATURES.items():
@@ -115,15 +127,10 @@ def test_grown_ball_extraction_equals_fresh_ball(triple):
 
 
 def test_run_group_radius_too_small_fails_soft():
-    report = run_group(new_params(4, 4, 4), RunConfig(radius=5, oracle_n_max=5))
+    report = run_group(new_params(4, 4, 4), RunConfig(radius=5))
     assert not report.ok
     assert "extract" in report.diagnostics["errors"]
     assert report.lower is None and report.upper is None
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(tol_fold=0.0)
 
 
 def test_run_from_automaton_tree_text():
@@ -132,6 +139,17 @@ def test_run_from_automaton_tree_text():
     assert report.lower == pytest.approx(TREE_RHO, abs=1e-10)
     assert report.upper == pytest.approx(TREE_RHO, abs=1e-10)
     assert report.theorem_match is None
+
+
+def test_run_from_automaton_reads_the_degree():
+    report = run_from_automaton(TREE4_DOC)
+    assert report.ok
+    assert report.lower == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-10)
+    assert report.upper == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-10)
+    irregular = json.loads(TREE4_DOC)
+    irregular["d"] = [3, 4]
+    with pytest.raises(SchemaError):
+        run_from_automaton(json.dumps(irregular))
 
 
 def test_run_from_automaton_tree_file(tmp_path):
@@ -250,12 +268,35 @@ def test_cli_cone_types_escalates(triple, K):
 
 
 def test_cli_from_automaton(tmp_path):
+    runner = CliRunner()
     path = tmp_path / "tree.json"
     path.write_text(TREE_DOC)
-    runner = CliRunner()
     result = runner.invoke(main, ["from-automaton", str(path)])
     assert result.exit_code == 0
     assert "lower 0.9428090416 upper 0.9428090416" in result.output
+    path.write_text(TREE4_DOC)
+    result = runner.invoke(main, ["from-automaton", str(path)])
+    assert result.exit_code == 0
+    assert "lower 0.8660254038 upper 0.8660254038" in result.output
+    result = runner.invoke(main, ["from-automaton", "--degree", "4", str(path)])
+    assert result.exit_code == 2  # no such option
+
+
+def test_cli_from_automaton_exits_on_report_ok(tmp_path, data444):
+    # exit 1 exactly when the report fails, as for `bounds`
+    runner = CliRunner()
+    doc = json.loads(automaton_to_json(data444["automaton"], data444["reduced"]))
+    path = tmp_path / "444.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["from-automaton", str(path)])
+    assert result.exit_code == 0
+    assert "theorem_match True" in result.output
+    # the same automaton claimed for (4,4,5), whose closed form is 14 types
+    doc["params"] = [4, 4, 5]
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["from-automaton", str(path)])
+    assert result.exit_code == 1
+    assert "theorem_match False" in result.output
 
 
 def test_cli_rejects_nonhyperbolic():

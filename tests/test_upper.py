@@ -221,8 +221,6 @@ def test_tree_upper_bound(tree_reduced):
 def test_444_upper_bound(data444):
     res = upper_bound(data444["reduced"])
     assert res.rho_T == pytest.approx(UPPER_BOUNDS[(4, 4, 4)], abs=1e-9)
-    assert res.rho_T * res.R_Gk == pytest.approx(1.0, abs=1e-14)
-    assert res.R_Gk <= res.R_F + 1e-12
 
 
 def test_upper_bound_root_independent(data444, data237):
