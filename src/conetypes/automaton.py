@@ -4,10 +4,14 @@ The cone C(x) is the set of vertices v with x on a geodesic from the base
 point to v; on a bipartite norm-layered Cayley graph this is the closure of
 {x} under "has a predecessor in the cone".  Vertices are partitioned by
 rooted isomorphism of depth-k truncated cones: a fast interned-certificate
-refinement proposes the partition, and every class is then verified exactly
-by generator-twisted deterministic maps, all members of a class at once.  A
-member no twist confirms fails the verification: the partition is refuted,
-never patched by a search.
+refinement proposes the partition (one integer key per vertex and layer),
+and every class is then verified exactly by generator-twisted deterministic
+maps.  Verification runs on all classes at once: one pass walks the cones
+of all class representatives, and every other member of every class is
+mapped through its own class's cone in one batch per permutation, so the
+Python loops run over permutations and depth levels only.  A member no
+twist confirms fails the verification: the partition is refuted, never
+patched by a search.
 """
 
 from __future__ import annotations
@@ -79,17 +83,23 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Dense ids of the rows of an integer matrix: equal rows, equal ids.
+    """Dense ids of the rows of an integer matrix, in lexicographic row order.
 
-    Columns are folded in one at a time as int64 pair keys (id, value), so
-    each step is a 1-D unique.
+    The columns are packed into one mixed-radix int64 key and the key is
+    uniqued once.  When the next column would push the key past 2^62, the
+    key is first compressed to its dense ids, which keeps the order.
     """
-    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    bound = 1
     for col in rows.T:
         lo = int(col.min())
         span = int(col.max()) - lo + 1
-        _, ids = np.unique(ids * span + (col - lo), return_inverse=True)
-    return ids
+        if bound * span > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * span + (col - lo)
+        bound *= span
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
@@ -108,95 +118,141 @@ def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
     return True
 
 
-def _cone_levels(ball: CayleyBall, x: int, depth: int) -> list:
-    """Up-edges of the depth-`depth` cone of x, level by level.
+def _ranges(off: np.ndarray, cls: np.ndarray):
+    """The ranges off[c] .. off[c+1] of the classes cls, concatenated.
 
-    Each level is (src, gen, first, dst): edge j leaves vertex src[j] of the
-    level along generator gen[j] and reaches vertex dst[j] of the next level,
-    whose vertex i is first reached by edge first[i].
+    Returns (owner, idx, shift): flat entry j is index idx[j] of the range
+    of cls[owner[j]], and index i of cls[o]'s range sits at flat i + shift[o].
+    """
+    counts = off[cls + 1] - off[cls]
+    owner = np.repeat(np.arange(cls.size), counts)
+    shift = np.cumsum(counts) - counts - off[cls]
+    return owner, np.arange(owner.size) - shift[owner], shift
+
+
+def _cone_levels(ball: CayleyBall, reps: np.ndarray, depth: int) -> list:
+    """Up-edges of the depth-`depth` cones of all reps, level by level.
+
+    The nodes of a level are (class, vertex) pairs, class c being the cone
+    of reps[c], sorted by class and then vertex.  Each level is
+    (src, gen, first, dst, noff, eoff, noff1): edge j leaves node src[j]
+    along generator gen[j] and reaches node dst[j] of the next level, whose
+    node i is first reached by edge first[i]; class c owns the nodes
+    noff[c] .. noff[c+1] of the level, the edges eoff[c] .. eoff[c+1] and
+    the nodes noff1[c] .. noff1[c+1] of the next level.
     """
     nbr, norms = ball.neighbor_table(), ball.norms
-    level = np.array([x])
+    V, C = ball.n_vertices, reps.size
+    cls, ver = np.arange(C), reps
+    noff = np.arange(C + 1)
     out = []
     for _ in range(depth):
-        nb = nbr[level]
-        src, gen = np.nonzero((nb >= 0) & (norms[nb] > norms[level][:, None]))
-        level, first, dst = np.unique(nb[src, gen], return_index=True, return_inverse=True)
-        out.append((src, gen, first, dst))
+        nb = nbr[ver]
+        src, gen = np.nonzero((nb >= 0) & (norms[nb] > norms[ver][:, None]))
+        csrc = cls[src]
+        eoff = np.searchsorted(csrc, np.arange(C + 1))
+        keys, first, dst = np.unique(csrc * V + nb[src, gen],
+                                     return_index=True, return_inverse=True)
+        cls, ver = np.divmod(keys, V)
+        noff1 = np.searchsorted(cls, np.arange(C + 1))
+        out.append((src, gen, first, dst, noff, eoff, noff1))
+        noff = noff1
     return out
 
 
-def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, perm) -> np.ndarray:
-    """Which ys the twist by `perm` maps the cone onto, as a boolean mask.
+def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, ycls: np.ndarray,
+                  perm: np.ndarray) -> np.ndarray:
+    """Which ys the twist by `perm` maps their class's cone onto, as a mask.
 
-    With phi(x) = y and phi(v . g) = phi(v) . perm(g), y passes when every
-    cone up-edge maps to an up-edge, phi is well defined and injective (on
-    each level; levels differ in norm), and the images' successor counts
-    match the cone's level by level: then phi is a rooted isomorphism.
+    Member y of class c starts at phi(reps[c]) = y and follows
+    phi(v . g) = phi(v) . perm(g) through the cone of reps[c] (see
+    _cone_levels).  y passes when every cone up-edge maps to an up-edge, phi
+    is well defined and injective (on each level; levels differ in norm),
+    and the images' successor counts match the cone's level by level: then
+    phi is a rooted isomorphism.  All members are mapped together, on flat
+    arrays of (member, node) and (member, edge) pairs.
     """
     nbr, norms = ball.neighbor_table(), ball.norms
     _, nsucc, _ = ball.successor_table()
+    V = ball.n_vertices
     alive = np.arange(ys.size)
-    img = ys[:, None]
-    for src, gen, first, dst in levels:
-        fsrc = img[:, src]
-        w = nbr[fsrc, perm[gen]]
-        nxt = w[:, first]
-        srt = np.sort(nxt, axis=1)
-        ok = ((nsucc[img].sum(axis=1) == src.size)
-              & ((w >= 0) & (norms[w] > norms[fsrc])).all(axis=1)
-              & (w == nxt[:, dst]).all(axis=1)
-              & (srt[:, 1:] != srt[:, :-1]).all(axis=1))
-        alive, img = alive[ok], nxt[ok]
+    img = ys
+    for src, gen, first, dst, noff, eoff, noff1 in levels:
+        n = alive.size
+        po, _, pshift = _ranges(noff, ycls)
+        eo, ee, eshift = _ranges(eoff, ycls)
+        qo, qn, qshift = _ranges(noff1, ycls)
+        fsrc = img[src[ee] + pshift[eo]]
+        w = nbr[fsrc, perm[gen[ee]]]
+        nxt = w[first[qn] + eshift[qo]]
+        bad = np.zeros(n, dtype=bool)
+        bad[eo[(w < 0) | (norms[w] <= norms[fsrc])
+               | (w != nxt[dst[ee] + qshift[eo]])]] = True
+        key = np.sort(qo * (V + 1) + nxt + 1)
+        bad[key[1:][key[1:] == key[:-1]] // (V + 1)] = True
+        bad |= np.bincount(po, nsucc[img], minlength=n) != np.diff(eoff)[ycls]
+        keep = ~bad
+        alive, ycls, img = alive[keep], ycls[keep], nxt[keep[qo]]
     mask = np.zeros(ys.size, dtype=bool)
     mask[alive] = True
     return mask
 
 
-def _verify_classes(ball: CayleyBall, lab: np.ndarray, depth: int) -> None:
+def _verify_classes(ball: CayleyBall, lab: np.ndarray, depth: int) -> list[int]:
     """Confirm every class of `lab` by twisted maps of depth-`depth` cones.
 
-    A class's representative is its least vertex x.  The cone of x is walked
-    once; all other members are then mapped at once, each admissible
-    generator permutation being tried on the members still unconfirmed.  A
-    member no permutation confirms raises VerificationFailed.
+    A class's representative is its least vertex.  The cones of all
+    representatives are walked in one pass, and all other members of all
+    classes are then mapped at once under each admissible generator
+    permutation in turn, each permutation being tried only on the members
+    still unconfirmed.  Returns how many members each permutation confirmed.
+    A member no permutation confirms raises VerificationFailed, naming the
+    first such member in (label, vertex id) order.
     """
     perms = [np.array(p) for p in _admissible_perms(ball.params)]
     dom = int(ball.offsets[ball.radius - depth + 1])
     order = np.argsort(lab[:dom], kind="stable")
-    bounds = np.flatnonzero(np.diff(lab[order])) + 1
-    for members in np.split(order, bounds):
-        x, ys = int(members[0]), members[1:]
+    sl = lab[order]
+    head = np.ones(dom, dtype=bool)
+    head[1:] = sl[1:] != sl[:-1]
+    cls = np.cumsum(head) - 1
+    reps, ys, ycls = order[head], order[~head], cls[~head]
+    levels = _cone_levels(ball, reps, depth)
+    confirmed = [0] * len(perms)
+    for i, perm in enumerate(perms):
         if ys.size == 0:
-            continue
-        levels = _cone_levels(ball, x, depth)
-        for perm in perms:
-            ys = ys[~_twisted_maps(ball, levels, ys, perm)]
-            if ys.size == 0:
-                break
-        else:
-            raise VerificationFailed(
-                f"no twisted walk confirms vertices {x} and {int(ys[0])} "
-                f"at depth {depth}: the certificate class over-merges"
-            )
+            break
+        ok = _twisted_maps(ball, levels, ys, ycls, perm)
+        confirmed[i] = int(ok.sum())
+        ys, ycls = ys[~ok], ycls[~ok]
+    if ys.size:
+        raise VerificationFailed(
+            f"no twisted walk confirms vertices {int(reps[ycls[0]])} and {int(ys[0])} "
+            f"at depth {depth}: the certificate class over-merges"
+        )
+    return confirmed
 
 
 def _class_count(lab: np.ndarray, dom: int) -> int:
-    return int(np.unique(lab[:dom]).size)
+    return int(np.count_nonzero(np.bincount(lab[:dom])))
 
 
-def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomaton:
+def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAutomaton:
     """Stabilized cone-type partition of a ball, verified exactly.
 
     Finds the least k with identical depth-k and depth-(k+1) partitions on
     the exact domains (class counts conserved across the domain restriction),
     checks successor determinism, and confirms every certificate class by
-    exact isomorphism at depths k+1 and k (see _verify_classes: one cone
-    walk per class, its members mapped in one batch per permutation).
-    Stabilization is a heuristic: it is only accepted with
-    R - k >= max(l,m,n) + 1, so that the exact domain contains whole relator
-    cycles, and the verifier then either confirms every class or raises
-    VerificationFailed.
+    exact isomorphism at depths k+1 and k (see _verify_classes: one pass
+    walks the cones of all class representatives, and all other members are
+    mapped together per permutation).  Stabilization is a heuristic: it is
+    only accepted with R - k >= max(l,m,n) + 1, so that the exact domain
+    contains whole relator cycles, and the verifier then either confirms
+    every class or raises VerificationFailed.
+
+    On success, diag["label_rounds"] is the number of label layers computed
+    and diag["verifier"] holds the members mapped at both depths and how
+    many of them each admissible permutation confirmed.
     """
     R = ball.radius
     offsets = ball.offsets
@@ -262,9 +318,12 @@ def extract_automaton(ball: CayleyBall, verify: bool = True) -> ConeTypeAutomato
     if r[root_type] != 0:
         raise NonDeterministic("base-point type does not have r = 0")
 
-    if verify:
-        for depth in (k_star + 1, k_star):
-            _verify_classes(ball, labels[depth], depth)
+    confirmed = np.sum([_verify_classes(ball, labels[depth], depth)
+                        for depth in (k_star + 1, k_star)], axis=0)
+    if diag is not None:
+        diag["label_rounds"] = len(labels) - 1
+        diag["verifier"] = {"members": int(confirmed.sum()),
+                            "confirmed_by_perm": confirmed.tolist()}
 
     return ConeTypeAutomaton(
         params=ball.params,

@@ -120,7 +120,7 @@ def extract_escalating(params: GroupParams, radius: int | None = None,
         timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
         diag["sphere_sizes"] = ball.sphere_sizes().tolist()
         try:
-            return extract_automaton(ball)
+            return extract_automaton(ball, diag)
         except (NotStabilized, VerificationFailed) as exc:
             error = exc
         finally:

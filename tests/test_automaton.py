@@ -23,6 +23,7 @@ from conetypes.automaton import (
     _admissible_perms,
     _cone_levels,
     _refine_labels,
+    _row_ids,
     _twisted_maps,
 )
 from conftest import EXPECTED_COUNTS, TABLE
@@ -236,23 +237,78 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
     lab = labels[depth][:dom]
     tables = (ball.neighbor_table().tolist(), ball.norms.tolist(),
               ball.successor_table()[1].tolist())
+    # every member of every class but its least, and 20 random outsiders
+    # per class, mapped through their class's cone in one batch
     rng = np.random.default_rng(3)
-    outcomes = set()
+    reps, ys, ycls = [], [], []
     for c in np.unique(lab):
         members = np.flatnonzero(lab == c)
-        x = int(members[0])
-        ys = np.concatenate([members[1:], rng.integers(0, dom, 20)])
-        levels = _cone_levels(ball, x, depth)
-        confirmed = np.zeros(ys.size, dtype=bool)
-        for perm in _admissible_perms(ball.params):
-            got = _twisted_maps(ball, levels, ys, np.array(perm)).tolist()
-            want = [_reference_walk(*tables, x, int(y), depth, perm) for y in ys]
-            assert got == want
-            confirmed |= want
-        outcomes.update(zip(confirmed.tolist(), np.isin(ys, members).tolist()))
+        cand = np.concatenate([members[1:], rng.integers(0, dom, 20)])
+        reps.append(members[0])
+        ys.append(cand)
+        ycls.append(np.full(cand.size, len(reps) - 1))
+    reps, ys, ycls = np.array(reps), np.concatenate(ys), np.concatenate(ycls)
+    levels = _cone_levels(ball, reps, depth)
+    confirmed = np.zeros(ys.size, dtype=bool)
+    for perm in _admissible_perms(ball.params):
+        got = _twisted_maps(ball, levels, ys, ycls, np.array(perm)).tolist()
+        want = [_reference_walk(*tables, int(reps[c]), int(y), depth, perm)
+                for y, c in zip(ys, ycls)]
+        assert got == want
+        confirmed |= want
+    outcomes = set(zip(confirmed.tolist(), (lab[ys] == lab[reps[ycls]]).tolist()))
     # confirmed members, refuted outsiders, and members no twist confirms
     assert {(True, True), (False, False)} <= outcomes
     assert ((False, True) in outcomes) == (triple == (4, 5, 5))
+
+
+class _ToyBall:
+    """The tables _cone_levels and _twisted_maps read, for a hand-made graph."""
+
+    def __init__(self, nbr, norms):
+        self.nbr, self.norms = np.array(nbr), np.array(norms)
+        self.n_vertices = self.norms.size
+        up = (self.nbr >= 0) & (self.norms[self.nbr] > self.norms[:, None])
+        self.nsucc = up.sum(axis=1)
+
+    def neighbor_table(self):
+        return self.nbr
+
+    def successor_table(self):
+        return None, self.nsucc, None
+
+
+def test_twisted_maps_need_well_defined_and_injective():
+    # On the Cayley balls tried, neither check ever decides alone, so a toy
+    # graph does: the cone of x is a square x-a-c-b; y's twin square does not
+    # close (c has two images), and z reaches one vertex along two
+    # generators (a and b have one image).  Every other check passes.
+    x, a, b, c, y, a2, b2, c1, c2, z, u = range(11)
+    nbr = [[a, b, -1], [x, c, -1], [c, x, -1], [b, a, -1],
+           [a2, b2, -1], [y, c1, -1], [c2, y, -1], [-1, a2, -1], [b2, -1, -1],
+           [u, u, -1], [z, z, -1]]
+    norms = [0, 1, 1, 2, 10, 11, 11, 12, 12, 20, 21]
+    ball = _ToyBall(nbr, norms)
+    tables = (nbr, norms, ball.nsucc.tolist())
+    ys, ycls = np.array([y, z]), np.zeros(2, dtype=np.int64)
+    perm = (0, 1, 2)
+    for depth, want in [(1, [True, False]), (2, [False, False])]:
+        levels = _cone_levels(ball, np.array([x]), depth)
+        got = _twisted_maps(ball, levels, ys, ycls, np.array(perm)).tolist()
+        assert got == want == [_reference_walk(*tables, x, v, depth, perm) for v in ys]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_ids_match_unique_rows(seed):
+    # values up to 2^40 in 4-7 columns overflow one 62-bit key, so the key
+    # is compressed on the way; small ranges exercise the plain packing
+    rng = np.random.default_rng(seed)
+    for high in (3, 1000, 1 << 40):
+        n, width = int(rng.integers(1, 500)), int(rng.integers(4, 8))
+        rows = rng.integers(-high, high, size=(n, width))
+        rows[n // 2:] = rows[: n - n // 2]  # repeated rows
+        _, want = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(_row_ids(rows), want.reshape(-1))
 
 
 def test_dot_output(data444):

@@ -102,6 +102,14 @@ def test_run_group_444():
     sizes = diag["sphere_sizes"]
     assert len(sizes) == diag["radius"] + 1
     assert sizes[:7] == [1, 3, 6, 12, 21, 36, 63]
+    # labels up to depth k*+1; the verifier maps every domain vertex but the
+    # six class representatives at depths 4 and 3, and all six generator
+    # permutations are admissible for (4,4,4)
+    assert diag["label_rounds"] == diag["k_star"] + 1
+    verifier = diag["verifier"]
+    assert verifier["members"] == (sum(sizes[:6]) - 6) + (sum(sizes[:7]) - 6)
+    assert len(verifier["confirmed_by_perm"]) == 6
+    assert sum(verifier["confirmed_by_perm"]) == verifier["members"]
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
     # the fold search: a few warm-started solves, one Diverged at least (the
     # confirmation just above the fold)

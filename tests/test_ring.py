@@ -1,5 +1,7 @@
 """Exact cosine-ring arithmetic against high-precision numeric oracles."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -27,9 +29,35 @@ def test_minpoly_degree_matches_totient(k):
     assert len(minpoly_2cos(k)) - 1 == expected
 
 
-def test_minpoly_matches_sympy():
-    x = sympy.Symbol("x")
+def _conjugate_product(k):
+    """prod (x - 2cos(j pi/k)) over 1 <= j < k, gcd(j, 2k) = 1, rounded.
+
+    The factors are the Galois conjugates of 2cos(pi/k), so the product is
+    its minimal polynomial; at 50 digits every coefficient is an integer to
+    far better than the rounding needs.
+    """
+    coeffs = [mpmath.mpf(1)]  # ascending powers
+    for j in range(1, k):
+        if math.gcd(j, 2 * k) == 1:
+            root = 2 * mpmath.cos(j * mpmath.pi / k)
+            coeffs = ([-root * coeffs[0]]
+                      + [coeffs[i - 1] - root * coeffs[i] for i in range(1, len(coeffs))]
+                      + [coeffs[-1]])
+    rounded = tuple(int(mpmath.nint(c)) for c in coeffs)
+    assert all(abs(c - r) < mpmath.mpf(10) ** -30 for c, r in zip(coeffs, rounded))
+    return rounded
+
+
+def test_minpoly_matches_conjugate_product():
     for k in range(2, 61):
+        assert minpoly_2cos(k) == _conjugate_product(k), k
+
+
+def test_minpoly_matches_sympy():
+    # sympy's own minimal polynomial up to k = 40; k = 41..60 would add
+    # about 4.5 s, and the conjugate product covers them exactly
+    x = sympy.Symbol("x")
+    for k in range(2, 41):
         poly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / k), x)
         want = tuple(int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs()))
         assert minpoly_2cos(k) == want, k
