@@ -10,7 +10,6 @@ from .automaton import (
     automaton_to_json,
     extract_automaton,
     reduce_automaton,
-    sphere_type_census,
     theorem_case,
     to_digraph_dot,
     verify_counts,
@@ -38,7 +37,6 @@ from .oracle import (
     ReturnSeries,
     empirical_envelope,
     return_probabilities,
-    tree_return_series,
 )
 from .pipeline import (
     BoundReport,

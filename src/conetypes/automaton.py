@@ -3,15 +3,16 @@
 The cone C(x) is the set of vertices v with x on a geodesic from the base
 point to v; on a bipartite norm-layered Cayley graph this is the closure of
 {x} under "has a predecessor in the cone".  Vertices are partitioned by
-rooted isomorphism of depth-k truncated cones: a fast interned-certificate
-refinement proposes the partition (one integer key per vertex and layer),
-and every class is then verified exactly by generator-twisted deterministic
-maps.  Verification runs on all classes at once: one pass walks the cones
-of all class representatives, and every other member of every class is
-mapped through its own class's cone in one batch per permutation, so the
-Python loops run over permutations and depth levels only.  A member no
-twist confirms fails the verification: the partition is refuted, never
-patched by a search.
+rooted isomorphism of depth-k truncated cones: interned certificate labels
+propose the partition, and every class is then verified exactly by
+generator-twisted deterministic maps.  The label layers are kept on the
+ball and grow with it, one sphere per layer and radius, since a label of
+an inner vertex does not depend on the radius.  Verification runs on all
+classes and both depths at once: one pass walks the cones of all class
+representatives, and every other member of every class is mapped through
+its own class's cone in one batch per permutation, so the Python loops run
+over permutations and depth levels only.  A member no twist confirms fails
+the verification: the partition is refuted, never patched by a search.
 """
 
 from __future__ import annotations
@@ -102,20 +103,87 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _refine_labels(ball: CayleyBall, labels: list[np.ndarray]) -> bool:
-    """Append the next unfolding-certificate layer; False if domain exhausted."""
-    succ, _, _ = ball.successor_table()
-    d = len(labels) - 1
-    dom = int(ball.offsets[ball.radius - d])
-    if dom <= 1:
-        return False
-    prev = labels[-1]
-    gathered = np.where(succ[:dom] >= 0, prev[succ[:dom].clip(min=0)], -1)
-    gathered.sort(axis=1)
-    lab = -np.ones(ball.n_vertices, dtype=np.int64)
-    lab[:dom] = _row_ids(np.column_stack([prev[:dom], gathered]))
-    labels.append(lab)
-    return True
+# A label row (own id, three successor ids) packs into one int64 key in base
+# 2^15 while the ids lie in [-1, 2^15 - 2]: the key stays below 2^60.
+_KEY_BASE = 1 << 15
+
+
+class _LabelLayers:
+    """The certificate label layers of a growing ball, cached on the ball.
+
+    Layer 0 labels every vertex 0; layer j labels each vertex v of norm
+    <= R - j by its row: v's layer-(j-1) id and its successors' sorted
+    layer-(j-1) ids, padded with -1.  v's successors are all in the ball, so
+    the label does not depend on R.  Ids are numbered by first occurrence
+    along vertex id, which growing the ball keeps, so an extension interns
+    only the new spheres' rows against the layer's known rows.
+
+    lab[j] holds the layer's ids and then a -1 for padded successor slots to
+    read; first[j][c] is the first vertex of id c, counts[j][s] the number of
+    ids on norm <= s, and known[j] the known rows in id order, their sorted
+    packed keys and the keys' ids.
+    """
+
+    def __init__(self):
+        self.lab = [np.array([0, -1])]
+        self.first = [np.zeros(1, dtype=np.int64)]
+        self.counts = [[1]]
+        self.known = [None]
+
+    def extend(self, ball: CayleyBall, depth: int) -> None:
+        """Bring layers 0..depth up to the ball's radius, in order."""
+        R, off = ball.radius, ball.offsets
+        if len(self.counts[0]) <= R:
+            self.lab[0] = np.append(np.zeros(ball.n_vertices, dtype=np.int64), -1)
+            self.counts[0] = [1] * (R + 1)
+        succ = ball.successor_table()[0]
+        for _ in range(len(self.lab), depth + 1):
+            self.lab.append(np.array([-1]))
+            self.first.append(np.zeros(0, dtype=np.int64))
+            self.counts.append([])
+            no_rows = np.zeros((0, 1 + succ.shape[1]), dtype=np.int64)
+            self.known.append((no_rows, None, None))
+        for j in range(1, depth + 1):
+            s0 = len(self.counts[j])
+            if s0 > R - j:
+                continue
+            lo, hi = int(off[s0]), int(off[R - j + 1])
+            prev = self.lab[j - 1]
+            rows = np.column_stack([prev[lo:hi], np.sort(prev[succ[lo:hi]], axis=1)])
+            ids = self._intern(j, rows, lo)
+            self.lab[j] = np.concatenate([self.lab[j][:-1], ids, [-1]])
+            self.counts[j] += np.searchsorted(self.first[j], off[s0 + 1:R - j + 2]).tolist()
+
+    def _intern(self, j: int, rows: np.ndarray, lo: int) -> np.ndarray:
+        """Layer-j ids of the rows of vertices lo, lo + 1, ...
+
+        While the layer-(j-1) ids fit the key base, each row is packed into
+        one key, and when no row is new the ids are looked up in the sorted
+        known keys.  Otherwise the known and new rows are ranked together,
+        by _row_ids past the key base (the keys go stale and are not read
+        again), and the new ids numbered by first occurrence.
+        """
+        known, skeys, sids = self.known[j]
+        n = known.shape[0]
+        weights = _KEY_BASE ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        packed = self.counts[j - 1][-1] < _KEY_BASE
+        if packed and n:
+            key = rows @ weights
+            pos = np.searchsorted(skeys, key).clip(max=n - 1)
+            if (skeys[pos] == key).all():
+                return sids[pos]
+        both = np.concatenate([known, rows])
+        if packed:
+            skeys, first, inv = np.unique(both @ weights, return_index=True,
+                                          return_inverse=True)
+        else:
+            inv = _row_ids(both)
+            _, first = np.unique(inv, return_index=True)
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        self.known[j] = (both[first[order]], skeys, rank)
+        self.first[j] = np.concatenate([self.first[j], first[order[n:]] - n + lo])
+        return rank[inv[n:]]
 
 
 def _ranges(off: np.ndarray, cls: np.ndarray):
@@ -161,23 +229,26 @@ def _cone_levels(ball: CayleyBall, reps: np.ndarray, depth: int) -> list:
 
 
 def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, ycls: np.ndarray,
-                  perm: np.ndarray) -> np.ndarray:
+                  ydepth: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Which ys the twist by `perm` maps their class's cone onto, as a mask.
 
     Member y of class c starts at phi(reps[c]) = y and follows
-    phi(v . g) = phi(v) . perm(g) through the cone of reps[c] (see
-    _cone_levels).  y passes when every cone up-edge maps to an up-edge, phi
-    is well defined and injective (on each level; levels differ in norm),
-    and the images' successor counts match the cone's level by level: then
-    phi is a rooted isomorphism.  All members are mapped together, on flat
-    arrays of (member, node) and (member, edge) pairs.
+    phi(v . g) = phi(v) . perm(g) through the first ydepth[y] levels of the
+    cone of reps[c] (see _cone_levels; ydepth is at most len(levels)).  y
+    passes when every cone up-edge maps to an up-edge, phi is well defined
+    and injective (on each level; levels differ in norm), and the images'
+    successor counts match the cone's level by level: then phi is a rooted
+    isomorphism.  All members are mapped together, on flat arrays of
+    (member, node) and (member, edge) pairs; a member leaves the batch once
+    its depth is reached.
     """
     nbr, norms = ball.neighbor_table(), ball.norms
     _, nsucc, _ = ball.successor_table()
     V = ball.n_vertices
+    mask = np.zeros(ys.size, dtype=bool)
     alive = np.arange(ys.size)
     img = ys
-    for src, gen, first, dst, noff, eoff, noff1 in levels:
+    for level, (src, gen, first, dst, noff, eoff, noff1) in enumerate(levels, 1):
         n = alive.size
         po, _, pshift = _ranges(noff, ycls)
         eo, ee, eshift = _ranges(eoff, ycls)
@@ -191,50 +262,51 @@ def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, ycls: np.ndarr
         key = np.sort(qo * (V + 1) + nxt + 1)
         bad[key[1:][key[1:] == key[:-1]] // (V + 1)] = True
         bad |= np.bincount(po, nsucc[img], minlength=n) != np.diff(eoff)[ycls]
-        keep = ~bad
-        alive, ycls, img = alive[keep], ycls[keep], nxt[keep[qo]]
-    mask = np.zeros(ys.size, dtype=bool)
-    mask[alive] = True
+        done = ydepth == level
+        mask[alive[done & ~bad]] = True
+        keep = ~(bad | done)
+        alive, ycls, ydepth, img = alive[keep], ycls[keep], ydepth[keep], nxt[keep[qo]]
     return mask
 
 
-def _verify_classes(ball: CayleyBall, lab: np.ndarray, depth: int) -> list[int]:
-    """Confirm every class of `lab` by twisted maps of depth-`depth` cones.
+def _verify_classes(ball: CayleyBall, lab: np.ndarray, reps: np.ndarray,
+                    depth: int) -> list[int]:
+    """Confirm every class of `lab` by twisted maps of cones at depth + 1 and depth.
 
-    A class's representative is its least vertex.  The cones of all
-    representatives are walked in one pass, and all other members of all
-    classes are then mapped at once under each admissible generator
-    permutation in turn, each permutation being tried only on the members
-    still unconfirmed.  Returns how many members each permutation confirmed.
-    A member no permutation confirms raises VerificationFailed, naming the
-    first such member in (label, vertex id) order.
+    `lab` numbers the classes on norm <= R - depth by first occurrence and
+    reps[c] is the first vertex of class c; on norm <= R - depth - 1 these
+    are also the depth + 1 classes.  The representatives' cones are walked
+    once, to depth + 1.  Each other member is an entry at depth + 1 if its
+    norm is <= R - depth - 1, and at depth always; all entries are mapped in
+    one batch per admissible generator permutation, each permutation tried
+    only on the entries still unconfirmed.  Returns how many entries each
+    permutation confirmed.  An entry none confirms raises VerificationFailed,
+    naming the first in (depth + 1 before depth, label, vertex id) order.
     """
     perms = [np.array(p) for p in _admissible_perms(ball.params)]
     dom = int(ball.offsets[ball.radius - depth + 1])
     order = np.argsort(lab[:dom], kind="stable")
-    sl = lab[order]
-    head = np.ones(dom, dtype=bool)
-    head[1:] = sl[1:] != sl[:-1]
-    cls = np.cumsum(head) - 1
-    reps, ys, ycls = order[head], order[~head], cls[~head]
-    levels = _cone_levels(ball, reps, depth)
+    is_rep = np.zeros(dom, dtype=bool)
+    is_rep[reps] = True
+    ys = order[~is_rep[order]]
+    inner = ys[ys < ball.offsets[ball.radius - depth]]
+    ys = np.concatenate([inner, ys])
+    ycls = lab[ys]
+    ydepth = np.repeat([depth + 1, depth], [inner.size, ys.size - inner.size])
+    levels = _cone_levels(ball, reps, depth + 1)
     confirmed = [0] * len(perms)
     for i, perm in enumerate(perms):
         if ys.size == 0:
             break
-        ok = _twisted_maps(ball, levels, ys, ycls, perm)
+        ok = _twisted_maps(ball, levels, ys, ycls, ydepth, perm)
         confirmed[i] = int(ok.sum())
-        ys, ycls = ys[~ok], ycls[~ok]
+        ys, ycls, ydepth = ys[~ok], ycls[~ok], ydepth[~ok]
     if ys.size:
         raise VerificationFailed(
             f"no twisted walk confirms vertices {int(reps[ycls[0]])} and {int(ys[0])} "
-            f"at depth {depth}: the certificate class over-merges"
+            f"at depth {int(ydepth[0])}: the certificate class over-merges"
         )
     return confirmed
-
-
-def _class_count(lab: np.ndarray, dom: int) -> int:
-    return int(np.count_nonzero(np.bincount(lab[:dom])))
 
 
 def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAutomaton:
@@ -243,35 +315,27 @@ def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAut
     Finds the least k with identical depth-k and depth-(k+1) partitions on
     the exact domains (class counts conserved across the domain restriction),
     checks successor determinism, and confirms every certificate class by
-    exact isomorphism at depths k+1 and k (see _verify_classes: one pass
-    walks the cones of all class representatives, and all other members are
-    mapped together per permutation).  Stabilization is a heuristic: it is
-    only accepted with R - k >= max(l,m,n) + 1, so that the exact domain
-    contains whole relator cycles, and the verifier then either confirms
-    every class or raises VerificationFailed.
+    exact isomorphism at depths k+1 and k in one pass (see _verify_classes).
+    The label layers are cached on the ball and only their new spheres are
+    labelled when it grows (see _LabelLayers).  Stabilization is a
+    heuristic: it is only accepted with R - k >= max(l,m,n) + 1, so that the
+    exact domain contains whole relator cycles, and the verifier then either
+    confirms every class or raises VerificationFailed.
 
-    On success, diag["label_rounds"] is the number of label layers computed
-    and diag["verifier"] holds the members mapped at both depths and how
-    many of them each admissible permutation confirmed.
+    On success, diag["label_rounds"] is the number of label layers the
+    accepted extraction reads (k + 1) and diag["verifier"] holds the members
+    mapped at both depths and how many of them each admissible permutation
+    confirmed.
     """
     R = ball.radius
     offsets = ball.offsets
-    labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    layers = ball._labels = ball._labels or _LabelLayers()
     maxp = max(ball.params.triple())
-    k_max = R - maxp - 1
     k_star = None
-    for k in range(1, k_max + 1):
-        while len(labels) <= k + 1:
-            if not _refine_labels(ball, labels):
-                break
-        if len(labels) <= k + 1:
-            break
-        dom_k = int(offsets[R - k + 1])
-        dom_k1 = int(offsets[R - k])
-        n_full = _class_count(labels[k], dom_k)
-        n_common = _class_count(labels[k], dom_k1)
-        n_next = _class_count(labels[k + 1], dom_k1)
-        if n_full == n_common == n_next:
+    for k in range(1, R - maxp):
+        layers.extend(ball, k + 1)
+        counts, counts1 = layers.counts[k], layers.counts[k + 1]
+        if counts[R - k] == counts[R - k - 1] == counts1[R - k - 1]:
             k_star = k
             break
     if k_star is None:
@@ -282,48 +346,35 @@ def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAut
 
     dom_k = int(offsets[R - k_star + 1])
     dom_k1 = int(offsets[R - k_star])
-    lab = labels[k_star]
-    classes, first, inv = np.unique(lab[:dom_k], return_index=True, return_inverse=True)
-    K = classes.size
-    # canonical numbering: first occurrence along increasing vertex id
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    # ids are first occurrences along vertex id: the canonical numbering
+    reps = layers.first[k_star]
+    K = reps.size
     type_of = -np.ones(ball.n_vertices, dtype=np.int64)
-    type_of[:dom_k] = rank[inv.reshape(-1)]
-    reps = np.empty(K, dtype=np.int64)
-    reps[rank] = first
-
-    succ, nsucc, npred = ball.successor_table()
-    rows = np.where(succ[:dom_k1] >= 0, type_of[succ[:dom_k1].clip(min=0)], -1)
-    rows.sort(axis=1)
-    tvec = type_of[:dom_k1]
-    table = np.column_stack([tvec, rows])
-    _, firsts = np.unique(_row_ids(table), return_index=True)
-    uniq_rows = table[firsts]
-    n_types = np.unique(tvec).size
-    if uniq_rows.shape[0] != n_types:
-        raise NonDeterministic("equal-type vertices disagree on successor types")
-    if n_types != K:
+    type_of[:dom_k] = layers.lab[k_star][:dom_k]
+    if reps[-1] >= dom_k1:
         raise NotStabilized("a cone type has no interior representative")
-    if _row_ids(np.column_stack([tvec, npred[:dom_k1]])).max() + 1 != K:
+
+    succ, _, npred = ball.successor_table()
+    # a padded slot reads the last vertex, on sphere R: type -1
+    rows = np.sort(type_of[succ[:dom_k1]], axis=1)
+    tvec = type_of[:dom_k1]
+    if (rows != rows[reps][tvec]).any():
+        raise NonDeterministic("equal-type vertices disagree on successor types")
+    if (npred[:dom_k1] != npred[reps][tvec]).any():
         raise NonDeterministic("equal-type vertices disagree on predecessor counts")
 
-    M = np.zeros((K, K), dtype=np.int64)
-    for t, *succ_types in uniq_rows:
-        for st in succ_types:
-            if st >= 0:
-                M[t, st] += 1
+    M = (rows[reps][:, :, None] == np.arange(K)).sum(axis=1, dtype=np.int64)
     d = np.full(K, 3, dtype=np.int64)
     r = d - M.sum(axis=1)
     root_type = int(type_of[0])
     if r[root_type] != 0:
         raise NonDeterministic("base-point type does not have r = 0")
 
-    confirmed = np.sum([_verify_classes(ball, labels[depth], depth)
-                        for depth in (k_star + 1, k_star)], axis=0)
+    confirmed = _verify_classes(ball, type_of, reps, k_star)
     if diag is not None:
-        diag["label_rounds"] = len(labels) - 1
-        diag["verifier"] = {"members": int(confirmed.sum()),
-                            "confirmed_by_perm": confirmed.tolist()}
+        diag["label_rounds"] = k_star + 1
+        diag["verifier"] = {"members": int(sum(confirmed)),
+                            "confirmed_by_perm": confirmed}
 
     return ConeTypeAutomaton(
         params=ball.params,
@@ -402,17 +453,6 @@ def verify_counts(params: GroupParams, a: ConeTypeAutomaton) -> VerificationRepo
     return VerificationReport(
         case=case, expected=expected, actual=a.K_total, matches=expected == a.K_total
     )
-
-
-def sphere_type_census(ball: CayleyBall, a: ConeTypeAutomaton) -> np.ndarray:
-    """counts[k, i] = number of type-i vertices on the k-sphere, k <= R - k*."""
-    kmax = ball.radius - a.k_star
-    counts = np.zeros((kmax + 1, a.K_total), dtype=np.int64)
-    for k in range(kmax + 1):
-        lo, hi = int(ball.offsets[k]), int(ball.offsets[k + 1])
-        seg = a.type_of[lo:hi]
-        counts[k] = np.bincount(seg, minlength=a.K_total)
-    return counts
 
 
 def to_digraph_dot(a) -> str:

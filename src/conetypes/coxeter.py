@@ -107,6 +107,8 @@ class CayleyBall:
     _nsucc: np.ndarray | None = field(default=None, repr=False)
     _npred: np.ndarray | None = field(default=None, repr=False)
     _nbr: np.ndarray | None = field(default=None, repr=False)
+    # extract_automaton's label layers, which grow() keeps: inner labels stay valid
+    _labels: object | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -114,14 +116,6 @@ class CayleyBall:
 
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def representative_word(self, v: int) -> tuple[int, ...]:
-        """A geodesic word for vertex v, read off the BFS parent chain."""
-        out = []
-        while v != 0:
-            out.append(int(self.parent_gen[v]))
-            v = int(self.parent[v])
-        return tuple(reversed(out))
 
     def successor_table(self):
         """CSR-like successor table: succ[v] lists up-neighbors, padded with -1."""

@@ -62,23 +62,3 @@ def empirical_envelope(rs: ReturnSeries) -> float:
     seq = rs.envelope_sequence()
     return max(seq) if seq else 0.0
 
-
-def tree_return_series(n_max: int) -> ReturnSeries:
-    """Exact SRW return probabilities on the 3-regular tree.
-
-    Walks from the root are counted by their distance profile, a lattice
-    path with 3 upward choices at the root and 2 elsewhere; the count DP
-    is exact in integers and p^(k) = walks_k(0) / 3^k.
-    """
-    counts = {0: 1}
-    values: list = [Fraction(1)]
-    for k in range(1, n_max + 1):
-        new: dict[int, int] = {}
-        for h, c in counts.items():
-            up = 3 if h == 0 else 2
-            new[h + 1] = new.get(h + 1, 0) + c * up
-            if h > 0:
-                new[h - 1] = new.get(h - 1, 0) + c
-        counts = new
-        values.append(Fraction(counts.get(0, 0), 3 ** k))
-    return ReturnSeries(n_max=n_max, values=values)

@@ -10,7 +10,6 @@ identification.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -102,18 +101,6 @@ class CosineRing:
             return np.eye(self.dim, dtype=np.int64)
         idx = self.factors.index(k)
         return self._embed(idx, self.companions[idx].T.copy())
-
-    def basis_values(self) -> np.ndarray:
-        """Float values of the basis monomials, for numeric evaluation."""
-        vals = np.array([1.0])
-        for f, k in enumerate(self.factors):
-            root = 2.0 * math.cos(math.pi / k)
-            powers = root ** np.arange(self.degrees[f])
-            vals = np.kron(vals, powers)
-        return vals
-
-    def to_float(self, a) -> float:
-        return float(np.dot(np.asarray(a, dtype=float), self.basis_values()))
 
 
 def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:

@@ -1,18 +1,26 @@
 """Independent references for the tests: the word problem, float
-reflections and truncated-cone isomorphism.
+reflections, truncated-cone isomorphism, from-scratch label layers and the
+per-depth verifier, and helpers only the tests read.
 
-These work from the presentation alone (braid moves and free cancellation),
+Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
 check the exact ring-coordinate Cayley balls and the batched cone-type
-verifier of the library without sharing any of its code.
+verifier of the library without sharing any of its code.  The label layers
+are recomputed from scratch at one radius with lexicographic ids, against
+the library's incremental first-occurrence ids; the per-depth verifier runs
+the library's twisted maps one depth per batch, against its one-pass
+verifier.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from conetypes import GroupParams
+from conetypes import GroupParams, ReturnSeries, VerificationFailed
+from conetypes.automaton import _admissible_perms, _cone_levels, _twisted_maps
 
 
 class WordCapExceeded(Exception):
@@ -208,3 +216,111 @@ def cones_isomorphic(c1: TruncatedCone, c2: TruncatedCone) -> bool:
         return False
 
     return extend(0, {}, set())
+
+
+def refine_labels(ball, labels: list) -> bool:
+    """Append the next label layer, recomputed at this radius; False if none.
+
+    Layer d labels each vertex of norm <= R - d by its layer-(d-1) label and
+    the sorted layer-(d-1) labels of its successors (-1 padded); the ids are
+    the lexicographic ranks of these rows.
+    """
+    succ, _, _ = ball.successor_table()
+    d = len(labels) - 1
+    dom = int(ball.offsets[ball.radius - d])
+    if dom <= 1:
+        return False
+    prev = labels[-1]
+    gathered = np.where(succ[:dom] >= 0, prev[succ[:dom].clip(min=0)], -1)
+    gathered.sort(axis=1)
+    lab = -np.ones(ball.n_vertices, dtype=np.int64)
+    _, ids = np.unique(np.column_stack([prev[:dom], gathered]), axis=0,
+                       return_inverse=True)
+    lab[:dom] = ids.reshape(-1)
+    labels.append(lab)
+    return True
+
+
+def verify_classes_per_depth(ball, lab: np.ndarray, depth: int) -> list[int]:
+    """The verifier one depth at a time: classes of `lab` on norm <= R - depth + 1.
+
+    A class's representative is its least vertex; its other members are
+    mapped at `depth` only.  Returns how many members each admissible
+    permutation confirmed; raises VerificationFailed naming the first member
+    no permutation confirms, in (label, vertex id) order.
+    """
+    perms = [np.array(p) for p in _admissible_perms(ball.params)]
+    dom = int(ball.offsets[ball.radius - depth + 1])
+    order = np.argsort(lab[:dom], kind="stable")
+    sl = lab[order]
+    head = np.ones(dom, dtype=bool)
+    head[1:] = sl[1:] != sl[:-1]
+    cls = np.cumsum(head) - 1
+    reps, ys, ycls = order[head], order[~head], cls[~head]
+    levels = _cone_levels(ball, reps, depth)
+    confirmed = [0] * len(perms)
+    for i, perm in enumerate(perms):
+        if ys.size == 0:
+            break
+        ok = _twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth), perm)
+        confirmed[i] = int(ok.sum())
+        ys, ycls = ys[~ok], ycls[~ok]
+    if ys.size:
+        raise VerificationFailed(
+            f"no twisted walk confirms vertices {int(reps[ycls[0]])} and {int(ys[0])} "
+            f"at depth {depth}: the certificate class over-merges"
+        )
+    return confirmed
+
+
+def sphere_type_census(ball, a) -> np.ndarray:
+    """counts[k, i] = number of type-i vertices on the k-sphere, k <= R - k*."""
+    kmax = ball.radius - a.k_star
+    counts = np.zeros((kmax + 1, a.K_total), dtype=np.int64)
+    for k in range(kmax + 1):
+        lo, hi = int(ball.offsets[k]), int(ball.offsets[k + 1])
+        counts[k] = np.bincount(a.type_of[lo:hi], minlength=a.K_total)
+    return counts
+
+
+def representative_word(ball, v: int) -> tuple[int, ...]:
+    """A geodesic word for vertex v, read off the BFS parent chain."""
+    out = []
+    while v != 0:
+        out.append(int(ball.parent_gen[v]))
+        v = int(ball.parent[v])
+    return tuple(reversed(out))
+
+
+def basis_values(ring) -> np.ndarray:
+    """Float values of a CosineRing's basis monomials."""
+    vals = np.array([1.0])
+    for k, d in zip(ring.factors, ring.degrees):
+        vals = np.kron(vals, (2.0 * math.cos(math.pi / k)) ** np.arange(d))
+    return vals
+
+
+def ring_to_float(ring, a) -> float:
+    """Float value of the ring element with coefficient vector a."""
+    return float(np.dot(np.asarray(a, dtype=float), basis_values(ring)))
+
+
+def tree_return_series(n_max: int) -> ReturnSeries:
+    """Exact SRW return probabilities on the 3-regular tree.
+
+    Walks from the root are counted by their distance profile, a lattice
+    path with 3 upward choices at the root and 2 elsewhere; the count DP
+    is exact in integers and p^(k) = walks_k(0) / 3^k.
+    """
+    counts = {0: 1}
+    values: list = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        new: dict[int, int] = {}
+        for h, c in counts.items():
+            up = 3 if h == 0 else 2
+            new[h + 1] = new.get(h + 1, 0) + c * up
+            if h > 0:
+                new[h - 1] = new.get(h - 1, 0) + c
+        counts = new
+        values.append(Fraction(counts.get(0, 0), 3 ** k))
+    return ReturnSeries(n_max=n_max, values=values)

@@ -26,7 +26,6 @@ from conetypes import (
     minimal_fixed_point,
     perron,
     return_probabilities,
-    sphere_type_census,
     table_params,
     tilde_matrix,
     tree_walk_spec,
@@ -34,7 +33,7 @@ from conetypes import (
     verify_counts,
 )
 from conftest import EXPECTED_COUNTS, LOWER_BOUNDS, TABLE, UPPER_BOUNDS
-from reference import reflection_rep, tits_equal
+from reference import reflection_rep, sphere_type_census, tits_equal
 
 TREE_BOUND = 2.0 * math.sqrt(2.0) / 3.0  # 0.9428090416
 

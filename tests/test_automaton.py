@@ -1,6 +1,7 @@
 """Cone-type automaton extraction, verification, reduction, and export."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,21 +14,28 @@ from conetypes import (
     automaton_to_json,
     build_ball,
     extract_automaton,
+    extract_escalating,
     new_params,
-    sphere_type_census,
     theorem_case,
     to_digraph_dot,
     verify_counts,
 )
+from conetypes import automaton
 from conetypes.automaton import (
     _admissible_perms,
     _cone_levels,
-    _refine_labels,
+    _LabelLayers,
     _row_ids,
     _twisted_maps,
 )
 from conftest import EXPECTED_COUNTS, TABLE
-from reference import cones_isomorphic, truncated_cone
+from reference import (
+    cones_isomorphic,
+    refine_labels,
+    sphere_type_census,
+    truncated_cone,
+    verify_classes_per_depth,
+)
 
 # adjacency matrix of the (4,4,4) automaton in canonical numbering
 M444 = np.array([
@@ -232,7 +240,7 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
     ball = build_ball(new_params(*triple), radius)
     labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
     while len(labels) <= depth:
-        _refine_labels(ball, labels)
+        refine_labels(ball, labels)
     dom = int(ball.offsets[radius - depth + 1])
     lab = labels[depth][:dom]
     tables = (ball.neighbor_table().tolist(), ball.norms.tolist(),
@@ -251,7 +259,8 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
     levels = _cone_levels(ball, reps, depth)
     confirmed = np.zeros(ys.size, dtype=bool)
     for perm in _admissible_perms(ball.params):
-        got = _twisted_maps(ball, levels, ys, ycls, np.array(perm)).tolist()
+        got = _twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth),
+                            np.array(perm)).tolist()
         want = [_reference_walk(*tables, int(reps[c]), int(y), depth, perm)
                 for y, c in zip(ys, ycls)]
         assert got == want
@@ -282,7 +291,8 @@ def test_twisted_maps_need_well_defined_and_injective():
     # On the Cayley balls tried, neither check ever decides alone, so a toy
     # graph does: the cone of x is a square x-a-c-b; y's twin square does not
     # close (c has two images), and z reaches one vertex along two
-    # generators (a and b have one image).  Every other check passes.
+    # generators (a and b have one image).  Every other check passes.  Both
+    # are then mapped at depths 1 and 2 in one call, as the verifier does.
     x, a, b, c, y, a2, b2, c1, c2, z, u = range(11)
     nbr = [[a, b, -1], [x, c, -1], [c, x, -1], [b, a, -1],
            [a2, b2, -1], [y, c1, -1], [c2, y, -1], [-1, a2, -1], [b2, -1, -1],
@@ -292,10 +302,117 @@ def test_twisted_maps_need_well_defined_and_injective():
     tables = (nbr, norms, ball.nsucc.tolist())
     ys, ycls = np.array([y, z]), np.zeros(2, dtype=np.int64)
     perm = (0, 1, 2)
+    separate = []
     for depth, want in [(1, [True, False]), (2, [False, False])]:
         levels = _cone_levels(ball, np.array([x]), depth)
-        got = _twisted_maps(ball, levels, ys, ycls, np.array(perm)).tolist()
+        got = _twisted_maps(ball, levels, ys, ycls, np.full(2, depth),
+                            np.array(perm)).tolist()
         assert got == want == [_reference_walk(*tables, x, v, depth, perm) for v in ys]
+        separate += got
+    together = _twisted_maps(ball, levels, np.tile(ys, 2), np.zeros(4, dtype=np.int64),
+                             np.array([1, 1, 2, 2]), np.array(perm)).tolist()
+    assert together == separate
+
+
+def _assert_layers_match_reference(ball, layers):
+    """Every stored layer against the from-scratch lexicographic one."""
+    R = ball.radius
+    labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    while refine_labels(ball, labels):
+        pass
+    assert len(layers.lab) >= len(labels)
+    for j in range(1, len(labels)):
+        dom = int(ball.offsets[R - j + 1])
+        _, first, inv = np.unique(labels[j][:dom], return_index=True, return_inverse=True)
+        # the same partition, numbered by first occurrence along vertex id
+        rank = np.argsort(np.argsort(first))
+        assert np.array_equal(layers.lab[j], np.append(rank[inv], -1)), (R, j)
+        assert np.array_equal(layers.first[j], np.sort(first)), (R, j)
+        want = [np.unique(labels[j][:ball.offsets[s + 1]]).size for s in range(R - j + 1)]
+        assert layers.counts[j] == want, (R, j)
+
+
+@pytest.mark.parametrize("triple,radius", [
+    ((2, 3, 7), 22), ((3, 5, 7), 15), ((4, 4, 5), 13), ((2, 5, 6), 16), ((4, 5, 5), 13),
+])
+def test_label_layers_grow_with_the_ball(triple, radius):
+    # one sphere at a time, every layer; then a fresh ball labelled in one go
+    params = new_params(*triple)
+    ball, layers = build_ball(params, 2), _LabelLayers()
+    while ball.radius < radius:
+        ball.grow()
+        layers.extend(ball, ball.radius - 1)
+        _assert_layers_match_reference(ball, layers)
+    fresh, layers = build_ball(params, radius), _LabelLayers()
+    layers.extend(fresh, radius - 1)
+    _assert_layers_match_reference(fresh, layers)
+
+
+def test_label_layers_past_the_key_base(monkeypatch):
+    # with a key base of 4, the layers whose previous layer has 4 or more
+    # ids rank their rows with _row_ids instead of packing them; the layers
+    # skip every other radius, so each extension labels two spheres
+    monkeypatch.setattr(automaton, "_KEY_BASE", 4)
+    ranked = []
+    monkeypatch.setattr(automaton, "_row_ids",
+                        lambda rows: ranked.append(rows.shape) or _row_ids(rows))
+    ball, layers = build_ball(new_params(4, 4, 5), 5), _LabelLayers()
+    layers.extend(ball, 2)
+    while ball.radius < 13:
+        ball.grow()
+        if ball.radius % 2:
+            layers.extend(ball, ball.radius - 1)
+            _assert_layers_match_reference(ball, layers)
+    assert ranked
+    assert extract_automaton(ball).K_total == theorem_case(4, 4, 5)[1]
+
+
+def _stable_depth(ball, labels):
+    """The least depth k* the stabilization test accepts, on reference labels."""
+    R = ball.radius
+
+    def count(j, s):
+        return np.unique(labels[j][:ball.offsets[s + 1]]).size
+
+    return next(k for k in range(1, len(labels) - 1)
+                if count(k, R - k) == count(k, R - k - 1) == count(k + 1, R - k - 1))
+
+
+SWEEP_POOL = [
+    (l, m, n) for l in range(2, 7) for m in range(l, 7) for n in range(m, 7)
+    if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
+] + [(2, 3, 7), (2, 3, 8)]
+
+
+@pytest.mark.parametrize("triple", SWEEP_POOL)
+def test_one_pass_verifier_matches_per_depth(triple):
+    params = new_params(*triple)
+    diag: dict = {}
+    a = extract_escalating(params, diag=diag)
+    ball = build_ball(params, a.radius)
+    labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    while len(labels) <= a.k_star + 1:
+        refine_labels(ball, labels)
+    assert _stable_depth(ball, labels) == a.k_star
+    want = np.sum([verify_classes_per_depth(ball, labels[d], d)
+                   for d in (a.k_star + 1, a.k_star)], axis=0)
+    assert diag["verifier"]["confirmed_by_perm"] == want.tolist()
+    assert diag["verifier"]["members"] == want.sum()
+
+
+@pytest.mark.parametrize("triple,radius", [((4, 5, 5), 11), ((6, 6, 5), 13), ((5, 5, 4), 11)])
+def test_one_pass_verifier_refutes_as_per_depth(triple, radius):
+    ball = build_ball(new_params(*triple), radius)
+    with pytest.raises(VerificationFailed) as got:
+        extract_automaton(ball)
+    labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
+    while refine_labels(ball, labels):
+        pass
+    k = _stable_depth(ball, labels)
+    with pytest.raises(VerificationFailed) as want:
+        for d in (k + 1, k):
+            verify_classes_per_depth(ball, labels[d], d)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,9 +12,8 @@ from conetypes import (
     empirical_envelope,
     new_params,
     return_probabilities,
-    tree_return_series,
 )
-from reference import tits_equal
+from reference import tits_equal, tree_return_series
 
 TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 

@@ -13,11 +13,10 @@ from conetypes import (
     minimal_fixed_point,
     new_params,
     perron,
-    tree_return_series,
     tree_walk_spec,
 )
 from conetypes.errors import NonHyperbolic
-from reference import free_reduce, tits_equal
+from reference import free_reduce, tits_equal, tree_return_series
 
 words = st.lists(st.integers(0, 2), max_size=8)
 small_params = st.sampled_from([(4, 4, 4), (2, 3, 7), (3, 3, 4)])

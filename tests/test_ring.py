@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from conetypes import CosineRing, minpoly_2cos, new_params, reflection_tensors
-from reference import reflection_rep
+from reference import basis_values, reflection_rep, ring_to_float
 
 mpmath.mp.dps = 50
 
@@ -70,7 +70,7 @@ def test_ring_dimension_and_unit(orders):
     degrees = [len(minpoly_2cos(k)) - 1 for k in sorted({o for o in orders if o >= 4})]
     assert ring.dim == int(np.prod(degrees)) if degrees else ring.dim == 1
     one = ring.one()
-    assert ring.to_float(one) == pytest.approx(1.0, abs=1e-12)
+    assert ring_to_float(ring, one) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7)])
@@ -79,7 +79,7 @@ def test_generator_matrices_match_numeric_value(orders):
     one = ring.one()
     for k in set(orders):
         g = one @ ring.mul_by_2cos(k)
-        assert ring.to_float(g) == pytest.approx(2 * np.cos(np.pi / k), abs=1e-12)
+        assert ring_to_float(ring, g) == pytest.approx(2 * np.cos(np.pi / k), abs=1e-12)
 
 
 @pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7), (2, 6, 6)])
@@ -91,8 +91,8 @@ def test_ring_multiplication_matches_floats(orders):
         a = rng.integers(-5, 6, size=ring.dim)
         for k in set(orders):
             prod = a @ ring.mul_by_2cos(k)
-            assert ring.to_float(prod) == pytest.approx(
-                ring.to_float(a) * 2 * np.cos(np.pi / k), abs=1e-9, rel=1e-9)
+            assert ring_to_float(ring, prod) == pytest.approx(
+                ring_to_float(ring, a) * 2 * np.cos(np.pi / k), abs=1e-9, rel=1e-9)
 
 
 @pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7)])
@@ -119,7 +119,7 @@ def test_reflection_tensors_match_float_representation(triple):
     ring = CosineRing(orders.values())
     W = reflection_tensors(orders, ring)
     rep = reflection_rep(params)
-    values = ring.basis_values()
+    values = basis_values(ring)
 
     # exact product sigma_s as coefficient tensors, compared entrywise
     ident = np.zeros((3, 3, ring.dim), dtype=np.int64)
