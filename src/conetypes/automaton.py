@@ -83,26 +83,6 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Dense ids of the rows of an integer matrix, in lexicographic row order.
-
-    The columns are packed into one mixed-radix int64 key and the key is
-    uniqued once.  When the next column would push the key past 2^62, the
-    key is first compressed to its dense ids, which keeps the order.
-    """
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    bound = 1
-    for col in rows.T:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if bound * span > 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max()) + 1
-        key = key * span + (col - lo)
-        bound *= span
-    return np.unique(key, return_inverse=True)[1]
-
-
 # A label row (own id, three successor ids) packs into one int64 key in base
 # 2^15 while the ids lie in [-1, 2^15 - 2]: the key stays below 2^60.
 _KEY_BASE = 1 << 15
@@ -120,8 +100,9 @@ class _LabelLayers:
 
     lab[j] holds the layer's ids and then a -1 for padded successor slots to
     read; first[j][c] is the first vertex of id c, counts[j][s] the number of
-    ids on norm <= s, and known[j] the known rows in id order, their sorted
-    packed keys and the keys' ids.
+    ids on norm <= s, and known[j] the sorted packed keys of the known rows
+    and the keys' ids.  Every vertex of one cone type has one label on each
+    layer, so a layer has at most K ids, far below the key base.
     """
 
     def __init__(self):
@@ -141,8 +122,7 @@ class _LabelLayers:
             self.lab.append(np.array([-1]))
             self.first.append(np.zeros(0, dtype=np.int64))
             self.counts.append([])
-            no_rows = np.zeros((0, 1 + succ.shape[1]), dtype=np.int64)
-            self.known.append((no_rows, None, None))
+            self.known.append((np.zeros(0, dtype=np.int64),) * 2)
         for j in range(1, depth + 1):
             s0 = len(self.counts[j])
             if s0 > R - j:
@@ -157,31 +137,27 @@ class _LabelLayers:
     def _intern(self, j: int, rows: np.ndarray, lo: int) -> np.ndarray:
         """Layer-j ids of the rows of vertices lo, lo + 1, ...
 
-        While the layer-(j-1) ids fit the key base, each row is packed into
-        one key, and when no row is new the ids are looked up in the sorted
-        known keys.  Otherwise the known and new rows are ranked together,
-        by _row_ids past the key base (the keys go stale and are not read
-        again), and the new ids numbered by first occurrence.
+        Each row is packed into one key.  When no row is new the ids are
+        looked up in the sorted known keys; otherwise the known keys, in id
+        order, and the new keys are uniqued together and the new ids numbered
+        by first occurrence.
         """
-        known, skeys, sids = self.known[j]
-        n = known.shape[0]
-        weights = _KEY_BASE ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-        packed = self.counts[j - 1][-1] < _KEY_BASE
-        if packed and n:
-            key = rows @ weights
+        if self.counts[j - 1][-1] >= _KEY_BASE:
+            raise OverflowError(f"label layer {j - 1} has too many ids to pack")
+        skeys, sids = self.known[j]
+        n = skeys.size
+        key = rows @ _KEY_BASE ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        if n:
             pos = np.searchsorted(skeys, key).clip(max=n - 1)
             if (skeys[pos] == key).all():
                 return sids[pos]
-        both = np.concatenate([known, rows])
-        if packed:
-            skeys, first, inv = np.unique(both @ weights, return_index=True,
-                                          return_inverse=True)
-        else:
-            inv = _row_ids(both)
-            _, first = np.unique(inv, return_index=True)
+        by_id = np.empty_like(skeys)
+        by_id[sids] = skeys
+        skeys, first, inv = np.unique(np.concatenate([by_id, key]), return_index=True,
+                                      return_inverse=True)
         order = np.argsort(first)
         rank = np.argsort(order)
-        self.known[j] = (both[first[order]], skeys, rank)
+        self.known[j] = (skeys, rank)
         self.first[j] = np.concatenate([self.first[j], first[order[n:]] - n + lo])
         return rank[inv[n:]]
 
@@ -351,8 +327,8 @@ def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAut
     K = reps.size
     type_of = -np.ones(ball.n_vertices, dtype=np.int64)
     type_of[:dom_k] = layers.lab[k_star][:dom_k]
-    if reps[-1] >= dom_k1:
-        raise NotStabilized("a cone type has no interior representative")
+    # equal counts on norm <= R - k and R - k - 1: every type has a
+    # representative below dom_k1, whose successors all carry a type
 
     succ, _, npred = ball.successor_table()
     # a padded slot reads the last vertex, on sphere R: type -1

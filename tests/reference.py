@@ -218,12 +218,32 @@ def cones_isomorphic(c1: TruncatedCone, c2: TruncatedCone) -> bool:
     return extend(0, {}, set())
 
 
+def row_ids(rows: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of an integer matrix, in lexicographic row order.
+
+    The columns are packed into one mixed-radix int64 key and the key is
+    uniqued once.  When the next column would push the key past 2^62, the
+    key is first compressed to its dense ids, which keeps the order.
+    """
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    bound = 1
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * span + (col - lo)
+        bound *= span
+    return np.unique(key, return_inverse=True)[1]
+
+
 def refine_labels(ball, labels: list) -> bool:
     """Append the next label layer, recomputed at this radius; False if none.
 
     Layer d labels each vertex of norm <= R - d by its layer-(d-1) label and
     the sorted layer-(d-1) labels of its successors (-1 padded); the ids are
-    the lexicographic ranks of these rows.
+    the lexicographic ranks of these rows (row_ids).
     """
     succ, _, _ = ball.successor_table()
     d = len(labels) - 1
@@ -234,9 +254,7 @@ def refine_labels(ball, labels: list) -> bool:
     gathered = np.where(succ[:dom] >= 0, prev[succ[:dom].clip(min=0)], -1)
     gathered.sort(axis=1)
     lab = -np.ones(ball.n_vertices, dtype=np.int64)
-    _, ids = np.unique(np.column_stack([prev[:dom], gathered]), axis=0,
-                       return_inverse=True)
-    lab[:dom] = ids.reshape(-1)
+    lab[:dom] = row_ids(np.column_stack([prev[:dom], gathered]))
     labels.append(lab)
     return True
 

@@ -25,13 +25,13 @@ from conetypes.automaton import (
     _admissible_perms,
     _cone_levels,
     _LabelLayers,
-    _row_ids,
     _twisted_maps,
 )
 from conftest import EXPECTED_COUNTS, TABLE
 from reference import (
     cones_isomorphic,
     refine_labels,
+    row_ids,
     sphere_type_census,
     truncated_cone,
     verify_classes_per_depth,
@@ -348,23 +348,21 @@ def test_label_layers_grow_with_the_ball(triple, radius):
     _assert_layers_match_reference(fresh, layers)
 
 
-def test_label_layers_past_the_key_base(monkeypatch):
-    # with a key base of 4, the layers whose previous layer has 4 or more
-    # ids rank their rows with _row_ids instead of packing them; the layers
-    # skip every other radius, so each extension labels two spheres
+def test_label_layers_refuse_keys_past_the_base(monkeypatch):
+    # (4,4,5) has 3 ids on layer 1 and 4 on layer 2; in base 4 a key holds
+    # ids up to 2, so layer 2 still packs and layer 3 must raise rather than
+    # intern colliding keys
+    ball = build_ball(new_params(4, 4, 5), 8)
+    want = _LabelLayers()
+    want.extend(ball, 2)
     monkeypatch.setattr(automaton, "_KEY_BASE", 4)
-    ranked = []
-    monkeypatch.setattr(automaton, "_row_ids",
-                        lambda rows: ranked.append(rows.shape) or _row_ids(rows))
-    ball, layers = build_ball(new_params(4, 4, 5), 5), _LabelLayers()
+    layers = _LabelLayers()
     layers.extend(ball, 2)
-    while ball.radius < 13:
-        ball.grow()
-        if ball.radius % 2:
-            layers.extend(ball, ball.radius - 1)
-            _assert_layers_match_reference(ball, layers)
-    assert ranked
-    assert extract_automaton(ball).K_total == theorem_case(4, 4, 5)[1]
+    assert [c[-1] for c in layers.counts] == [1, 3, 4]
+    for j in (1, 2):
+        assert np.array_equal(layers.lab[j], want.lab[j])
+    with pytest.raises(OverflowError, match="label layer 2 has too many ids"):
+        layers.extend(ball, 3)
 
 
 def _stable_depth(ball, labels):
@@ -425,7 +423,7 @@ def test_row_ids_match_unique_rows(seed):
         rows = rng.integers(-high, high, size=(n, width))
         rows[n // 2:] = rows[: n - n // 2]  # repeated rows
         _, want = np.unique(rows, axis=0, return_inverse=True)
-        assert np.array_equal(_row_ids(rows), want.reshape(-1))
+        assert np.array_equal(row_ids(rows), want.reshape(-1))
 
 
 def test_dot_output(data444):
