@@ -8,10 +8,12 @@ from .automaton import (
     VerificationReport,
     automaton_from_json,
     automaton_to_json,
+    check_on_ball,
     extract_automaton,
     reduce_automaton,
     theorem_case,
     to_digraph_dot,
+    types_on_ball,
     verify_counts,
 )
 from .coxeter import CayleyBall, GroupParams, build_ball, new_params
@@ -23,11 +25,9 @@ from .errors import (
     InvalidRoot,
     MemoryCap,
     MultipleTerminalSCCs,
-    NonDeterministic,
     NonHyperbolic,
     NotConverged,
     NotPrimitive,
-    NotStabilized,
     SchemaError,
     VerificationFailed,
     ZeroPredecessor,
@@ -42,7 +42,6 @@ from .pipeline import (
     BoundReport,
     RunConfig,
     curvature,
-    extract_escalating,
     report_to_csv_row,
     report_to_json,
     run_from_automaton,

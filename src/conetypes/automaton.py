@@ -1,18 +1,14 @@
-"""Cone-type partition extraction and the associated automaton.
+"""Cone-type automata from the root system, their reduction and export.
 
-The cone C(x) is the set of vertices v with x on a geodesic from the base
-point to v; on a bipartite norm-layered Cayley graph this is the closure of
-{x} under "has a predecessor in the cone".  Vertices are partitioned by
-rooted isomorphism of depth-k truncated cones: interned certificate labels
-propose the partition, and every class is then verified exactly by
-generator-twisted deterministic maps.  The label layers are kept on the
-ball and grow with it, one sphere per layer and radius, since a label of
-an inner vertex does not depend on the radius.  Verification runs on all
-classes and both depths at once: one pass walks the cones of all class
-representatives, and every other member of every class is mapped through
-its own class's cone in one batch per permutation, so the Python loops run
-over permutations and depth levels only.  A member no twist confirms fails
-the verification: the partition is refuted, never patched by a search.
+The cone type of w is the set of v with l(wv) = l(w) + l(v).  Brink and
+Howlett's elementary roots E decide it exactly, with no ball (Brink &
+Howlett, Math. Ann. 1993; Parkinson & Yau, "Cone types, automata, and
+regular partitions in Coxeter groups"): with N(w) the positive roots w
+makes negative, D(w) = N(w) & E is empty at the identity, ws is longer than
+w exactly when alpha_s is not in D(w), and D(ws) = {alpha_s} | (s D(w) & E).
+Moore-minimized, these states are the labelled cone types.  A type of the
+package is an orbit of them under the admissible generator permutations,
+numbered by its shortlex-least element, as along the vertex ids of a ball.
 """
 
 from __future__ import annotations
@@ -25,18 +21,24 @@ import numpy as np
 
 from .coxeter import CayleyBall, GroupParams
 from .errors import (
+    IdentificationAmbiguity,
     MultipleTerminalSCCs,
-    NonDeterministic,
     NotPrimitive,
-    NotStabilized,
     SchemaError,
     VerificationFailed,
 )
+from .ring import CosineRing, reflection_tensors
 
 
 @dataclass
 class ConeTypeAutomaton:
-    """Cone-type partition of a ball with its successor-count matrix."""
+    """Cone types and their successor-count matrix M.
+
+    transitions[q, s] is the minimized state of ws for w in state q, or -1
+    where ws is shorter; state 0 is the identity's, and state_type[q] is
+    the cone type of state q.  Both are None for an automaton read from a
+    cta-1 document.
+    """
 
     params: GroupParams | None
     K_total: int
@@ -44,9 +46,8 @@ class ConeTypeAutomaton:
     d: np.ndarray
     r: np.ndarray
     root_type: int
-    type_of: np.ndarray | None
-    k_star: int
-    radius: int
+    transitions: np.ndarray | None = None
+    state_type: np.ndarray | None = None
 
 
 @dataclass
@@ -83,286 +84,173 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-# A label row (own id, three successor ids) packs into one int64 key in base
-# 2^15 while the ids lie in [-1, 2^15 - 2]: the key stays below 2^60.
-_KEY_BASE = 1 << 15
+def _sign(ring: CosineRing, x: np.ndarray) -> int:
+    """Sign of the field element with coefficient vector x; zero is exact.
 
-
-class _LabelLayers:
-    """The certificate label layers of a growing ball, cached on the ball.
-
-    Layer 0 labels every vertex 0; layer j labels each vertex v of norm
-    <= R - j by its row: v's layer-(j-1) id and its successors' sorted
-    layer-(j-1) ids, padded with -1.  v's successors are all in the ball, so
-    the label does not depend on R.  Ids are numbered by first occurrence
-    along vertex id, which growing the ball keeps, so an extension interns
-    only the new spheres' rows against the layer's known rows.
-
-    lab[j] holds the layer's ids and then a -1 for padded successor slots to
-    read; first[j][c] is the first vertex of id c, counts[j][s] the number of
-    ids on norm <= s, and known[j] the sorted packed keys of the known rows
-    and the keys' ids.  Every vertex of one cone type has one label on each
-    layer, so a layer has at most K ids, far below the key base.
+    A basis value 2cos(j pi/f), j < f/2, errs by less than (1.5 f + 2) eps
+    relatively, so the float sum of x times the basis values errs by less
+    than (dim + 2 sum(factors) + 8) eps times the sum of the absolute
+    terms.  A value within twice that margin raises IdentificationAmbiguity.
     """
-
-    def __init__(self):
-        self.lab = [np.array([0, -1])]
-        self.first = [np.zeros(1, dtype=np.int64)]
-        self.counts = [[1]]
-        self.known = [None]
-
-    def extend(self, ball: CayleyBall, depth: int) -> None:
-        """Bring layers 0..depth up to the ball's radius, in order."""
-        R, off = ball.radius, ball.offsets
-        if len(self.counts[0]) <= R:
-            self.lab[0] = np.append(np.zeros(ball.n_vertices, dtype=np.int64), -1)
-            self.counts[0] = [1] * (R + 1)
-        succ = ball.successor_table()[0]
-        for _ in range(len(self.lab), depth + 1):
-            self.lab.append(np.array([-1]))
-            self.first.append(np.zeros(0, dtype=np.int64))
-            self.counts.append([])
-            self.known.append((np.zeros(0, dtype=np.int64),) * 2)
-        for j in range(1, depth + 1):
-            s0 = len(self.counts[j])
-            if s0 > R - j:
-                continue
-            lo, hi = int(off[s0]), int(off[R - j + 1])
-            prev = self.lab[j - 1]
-            rows = np.column_stack([prev[lo:hi], np.sort(prev[succ[lo:hi]], axis=1)])
-            ids = self._intern(j, rows, lo)
-            self.lab[j] = np.concatenate([self.lab[j][:-1], ids, [-1]])
-            self.counts[j] += np.searchsorted(self.first[j], off[s0 + 1:R - j + 2]).tolist()
-
-    def _intern(self, j: int, rows: np.ndarray, lo: int) -> np.ndarray:
-        """Layer-j ids of the rows of vertices lo, lo + 1, ...
-
-        Each row is packed into one key.  When no row is new the ids are
-        looked up in the sorted known keys; otherwise the known keys, in id
-        order, and the new keys are uniqued together and the new ids numbered
-        by first occurrence.
-        """
-        if self.counts[j - 1][-1] >= _KEY_BASE:
-            raise OverflowError(f"label layer {j - 1} has too many ids to pack")
-        skeys, sids = self.known[j]
-        n = skeys.size
-        key = rows @ _KEY_BASE ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-        if n:
-            pos = np.searchsorted(skeys, key).clip(max=n - 1)
-            if (skeys[pos] == key).all():
-                return sids[pos]
-        by_id = np.empty_like(skeys)
-        by_id[sids] = skeys
-        skeys, first, inv = np.unique(np.concatenate([by_id, key]), return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rank = np.argsort(order)
-        self.known[j] = (skeys, rank)
-        self.first[j] = np.concatenate([self.first[j], first[order[n:]] - n + lo])
-        return rank[inv[n:]]
+    if not x.any():
+        return 0
+    terms = x * ring.basis_values
+    value, size = float(terms.sum()), float(np.abs(terms).sum())
+    margin = 2 * (ring.dim + 2 * sum(ring.factors) + 8) * np.finfo(float).eps * size
+    if abs(value) <= margin:
+        raise IdentificationAmbiguity(f"root form {value!r} is within its error {margin:.1e}")
+    return 1 if value > 0 else -1
 
 
-def _ranges(off: np.ndarray, cls: np.ndarray):
-    """The ranges off[c] .. off[c+1] of the classes cls, concatenated.
+def _elementary_roots(params: GroupParams) -> tuple[int, np.ndarray]:
+    """|E| and act[s, i], the index of s beta_i in E or -1 if it is not in E.
 
-    Returns (owner, idx, shift): flat entry j is index idx[j] of the range
-    of cls[owner[j]], and index i of cls[o]'s range sits at flat i + shift[o].
+    A root is its [3, dim] coefficient array over the simple roots, which
+    are roots 0, 1, 2.  E is their closure under beta -> s beta =
+    beta - 2B(alpha_s, beta) alpha_s whenever -1 < B(alpha_s, beta) < 0, with
+    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st).
     """
-    counts = off[cls + 1] - off[cls]
-    owner = np.repeat(np.arange(cls.size), counts)
-    shift = np.cumsum(counts) - counts - off[cls]
-    return owner, np.arange(owner.size) - shift[owner], shift
+    orders = params.orders()
+    ring = CosineRing(orders.values())
+    W = reflection_tensors(orders, ring)
+    roots = list(np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one()))
+    index = {beta.tobytes(): i for i, beta in enumerate(roots)}
+    images = []
+    for beta in roots:  # grows while it is read
+        for s in range(3):
+            # W[s, t] multiplies by 2cos(pi/m_st) and W[s, s] by -2
+            b = -np.einsum("td,tde->e", beta, W[s])  # 2B(alpha_s, beta)
+            image = beta.copy()
+            image[s] -= b
+            images.append(image.tobytes())
+            if images[-1] not in index and _sign(ring, b) < 0 < _sign(ring, b + 2 * ring.one()):
+                index[images[-1]] = len(roots)
+                roots.append(image)
+    return len(roots), np.array([index.get(k, -1) for k in images]).reshape(-1, 3).T
 
 
-def _cone_levels(ball: CayleyBall, reps: np.ndarray, depth: int) -> list:
-    """Up-edges of the depth-`depth` cones of all reps, level by level.
+def _root_states(act: np.ndarray) -> np.ndarray:
+    """Transitions of the states D(w) reachable from D(e) = {}, in BFS order.
 
-    The nodes of a level are (class, vertex) pairs, class c being the cone
-    of reps[c], sorted by class and then vertex.  Each level is
-    (src, gen, first, dst, noff, eoff, noff1): edge j leaves node src[j]
-    along generator gen[j] and reaches node dst[j] of the next level, whose
-    node i is first reached by edge first[i]; class c owns the nodes
-    noff[c] .. noff[c+1] of the level, the edges eoff[c] .. eoff[c+1] and
-    the nodes noff1[c] .. noff1[c+1] of the next level.
+    A state is a bitset over E in a Python int, of any width; bit s is
+    alpha_s.  Row q holds the state of ws, or -1 when alpha_s is in D(w).
     """
-    nbr, norms = ball.neighbor_table(), ball.norms
-    V, C = ball.n_vertices, reps.size
-    cls, ver = np.arange(C), reps
-    noff = np.arange(C + 1)
-    out = []
-    for _ in range(depth):
-        nb = nbr[ver]
-        src, gen = np.nonzero((nb >= 0) & (norms[nb] > norms[ver][:, None]))
-        csrc = cls[src]
-        eoff = np.searchsorted(csrc, np.arange(C + 1))
-        keys, first, dst = np.unique(csrc * V + nb[src, gen],
-                                     return_index=True, return_inverse=True)
-        cls, ver = np.divmod(keys, V)
-        noff1 = np.searchsorted(cls, np.arange(C + 1))
-        out.append((src, gen, first, dst, noff, eoff, noff1))
-        noff = noff1
-    return out
+    states, index, table = [0], {0: 0}, []
+    for D in states:  # grows while it is read
+        members = [j for j in range(D.bit_length()) if D >> j & 1]
+        row = [-1, -1, -1]
+        for s in range(3):
+            if not D >> s & 1:
+                nxt = sum(1 << int(act[s, j]) for j in members if act[s, j] >= 0) | 1 << s
+                row[s] = index.setdefault(nxt, len(states))
+                if row[s] == len(states):
+                    states.append(nxt)
+        table.append(row)
+    return np.array(table, dtype=np.int64)
 
 
-def _twisted_maps(ball: CayleyBall, levels: list, ys: np.ndarray, ycls: np.ndarray,
-                  ydepth: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Which ys the twist by `perm` maps their class's cone onto, as a mask.
+def _minimize(table: np.ndarray) -> np.ndarray:
+    """Moore-minimized table of a BFS-ordered table, in BFS order again.
 
-    Member y of class c starts at phi(reps[c]) = y and follows
-    phi(v . g) = phi(v) . perm(g) through the first ydepth[y] levels of the
-    cone of reps[c] (see _cone_levels; ydepth is at most len(levels)).  y
-    passes when every cone up-edge maps to an up-edge, phi is well defined
-    and injective (on each level; levels differ in norm), and the images'
-    successor counts match the cone's level by level: then phi is a rooted
-    isomorphism.  All members are mapped together, on flat arrays of
-    (member, node) and (member, edge) pairs; a member leaves the batch once
-    its depth is reached.
+    States are merged when they accept the same words.  A class is numbered
+    by its first state: the BFS follows the generators in order, so that is
+    the order of the classes' shortlex-least words.
     """
-    nbr, norms = ball.neighbor_table(), ball.norms
-    _, nsucc, _ = ball.successor_table()
-    V = ball.n_vertices
-    mask = np.zeros(ys.size, dtype=bool)
-    alive = np.arange(ys.size)
-    img = ys
-    for level, (src, gen, first, dst, noff, eoff, noff1) in enumerate(levels, 1):
-        n = alive.size
-        po, _, pshift = _ranges(noff, ycls)
-        eo, ee, eshift = _ranges(eoff, ycls)
-        qo, qn, qshift = _ranges(noff1, ycls)
-        fsrc = img[src[ee] + pshift[eo]]
-        w = nbr[fsrc, perm[gen[ee]]]
-        nxt = w[first[qn] + eshift[qo]]
-        bad = np.zeros(n, dtype=bool)
-        bad[eo[(w < 0) | (norms[w] <= norms[fsrc])
-               | (w != nxt[dst[ee] + qshift[eo]])]] = True
-        key = np.sort(qo * (V + 1) + nxt + 1)
-        bad[key[1:][key[1:] == key[:-1]] // (V + 1)] = True
-        bad |= np.bincount(po, nsucc[img], minlength=n) != np.diff(eoff)[ycls]
-        done = ydepth == level
-        mask[alive[done & ~bad]] = True
-        keep = ~(bad | done)
-        alive, ycls, ydepth, img = alive[keep], ycls[keep], ydepth[keep], nxt[keep[qo]]
-    return mask
-
-
-def _verify_classes(ball: CayleyBall, lab: np.ndarray, reps: np.ndarray,
-                    depth: int) -> list[int]:
-    """Confirm every class of `lab` by twisted maps of cones at depth + 1 and depth.
-
-    `lab` numbers the classes on norm <= R - depth by first occurrence and
-    reps[c] is the first vertex of class c; on norm <= R - depth - 1 these
-    are also the depth + 1 classes.  The representatives' cones are walked
-    once, to depth + 1.  Each other member is an entry at depth + 1 if its
-    norm is <= R - depth - 1, and at depth always; all entries are mapped in
-    one batch per admissible generator permutation, each permutation tried
-    only on the entries still unconfirmed.  Returns how many entries each
-    permutation confirmed.  An entry none confirms raises VerificationFailed,
-    naming the first in (depth + 1 before depth, label, vertex id) order.
-    """
-    perms = [np.array(p) for p in _admissible_perms(ball.params)]
-    dom = int(ball.offsets[ball.radius - depth + 1])
-    order = np.argsort(lab[:dom], kind="stable")
-    is_rep = np.zeros(dom, dtype=bool)
-    is_rep[reps] = True
-    ys = order[~is_rep[order]]
-    inner = ys[ys < ball.offsets[ball.radius - depth]]
-    ys = np.concatenate([inner, ys])
-    ycls = lab[ys]
-    ydepth = np.repeat([depth + 1, depth], [inner.size, ys.size - inner.size])
-    levels = _cone_levels(ball, reps, depth + 1)
-    confirmed = [0] * len(perms)
-    for i, perm in enumerate(perms):
-        if ys.size == 0:
+    cls = np.zeros(len(table), dtype=np.int64)
+    while True:
+        sig = np.column_stack([cls, np.where(table >= 0, cls[table], -1)])
+        new = np.unique(sig, axis=0, return_inverse=True)[1].reshape(-1)
+        if new.max() == cls.max():
             break
-        ok = _twisted_maps(ball, levels, ys, ycls, ydepth, perm)
-        confirmed[i] = int(ok.sum())
-        ys, ycls, ydepth = ys[~ok], ycls[~ok], ydepth[~ok]
-    if ys.size:
-        raise VerificationFailed(
-            f"no twisted walk confirms vertices {int(reps[ycls[0]])} and {int(ys[0])} "
-            f"at depth {int(ydepth[0])}: the certificate class over-merges"
-        )
-    return confirmed
+        cls = new
+    first = np.unique(cls, return_index=True)[1]
+    rank = np.append(np.argsort(np.argsort(first))[cls], -1)
+    return rank[table[np.sort(first)]]
 
 
-def extract_automaton(ball: CayleyBall, diag: dict | None = None) -> ConeTypeAutomaton:
-    """Stabilized cone-type partition of a ball, verified exactly.
+def _state_types(table: np.ndarray, perms) -> np.ndarray:
+    """The cone type of each state: its orbit under the permutations.
 
-    Finds the least k with identical depth-k and depth-(k+1) partitions on
-    the exact domains (class counts conserved across the domain restriction),
-    checks successor determinism, and confirms every certificate class by
-    exact isomorphism at depths k+1 and k in one pass (see _verify_classes).
-    The label layers are cached on the ball and only their new spheres are
-    labelled when it grows (see _LabelLayers).  Stabilization is a
-    heuristic: it is only accepted with R - k >= max(l,m,n) + 1, so that the
-    exact domain contains whole relator cycles, and the verifier then either
-    confirms every class or raises VerificationFailed.
-
-    On success, diag["label_rounds"] is the number of label layers the
-    accepted extraction reads (k + 1) and diag["verifier"] holds the members
-    mapped at both depths and how many of them each admissible permutation
-    confirmed.
+    p maps the cone type of w to that of p(w), so it maps state q to pi(q),
+    with pi(0) = 0 and pi(table[q, s]) = table[pi(q), p(s)].  The
+    permutations form a group, so the least image of q is the least state
+    of its orbit, and the types are numbered in that order.
     """
-    R = ball.radius
-    offsets = ball.offsets
-    layers = ball._labels = ball._labels or _LabelLayers()
-    maxp = max(ball.params.triple())
-    k_star = None
-    for k in range(1, R - maxp):
-        layers.extend(ball, k + 1)
-        counts, counts1 = layers.counts[k], layers.counts[k + 1]
-        if counts[R - k] == counts[R - k - 1] == counts1[R - k - 1]:
-            k_star = k
-            break
-    if k_star is None:
-        raise NotStabilized(
-            f"no depth k with R - k >= max(l,m,n) + 1 = {maxp + 1} "
-            f"stabilizes within radius {R}"
-        )
+    least = np.arange(len(table))
+    for p in perms:
+        pi = np.zeros(len(table), dtype=np.int64)
+        for q, s in zip(*np.nonzero(table >= 0)):  # q is reached from a smaller state
+            pi[table[q, s]] = table[pi[q], p[s]]
+        least = np.minimum(least, pi)
+    return np.unique(least, return_inverse=True)[1].reshape(-1)
 
-    dom_k = int(offsets[R - k_star + 1])
-    dom_k1 = int(offsets[R - k_star])
-    # ids are first occurrences along vertex id: the canonical numbering
-    reps = layers.first[k_star]
-    K = reps.size
-    type_of = -np.ones(ball.n_vertices, dtype=np.int64)
-    type_of[:dom_k] = layers.lab[k_star][:dom_k]
-    # equal counts on norm <= R - k and R - k - 1: every type has a
-    # representative below dom_k1, whose successors all carry a type
 
-    succ, _, npred = ball.successor_table()
-    # a padded slot reads the last vertex, on sphere R: type -1
-    rows = np.sort(type_of[succ[:dom_k1]], axis=1)
-    tvec = type_of[:dom_k1]
-    if (rows != rows[reps][tvec]).any():
-        raise NonDeterministic("equal-type vertices disagree on successor types")
-    if (npred[:dom_k1] != npred[reps][tvec]).any():
-        raise NonDeterministic("equal-type vertices disagree on predecessor counts")
+def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeTypeAutomaton:
+    """The cone-type automaton of Delta(l,m,n), from its elementary roots.
 
-    M = (rows[reps][:, :, None] == np.arange(K)).sum(axis=1, dtype=np.int64)
-    d = np.full(K, 3, dtype=np.int64)
-    r = d - M.sum(axis=1)
-    root_type = int(type_of[0])
-    if r[root_type] != 0:
-        raise NonDeterministic("base-point type does not have r = 0")
-
-    confirmed = _verify_classes(ball, type_of, reps, k_star)
+    M counts the successor types of one state of each type, and r = 3 - row
+    sum the predecessors.  diag["roots"] receives |E| and diag["states"]
+    the number of states before and after minimization.
+    """
+    n_roots, act = _elementary_roots(params)
+    states = _root_states(act)
+    table = _minimize(states)
+    state_type = _state_types(table, _admissible_perms(params))
+    K = int(state_type.max()) + 1
+    succ = table[np.unique(state_type, return_index=True)[1]]
+    M = np.zeros((K, K), dtype=np.int64)
+    rows, gens = np.nonzero(succ >= 0)
+    np.add.at(M, (rows, state_type[succ[rows, gens]]), 1)
     if diag is not None:
-        diag["label_rounds"] = k_star + 1
-        diag["verifier"] = {"members": int(sum(confirmed)),
-                            "confirmed_by_perm": confirmed}
+        diag["roots"] = n_roots
+        diag["states"] = {"before": len(states), "after": len(table)}
+    d = np.full(K, 3, dtype=np.int64)
+    return ConeTypeAutomaton(params=params, K_total=K, M=M, d=d, r=d - M.sum(axis=1),
+                             root_type=int(state_type[0]), transitions=table,
+                             state_type=state_type)
 
-    return ConeTypeAutomaton(
-        params=ball.params,
-        K_total=int(K),
-        M=M,
-        d=d,
-        r=r,
-        root_type=root_type,
-        type_of=type_of,
-        k_star=int(k_star),
-        radius=R,
-    )
+
+def types_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> np.ndarray:
+    """The cone type of every ball vertex, read along its shortlex normal form.
+
+    parent[v] is the prefix of v's normal form and parent_gen[v] its last
+    letter.  A normal form the automaton refuses raises VerificationFailed.
+    """
+    state = np.zeros(ball.n_vertices, dtype=np.int64)
+    for k in range(1, ball.radius + 1):
+        vs = np.arange(ball.offsets[k], ball.offsets[k + 1])
+        state[vs] = a.transitions[state[ball.parent[vs]], ball.parent_gen[vs]]
+        if (state[vs] < 0).any():
+            raise VerificationFailed(f"the automaton refuses a geodesic of length {k}")
+    return a.state_type[state]
+
+
+def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
+    """Raise VerificationFailed unless the automaton agrees with the ball.
+
+    The sphere sizes that M and the root type give through
+    r_j s_(k+1)(j) = sum_i s_k(i) M_ij must be the ball's, and every vertex
+    inside the last sphere must have the successor types of its row of M.
+    """
+    s = np.zeros(a.K_total, dtype=np.int64)
+    s[a.root_type] = 1
+    for k, size in enumerate(ball.sphere_sizes()):
+        if s.sum() != size:
+            raise VerificationFailed(f"M gives {s.sum()} vertices on sphere {k}, not {size}")
+        into = s @ a.M
+        s, rem = np.divmod(into, np.maximum(a.r, 1))
+        if rem.any() or into[a.r <= 0].any():
+            raise VerificationFailed(f"M gives no whole type counts on sphere {k + 1}")
+    types = types_on_ball(a, ball)
+    inner = int(ball.offsets[ball.radius])
+    nbr = ball.neighbor_table()[:inner]
+    rows, gens = np.nonzero((nbr >= 0) & (ball.norms[nbr] > ball.norms[:inner, None]))
+    got = np.zeros((inner, a.K_total), dtype=np.int64)
+    np.add.at(got, (rows, types[nbr[rows, gens]]), 1)
+    bad = np.flatnonzero((got != a.M[types[:inner]]).any(axis=1))
+    if bad.size:
+        raise VerificationFailed(f"vertex {bad[0]} has successor types {got[bad[0]].tolist()}, "
+                                 f"not the row of its type {types[bad[0]]}")
 
 
 def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
@@ -509,10 +397,7 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
 
         params = new_params(*doc["params"])
     idx = np.array(types, dtype=np.int64)
-    a = ConeTypeAutomaton(
-        params=params, K_total=K, M=M, d=d, r=r, root_type=root_type,
-        type_of=None, k_star=0, radius=0,
-    )
+    a = ConeTypeAutomaton(params=params, K_total=K, M=M, d=d, r=r, root_type=root_type)
     reduced = ReducedAutomaton(
         types=types, M=MT, d=d[idx].copy(), r=r[idx].copy(), p=p
     )

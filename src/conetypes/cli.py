@@ -8,6 +8,7 @@ import click
 
 from .automaton import (
     automaton_to_json,
+    extract_automaton,
     reduce_automaton,
     to_digraph_dot,
     verify_counts,
@@ -24,7 +25,6 @@ from .pipeline import (
     table_to_csv,
     table_to_markdown,
     CSV_HEADER,
-    extract_escalating,
 )
 from .coxeter import build_ball, new_params
 
@@ -41,7 +41,8 @@ format_option = click.option(
 
 @click.group()
 @click.option("--radius", type=int, default=None,
-              help="Ball radius; extraction uses it alone, with no escalation.")
+              help="Radius of the ball a command builds: 6 for `ball`, 10 for "
+                   "the check and envelope ball of `bounds` and `table`.")
 @click.pass_context
 def main(ctx, radius):
     """Cone-type automata and spectral-radius bounds for triangle groups."""
@@ -77,12 +78,11 @@ def ball(ctx, l, m, n, fmt):
 @click.argument("m", type=int)
 @click.argument("n", type=int)
 @format_option
-@click.pass_context
-def cone_types(ctx, l, m, n, fmt):
-    """Extract and verify the cone-type automaton."""
-    config = _config(ctx)
+def cone_types(l, m, n, fmt):
+    """Compute the cone-type automaton from the root system."""
     params = new_params(l, m, n)
-    a = extract_escalating(params, config.radius)
+    diag: dict = {}
+    a = extract_automaton(params, diag)
     ra = reduce_automaton(a)
     vr = verify_counts(params, a)
     if fmt == "json":
@@ -91,8 +91,9 @@ def cone_types(ctx, l, m, n, fmt):
         click.echo(to_digraph_dot(a))
     else:
         click.echo(f"group {params.name()} case {vr.case}")
-        click.echo(f"K_total {a.K_total} expected {vr.expected} "
-                   f"match {vr.matches} k* {a.k_star}")
+        states = diag["states"]
+        click.echo(f"K_total {a.K_total} expected {vr.expected} match {vr.matches} "
+                   f"roots {diag['roots']} states {states['before']} -> {states['after']}")
         click.echo(f"reduced size {len(ra.types)} types {list(ra.types)} "
                    f"primitive power {ra.p}")
         click.echo("M =")
@@ -110,8 +111,11 @@ def cone_types(ctx, l, m, n, fmt):
 @click.pass_context
 def bounds(ctx, l, m, n, fmt):
     """Lower and upper spectral-radius bounds for one group."""
-    config = _config(ctx)
-    report = run_group(new_params(l, m, n), config)
+    _emit_report(run_group(new_params(l, m, n), _config(ctx)), fmt)
+
+
+def _emit_report(report, fmt):
+    """Print one report; exit 1 when it fails."""
     if fmt == "json":
         click.echo(report_to_json(report))
     elif fmt == "csv":
@@ -175,16 +179,7 @@ def curvature_cmd(l, m, n):
 @format_option
 def from_automaton(file, fmt):
     """Bounds from an externally supplied cta-1 automaton document."""
-    report = run_from_automaton(file)
-    if fmt == "json":
-        click.echo(report_to_json(report))
-    elif fmt == "csv":
-        click.echo(CSV_HEADER)
-        click.echo(report_to_csv_row(report))
-    else:
-        _echo_report(report)
-    if not report.ok:
-        sys.exit(1)
+    _emit_report(run_from_automaton(file), fmt)
 
 
 def run():  # console-script shim keeping ConeTypesError exits tidy

@@ -103,12 +103,7 @@ class CayleyBall:
     _W: np.ndarray | None = field(default=None, repr=False)
     _y: np.ndarray | None = field(default=None, repr=False)
     _down: np.ndarray | None = field(default=None, repr=False)
-    _succ: np.ndarray | None = field(default=None, repr=False)
-    _nsucc: np.ndarray | None = field(default=None, repr=False)
-    _npred: np.ndarray | None = field(default=None, repr=False)
     _nbr: np.ndarray | None = field(default=None, repr=False)
-    # extract_automaton's label layers, which grow() keeps: inner labels stay valid
-    _labels: object | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -116,24 +111,6 @@ class CayleyBall:
 
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def successor_table(self):
-        """CSR-like successor table: succ[v] lists up-neighbors, padded with -1."""
-        if self._succ is None:
-            V = self.n_vertices
-            u = self.edges[:, 0].astype(np.int64)
-            v = self.edges[:, 1].astype(np.int64)
-            nsucc = np.bincount(u, minlength=V)
-            npred = np.bincount(v, minlength=V)
-            width = int(nsucc.max()) if V > 1 else 0
-            succ = -np.ones((V, width), dtype=np.int64)
-            # edges are sorted by u, so each vertex's up-edges are contiguous
-            starts = np.zeros(V, dtype=np.int64)
-            starts[1:] = np.cumsum(nsucc)[:-1]
-            slot = np.arange(u.size) - starts[u]
-            succ[u, slot] = v
-            self._succ, self._nsucc, self._npred = succ, nsucc, npred
-        return self._succ, self._nsucc, self._npred
 
     def neighbor_table(self) -> np.ndarray:
         """nbr[v, g] is the g-neighbor of v, or -1 outside the ball."""
@@ -224,7 +201,7 @@ class CayleyBall:
         self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
         self._y = new_y
         self._down = new_down
-        self._succ = self._nsucc = self._npred = self._nbr = None
+        self._nbr = None
 
 
 def build_ball(params: GroupParams, radius: int,

@@ -14,23 +14,15 @@ class NonHyperbolic(ConeTypesError):
 
 
 class IdentificationAmbiguity(ConeTypesError):
-    """Vertex keys can no longer be trusted (fingerprint clash or coefficient guard exhausted)."""
+    """Exact arithmetic cannot decide: fingerprint clash, coefficient guard, ring or sign."""
 
 
 class MemoryCap(ConeTypesError):
     """Ball construction would exceed the configured vertex budget."""
 
 
-class NotStabilized(ConeTypesError):
-    """No depth k with R - k >= max(l,m,n) + 1 yields two consecutive identical partitions."""
-
-
-class NonDeterministic(ConeTypesError):
-    """Two vertices of equal type disagree on successor-type multisets."""
-
-
 class VerificationFailed(ConeTypesError):
-    """No admissible twisted walk confirms two vertices of one certificate class."""
+    """The automaton disagrees with a Cayley ball on sphere sizes or successor types."""
 
 
 class MultipleTerminalSCCs(ConeTypesError):

@@ -1,11 +1,7 @@
-"""Per-group orchestration: ball, automaton, verification, bounds, envelope.
-
-Two balls are built per group: the extraction ball at the least radius where
-a sound, verified automaton is found, and the oracle ball of radius
-ORACLE_STEPS / 2.  Each stage fails soft: an error is recorded in the
-report diagnostics and the dependent stages are skipped, so one bad group
-cannot abort a table run.  Stage timings and residuals are kept for budget
-checks.
+"""Per-group orchestration: automaton, bounds, and one ball for the check and
+the envelope.  Each stage fails soft: an error is recorded in the report
+diagnostics and the dependent stages are skipped, so one bad group cannot
+abort a table run.  Stage timings and residuals are kept for budget checks.
 """
 
 from __future__ import annotations
@@ -19,15 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .automaton import (
-    ConeTypeAutomaton,
     automaton_from_json,
+    check_on_ball,
     extract_automaton,
     reduce_automaton,
     theorem_case,
     verify_counts,
 )
 from .coxeter import GroupParams, build_ball, new_params
-from .errors import ConeTypesError, NotStabilized, SchemaError, VerificationFailed
+from .errors import ConeTypesError, SchemaError
 from .lower import LowerBoundResult, lower_bound
 from .oracle import empirical_envelope, return_probabilities
 from .upper import UpperBoundResult, upper_bound
@@ -41,15 +37,13 @@ TABLE_PARAMS = [
     (3, 4, 4), (3, 4, 5), (3, 5, 7), (4, 4, 4), (7, 7, 7),
 ]
 
-# sets the largest extraction radius tried (see extract_escalating)
-MAX_ESCALATIONS = 5
-# walk length of the return-probability envelope; its ball has radius 10
+# default walk length of the envelope; its ball has radius ORACLE_STEPS // 2
 ORACLE_STEPS = 20
 
 
 @dataclass
 class RunConfig:
-    # pins extraction to this ball radius, with no escalation
+    # radius of the ball a command builds; None gives the command's default
     radius: int | None = None
 
 
@@ -88,82 +82,41 @@ def table_params() -> list[GroupParams]:
     return sorted(groups, key=lambda p: (-curvature(p), p.triple()))
 
 
-def extract_escalating(params: GroupParams, radius: int | None = None,
-                       diag: dict | None = None) -> ConeTypeAutomaton:
-    """Verified automaton from the least ball radius where extraction succeeds.
-
-    Radii run from max(l,m,n) + 2 up to 2 max(l,m,n) + 6 + 2 MAX_ESCALATIONS
-    (= 2 max + 16), a ceiling that bounds the work on a group that never
-    stabilizes.  One ball is built at the first radius and grown by one
-    sphere per further radius.  NotStabilized and VerificationFailed both
-    mean "radius too small"; the last such error is raised when every radius
-    fails.  A given `radius` is tried alone.  Ball and extraction times
-    accumulate into diag["timings"], diag["escalations"] counts the radii
-    tried - 1, and diag["sphere_sizes"] lists the vertices per sphere of the
-    last ball tried.
-    """
-    diag = {} if diag is None else diag
-    timings = diag.setdefault("timings", {})
-    maxp = max(params.triple())
-    if radius is None:
-        first, last = maxp + 2, 2 * maxp + 6 + 2 * MAX_ESCALATIONS
-    else:
-        first = last = radius
-    for R in range(first, last + 1):
-        diag["escalations"] = R - first
-        t0 = time.perf_counter()
-        if R == first:
-            ball = build_ball(params, R)
-        else:
-            ball.grow()
-        t1 = time.perf_counter()
-        timings["ball"] = timings.get("ball", 0.0) + (t1 - t0)
-        diag["sphere_sizes"] = ball.sphere_sizes().tolist()
-        try:
-            return extract_automaton(ball, diag)
-        except (NotStabilized, VerificationFailed) as exc:
-            error = exc
-        finally:
-            timings["extract"] = timings.get("extract", 0.0) + (time.perf_counter() - t1)
-    raise error
-
-
 def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundReport:
-    """Full pipeline for one group; stages fail soft into diagnostics."""
+    """Full pipeline for one group; stages fail soft into diagnostics.
+
+    The ball has radius config.radius, ORACLE_STEPS // 2 by default; the
+    automaton is checked against it (check_on_ball) and the envelope is
+    taken over walks of up to twice its radius, all of them exact.
+    """
     config = config or RunConfig()
     diag: dict = {"timings": {}, "residuals": {}, "errors": {}}
     report = BoundReport(params=params, diagnostics=diag)
     report.case = theorem_case(*params.triple())[0]
     report.curvature = curvature(params)
 
-    try:
-        a = extract_escalating(params, config.radius, diag)
-    except (NotStabilized, VerificationFailed) as exc:
-        diag["errors"]["extract"] = str(exc)
+    a = _stage(diag, "extract", extract_automaton, params, diag)
+    if a is None:
         return report
-    except ConeTypesError as exc:
-        diag["errors"]["ball"] = str(exc)
-        return report
-
-    diag["radius"] = a.radius
-    diag["k_star"] = a.k_star
     report.K_total = a.K_total
     vr = verify_counts(params, a)
     report.theorem_match = vr.matches
     diag["theorem_expected"] = vr.expected
 
-    try:
-        ra = reduce_automaton(a)
-        report.T_size = len(ra.types)
-        diag["primitivity_power"] = ra.p
-    except ConeTypesError as exc:
-        diag["errors"]["reduce"] = str(exc)
+    ra = _stage(diag, "reduce", reduce_automaton, a)
+    if ra is None:
         return report
-
+    report.T_size = len(ra.types)
+    diag["primitivity_power"] = ra.p
     ub = _stage(diag, "upper", upper_bound, ra)
     lb = _stage(diag, "lower", lower_bound, ra)
     _record_bounds(report, ub, lb)
-    report.envelope = _stage(diag, "oracle", _envelope, params, diag)
+    radius = ORACLE_STEPS // 2 if config.radius is None else config.radius
+    ball = _stage(diag, "ball", build_ball, params, radius)
+    if ball is not None:
+        diag["oracle_radius"] = ball.radius
+        _stage(diag, "guard", check_on_ball, a, ball)
+        report.envelope = _stage(diag, "oracle", _envelope, ball)
     return report
 
 
@@ -179,12 +132,9 @@ def _stage(diag: dict, name: str, fn, *args, **kwargs):
         diag["timings"][name] = time.perf_counter() - t0
 
 
-def _envelope(params: GroupParams, diag: dict) -> float:
+def _envelope(ball) -> float:
     # a walk returning at step k stays within distance k/2
-    ball = build_ball(params, ORACLE_STEPS // 2)
-    diag["oracle_radius"] = ball.radius
-    rs = return_probabilities(ball, ORACLE_STEPS)
-    return empirical_envelope(rs)
+    return empirical_envelope(return_probabilities(ball, 2 * ball.radius))
 
 
 def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,

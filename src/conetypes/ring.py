@@ -1,18 +1,23 @@
-"""Exact integer arithmetic in Z[2cos(pi/k1)] x ... x Z[2cos(pi/kr)].
+"""Exact integer arithmetic in the field Q(2cos(pi/k1), ..., 2cos(pi/kr)).
 
 Entries of the geometric reflection matrices of a triangle group live in the
 ring generated over Z by the numbers 2cos(pi/k) for the finite rotation
 orders k of the presentation.  Elements are stored as int64 coefficient
-vectors over the tensor-product power basis, so equality of group elements
-is exact equality of vectors and no floating tolerance enters vertex
-identification.
+vectors over a tensor product of Chebyshev bases whose dimension equals the
+degree of the field, so a coefficient vector is zero exactly when its number
+is: equality of group elements and of roots is exact equality of vectors,
+and no floating tolerance enters vertex identification.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
+
+from .errors import IdentificationAmbiguity
 
 
 @lru_cache(maxsize=None)
@@ -54,35 +59,74 @@ def minpoly_2cos(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CosineRing:
-    """Power-basis arithmetic for the tensor ring of several 2cos(pi/k).
+def _field_degree(orders) -> int:
+    """Degree over Q of the field generated by the 2cos(pi/k), k in orders.
 
-    Orders 2 and 3 have rational cosines (0 and 1) and contribute no basis
-    factor; every order >= 4 contributes one factor of degree deg(minpoly).
+    The field lies in Q(zeta_2L), L = lcm, where the unit a mod 2L sends
+    2cos(pi/k) to 2cos(a pi/k).  So the field is fixed by the units with
+    a = +-1 mod 2k for every k, and its degree is phi(2L) over their number.
+    """
+    n = 2 * math.lcm(*orders, 1)
+    a = np.arange(n)
+    units = np.gcd(a, n) == 1
+    fixing = units.copy()
+    for k in orders:
+        fixing &= (a % (2 * k) == 1) | (a % (2 * k) == 2 * k - 1)
+    return int(units.sum()) // int(fixing.sum())
+
+
+def _field_factors(orders) -> list[int]:
+    """Orders whose bases tensor to the field of all the 2cos(pi/k).
+
+    Q(2cos(pi/a)) and Q(2cos(pi/b)) meet in Q(2cos(pi/g)), g = gcd(a, b),
+    and for g >= 2 their compositum is Q(2cos(pi/lcm)): a unit that is 1
+    mod 2a and -1 mod 2b would be 1 = -1 mod 2g.  So two orders with
+    g >= 4, whose tensor product counts Q(2cos(pi/g)) twice, merge into
+    their lcm; an order dividing another merges into it.  Orders 2 and 3
+    have rational cosines and no factor.
+    """
+    ks = {k for k in orders if k >= 4}
+    while pair := next((p for p in combinations(sorted(ks), 2) if math.gcd(*p) >= 4), None):
+        ks = ks - set(pair) | {math.lcm(*pair)}
+    return sorted(ks)
+
+
+class CosineRing:
+    """Arithmetic in the field of several 2cos(pi/k), on Chebyshev bases.
+
+    Factor f, with y = 2cos(pi/f) of degree d, has the basis 1, D_1, ...,
+    D_(d-1), D_j = 2cos(j pi/f) = D_j(y) (D_0 = 2, D_(j+1) = y D_j - D_(j-1)):
+    the lattice of the powers of y, but y D_j = D_(j+1) + D_(j-1) keeps the
+    matrices small where the minimal polynomial of y does not (coefficients
+    up to 4e12 for f = 240).  D_d follows from x^-d Phi_2f(x) = 0 at
+    x = exp(i pi/f), and 2cos(pi/k) = D_(f/k) for k dividing f.
     """
 
     def __init__(self, orders):
-        self.factors = sorted({k for k in orders if k >= 4})
+        orders = list(orders)
+        self.factors = _field_factors(orders)
         self.degrees = []
-        self.companions = []
-        for k in self.factors:
-            mp = minpoly_2cos(k)
-            d = len(mp) - 1
-            comp = np.zeros((d, d), dtype=np.int64)
-            for j in range(d - 1):
-                comp[j + 1, j] = 1
-            comp[:, d - 1] -= np.array(mp[:d], dtype=np.int64)
+        self.y_mul = []
+        values = np.ones(1)
+        for f in self.factors:
+            c = _cyclotomic(2 * f)
+            d = (len(c) - 1) // 2
+            # D_0 .. D_d in the basis; column j of y_mul is y times element j
+            D = np.vstack([2 * np.eye(1, d, dtype=np.int64), np.eye(d, dtype=np.int64)[1:],
+                           -np.array([c[d:2 * d]], dtype=np.int64)])
+            y_mul = D[1:].T.copy()
+            y_mul[:, 1:] += D[:d - 1].T
             self.degrees.append(d)
-            self.companions.append(comp)
+            self.y_mul.append(y_mul)
+            values = np.kron(values, np.append(1.0, 2 * np.cos(np.pi * np.arange(1, d) / f)))
         self.dim = int(np.prod(self.degrees)) if self.degrees else 1
-
-    def _embed(self, idx: int, mat: np.ndarray) -> np.ndarray:
-        """Kronecker-embed a factor-local matrix into the full basis."""
-        out = np.eye(1, dtype=np.int64)
-        for i, d in enumerate(self.degrees):
-            block = mat if i == idx else np.eye(d, dtype=np.int64)
-            out = np.kron(out, block)
-        return out
+        self.basis_values = values
+        degree = _field_degree(orders)
+        if self.dim != degree:
+            raise IdentificationAmbiguity(
+                f"ring of dimension {self.dim} for a field of degree {degree}: "
+                "coefficient vectors would not identify numbers"
+            )
 
     def one(self) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -92,15 +136,22 @@ class CosineRing:
     def mul_by_2cos(self, k: int) -> np.ndarray:
         """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows.
 
-        The companion matrix acts on coefficient columns; row vectors in the
-        ascending power basis need its transpose.
+        A factor's matrix acts on coefficient columns; row vectors need its
+        transpose, Kronecker-embedded in the full basis.
         """
         if k == 2:
             return np.zeros((self.dim, self.dim), dtype=np.int64)
         if k == 3:
             return np.eye(self.dim, dtype=np.int64)
-        idx = self.factors.index(k)
-        return self._embed(idx, self.companions[idx].T.copy())
+        idx = next(i for i, f in enumerate(self.factors) if f % k == 0)
+        x = self.y_mul[idx].T
+        prev, cur = 2 * np.eye(len(x), dtype=np.int64), x
+        for _ in range(1, self.factors[idx] // k):
+            prev, cur = cur, x @ cur - prev
+        out = np.eye(1, dtype=np.int64)
+        for i, d in enumerate(self.degrees):
+            out = np.kron(out, cur if i == idx else np.eye(d, dtype=np.int64))
+        return out
 
 
 def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:

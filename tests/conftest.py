@@ -9,10 +9,10 @@ from conetypes import (
     ReducedAutomaton,
     build_ball,
     extract_automaton,
-    extract_escalating,
     new_params,
     reduce_automaton,
 )
+from reference import extract_escalating
 
 TABLE = [
     (2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 5), (2, 6, 6),
@@ -58,23 +58,26 @@ EXPECTED_COUNTS = {
 
 @pytest.fixture(scope="session")
 def graph_data():
-    """Automaton, reduction and extraction ball of each group, with build timings.
+    """Automaton and reduction of each group, with the ball reference.
 
-    The automaton comes from extract_escalating, as in the pipeline; the ball
-    is rebuilt at its radius, which gives the same vertex ids.
+    The automaton comes from the root system, as in the pipeline, timed in
+    build_seconds.  "reference" is the ball extraction (reference.py) and
+    "ball" its extraction ball, rebuilt at its radius, which gives the same
+    vertex ids.
     """
     out = {}
     for triple in TABLE:
         params = new_params(*triple)
         t0 = time.perf_counter()
-        automaton = extract_escalating(params)
-        ball = build_ball(params, automaton.radius)
+        automaton = extract_automaton(params)
         build_seconds = time.perf_counter() - t0
+        ref = extract_escalating(params)
         out[triple] = {
             "params": params,
-            "ball": ball,
+            "ball": build_ball(params, ref.radius),
             "automaton": automaton,
             "reduced": reduce_automaton(automaton),
+            "reference": ref,
             "build_seconds": build_seconds,
         }
     return out
@@ -82,7 +85,8 @@ def graph_data():
 
 @pytest.fixture(scope="session")
 def census_data(graph_data):
-    """(ball, automaton) of radius max(R, 20) for each group, R its extraction radius.
+    """(ball, automaton) for each group, the ball of radius max(R, 20), R the
+    reference extraction radius.
 
     The sphere census and the sphere growth are checked on these larger
     balls.  (7,7,7) keeps its extraction ball: at radius 20 it has 2.65 M
@@ -90,11 +94,10 @@ def census_data(graph_data):
     """
     out = {}
     for triple, data in graph_data.items():
-        ball, automaton = data["ball"], data["automaton"]
+        ball = data["ball"]
         if triple != (7, 7, 7) and ball.radius < CENSUS_RADIUS:
             ball = build_ball(data["params"], CENSUS_RADIUS)
-            automaton = extract_automaton(ball)
-        out[triple] = (ball, automaton)
+        out[triple] = (ball, data["automaton"])
     return out
 
 

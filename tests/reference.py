@@ -1,30 +1,44 @@
 """Independent references for the tests: the word problem, float
-reflections, truncated-cone isomorphism, from-scratch label layers and the
-per-depth verifier, and helpers only the tests read.
+reflections, truncated-cone isomorphism, the ball extraction of cone types,
+and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
-check the exact ring-coordinate Cayley balls and the batched cone-type
-verifier of the library without sharing any of its code.  The label layers
-are recomputed from scratch at one radius with lexicographic ids, against
-the library's incremental first-occurrence ids; the per-depth verifier runs
-the library's twisted maps one depth per batch, against its one-pass
-verifier.
+check the exact ring-coordinate Cayley balls without sharing any of their
+code.  The ball extraction finds the cone types of a Cayley ball by label
+layers that stabilize and an exact verifier of twisted cone isomorphisms,
+escalating the radius until both succeed; it shares no code with the
+library's root-system automaton, which the tests compare against it.  Its
+own label layers are checked against from-scratch ones at one radius with
+lexicographic ids, and its one-pass verifier against one depth at a time.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from conetypes import GroupParams, ReturnSeries, VerificationFailed
-from conetypes.automaton import _admissible_perms, _cone_levels, _twisted_maps
+from conetypes import (
+    GroupParams,
+    ReturnSeries,
+    VerificationFailed,
+    build_ball,
+    types_on_ball,
+)
+from conetypes.automaton import _admissible_perms
 
 
 class WordCapExceeded(Exception):
     """Word-problem oracle called beyond its configured length cap."""
+
+
+class NotStabilized(Exception):
+    """No depth k with R - k >= max(l,m,n) + 1 yields two consecutive identical partitions."""
+
+
+class NonDeterministic(Exception):
+    """Two vertices of equal type disagree on successor-type multisets."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +137,28 @@ class TruncatedCone:
     levels: dict[int, int]
 
 
+def successor_table(ball):
+    """(succ, nsucc, npred): succ[v] lists v's up-neighbors padded with -1,
+    nsucc and npred count the up- and down-neighbors of each vertex."""
+    V = ball.n_vertices
+    u = ball.edges[:, 0].astype(np.int64)
+    v = ball.edges[:, 1].astype(np.int64)
+    nsucc = np.bincount(u, minlength=V)
+    npred = np.bincount(v, minlength=V)
+    width = int(nsucc.max()) if V > 1 else 0
+    succ = -np.ones((V, width), dtype=np.int64)
+    # edges are sorted by u, so each vertex's up-edges are contiguous
+    starts = np.zeros(V, dtype=np.int64)
+    starts[1:] = np.cumsum(nsucc)[:-1]
+    succ[u, np.arange(u.size) - starts[u]] = v
+    return succ, nsucc, npred
+
+
 def truncated_cone(ball, x: int, k: int) -> TruncatedCone:
     """Exact depth-k truncation of the cone rooted at x in a CayleyBall."""
     if int(ball.norms[x]) + k > ball.radius:
         raise ValueError(f"|x|+k = {int(ball.norms[x]) + k} > radius {ball.radius}")
-    succ, _, _ = ball.successor_table()
+    succ = successor_table(ball)[0]
     levels = {x: 0}
     frontier = [x]
     for depth in range(1, k + 1):
@@ -245,7 +276,7 @@ def refine_labels(ball, labels: list) -> bool:
     the sorted layer-(d-1) labels of its successors (-1 padded); the ids are
     the lexicographic ranks of these rows (row_ids).
     """
-    succ, _, _ = ball.successor_table()
+    succ = successor_table(ball)[0]
     d = len(labels) - 1
     dom = int(ball.offsets[ball.radius - d])
     if dom <= 1:
@@ -275,12 +306,12 @@ def verify_classes_per_depth(ball, lab: np.ndarray, depth: int) -> list[int]:
     head[1:] = sl[1:] != sl[:-1]
     cls = np.cumsum(head) - 1
     reps, ys, ycls = order[head], order[~head], cls[~head]
-    levels = _cone_levels(ball, reps, depth)
+    levels = cone_levels(ball, reps, depth)
     confirmed = [0] * len(perms)
     for i, perm in enumerate(perms):
         if ys.size == 0:
             break
-        ok = _twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth), perm)
+        ok = twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth), perm)
         confirmed[i] = int(ok.sum())
         ys, ycls = ys[~ok], ycls[~ok]
     if ys.size:
@@ -292,12 +323,12 @@ def verify_classes_per_depth(ball, lab: np.ndarray, depth: int) -> list[int]:
 
 
 def sphere_type_census(ball, a) -> np.ndarray:
-    """counts[k, i] = number of type-i vertices on the k-sphere, k <= R - k*."""
-    kmax = ball.radius - a.k_star
-    counts = np.zeros((kmax + 1, a.K_total), dtype=np.int64)
-    for k in range(kmax + 1):
+    """counts[k, i] = number of type-i vertices on the k-sphere, read by the automaton."""
+    types = types_on_ball(a, ball)
+    counts = np.zeros((ball.radius + 1, a.K_total), dtype=np.int64)
+    for k in range(ball.radius + 1):
         lo, hi = int(ball.offsets[k]), int(ball.offsets[k + 1])
-        counts[k] = np.bincount(a.type_of[lo:hi], minlength=a.K_total)
+        counts[k] = np.bincount(types[lo:hi], minlength=a.K_total)
     return counts
 
 
@@ -308,19 +339,6 @@ def representative_word(ball, v: int) -> tuple[int, ...]:
         out.append(int(ball.parent_gen[v]))
         v = int(ball.parent[v])
     return tuple(reversed(out))
-
-
-def basis_values(ring) -> np.ndarray:
-    """Float values of a CosineRing's basis monomials."""
-    vals = np.array([1.0])
-    for k, d in zip(ring.factors, ring.degrees):
-        vals = np.kron(vals, (2.0 * math.cos(math.pi / k)) ** np.arange(d))
-    return vals
-
-
-def ring_to_float(ring, a) -> float:
-    """Float value of the ring element with coefficient vector a."""
-    return float(np.dot(np.asarray(a, dtype=float), basis_values(ring)))
 
 
 def tree_return_series(n_max: int) -> ReturnSeries:
@@ -342,3 +360,326 @@ def tree_return_series(n_max: int) -> ReturnSeries:
         counts = new
         values.append(Fraction(counts.get(0, 0), 3 ** k))
     return ReturnSeries(n_max=n_max, values=values)
+
+
+# The ball extraction of cone types.
+
+@dataclass
+class BallAutomaton:
+    """Cone types of a ball: the automaton with the type of each inner vertex.
+
+    type_of[v] is the type of v on norm <= radius - k_star, -1 beyond.
+    """
+
+    params: GroupParams
+    K_total: int
+    M: np.ndarray
+    d: np.ndarray
+    r: np.ndarray
+    root_type: int
+    type_of: np.ndarray
+    k_star: int
+    radius: int
+
+
+# A label row (own id, three successor ids) packs into one int64 key in base
+# 2^15 while the ids lie in [-1, 2^15 - 2]: the key stays below 2^60.
+KEY_BASE = 1 << 15
+
+
+class LabelLayers:
+    """The certificate label layers of a growing ball, cached on the ball.
+
+    Layer 0 labels every vertex 0; layer j labels each vertex v of norm
+    <= R - j by its row: v's layer-(j-1) id and its successors' sorted
+    layer-(j-1) ids, padded with -1.  v's successors are all in the ball, so
+    the label does not depend on R.  Ids are numbered by first occurrence
+    along vertex id, which growing the ball keeps, so an extension interns
+    only the new spheres' rows against the layer's known rows.
+
+    lab[j] holds the layer's ids and then a -1 for padded successor slots to
+    read; first[j][c] is the first vertex of id c, counts[j][s] the number of
+    ids on norm <= s, and known[j] the sorted packed keys of the known rows
+    and the keys' ids.  Every vertex of one cone type has one label on each
+    layer, so a layer has at most K ids, far below the key base.
+    """
+
+    def __init__(self):
+        self.lab = [np.array([0, -1])]
+        self.first = [np.zeros(1, dtype=np.int64)]
+        self.counts = [[1]]
+        self.known = [None]
+
+    def extend(self, ball, depth: int) -> None:
+        """Bring layers 0..depth up to the ball's radius, in order."""
+        R, off = ball.radius, ball.offsets
+        if len(self.counts[0]) <= R:
+            self.lab[0] = np.append(np.zeros(ball.n_vertices, dtype=np.int64), -1)
+            self.counts[0] = [1] * (R + 1)
+        succ = successor_table(ball)[0]
+        for _ in range(len(self.lab), depth + 1):
+            self.lab.append(np.array([-1]))
+            self.first.append(np.zeros(0, dtype=np.int64))
+            self.counts.append([])
+            self.known.append((np.zeros(0, dtype=np.int64),) * 2)
+        for j in range(1, depth + 1):
+            s0 = len(self.counts[j])
+            if s0 > R - j:
+                continue
+            lo, hi = int(off[s0]), int(off[R - j + 1])
+            prev = self.lab[j - 1]
+            rows = np.column_stack([prev[lo:hi], np.sort(prev[succ[lo:hi]], axis=1)])
+            ids = self._intern(j, rows, lo)
+            self.lab[j] = np.concatenate([self.lab[j][:-1], ids, [-1]])
+            self.counts[j] += np.searchsorted(self.first[j], off[s0 + 1:R - j + 2]).tolist()
+
+    def _intern(self, j: int, rows: np.ndarray, lo: int) -> np.ndarray:
+        """Layer-j ids of the rows of vertices lo, lo + 1, ...
+
+        Each row is packed into one key.  When no row is new the ids are
+        looked up in the sorted known keys; otherwise the known keys, in id
+        order, and the new keys are uniqued together and the new ids numbered
+        by first occurrence.
+        """
+        if self.counts[j - 1][-1] >= KEY_BASE:
+            raise OverflowError(f"label layer {j - 1} has too many ids to pack")
+        skeys, sids = self.known[j]
+        n = skeys.size
+        key = rows @ KEY_BASE ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        if n:
+            pos = np.searchsorted(skeys, key).clip(max=n - 1)
+            if (skeys[pos] == key).all():
+                return sids[pos]
+        by_id = np.empty_like(skeys)
+        by_id[sids] = skeys
+        skeys, first, inv = np.unique(np.concatenate([by_id, key]), return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        self.known[j] = (skeys, rank)
+        self.first[j] = np.concatenate([self.first[j], first[order[n:]] - n + lo])
+        return rank[inv[n:]]
+
+
+def ranges(off: np.ndarray, cls: np.ndarray):
+    """The ranges off[c] .. off[c+1] of the classes cls, concatenated.
+
+    Returns (owner, idx, shift): flat entry j is index idx[j] of the range
+    of cls[owner[j]], and index i of cls[o]'s range sits at flat i + shift[o].
+    """
+    counts = off[cls + 1] - off[cls]
+    owner = np.repeat(np.arange(cls.size), counts)
+    shift = np.cumsum(counts) - counts - off[cls]
+    return owner, np.arange(owner.size) - shift[owner], shift
+
+
+def cone_levels(ball, reps: np.ndarray, depth: int) -> list:
+    """Up-edges of the depth-`depth` cones of all reps, level by level.
+
+    The nodes of a level are (class, vertex) pairs, class c being the cone
+    of reps[c], sorted by class and then vertex.  Each level is
+    (src, gen, first, dst, noff, eoff, noff1): edge j leaves node src[j]
+    along generator gen[j] and reaches node dst[j] of the next level, whose
+    node i is first reached by edge first[i]; class c owns the nodes
+    noff[c] .. noff[c+1] of the level, the edges eoff[c] .. eoff[c+1] and
+    the nodes noff1[c] .. noff1[c+1] of the next level.
+    """
+    nbr, norms = ball.neighbor_table(), ball.norms
+    V, C = ball.n_vertices, reps.size
+    cls, ver = np.arange(C), reps
+    noff = np.arange(C + 1)
+    out = []
+    for _ in range(depth):
+        nb = nbr[ver]
+        src, gen = np.nonzero((nb >= 0) & (norms[nb] > norms[ver][:, None]))
+        csrc = cls[src]
+        eoff = np.searchsorted(csrc, np.arange(C + 1))
+        keys, first, dst = np.unique(csrc * V + nb[src, gen],
+                                     return_index=True, return_inverse=True)
+        cls, ver = np.divmod(keys, V)
+        noff1 = np.searchsorted(cls, np.arange(C + 1))
+        out.append((src, gen, first, dst, noff, eoff, noff1))
+        noff = noff1
+    return out
+
+
+def twisted_maps(ball, levels: list, ys: np.ndarray, ycls: np.ndarray,
+                  ydepth: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Which ys the twist by `perm` maps their class's cone onto, as a mask.
+
+    Member y of class c starts at phi(reps[c]) = y and follows
+    phi(v . g) = phi(v) . perm(g) through the first ydepth[y] levels of the
+    cone of reps[c] (see cone_levels; ydepth is at most len(levels)).  y
+    passes when every cone up-edge maps to an up-edge, phi is well defined
+    and injective (on each level; levels differ in norm), and the images'
+    successor counts match the cone's level by level: then phi is a rooted
+    isomorphism.  All members are mapped together, on flat arrays of
+    (member, node) and (member, edge) pairs; a member leaves the batch once
+    its depth is reached.
+    """
+    nbr, norms = ball.neighbor_table(), ball.norms
+    nsucc = ((nbr >= 0) & (norms[nbr] > norms[:, None])).sum(axis=1)
+    V = ball.n_vertices
+    mask = np.zeros(ys.size, dtype=bool)
+    alive = np.arange(ys.size)
+    img = ys
+    for level, (src, gen, first, dst, noff, eoff, noff1) in enumerate(levels, 1):
+        n = alive.size
+        po, _, pshift = ranges(noff, ycls)
+        eo, ee, eshift = ranges(eoff, ycls)
+        qo, qn, qshift = ranges(noff1, ycls)
+        fsrc = img[src[ee] + pshift[eo]]
+        w = nbr[fsrc, perm[gen[ee]]]
+        nxt = w[first[qn] + eshift[qo]]
+        bad = np.zeros(n, dtype=bool)
+        bad[eo[(w < 0) | (norms[w] <= norms[fsrc])
+               | (w != nxt[dst[ee] + qshift[eo]])]] = True
+        key = np.sort(qo * (V + 1) + nxt + 1)
+        bad[key[1:][key[1:] == key[:-1]] // (V + 1)] = True
+        bad |= np.bincount(po, nsucc[img], minlength=n) != np.diff(eoff)[ycls]
+        done = ydepth == level
+        mask[alive[done & ~bad]] = True
+        keep = ~(bad | done)
+        alive, ycls, ydepth, img = alive[keep], ycls[keep], ydepth[keep], nxt[keep[qo]]
+    return mask
+
+
+def verify_classes(ball, lab: np.ndarray, reps: np.ndarray,
+                    depth: int) -> list[int]:
+    """Confirm every class of `lab` by twisted maps of cones at depth + 1 and depth.
+
+    `lab` numbers the classes on norm <= R - depth by first occurrence and
+    reps[c] is the first vertex of class c; on norm <= R - depth - 1 these
+    are also the depth + 1 classes.  The representatives' cones are walked
+    once, to depth + 1.  Each other member is an entry at depth + 1 if its
+    norm is <= R - depth - 1, and at depth always; all entries are mapped in
+    one batch per admissible generator permutation, each permutation tried
+    only on the entries still unconfirmed.  Returns how many entries each
+    permutation confirmed.  An entry none confirms raises VerificationFailed,
+    naming the first in (depth + 1 before depth, label, vertex id) order.
+    """
+    perms = [np.array(p) for p in _admissible_perms(ball.params)]
+    dom = int(ball.offsets[ball.radius - depth + 1])
+    order = np.argsort(lab[:dom], kind="stable")
+    is_rep = np.zeros(dom, dtype=bool)
+    is_rep[reps] = True
+    ys = order[~is_rep[order]]
+    inner = ys[ys < ball.offsets[ball.radius - depth]]
+    ys = np.concatenate([inner, ys])
+    ycls = lab[ys]
+    ydepth = np.repeat([depth + 1, depth], [inner.size, ys.size - inner.size])
+    levels = cone_levels(ball, reps, depth + 1)
+    confirmed = [0] * len(perms)
+    for i, perm in enumerate(perms):
+        if ys.size == 0:
+            break
+        ok = twisted_maps(ball, levels, ys, ycls, ydepth, perm)
+        confirmed[i] = int(ok.sum())
+        ys, ycls, ydepth = ys[~ok], ycls[~ok], ydepth[~ok]
+    if ys.size:
+        raise VerificationFailed(
+            f"no twisted walk confirms vertices {int(reps[ycls[0]])} and {int(ys[0])} "
+            f"at depth {int(ydepth[0])}: the certificate class over-merges"
+        )
+    return confirmed
+
+
+def extract_from_ball(ball, diag: dict | None = None, layers=None) -> BallAutomaton:
+    """Stabilized cone-type partition of a ball, verified exactly.
+
+    Finds the least k with identical depth-k and depth-(k+1) partitions on
+    the exact domains (class counts conserved across the domain restriction),
+    checks successor determinism, and confirms every certificate class by
+    exact isomorphism at depths k+1 and k in one pass (see verify_classes).
+    Label layers passed in are extended, so a caller that grows the ball
+    labels only its new spheres (see LabelLayers).  Stabilization is a
+    heuristic: it is only accepted with R - k >= max(l,m,n) + 1, so that the
+    exact domain contains whole relator cycles, and the verifier then either
+    confirms every class or raises VerificationFailed.
+
+    On success, diag["label_rounds"] is the number of label layers the
+    accepted extraction reads (k + 1) and diag["verifier"] holds the members
+    mapped at both depths and how many of them each admissible permutation
+    confirmed.
+    """
+    R = ball.radius
+    offsets = ball.offsets
+    layers = LabelLayers() if layers is None else layers
+    maxp = max(ball.params.triple())
+    k_star = None
+    for k in range(1, R - maxp):
+        layers.extend(ball, k + 1)
+        counts, counts1 = layers.counts[k], layers.counts[k + 1]
+        if counts[R - k] == counts[R - k - 1] == counts1[R - k - 1]:
+            k_star = k
+            break
+    if k_star is None:
+        raise NotStabilized(
+            f"no depth k with R - k >= max(l,m,n) + 1 = {maxp + 1} "
+            f"stabilizes within radius {R}"
+        )
+
+    dom_k = int(offsets[R - k_star + 1])
+    dom_k1 = int(offsets[R - k_star])
+    # ids are first occurrences along vertex id: the canonical numbering
+    reps = layers.first[k_star]
+    K = reps.size
+    type_of = -np.ones(ball.n_vertices, dtype=np.int64)
+    type_of[:dom_k] = layers.lab[k_star][:dom_k]
+    # equal counts on norm <= R - k and R - k - 1: every type has a
+    # representative below dom_k1, whose successors all carry a type
+
+    succ, _, npred = successor_table(ball)
+    # a padded slot reads the last vertex, on sphere R: type -1
+    rows = np.sort(type_of[succ[:dom_k1]], axis=1)
+    tvec = type_of[:dom_k1]
+    if (rows != rows[reps][tvec]).any():
+        raise NonDeterministic("equal-type vertices disagree on successor types")
+    if (npred[:dom_k1] != npred[reps][tvec]).any():
+        raise NonDeterministic("equal-type vertices disagree on predecessor counts")
+
+    M = (rows[reps][:, :, None] == np.arange(K)).sum(axis=1, dtype=np.int64)
+    d = np.full(K, 3, dtype=np.int64)
+    r = d - M.sum(axis=1)
+    root_type = int(type_of[0])
+    if r[root_type] != 0:
+        raise NonDeterministic("base-point type does not have r = 0")
+
+    confirmed = verify_classes(ball, type_of, reps, k_star)
+    if diag is not None:
+        diag["label_rounds"] = k_star + 1
+        diag["verifier"] = {"members": int(sum(confirmed)),
+                            "confirmed_by_perm": confirmed}
+
+    return BallAutomaton(
+        params=ball.params,
+        K_total=int(K),
+        M=M,
+        d=d,
+        r=r,
+        root_type=root_type,
+        type_of=type_of,
+        k_star=int(k_star),
+        radius=R,
+    )
+
+
+def extract_escalating(params, radius=None, diag: dict | None = None) -> BallAutomaton:
+    """The ball extraction at the least radius where it succeeds.
+
+    Radii run from max(l,m,n) + 2 up to 2 max(l,m,n) + 16 on one ball,
+    grown by one sphere per radius with its label layers.  NotStabilized and
+    VerificationFailed both mean "radius too small"; the last such error is
+    raised when every radius fails.  A given `radius` is tried alone.
+    """
+    maxp = max(params.triple())
+    first, last = (maxp + 2, 2 * maxp + 16) if radius is None else (radius, radius)
+    ball, layers = build_ball(params, first), LabelLayers()
+    for R in range(first, last + 1):
+        if R > first:
+            ball.grow()
+        try:
+            return extract_from_ball(ball, diag, layers)
+        except (NotStabilized, VerificationFailed) as exc:
+            error = exc
+    raise error

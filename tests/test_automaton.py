@@ -1,39 +1,46 @@
-"""Cone-type automaton extraction, verification, reduction, and export."""
+"""Cone-type automata: the root path against the ball extraction, the ball
+extraction's own checks, reduction, and export."""
 
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+import reference
 from conetypes import (
-    NotStabilized,
+    CosineRing,
+    IdentificationAmbiguity,
     SchemaError,
     VerificationFailed,
     automaton_from_json,
     automaton_to_json,
     build_ball,
+    check_on_ball,
     extract_automaton,
-    extract_escalating,
     new_params,
+    reduce_automaton,
     theorem_case,
     to_digraph_dot,
+    types_on_ball,
     verify_counts,
 )
-from conetypes import automaton
-from conetypes.automaton import (
-    _admissible_perms,
-    _cone_levels,
-    _LabelLayers,
-    _twisted_maps,
-)
+from conetypes.automaton import _admissible_perms, _sign
 from conftest import EXPECTED_COUNTS, TABLE
 from reference import (
+    LabelLayers,
+    NotStabilized,
+    cone_levels,
     cones_isomorphic,
+    extract_escalating,
+    extract_from_ball,
     refine_labels,
     row_ids,
     sphere_type_census,
+    successor_table,
     truncated_cone,
+    twisted_maps,
     verify_classes_per_depth,
 )
 
@@ -80,19 +87,20 @@ def test_truncated_cone_of_base_point(data444):
 
 
 def test_cone_isomorphism_reflexive_and_type_faithful(data444):
-    ball, a = data444["ball"], data444["automaton"]
-    k = a.k_star
+    ball = data444["ball"]
+    type_of = types_on_ball(data444["automaton"], ball)
+    k = data444["reference"].k_star
     # same-type vertices have isomorphic truncated cones; cross-type do not
     reps: dict[int, int] = {}
     for v in range(ball.offsets[4]):
-        t = int(a.type_of[v])
+        t = int(type_of[v])
         reps.setdefault(t, v)
     types = sorted(reps)
     for t in types:
         c = truncated_cone(ball, reps[t], k)
         assert cones_isomorphic(c, c)
     for v in range(ball.offsets[3], ball.offsets[4]):
-        t = int(a.type_of[v])
+        t = int(type_of[v])
         c1 = truncated_cone(ball, v, k)
         c2 = truncated_cone(ball, reps[t], k)
         assert cones_isomorphic(c1, c2)
@@ -162,18 +170,17 @@ def test_summit_types_have_single_successor(graph_data):
 
 
 def test_extraction_deterministic(data444):
-    ball = data444["ball"]
     a1 = data444["automaton"]
-    a2 = extract_automaton(ball)
+    a2 = extract_automaton(data444["params"])
     assert np.array_equal(a1.M, a2.M)
-    assert np.array_equal(a1.type_of, a2.type_of)
-    assert a1.k_star == a2.k_star
+    assert np.array_equal(a1.transitions, a2.transitions)
+    assert np.array_equal(a1.state_type, a2.state_type)
 
 
 def test_not_stabilized_on_tiny_ball():
     ball = build_ball(new_params(4, 4, 4), 5)
     with pytest.raises(NotStabilized):
-        extract_automaton(ball)
+        extract_from_ball(ball)
 
 
 # Radii at which stabilization alone accepts a wrong partition (K = 2, 4, 6
@@ -190,7 +197,7 @@ SPURIOUS_RADII = (
 def test_no_spurious_stabilization(triple, radius):
     ball = build_ball(new_params(*triple), radius)
     with pytest.raises(NotStabilized):
-        extract_automaton(ball)
+        extract_from_ball(ball)
 
 
 @pytest.mark.parametrize("triple,radius", [((4, 5, 5), 11), ((6, 6, 5), 13)])
@@ -199,7 +206,7 @@ def test_verifier_refutes_overmerged_partition(triple, radius):
     ball = build_ball(new_params(*triple), radius)
     t0 = time.perf_counter()
     with pytest.raises(VerificationFailed):
-        extract_automaton(ball)
+        extract_from_ball(ball)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -244,7 +251,7 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
     dom = int(ball.offsets[radius - depth + 1])
     lab = labels[depth][:dom]
     tables = (ball.neighbor_table().tolist(), ball.norms.tolist(),
-              ball.successor_table()[1].tolist())
+              successor_table(ball)[1].tolist())
     # every member of every class but its least, and 20 random outsiders
     # per class, mapped through their class's cone in one batch
     rng = np.random.default_rng(3)
@@ -256,11 +263,11 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
         ys.append(cand)
         ycls.append(np.full(cand.size, len(reps) - 1))
     reps, ys, ycls = np.array(reps), np.concatenate(ys), np.concatenate(ycls)
-    levels = _cone_levels(ball, reps, depth)
+    levels = cone_levels(ball, reps, depth)
     confirmed = np.zeros(ys.size, dtype=bool)
     for perm in _admissible_perms(ball.params):
-        got = _twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth),
-                            np.array(perm)).tolist()
+        got = twisted_maps(ball, levels, ys, ycls, np.full(ys.size, depth),
+                           np.array(perm)).tolist()
         want = [_reference_walk(*tables, int(reps[c]), int(y), depth, perm)
                 for y, c in zip(ys, ycls)]
         assert got == want
@@ -272,7 +279,7 @@ def test_twisted_maps_match_reference_walk(triple, radius, depth):
 
 
 class _ToyBall:
-    """The tables _cone_levels and _twisted_maps read, for a hand-made graph."""
+    """The tables cone_levels and twisted_maps read, for a hand-made graph."""
 
     def __init__(self, nbr, norms):
         self.nbr, self.norms = np.array(nbr), np.array(norms)
@@ -282,9 +289,6 @@ class _ToyBall:
 
     def neighbor_table(self):
         return self.nbr
-
-    def successor_table(self):
-        return None, self.nsucc, None
 
 
 def test_twisted_maps_need_well_defined_and_injective():
@@ -304,13 +308,13 @@ def test_twisted_maps_need_well_defined_and_injective():
     perm = (0, 1, 2)
     separate = []
     for depth, want in [(1, [True, False]), (2, [False, False])]:
-        levels = _cone_levels(ball, np.array([x]), depth)
-        got = _twisted_maps(ball, levels, ys, ycls, np.full(2, depth),
-                            np.array(perm)).tolist()
+        levels = cone_levels(ball, np.array([x]), depth)
+        got = twisted_maps(ball, levels, ys, ycls, np.full(2, depth),
+                           np.array(perm)).tolist()
         assert got == want == [_reference_walk(*tables, x, v, depth, perm) for v in ys]
         separate += got
-    together = _twisted_maps(ball, levels, np.tile(ys, 2), np.zeros(4, dtype=np.int64),
-                             np.array([1, 1, 2, 2]), np.array(perm)).tolist()
+    together = twisted_maps(ball, levels, np.tile(ys, 2), np.zeros(4, dtype=np.int64),
+                            np.array([1, 1, 2, 2]), np.array(perm)).tolist()
     assert together == separate
 
 
@@ -338,12 +342,12 @@ def _assert_layers_match_reference(ball, layers):
 def test_label_layers_grow_with_the_ball(triple, radius):
     # one sphere at a time, every layer; then a fresh ball labelled in one go
     params = new_params(*triple)
-    ball, layers = build_ball(params, 2), _LabelLayers()
+    ball, layers = build_ball(params, 2), LabelLayers()
     while ball.radius < radius:
         ball.grow()
         layers.extend(ball, ball.radius - 1)
         _assert_layers_match_reference(ball, layers)
-    fresh, layers = build_ball(params, radius), _LabelLayers()
+    fresh, layers = build_ball(params, radius), LabelLayers()
     layers.extend(fresh, radius - 1)
     _assert_layers_match_reference(fresh, layers)
 
@@ -353,10 +357,10 @@ def test_label_layers_refuse_keys_past_the_base(monkeypatch):
     # ids up to 2, so layer 2 still packs and layer 3 must raise rather than
     # intern colliding keys
     ball = build_ball(new_params(4, 4, 5), 8)
-    want = _LabelLayers()
+    want = LabelLayers()
     want.extend(ball, 2)
-    monkeypatch.setattr(automaton, "_KEY_BASE", 4)
-    layers = _LabelLayers()
+    monkeypatch.setattr(reference, "KEY_BASE", 4)
+    layers = LabelLayers()
     layers.extend(ball, 2)
     assert [c[-1] for c in layers.counts] == [1, 3, 4]
     for j in (1, 2):
@@ -402,7 +406,7 @@ def test_one_pass_verifier_matches_per_depth(triple):
 def test_one_pass_verifier_refutes_as_per_depth(triple, radius):
     ball = build_ball(new_params(*triple), radius)
     with pytest.raises(VerificationFailed) as got:
-        extract_automaton(ball)
+        extract_from_ball(ball)
     labels = [np.zeros(ball.n_vertices, dtype=np.int64)]
     while refine_labels(ball, labels):
         pass
@@ -424,6 +428,95 @@ def test_row_ids_match_unique_rows(seed):
         rows[n // 2:] = rows[: n - n // 2]  # repeated rows
         _, want = np.unique(rows, axis=0, return_inverse=True)
         assert np.array_equal(row_ids(rows), want.reshape(-1))
+
+
+HYPERBOLIC_8 = [
+    (l, m, n) for l in range(2, 9) for m in range(l, 9) for n in range(m, 9)
+    if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
+]
+
+
+@pytest.mark.parametrize("triple", HYPERBOLIC_8)
+def test_root_automaton_equals_ball_reference(triple):
+    # both number the types by their shortlex-least element, so the type
+    # bijection is the identity
+    params = new_params(*triple)
+    got, want = extract_automaton(params), extract_escalating(params)
+    assert got.K_total == want.K_total
+    assert got.root_type == want.root_type == 0
+    assert np.array_equal(got.r, want.r)
+    assert np.array_equal(got.M, want.M)
+
+
+def test_root_sign_test_refuses_what_floats_cannot_decide():
+    ring = CosineRing((4, 4, 4))  # basis 1, sqrt 2
+    assert _sign(ring, np.array([0, 0])) == 0
+    assert _sign(ring, np.array([3, -2])) == 1
+    assert _sign(ring, np.array([-3, 2])) == -1
+    # a Pell pair: 22619537 - 15994428 sqrt 2 = 2.2e-8, below the float
+    # error bound of terms near 2.3e7
+    with pytest.raises(IdentificationAmbiguity):
+        _sign(ring, np.array([22619537, -15994428]))
+
+
+@pytest.mark.parametrize("triple", [(12, 16, 18), (12, 16, 20), (12, 18, 20),
+                                    (15, 16, 20), (15, 18, 20)])
+def test_root_automaton_on_one_large_field_factor(triple):
+    # all three orders merge into one factor of degree 48 or 64, whose
+    # minimal polynomial has coefficients up to 4e12: the Chebyshev basis
+    # keeps the arithmetic inside int64, so the count is the closed form's
+    # and the automaton passes the ball guard
+    params = new_params(*triple)
+    a = extract_automaton(params)
+    assert a.K_total == theorem_case(*triple)[1]
+    check_on_ball(a, build_ball(params, 8))
+
+
+def test_root_types_are_the_reference_partition(graph_data):
+    # the automaton run along the reference extraction ball types every
+    # vertex as the reference does, on the reference's domain
+    for triple in TABLE:
+        data = graph_data[triple]
+        ref = data["reference"]
+        types = types_on_ball(data["automaton"], data["ball"])
+        dom = ref.type_of >= 0
+        assert dom.sum() == data["ball"].offsets[ref.radius - ref.k_star + 1]
+        assert np.array_equal(types[dom], ref.type_of[dom]), triple
+
+
+def _traces(M):
+    power, out = np.eye(len(M), dtype=np.int64), []
+    for _ in range(len(M)):
+        power = power @ M
+        out.append(int(np.trace(power)))
+    return out
+
+
+@pytest.mark.parametrize("triple", SWEEP_POOL)
+def test_exponent_order_does_not_change_the_automaton(triple):
+    want = extract_automaton(new_params(*triple))
+    for order in set(permutations(triple)):
+        got = extract_automaton(new_params(*order))
+        assert got.K_total == want.K_total, order
+        assert len(reduce_automaton(got).types) == len(reduce_automaton(want).types)
+        assert _traces(got.M) == _traces(want.M), order
+
+
+def test_iii2_count_is_one_below_the_closed_form():
+    # reproduction note: for (2, b, c) with 5 <= b < c the root path counts
+    # 2b + 2c + 6 cone types, one less than the paper's 2b + 2c + 7, which
+    # theorem_case keeps; the ball extraction agrees where it is cheap
+    checked = 0
+    for b in range(5, 13):
+        for c in range(b + 1, 13):
+            params = new_params(2, b, c)
+            assert theorem_case(2, b, c) == ("(iii.2)", 2 * b + 2 * c + 7)
+            K = extract_automaton(params).K_total
+            assert K == 2 * b + 2 * c + 6, (b, c)
+            if c <= 8:
+                assert extract_escalating(params).K_total == K, (b, c)
+                checked += 1
+    assert checked == 6
 
 
 def test_dot_output(data444):

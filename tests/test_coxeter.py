@@ -12,16 +12,16 @@ from conetypes import (
     InvalidParameter,
     MemoryCap,
     NonHyperbolic,
-    NotStabilized,
     VerificationFailed,
     build_ball,
-    extract_automaton,
     new_params,
     reflection_tensors,
 )
 from conetypes import coxeter
 from reference import (
+    NotStabilized,
     WordCapExceeded,
+    extract_from_ball,
     free_reduce,
     geodesic_closure,
     reflection_rep,
@@ -165,21 +165,24 @@ def test_ball_deterministic_rebuild():
     assert np.array_equal(b1.parent, b2.parent)
 
 
-@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 5, 7), (4, 4, 5)])
+# the triples with max <= 8 on which a tensor product of one basis per order
+# would be larger than the cosine field: 2cos(pi/4) = sqrt 2 is a polynomial
+# in 2cos(pi/8)
+FIELD_MERGED = [(2, 4, 8), (3, 4, 8), (4, 4, 8), (4, 5, 8), (4, 6, 8), (4, 7, 8), (4, 8, 8)]
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 5, 7), (4, 4, 5)] + FIELD_MERGED)
 def test_grown_ball_equals_fresh_build(triple):
     params = new_params(*triple)
     ball = build_ball(params, 1)
     while ball.radius < 13:
-        # fill the lazy tables, which growing must invalidate
-        ball.successor_table()
+        # fill the lazy table, which growing must invalidate
         ball.neighbor_table()
         ball.grow()
         fresh = build_ball(params, ball.radius)
         for name in ("norms", "offsets", "edges", "parent", "parent_gen"):
             got, want = getattr(ball, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        for got, want in zip(ball.successor_table(), fresh.successor_table()):
-            assert np.array_equal(got, want)
         assert np.array_equal(ball.neighbor_table(), fresh.neighbor_table())
 
 
@@ -338,19 +341,20 @@ def matrix_balls(params, radius):
 
 def _extract(ball):
     try:
-        return extract_automaton(ball)
+        return extract_from_ball(ball)
     except (NotStabilized, VerificationFailed) as exc:
         return type(exc)
 
 
 @pytest.mark.parametrize("triple,radius", [
     ((2, 3, 7), 22), ((3, 5, 7), 15), ((4, 4, 5), 13), ((2, 5, 6), 16), ((7, 7, 7), 15),
-])
+] + [(t, 9) for t in FIELD_MERGED])
 def test_covector_ball_matches_matrix_reference(triple, radius):
     """Radius by radius: same spheres, same labelled edges and same cone types.
 
     The vertex map follows parent/parent_gen from the identity; the extracted
-    types must correspond by a bijection that carries M to M.
+    types must correspond by a bijection that carries M to M.  Up to radius
+    max(l,m,n) + 1 no extraction is tried, and the balls alone are compared.
     """
     params = new_params(*triple)
     ball = build_ball(params, 1)
@@ -386,4 +390,4 @@ def test_covector_ball_matches_matrix_reference(triple, radius):
         pi = pairs[:, 1]
         assert np.array_equal(np.sort(pi), np.arange(got.K_total))
         assert np.array_equal(got.M, want.M[np.ix_(pi, pi)])
-    assert extracted >= 1
+    assert extracted >= 1 or radius <= max(triple) + 1

@@ -9,14 +9,15 @@ import pytest
 from click.testing import CliRunner
 
 from conetypes import (
-    NotStabilized,
+    ConeTypeAutomaton,
     RunConfig,
     SchemaError,
+    VerificationFailed,
     automaton_to_json,
     build_ball,
+    check_on_ball,
     curvature,
     extract_automaton,
-    extract_escalating,
     new_params,
     report_to_csv_row,
     report_to_json,
@@ -26,9 +27,11 @@ from conetypes import (
     table_to_csv,
     table_to_markdown,
 )
+from conetypes import pipeline
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
 from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS
+from reference import extract_escalating, extract_from_ball
 
 # exact combinatorial curvature, as the rational multiple q of pi
 CURVATURES = {
@@ -95,21 +98,14 @@ def test_run_group_444():
     assert report.curvature == Fraction(-1, 4)
     assert 0.8 < report.envelope < report.upper
     diag = report.diagnostics
-    assert diag["k_star"] == 3
-    assert diag["radius"] == 9
+    # 9 elementary roots; 22 states, already minimal, in 6 orbits under
+    # the six generator permutations, all admissible for (4,4,4)
+    assert diag["roots"] == 9
+    assert diag["states"] == {"before": 22, "after": 22}
     assert diag["oracle_radius"] == 10
-    assert diag["escalations"] == 3
-    sizes = diag["sphere_sizes"]
-    assert len(sizes) == diag["radius"] + 1
-    assert sizes[:7] == [1, 3, 6, 12, 21, 36, 63]
-    # labels up to depth k*+1; the verifier maps every domain vertex but the
-    # six class representatives at depths 4 and 3, and all six generator
-    # permutations are admissible for (4,4,4)
-    assert diag["label_rounds"] == diag["k_star"] + 1
-    verifier = diag["verifier"]
-    assert verifier["members"] == (sum(sizes[:6]) - 6) + (sum(sizes[:7]) - 6)
-    assert len(verifier["confirmed_by_perm"]) == 6
-    assert sum(verifier["confirmed_by_perm"]) == verifier["members"]
+    for key in ("radius", "k_star", "escalations", "sphere_sizes", "label_rounds",
+                "verifier"):
+        assert key not in diag
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
     # the fold search: a few warm-started solves, one Diverged at least (the
     # confirmation just above the fold)
@@ -119,15 +115,16 @@ def test_run_group_444():
     assert fold["newton_steps"] >= fold["solves"]
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
-    for stage in ("ball", "extract", "upper", "lower", "oracle"):
+    for stage in ("extract", "upper", "lower", "ball", "guard", "oracle"):
         assert diag["timings"][stage] >= 0.0
 
 
 @pytest.mark.parametrize("triple", TABLE)
 def test_grown_ball_extraction_equals_fresh_ball(triple):
+    # the ball reference: its ladder grows one ball, against a fresh build
     params = new_params(*triple)
     grown = extract_escalating(params)
-    fresh = extract_automaton(build_ball(params, grown.radius))
+    fresh = extract_from_ball(build_ball(params, grown.radius))
     assert (grown.K_total, grown.k_star, grown.radius) == \
         (fresh.K_total, fresh.k_star, fresh.radius)
     assert np.array_equal(grown.M, fresh.M)
@@ -135,10 +132,61 @@ def test_grown_ball_extraction_equals_fresh_ball(triple):
 
 
 def test_run_group_radius_too_small_fails_soft():
-    report = run_group(new_params(4, 4, 4), RunConfig(radius=5))
+    # the radius sizes the check and envelope ball only: with none to build
+    # the bounds still come out, and the report fails
+    report = run_group(new_params(4, 4, 4), RunConfig(radius=0))
     assert not report.ok
-    assert "extract" in report.diagnostics["errors"]
-    assert report.lower is None and report.upper is None
+    assert list(report.diagnostics["errors"]) == ["ball"]
+    assert report.lower is not None and report.upper is not None
+    assert report.envelope is None
+    small = run_group(new_params(4, 4, 4), RunConfig(radius=5))
+    assert small.ok and small.diagnostics["oracle_radius"] == 5
+    assert small.envelope < report.upper
+
+
+def _tree_automaton(params):
+    """The 3-regular tree's automaton, which stabilization alone once gave
+    for (7,7,7) on small balls: state 0 is the identity, state 1 + s the
+    words ending in s."""
+    M = np.array([[0, 3], [0, 2]])
+    return ConeTypeAutomaton(
+        params=params, K_total=2, M=M, d=np.array([3, 3]), r=np.array([0, 1]),
+        root_type=0,
+        transitions=np.array([[1, 2, 3], [-1, 2, 3], [1, -1, 3], [1, 2, -1]]),
+        state_type=np.array([0, 1, 1, 1]),
+    )
+
+
+def test_guard_rejects_the_tree_automaton(monkeypatch):
+    params = new_params(7, 7, 7)
+    ball = build_ball(params, 10)
+    with pytest.raises(VerificationFailed, match="sphere 7"):
+        check_on_ball(_tree_automaton(params), ball)
+    monkeypatch.setattr(pipeline, "extract_automaton",
+                        lambda p, diag=None: _tree_automaton(p))
+    report = run_group(params)
+    assert report.K_total == 2
+    assert "guard" in report.diagnostics["errors"]
+    assert not report.ok
+
+
+def test_guard_checks_successor_types():
+    # swapping two types in the state map keeps M and the sphere sizes but
+    # gives some vertices successor types off their row
+    params = new_params(4, 4, 4)
+    a = extract_automaton(params)
+    ball = build_ball(params, 10)
+    check_on_ball(a, ball)
+    swap = np.array([0, 1, 3, 2, 4, 5])
+    a.state_type = swap[a.state_type]
+    with pytest.raises(VerificationFailed, match="successor types"):
+        check_on_ball(a, ball)
+
+
+@pytest.mark.parametrize("triple", TABLE)
+def test_guard_accepts_the_table_groups(triple):
+    params = new_params(*triple)
+    check_on_ball(extract_automaton(params), build_ball(params, 10))
 
 
 def test_run_from_automaton_tree_text():
@@ -237,7 +285,7 @@ def test_cli_cone_types(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["cone-types", "4", "4", "4"])
     assert result.exit_code == 0
-    assert "K_total 6 expected 6 match True" in result.output
+    assert "K_total 6 expected 6 match True roots 9 states 22 -> 22" in result.output
     result = runner.invoke(main, ["cone-types", "4", "4", "4", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["schema"] == "cta-1"
@@ -270,9 +318,9 @@ def test_cli_cone_types_escalates(triple, K):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert json.loads(result.output)["K_total"] == K
-    # a pinned radius is tried alone
-    result = runner.invoke(main, ["--radius", str(max(triple)), *args])
-    assert isinstance(result.exception, NotStabilized)
+    # no ball and no radius: the ball reference needs radius 20 and 22 here
+    result2 = runner.invoke(main, ["--radius", str(max(triple)), *args])
+    assert result2.exit_code == 0 and result2.output == result.output
 
 
 def test_cli_from_automaton(tmp_path):

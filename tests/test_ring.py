@@ -1,6 +1,7 @@
 """Exact cosine-ring arithmetic against high-precision numeric oracles."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 import sympy
 
 from conetypes import CosineRing, minpoly_2cos, new_params, reflection_tensors
-from reference import basis_values, reflection_rep, ring_to_float
+from reference import reflection_rep
 
 mpmath.mp.dps = 50
+
+
+def ring_to_float(ring, a) -> float:
+    return float(np.dot(np.asarray(a, dtype=float), ring.basis_values))
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -82,7 +87,7 @@ def test_generator_matrices_match_numeric_value(orders):
         assert ring_to_float(ring, g) == pytest.approx(2 * np.cos(np.pi / k), abs=1e-12)
 
 
-@pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7), (2, 6, 6)])
+@pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7), (2, 6, 6), (4, 7, 8), (12, 16, 18)])
 def test_ring_multiplication_matches_floats(orders):
     """Exact products by each 2cos(pi/k) agree with floats on random elements."""
     ring = CosineRing(orders)
@@ -95,7 +100,48 @@ def test_ring_multiplication_matches_floats(orders):
                 ring_to_float(ring, a) * 2 * np.cos(np.pi / k), abs=1e-9, rel=1e-9)
 
 
-@pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7)])
+def _unit_count_degree(orders):
+    """Degree of Q(2cos(pi/k) : k in orders), by counting units.
+
+    With L = lcm(orders), the unit a mod 2L sends 2cos(pi/k) to
+    2cos(a pi/k), so it fixes the field when a = +-1 mod 2k for every k,
+    and the degree is phi(2L) over the number of such units.
+    """
+    n = 2 * math.lcm(*orders)
+    units = [a for a in range(n) if math.gcd(a, n) == 1]
+    fixing = [a for a in units if all(a % (2 * k) in (1, 2 * k - 1) for k in orders)]
+    return len(units) // len(fixing)
+
+
+def test_ring_dimension_is_the_field_degree():
+    # every hyperbolic triple with max <= 20: the tensor product of the
+    # factors is the field, so a zero number has the zero vector
+    merged = 0
+    for l in range(2, 21):
+        for m in range(l, 21):
+            for n in range(m, 21):
+                if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) >= 1:
+                    continue
+                ring = CosineRing((l, m, n))
+                assert ring.dim == _unit_count_degree((l, m, n)), (l, m, n)
+                merged += any(f not in (l, m, n) for f in ring.factors)
+    assert merged > 0
+
+
+def test_ring_basis_values_match_math_cos():
+    for orders in [(4, 7, 8), (4, 6, 8), (6, 14, 16), (3, 5, 7), (2, 3, 7)]:
+        ring = CosineRing(orders)
+        want = np.array([1.0])
+        for f, d in zip(ring.factors, ring.degrees):
+            want = np.kron(want, [1.0] + [2 * math.cos(j * math.pi / f) for j in range(1, d)])
+        assert np.allclose(ring.basis_values, want, rtol=1e-14, atol=0), orders
+        for k in orders:
+            assert ring_to_float(ring, ring.one() @ ring.mul_by_2cos(k)) == \
+                pytest.approx(2 * math.cos(math.pi / k), abs=1e-12), (orders, k)
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 4), (3, 5, 7), (2, 3, 7), (4, 7, 8), (4, 6, 8),
+                                    (6, 14, 16), (12, 16, 18)])
 def test_ring_axioms_exact(orders):
     """The multiplication matrices commute and satisfy their minimal polynomials."""
     ring = CosineRing(orders)
@@ -119,7 +165,7 @@ def test_reflection_tensors_match_float_representation(triple):
     ring = CosineRing(orders.values())
     W = reflection_tensors(orders, ring)
     rep = reflection_rep(params)
-    values = basis_values(ring)
+    values = ring.basis_values
 
     # exact product sigma_s as coefficient tensors, compared entrywise
     ident = np.zeros((3, 3, ring.dim), dtype=np.int64)
