@@ -29,8 +29,10 @@ The bound is certified exactly.  A rational z and w >= 0 with
 z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
 z sum_j M_root,j w_j < d_root make w a post-fixed point of the monotone
 system, so the least solution exists at z and lies below w (Etessami and
-Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check runs in
-Fractions on the polished fold solution at z = R_F (1 - CERT_MARGIN).
+Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check is made
+on the polished fold solution at z = R_F (1 - CERT_MARGIN), in exact integer
+arithmetic: every w_i is a dyadic rational, so over one common power of two
+and z's denominator the same inequalities compare Python ints.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class TreeWalkSpec:
     r: np.ndarray
     p_minus: np.ndarray
     p_step: np.ndarray
+    Mp: np.ndarray  # M_ij p_ij, the step probabilities
+    Mp_diag: np.ndarray
     root_type: int
     root_row: np.ndarray
     root_d: int
@@ -81,6 +85,8 @@ class FixedPointSolution:
     z: float
     w: np.ndarray
     residual: float
+    # Collatz-Wielandt bound max_i (J x)_i / x_i on rho(J) at w, with x > 0
+    # from the last Newton step; below 1 by construction
     jacobian_spectral_radius: float
     iterations: int
     x_max: float  # max of (I - J)^-1 1 at the last step, ||(I - J)^-1||_inf
@@ -135,31 +141,40 @@ def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
     pos = ra.types.index(root_type)
     d = ra.d.astype(float)
     r = ra.r.astype(float)
+    M = ra.M.astype(float)
+    p_step = 1.0 / d
+    Mp = M * p_step[:, None]
     spec = TreeWalkSpec(
         types=ra.types,
-        M=ra.M.astype(float),
+        M=M,
         d=ra.d.copy(),
         r=ra.r.copy(),
         p_minus=r / d,
-        p_step=1.0 / d,
+        p_step=p_step,
+        Mp=Mp,
+        Mp_diag=Mp.diagonal().copy(),
         root_type=root_type,
         root_row=ra.M[pos].astype(float),
         root_d=int(ra.d[pos]),
     )
-    balance = spec.p_minus + (spec.M * spec.p_step[:, None]).sum(axis=1)
+    balance = spec.p_minus + Mp.sum(axis=1)
     if not np.allclose(balance, 1.0, atol=1e-12):
         raise InvalidRoot("transition probabilities do not sum to 1 per type")
     return spec
 
 
-def _phi(spec: TreeWalkSpec, z: float, w: np.ndarray) -> np.ndarray:
-    Mp = spec.M * spec.p_step[:, None]
-    return z * (spec.p_minus + w * (Mp @ w))
+def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J(w) = z (diag(Mp w) + w_i Mp_ij), given v = Mp w."""
+    return z * (np.diag(v) + w[:, None] * spec.Mp)
 
 
-def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray) -> np.ndarray:
-    Mp = spec.M * spec.p_step[:, None]
-    return z * (np.diag(Mp @ w) + w[:, None] * Mp)
+def _jacobian_bound(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray,
+                    x: np.ndarray) -> float:
+    """Collatz-Wielandt bound max_i (J(w) x)_i / x_i >= rho(J(w)), for x > 0.
+
+    J(w) >= 0 for w >= 0, so the bound holds for any positive x; v = Mp w.
+    """
+    return float(np.max(z * (v * x + w * (spec.Mp @ x)) / x))
 
 
 def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = None):
@@ -169,38 +184,51 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     the least fixed point (such as the least fixed point at a smaller z),
     increases to the least fixed point when one exists, with no slowdown
     near the fold (Esparza, Kiefer and Luttenberger, JACM 2010).  Each step
-    also solves (I - J) x = 1: x > 0 holds exactly when rho(J) < 1, and
-    max(x) is ||(I - J)^-1||_inf, which sets the roundoff floor of the step.
-    A singular system, rho(J) >= 1, a step below -floor or a blow-up means
-    z is past the fold.
+    also solves (I - J) x = 1.  As J >= 0, a solution x > 0 proves
+    rho(J) < 1, and max(x) is ||(I - J)^-1||_inf, which sets the roundoff
+    floor of the step.  A singular system, a solution x with a component
+    <= 0, a step below -floor or a blow-up means z is past the fold.  Once
+    the step is below the floor, the last x > 0 bounds rho(J) at the new w
+    by Collatz-Wielandt, max_i (J x)_i / x_i: a bound below 1 proves
+    rho(J) < 1 there, with no eigen-solve; a bound >= 1 gives Diverged.
     """
-    K = spec.M.shape[0]
-    eye, ones = np.eye(K), np.ones(K)
+    Mp, Mp_diag, p_minus = spec.Mp, spec.Mp_diag, spec.p_minus
+    K = Mp.shape[0]
+    rhs = np.empty((K, 2))
+    rhs[:, 1] = 1.0
     w = np.zeros(K) if w0 is None else np.array(w0, dtype=float)
+    w_max = float(w.max())
     for it in range(1, STEP_CAP + 1):
+        # I - J and Phi - w from one v = Mp w, each entry rounded as
+        # 1 - z (v_i + w_i Mp_ii), -(z (w_i Mp_ij)) and z (p_i + w_i v_i) - w_i
+        v = Mp @ w
+        A = w[:, None] * Mp
+        A *= -z
+        np.fill_diagonal(A, 1.0 - z * (v + w * Mp_diag))
+        rhs[:, 0] = z * (p_minus + w * v) - w
         try:
-            step, x = np.linalg.solve(
-                eye - _jacobian(spec, z, w),
-                np.column_stack([_phi(spec, z, w) - w, ones]),
-            ).T
+            step, x = np.linalg.solve(A, rhs).T
         except np.linalg.LinAlgError:
             return Diverged(z=z, iterations=it)
+        x_max, step_min, step_max = float(x.max()), float(step.min()), float(step.max())
         # roundoff in the step, measured within 1e-12 of the fold on every root
         # of the reference automata, stays below 0.6 eps ||(I - J)^-1|| max(1, w)
-        floor = 1e-14 * float(x.max()) * max(1.0, float(w.max()))
-        if x.min() <= 0.0 or step.min() < -floor:
+        floor = 1e-14 * x_max * max(1.0, w_max)
+        if x.min() <= 0.0 or step_min < -floor:
             return Diverged(z=z, iterations=it)
         w = w + step
-        if w.max() > DIVERGENCE_CAP:
+        w_max = float(w.max())
+        if w_max > DIVERGENCE_CAP:
             return Diverged(z=z, iterations=it)
-        if float(np.max(np.abs(step))) <= floor:
-            rad = float(np.max(np.abs(np.linalg.eigvals(_jacobian(spec, z, w)))))
+        if max(step_max, -step_min) <= floor:
+            v = Mp @ w
+            rad = _jacobian_bound(spec, z, w, v, x)
             if rad >= 1.0:
                 return Diverged(z=z, iterations=it)
-            residual = float(np.max(np.abs(_phi(spec, z, w) - w)))
+            residual = float(np.max(np.abs(z * (p_minus + w * v) - w)))
             return FixedPointSolution(
                 z=z, w=w, residual=residual, jacobian_spectral_radius=rad,
-                iterations=it, x_max=float(x.max()),
+                iterations=it, x_max=x_max,
             )
     return Diverged(z=z, iterations=STEP_CAP)
 
@@ -208,25 +236,27 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
     """Newton on (Phi(w)-w, J(w)u-u, sum(u)-1) in the unknowns (w, u, z)."""
     K = w0.size
-    Mp = spec.M * spec.p_step[:, None]
+    Mp, eye = spec.Mp, np.eye(K)
+    A = np.zeros((2 * K + 1, 2 * K + 1))
+    A[2 * K, K:2 * K] = 1.0
     w, u, z = w0.copy(), u0.copy(), float(z0)
     for _ in range(60):
-        J = _jacobian(spec, z, w)
-        F1 = _phi(spec, z, w) - w
-        F2 = J @ u - u
-        F3 = np.array([u.sum() - 1.0])
-        res = float(max(np.max(np.abs(F1)), np.max(np.abs(F2)), abs(F3[0])))
+        v = Mp @ w
+        J = _jacobian(spec, z, w, v)
+        phi = z * (spec.p_minus + w * v)
+        Ju = J @ u
+        F1 = phi - w
+        F2 = Ju - u
+        F3 = u.sum() - 1.0
+        res = float(max(np.max(np.abs(F1)), np.max(np.abs(F2)), abs(F3)))
         if res < tol:
             return w, u, z, res
-        A = np.zeros((2 * K + 1, 2 * K + 1))
-        A[:K, :K] = J - np.eye(K)
-        A[:K, 2 * K] = _phi(spec, z, w) / z
+        A[:K, :K] = A[K:2 * K, K:2 * K] = J - eye
+        A[:K, 2 * K] = phi / z
         A[K:2 * K, :K] = z * (u[:, None] * Mp + np.diag(Mp @ u))
-        A[K:2 * K, K:2 * K] = J - np.eye(K)
-        A[K:2 * K, 2 * K] = (J @ u) / z
-        A[2 * K, K:2 * K] = 1.0
+        A[K:2 * K, 2 * K] = Ju / z
         try:
-            step = np.linalg.solve(A, np.concatenate([F1, F2, F3]))
+            step = np.linalg.solve(A, np.concatenate([F1, F2, [F3]]))
         except np.linalg.LinAlgError:
             return None
         w = w - step[:K]
@@ -281,7 +311,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
         if target - last.z <= HANDOFF * last.z:
             break
         z = last.z + APPROACH_STEP * (target - last.z)
-    vals, vecs = np.linalg.eig(_jacobian(spec, last.z, last.w))
+    vals, vecs = np.linalg.eig(_jacobian(spec, last.z, last.w, spec.Mp @ last.w))
     u = np.real(vecs[:, np.argmax(np.abs(vals))])
     polished = _fold_newton(spec, last.w, u / u.sum(), target, FOLD_TOL)
     if polished is None:
@@ -313,18 +343,29 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
 
     Rows are multiplied through by d_i, so the check is
     z(r_i + w_i sum_j M_ij w_j) <= d_i w_i and z sum_j M_root,j w_j < d_root,
-    in Fractions on the exact binary values of w.
+    on the exact binary values of w.  Each w_i is a dyadic W_i / S over one
+    common power of two S, and z = zn / zd, so the rows are compared in
+    integers as zn (r_i S^2 + W_i sum_j M_ij W_j) <= zd d_i W_i S and
+    zn sum_j M_root,j W_j < zd d_root S.  A w holding NaN or an infinity
+    proves nothing: the check fails.
     """
-    W = [Fraction(x) for x in w.tolist()]
+    if not np.isfinite(w).all():
+        return False
+    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    S = max(den for _, den in ratios)
+    W = [num * (S // den) for num, den in ratios]
     if min(W) < 0:
         return False
+    zn, zd = z.as_integer_ratio()
+    S2 = S * S
     # M holds integer counts stored as floats
-    for row, di, ri, wi in zip(spec.M.tolist(), spec.d.tolist(), spec.r.tolist(), W):
-        out = sum(int(m) * wj for m, wj in zip(row, W) if m)
-        if z * (ri + wi * out) > di * wi:
+    for row, di, ri, Wi in zip(spec.M.astype(int).tolist(), spec.d.tolist(),
+                               spec.r.tolist(), W):
+        out = sum(m * Wj for m, Wj in zip(row, W) if m)
+        if zn * (ri * S2 + Wi * out) > zd * di * Wi * S:
             return False
-    root = sum(int(m) * wj for m, wj in zip(spec.root_row.tolist(), W) if m)
-    return z * root < spec.root_d
+    root = sum(m * Wj for m, Wj in zip(spec.root_row.astype(int).tolist(), W) if m)
+    return zn * root < zd * spec.root_d * S
 
 
 def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:
@@ -336,9 +377,8 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoun
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
     z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
-    jac_rad = float(
-        np.max(np.abs(np.linalg.eigvals(_jacobian(spec, fold.R_F, fold.w))))
-    )
+    J = _jacobian(spec, fold.R_F, fold.w, spec.Mp @ fold.w)
+    jac_rad = float(np.max(np.abs(np.linalg.eigvals(J))))
     return UpperBoundResult(
         R_F=fold.R_F,
         F_at_RF=F_rf,

@@ -1,6 +1,6 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
-and helpers only the tests read.
+the post-fixed-point check in Fractions, and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -360,6 +360,24 @@ def tree_return_series(n_max: int) -> ReturnSeries:
         counts = new
         values.append(Fraction(counts.get(0, 0), 3 ** k))
     return ReturnSeries(n_max=n_max, values=values)
+
+
+def post_fixed_point_fractions(spec, z: Fraction, w: np.ndarray) -> bool:
+    """The post-fixed-point check of upper.is_post_fixed_point in Fractions.
+
+    z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
+    z sum_j M_root,j w_j < d_root, on the exact binary values of w >= 0,
+    one Fraction per term.
+    """
+    W = [Fraction(x) for x in w.tolist()]
+    if min(W) < 0:
+        return False
+    for row, di, ri, wi in zip(spec.M.tolist(), spec.d.tolist(), spec.r.tolist(), W):
+        out = sum(int(m) * wj for m, wj in zip(row, W) if m)
+        if z * (ri + wi * out) > di * wi:
+            return False
+    root = sum(int(m) * wj for m, wj in zip(spec.root_row.tolist(), W) if m)
+    return z * root < spec.root_d
 
 
 # The ball extraction of cone types.

@@ -1,10 +1,14 @@
 """Tree-walk fixed point, fold detection, and the upper spectral-radius bound."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetypes import (
     Diverged,
@@ -12,16 +16,23 @@ from conetypes import (
     InvalidRoot,
     NotConverged,
     ReducedAutomaton,
+    automaton_from_json,
     default_root_type,
     first_return_value,
     fold_point,
     is_post_fixed_point,
     minimal_fixed_point,
+    run_from_automaton,
     tree_walk_spec,
     upper_bound,
 )
 from conetypes.upper import CERT_MARGIN
 from conftest import TABLE, UPPER_BOUNDS
+from reference import post_fixed_point_fractions
+
+# the committed cta-1 documents of the benchmark's automata workload
+DOCUMENTS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "automata").glob("cta-*.json"))
 
 # on the trivalent tree everything is solvable in closed form:
 # Phi_z(w) = z/3 + (2z/3) w^2, fold at z = 3/(2 sqrt 2), rho = 2 sqrt 2 / 3
@@ -285,3 +296,115 @@ def test_every_summit_root_is_certified(data444, data237):
             assert res.certified_upper is not None, t
             gap = res.certified_upper - Fraction(res.rho_T)
             assert 0 < gap <= 2e-9, (t, float(gap))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certificate_refuses_non_finite_w(tree_reduced, data444, bad):
+    # a non-finite w proves nothing; the check fails instead of raising
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        fold = fold_point(spec)
+        z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
+        w = fold.w.copy()
+        w[-1] = bad
+        assert is_post_fixed_point(spec, z, w) is False
+
+
+def certificate_points(R_F):
+    """z at the certificate margin, at the fold, and just past it."""
+    return [Fraction(R_F * (1.0 - CERT_MARGIN)), Fraction(R_F), Fraction(R_F * (1.0 + 1e-6))]
+
+
+@pytest.fixture(scope="module")
+def committed_folds(tree_reduced):
+    """(spec, polished fold) of the tree and of every committed document at
+    each r = 2 root."""
+    spec = tree_walk_spec(tree_reduced, 0)
+    out = [(spec, fold_point(spec))]
+    for path in DOCUMENTS:
+        _, ra = automaton_from_json(path.read_text())
+        for t, rv in zip(ra.types, ra.r):
+            if rv == 2:
+                spec = tree_walk_spec(ra, int(t))
+                out.append((spec, fold_point(spec)))
+    return out
+
+
+def test_integer_certificate_matches_fraction_oracle(committed_folds):
+    assert len(DOCUMENTS) == 28
+    for spec, fold in committed_folds:
+        w = fold.w
+        assert is_post_fixed_point(spec, certificate_points(fold.R_F)[0], w)
+        for wv in [w, -w, 2.0 * w, w * (1.0 - 1e-6)]:
+            for z in certificate_points(fold.R_F):
+                assert is_post_fixed_point(spec, z, wv) == \
+                    post_fixed_point_fractions(spec, z, wv), (spec.types, spec.root_type)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_certificate_matches_oracle_on_perturbed_w(committed_folds, data):
+    # w + k 2^e, k a small integer per type: dyadic perturbations on both
+    # sides of the certificate margin (about 2^-30 relative)
+    spec, fold = data.draw(st.sampled_from(committed_folds), label="fold")
+    e = data.draw(st.integers(-60, -20), label="exponent")
+    k = data.draw(st.lists(st.integers(-8, 8), min_size=fold.w.size,
+                           max_size=fold.w.size), label="k")
+    w = fold.w + np.ldexp(np.array(k, dtype=float), e)
+    z = data.draw(st.sampled_from(certificate_points(fold.R_F)), label="z")
+    assert is_post_fixed_point(spec, z, w) == post_fixed_point_fractions(spec, z, w)
+
+
+def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
+    # every converged solve reports a bound on rho(J) below 1 and at least
+    # the eigenvalue radius; a bound >= 1 (Diverged) only where rho is 1,
+    # though no solve on the table groups reaches that branch
+    import conetypes.upper as upper
+
+    solver, bound = upper.minimal_fixed_point, upper._jacobian_bound
+    solutions, refused = [], []
+
+    def recorded_solver(spec, z, w0=None):
+        out = solver(spec, z, w0)
+        if isinstance(out, FixedPointSolution):
+            solutions.append((spec, out.z, out.w, out.jacobian_spectral_radius))
+        return out
+
+    def recorded_bound(spec, z, w, v, x):
+        rad = bound(spec, z, w, v, x)
+        if rad >= 1.0:
+            refused.append((spec, z, w.copy(), rad))
+        return rad
+
+    def eig_radius(spec, z, w):
+        # J_ij = z (delta_ij sum_k M_ik w_k + w_i M_ij) / d_i
+        J = z * (np.diag(spec.M @ w) + w[:, None] * spec.M) / spec.d[:, None]
+        return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+    monkeypatch.setattr(upper, "minimal_fixed_point", recorded_solver)
+    monkeypatch.setattr(upper, "_jacobian_bound", recorded_bound)
+    for triple in TABLE:
+        ra = graph_data[triple]["reduced"]
+        for t in ra.types:
+            upper_bound(ra, root_type=int(t))
+    assert solutions
+    for spec, z, w, rad in solutions:
+        assert rad < 1.0
+        assert eig_radius(spec, z, w) <= rad + 1e-12, (spec.types, spec.root_type, z)
+    for spec, z, w, rad in refused:
+        assert eig_radius(spec, z, w) >= 1.0 - 1e-9, (spec.types, spec.root_type, z)
+
+
+def test_fold_search_work_on_committed_documents():
+    # at most 7 solves per document, as the README states; the totals are
+    # the search's work over the 28 documents when this test was written,
+    # so more solves, Newton steps or Diverged fail here
+    totals = Counter()
+    for path in DOCUMENTS:
+        fold = run_from_automaton(str(path)).diagnostics["fold"]
+        assert fold["solves"] <= 7, path.name
+        totals.update(fold)
+    assert len(DOCUMENTS) == 28
+    assert totals["solves"] <= 161
+    assert totals["newton_steps"] <= 1093
+    assert totals["diverged"] <= 34
