@@ -30,8 +30,17 @@ from .errors import (
 from .ring import CosineRing, reflection_tensors
 
 
+class _Regular:
+    """Types of a degree-regular graph, with successor-count matrix M."""
+
+    @property
+    def r(self) -> np.ndarray:
+        """Predecessors of each type: r_i = degree - sum_j M_ij."""
+        return self.degree - self.M.sum(axis=1)
+
+
 @dataclass
-class ConeTypeAutomaton:
+class ConeTypeAutomaton(_Regular):
     """Cone types and their successor-count matrix M.
 
     transitions[q, s] is the minimized state of ws for w in state q, or -1
@@ -43,21 +52,23 @@ class ConeTypeAutomaton:
     params: GroupParams | None
     K_total: int
     M: np.ndarray
-    d: np.ndarray
-    r: np.ndarray
+    degree: int
     root_type: int
     transitions: np.ndarray | None = None
     state_type: np.ndarray | None = None
 
 
 @dataclass
-class ReducedAutomaton:
-    """Restriction of the automaton to the unique terminal SCC."""
+class ReducedAutomaton(_Regular):
+    """Restriction of the automaton to the unique terminal SCC.
+
+    No arc leaves that component, so its row sums, and hence r, are those
+    of the full automaton.
+    """
 
     types: tuple[int, ...]
     M: np.ndarray
-    d: np.ndarray
-    r: np.ndarray
+    degree: int
     p: int
 
 
@@ -188,8 +199,8 @@ def _state_types(table: np.ndarray, perms) -> np.ndarray:
 def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeTypeAutomaton:
     """The cone-type automaton of Delta(l,m,n), from its elementary roots.
 
-    M counts the successor types of one state of each type, and r = 3 - row
-    sum the predecessors.  diag["roots"] receives |E| and diag["states"]
+    M counts the successor types of one state of each type in the
+    trivalent Cayley graph.  diag["roots"] receives |E| and diag["states"]
     the number of states before and after minimization.
     """
     n_roots, act = _elementary_roots(params)
@@ -204,8 +215,7 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     if diag is not None:
         diag["roots"] = n_roots
         diag["states"] = {"before": len(states), "after": len(table)}
-    d = np.full(K, 3, dtype=np.int64)
-    return ConeTypeAutomaton(params=params, K_total=K, M=M, d=d, r=d - M.sum(axis=1),
+    return ConeTypeAutomaton(params=params, K_total=K, M=M, degree=3,
                              root_type=int(state_type[0]), transitions=table,
                              state_type=state_type)
 
@@ -232,14 +242,14 @@ def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
     r_j s_(k+1)(j) = sum_i s_k(i) M_ij must be the ball's, and every vertex
     inside the last sphere must have the successor types of its row of M.
     """
-    s = np.zeros(a.K_total, dtype=np.int64)
+    s, r = np.zeros(a.K_total, dtype=np.int64), a.r
     s[a.root_type] = 1
     for k, size in enumerate(ball.sphere_sizes()):
         if s.sum() != size:
             raise VerificationFailed(f"M gives {s.sum()} vertices on sphere {k}, not {size}")
         into = s @ a.M
-        s, rem = np.divmod(into, np.maximum(a.r, 1))
-        if rem.any() or into[a.r <= 0].any():
+        s, rem = np.divmod(into, np.maximum(r, 1))
+        if rem.any() or into[r <= 0].any():
             raise VerificationFailed(f"M gives no whole type counts on sphere {k + 1}")
     types = types_on_ball(a, ball)
     inner = int(ball.offsets[ball.radius])
@@ -254,33 +264,20 @@ def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
 
 
 def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
-    """Restrict to the unique terminal strongly connected component."""
+    """Restrict to the unique terminal strongly connected component.
+
+    That component is the set of types every type reaches; the set is empty
+    when there are two or more terminal components.
+    """
     K = a.K_total
-    A = (a.M > 0)
-    reach = A | np.eye(K, dtype=bool)
+    reach = (a.M > 0) | np.eye(K, dtype=bool)
     for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
         reach = reach @ reach
-    mutual = reach & reach.T
-    comp_of = np.full(K, -1, dtype=np.int64)
-    comps = []
-    for i in range(K):
-        if comp_of[i] < 0:
-            members = np.where(mutual[i])[0]
-            comp_of[members] = len(comps)
-            comps.append(members)
-    terminal = []
-    for ci, members in enumerate(comps):
-        out = np.where(A[members].any(axis=0))[0]
-        if all(comp_of[j] == ci for j in out):
-            terminal.append(ci)
-    if len(terminal) != 1:
-        raise MultipleTerminalSCCs(f"found {len(terminal)} terminal components")
-    types = tuple(int(t) for t in sorted(comps[terminal[0]]))
-    idx = np.array(types, dtype=np.int64)
+    idx = np.flatnonzero(reach.all(axis=0))
+    if idx.size == 0:
+        raise MultipleTerminalSCCs("no type is reached from every type")
     MT = a.M[np.ix_(idx, idx)]
-    if a.M[idx].sum() != MT.sum():
-        raise MultipleTerminalSCCs("arcs leave the terminal component")
-    KT = len(types)
+    KT = len(idx)
     power = (MT > 0)
     p = 1
     while not power.all():
@@ -288,9 +285,7 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
             raise NotPrimitive(f"no positive power up to exponent {KT * KT}")
         power = (power @ (MT > 0))
         p += 1
-    return ReducedAutomaton(
-        types=types, M=MT, d=a.d[idx].copy(), r=a.r[idx].copy(), p=int(p)
-    )
+    return ReducedAutomaton(types=tuple(int(t) for t in idx), M=MT, degree=a.degree, p=p)
 
 
 def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
@@ -351,7 +346,7 @@ def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton | None = N
         "K_total": a.K_total,
         "root_type": a.root_type,
         "M": [[int(x) for x in row] for row in a.M],
-        "d": [int(x) for x in a.d],
+        "d": [a.degree] * a.K_total,
         "r": [int(x) for x in a.r],
         "reduced": {
             "types": list(reduced.types),
@@ -363,7 +358,11 @@ def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton | None = N
 
 
 def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]:
-    """Parse and validate a cta-1 document."""
+    """Parse a cta-1 document and check it against what its M and d imply.
+
+    r must be d - sum_j M_ij >= 0, and the reduced block (types, M, p) must
+    be the reduction of M, which is returned with the automaton.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -389,16 +388,16 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
     # the lower bound holds for a d-regular graph only
     if (d <= 0).any() or (d != d[0]).any():
         raise SchemaError(f"degree vector {d.tolist()} is not one positive value")
-    if MT.shape != (len(types), len(types)) or any(not 0 <= t < K for t in types):
-        raise SchemaError("reduced block inconsistent with K_total")
     params = None
     if doc.get("params") is not None:
         from .coxeter import new_params
 
         params = new_params(*doc["params"])
-    idx = np.array(types, dtype=np.int64)
-    a = ConeTypeAutomaton(params=params, K_total=K, M=M, d=d, r=r, root_type=root_type)
-    reduced = ReducedAutomaton(
-        types=types, M=MT, d=d[idx].copy(), r=r[idx].copy(), p=p
-    )
-    return a, reduced
+    a = ConeTypeAutomaton(params=params, K_total=K, M=M, degree=int(d[0]), root_type=root_type)
+    if not np.array_equal(r, a.r) or (r < 0).any():
+        raise SchemaError(f"predecessor vector {r.tolist()} is not d - row sums "
+                          f"{a.r.tolist()}, or not >= 0")
+    ra = reduce_automaton(a)
+    if ra.types != types or ra.p != p or not np.array_equal(ra.M, MT):
+        raise SchemaError("reduced block disagrees with the reduction of M")
+    return a, ra

@@ -33,10 +33,10 @@ def _config(ctx) -> RunConfig:
     return ctx.obj["config"]
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv", "dot", "markdown"]),
-    default="text", show_default=True, help="Output format.",
-)
+def format_option(*formats: str):
+    """--format offering text and the given formats, the ones the command renders."""
+    return click.option("--format", "fmt", type=click.Choice(["text", *formats]),
+                        default="text", show_default=True, help="Output format.")
 
 
 @click.group()
@@ -54,7 +54,7 @@ def main(ctx, radius):
 @click.argument("l", type=int)
 @click.argument("m", type=int)
 @click.argument("n", type=int)
-@format_option
+@format_option("json", "csv")
 @click.pass_context
 def ball(ctx, l, m, n, fmt):
     """Build the Cayley-graph ball and export it."""
@@ -77,7 +77,7 @@ def ball(ctx, l, m, n, fmt):
 @click.argument("l", type=int)
 @click.argument("m", type=int)
 @click.argument("n", type=int)
-@format_option
+@format_option("json", "dot")
 def cone_types(l, m, n, fmt):
     """Compute the cone-type automaton from the root system."""
     params = new_params(l, m, n)
@@ -107,7 +107,7 @@ def cone_types(l, m, n, fmt):
 @click.argument("l", type=int)
 @click.argument("m", type=int)
 @click.argument("n", type=int)
-@format_option
+@format_option("json", "csv")
 @click.pass_context
 def bounds(ctx, l, m, n, fmt):
     """Lower and upper spectral-radius bounds for one group."""
@@ -144,7 +144,7 @@ def _echo_report(report):
 
 
 @main.command()
-@format_option
+@format_option("json", "csv", "markdown")
 @click.pass_context
 def table(ctx, fmt):
     """Reproduce the full ten-group bounds table."""
@@ -175,11 +175,11 @@ def curvature_cmd(l, m, n):
 
 
 @main.command("from-automaton")
-@click.argument("file", type=click.Path(exists=True))
-@format_option
+@click.argument("file", type=click.File())
+@format_option("json", "csv")
 def from_automaton(file, fmt):
     """Bounds from an externally supplied cta-1 automaton document."""
-    _emit_report(run_from_automaton(file), fmt)
+    _emit_report(run_from_automaton(file.read()), fmt)
 
 
 def run():  # console-script shim keeping ConeTypesError exits tidy

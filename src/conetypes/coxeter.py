@@ -29,7 +29,8 @@ from .errors import (
 from .ring import CosineRing, reflection_tensors
 
 COEFF_GUARD = 2 ** 57
-DEFAULT_MAX_VERTICES = 8_000_000
+# vertex budget of a ball; grow raises MemoryCap past it
+MAX_VERTICES = 8_000_000
 
 
 GEN_NAMES = ("L", "M", "N")
@@ -141,7 +142,7 @@ class CayleyBall:
             lines.append(f"{v},{int(self.norms[v])},{ns}")
         return "\n".join(lines) + "\n"
 
-    def grow(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    def grow(self) -> None:
         """Add the next sphere in place; every existing id is kept.
 
         Each last-sphere vertex w is expanded along its non-descent
@@ -169,8 +170,8 @@ class CayleyBall:
         keys = flat.view(np.uint64) @ _multipliers(flat.shape[1])
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         n_new = first.size
-        if self.n_vertices + n_new > max_vertices:
-            raise MemoryCap(f"ball would exceed {max_vertices} vertices at radius {k + 1}")
+        if self.n_vertices + n_new > MAX_VERTICES:
+            raise MemoryCap(f"ball would exceed {MAX_VERTICES} vertices at radius {k + 1}")
         dup = np.flatnonzero(first[inv] != np.arange(inv.size))
         if not np.array_equal(flat[dup], flat[first[inv[dup]]]):
             raise IdentificationAmbiguity(
@@ -204,8 +205,7 @@ class CayleyBall:
         self._nbr = None
 
 
-def build_ball(params: GroupParams, radius: int,
-               max_vertices: int = DEFAULT_MAX_VERTICES) -> CayleyBall:
+def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
@@ -226,5 +226,5 @@ def build_ball(params: GroupParams, radius: int,
         _down=np.zeros((1, 3), dtype=bool),
     )
     while ball.radius < radius:
-        ball.grow(max_vertices)
+        ball.grow()
     return ball

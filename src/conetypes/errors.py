@@ -18,7 +18,7 @@ class IdentificationAmbiguity(ConeTypesError):
 
 
 class MemoryCap(ConeTypesError):
-    """Ball construction would exceed the configured vertex budget."""
+    """Ball construction would exceed the vertex budget, coxeter.MAX_VERTICES."""
 
 
 class VerificationFailed(ConeTypesError):

@@ -4,8 +4,8 @@ nu is the Perron-Frobenius eigenvalue of the sphere-recursion matrix
 M~_{ij} = M_{ji}/r_i, A its positive eigenvector, and lambda the largest
 eigenvalue of the symmetrization M'' of M' = D^{-1/2} M^T D^{1/2} with
 D = diag(A).  The graph is bipartite and d-regular, which is what makes
-the comparison argument behind the bound valid; d is read off the
-automaton, whose degree vector is constant.
+the comparison argument behind the bound valid; d is the automaton's
+degree.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def symmetrize(ra: ReducedAutomaton, A: np.ndarray) -> np.ndarray:
 
 
 def lower_bound(ra: ReducedAutomaton) -> LowerBoundResult:
-    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph, d = ra.d[0]."""
-    d = int(ra.d[0])
+    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph, d = ra.degree."""
+    d = ra.degree
     tilde = tilde_matrix(ra)
     nu, A, residual = perron(tilde)
     S = symmetrize(ra, A)

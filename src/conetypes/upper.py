@@ -17,17 +17,17 @@ z is accepted only if it lies above the last solved z and below any z found
 past the fold, and the minimal solution exists at z (1 - 1e-9) but not at
 z (1 + 1e-9).  There is no fallback: anything else raises NotConverged.
 
-The Green-kernel radius is R_F itself.  The root's own row of the
-system reads w_root = z r_root/d_root + w_root F(z), so the first-return
-value F(z) = 1 - z r_root/(d_root w_root) stays below 1 wherever the
+The Green-kernel radius is R_F itself.  The graph is d-regular, and the
+root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
+first-return value F(z) = 1 - z r_root/(d w_root) stays below 1 wherever the
 minimal solution exists, as r_root >= 1 (only the identity's type has no
 predecessor, and it is not in the reduced set).  So F never reaches 1 up
 to the fold, and no smaller root of F(z) = 1 can bound the radius;
 upper_bound raises NotConverged should F(R_F) >= 1 all the same.
 
 The bound is certified exactly.  A rational z and w >= 0 with
-z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
-z sum_j M_root,j w_j < d_root make w a post-fixed point of the monotone
+z(r_i + w_i sum_j M_ij w_j) <= d w_i for every type and
+z sum_j M_root,j w_j < d make w a post-fixed point of the monotone
 system, so the least solution exists at z and lies below w (Etessami and
 Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check is made
 on the polished fold solution at z = R_F (1 - CERT_MARGIN), in exact integer
@@ -67,17 +67,11 @@ CERT_MARGIN = 1e-9
 class TreeWalkSpec:
     """Transition data of the tree walk over the reduced type set."""
 
-    types: tuple[int, ...]
-    M: np.ndarray
-    d: np.ndarray
-    r: np.ndarray
-    p_minus: np.ndarray
-    p_step: np.ndarray
-    Mp: np.ndarray  # M_ij p_ij, the step probabilities
+    ra: ReducedAutomaton
+    root: int  # position of the root type in ra.types
+    p_minus: np.ndarray  # r_i / d, the step back
+    Mp: np.ndarray  # M_ij / d, the steps forward
     Mp_diag: np.ndarray
-    root_type: int
-    root_row: np.ndarray
-    root_d: int
 
 
 @dataclass
@@ -119,7 +113,6 @@ class UpperBoundResult:
     rho_T: float
     root_type: int
     fold_residual: float
-    jacobian_radius: float
     certified_upper: Fraction | None
     fold_solves: int
     fold_newton_steps: int
@@ -135,32 +128,12 @@ def default_root_type(ra: ReducedAutomaton) -> int:
 
 
 def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
-    """Probabilities p_{-i} = r_i/d_i and p_{i,j} = 1/d_i over the reduced set."""
+    """Probabilities p_{-i} = r_i/d and p_{i,j} = 1/d over the reduced set."""
     if root_type not in ra.types:
         raise InvalidRoot(f"type {root_type} is not in the reduced set {ra.types}")
-    pos = ra.types.index(root_type)
-    d = ra.d.astype(float)
-    r = ra.r.astype(float)
-    M = ra.M.astype(float)
-    p_step = 1.0 / d
-    Mp = M * p_step[:, None]
-    spec = TreeWalkSpec(
-        types=ra.types,
-        M=M,
-        d=ra.d.copy(),
-        r=ra.r.copy(),
-        p_minus=r / d,
-        p_step=p_step,
-        Mp=Mp,
-        Mp_diag=Mp.diagonal().copy(),
-        root_type=root_type,
-        root_row=ra.M[pos].astype(float),
-        root_d=int(ra.d[pos]),
-    )
-    balance = spec.p_minus + Mp.sum(axis=1)
-    if not np.allclose(balance, 1.0, atol=1e-12):
-        raise InvalidRoot("transition probabilities do not sum to 1 per type")
-    return spec
+    Mp = ra.M * (1.0 / ra.degree)
+    return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=ra.r / ra.degree,
+                        Mp=Mp, Mp_diag=Mp.diagonal().copy())
 
 
 def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -329,24 +302,24 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None) -> float:
-    """F(root, root | z) = sum_j M_{root,j} (1/d_root) z w_j."""
+    """F(root, root | z) = sum_j M_{root,j} (1/d) z w_j."""
     if w is None:
         sol = minimal_fixed_point(spec, z)
         if isinstance(sol, Diverged):
             raise NotConverged(f"no minimal fixed point at z = {z}")
         w = sol.w
-    return float(z * np.dot(spec.root_row, w) / spec.root_d)
+    return float(z * np.dot(spec.ra.M[spec.root], w) / spec.ra.degree)
 
 
 def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     """Exact check that w >= 0 satisfies Phi(z, w) <= w and F(z, w) < 1.
 
-    Rows are multiplied through by d_i, so the check is
-    z(r_i + w_i sum_j M_ij w_j) <= d_i w_i and z sum_j M_root,j w_j < d_root,
+    Rows are multiplied through by d, so the check is
+    z(r_i + w_i sum_j M_ij w_j) <= d w_i and z sum_j M_root,j w_j < d,
     on the exact binary values of w.  Each w_i is a dyadic W_i / S over one
     common power of two S, and z = zn / zd, so the rows are compared in
-    integers as zn (r_i S^2 + W_i sum_j M_ij W_j) <= zd d_i W_i S and
-    zn sum_j M_root,j W_j < zd d_root S.  A w holding NaN or an infinity
+    integers as zn (r_i S^2 + W_i sum_j M_ij W_j) <= zd d W_i S and
+    zn sum_j M_root,j W_j < zd d S.  A w holding NaN or an infinity
     proves nothing: the check fails.
     """
     if not np.isfinite(w).all():
@@ -357,15 +330,13 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     if min(W) < 0:
         return False
     zn, zd = z.as_integer_ratio()
-    S2 = S * S
-    # M holds integer counts stored as floats
-    for row, di, ri, Wi in zip(spec.M.astype(int).tolist(), spec.d.tolist(),
-                               spec.r.tolist(), W):
+    S2, d, M = S * S, spec.ra.degree, spec.ra.M.tolist()
+    for row, ri, Wi in zip(M, spec.ra.r.tolist(), W):
         out = sum(m * Wj for m, Wj in zip(row, W) if m)
-        if zn * (ri * S2 + Wi * out) > zd * di * Wi * S:
+        if zn * (ri * S2 + Wi * out) > zd * d * Wi * S:
             return False
-    root = sum(m * Wj for m, Wj in zip(spec.root_row.astype(int).tolist(), W) if m)
-    return zn * root < zd * spec.root_d * S
+    root = sum(m * Wj for m, Wj in zip(M[spec.root], W) if m)
+    return zn * root < zd * d * S
 
 
 def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:
@@ -377,15 +348,12 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoun
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
     z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
-    J = _jacobian(spec, fold.R_F, fold.w, spec.Mp @ fold.w)
-    jac_rad = float(np.max(np.abs(np.linalg.eigvals(J))))
     return UpperBoundResult(
         R_F=fold.R_F,
         F_at_RF=F_rf,
         rho_T=1.0 / fold.R_F,
         root_type=root,
         fold_residual=fold.residual,
-        jacobian_radius=jac_rad,
         certified_upper=1 / z if is_post_fixed_point(spec, z, fold.w) else None,
         fold_solves=fold.solves,
         fold_newton_steps=fold.newton_steps,

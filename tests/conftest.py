@@ -114,6 +114,4 @@ def data237(graph_data):
 @pytest.fixture(scope="session")
 def tree_reduced():
     """Single-type automaton of the 3-regular tree."""
-    return ReducedAutomaton(
-        types=(0,), M=np.array([[2]]), d=np.array([3]), r=np.array([1]), p=1
-    )
+    return ReducedAutomaton(types=(0,), M=np.array([[2]]), degree=3, p=1)

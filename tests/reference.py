@@ -365,19 +365,20 @@ def tree_return_series(n_max: int) -> ReturnSeries:
 def post_fixed_point_fractions(spec, z: Fraction, w: np.ndarray) -> bool:
     """The post-fixed-point check of upper.is_post_fixed_point in Fractions.
 
-    z(r_i + w_i sum_j M_ij w_j) <= d_i w_i for every type and
-    z sum_j M_root,j w_j < d_root, on the exact binary values of w >= 0,
+    z(r_i + w_i sum_j M_ij w_j) <= d w_i for every type and
+    z sum_j M_root,j w_j < d, on the exact binary values of w >= 0,
     one Fraction per term.
     """
     W = [Fraction(x) for x in w.tolist()]
     if min(W) < 0:
         return False
-    for row, di, ri, wi in zip(spec.M.tolist(), spec.d.tolist(), spec.r.tolist(), W):
+    d, M = spec.ra.degree, spec.ra.M.tolist()
+    for row, ri, wi in zip(M, spec.ra.r.tolist(), W):
         out = sum(int(m) * wj for m, wj in zip(row, W) if m)
-        if z * (ri + wi * out) > di * wi:
+        if z * (ri + wi * out) > d * wi:
             return False
-    root = sum(int(m) * wj for m, wj in zip(spec.root_row.tolist(), W) if m)
-    return z * root < spec.root_d
+    root = sum(int(m) * wj for m, wj in zip(M[spec.root], W) if m)
+    return z * root < d
 
 
 # The ball extraction of cone types.

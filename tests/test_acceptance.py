@@ -159,7 +159,7 @@ def test_criterion_6_algebraic_certificate(graph_data):
     ra = graph_data[(4, 4, 4)]["reduced"]
     spec = tree_walk_spec(ra, default_root_type(ra))
     fold = fold_point(spec)
-    w5 = Fraction(fold.w[spec.types.index(5)])
+    w5 = Fraction(fold.w[ra.types.index(5)])
     z = Fraction(fold.R_F)
     Q = sum(c * w5 ** i * z ** j for (i, j), c in QUINTIC_444.items())
     dQ = sum(i * c * w5 ** (i - 1) * z ** j for (i, j), c in QUINTIC_444.items() if i)
@@ -194,7 +194,7 @@ def test_criterion_8_property_suite(graph_data, census_data):
     for triple in TABLE:
         ra = graph_data[triple]["reduced"]
         spec = tree_walk_spec(ra, default_root_type(ra))
-        balance = spec.p_minus + (spec.M * spec.p_step[:, None]).sum(axis=1)
+        balance = spec.p_minus + spec.Mp.sum(axis=1)
         assert np.allclose(balance, 1.0, atol=1e-12)
 
     # the minimal fixed point grows monotonically with z

@@ -10,8 +10,11 @@ import pytest
 
 import reference
 from conetypes import (
+    ConeTypeAutomaton,
     CosineRing,
     IdentificationAmbiguity,
+    MultipleTerminalSCCs,
+    NotPrimitive,
     SchemaError,
     VerificationFailed,
     automaton_from_json,
@@ -114,8 +117,8 @@ def test_automaton_444_matches_reference_matrix(data444):
     assert a.K_total == 6
     assert np.array_equal(a.M, M444)
     assert a.root_type == 0
-    assert (a.d == 3).all()  # trivalent graph: every type has degree 3
-    assert (a.M.sum(axis=1) == a.d - a.r).all()  # successors + predecessors = degree
+    assert a.degree == 3  # trivalent graph: every type has degree 3
+    assert (a.M.sum(axis=1) == a.degree - a.r).all()  # successors + predecessors = degree
     assert a.r[0] == 0  # base point has no predecessor
 
 
@@ -130,6 +133,25 @@ def test_reduction_237(data237):
     assert len(data237["reduced"].types) == 24
 
 
+def _automaton(M):
+    return ConeTypeAutomaton(params=None, K_total=len(M), M=np.array(M), degree=3,
+                             root_type=0)
+
+
+def test_reduction_refuses_two_terminal_components():
+    # types 1 and 2 each lead only to themselves: no type is reached from both
+    with pytest.raises(MultipleTerminalSCCs):
+        reduce_automaton(_automaton([[0, 1, 2], [0, 2, 0], [0, 0, 2]]))
+
+
+def test_reduction_refuses_an_imprimitive_component():
+    # the terminal component {1, 2} is a 2-cycle: its powers alternate
+    a = _automaton([[0, 2, 1], [0, 0, 1], [0, 1, 0]])
+    assert a.r.tolist() == [0, 2, 2]
+    with pytest.raises(NotPrimitive):
+        reduce_automaton(a)
+
+
 def test_verify_counts_all_groups(graph_data):
     for triple in TABLE:
         a = graph_data[triple]["automaton"]
@@ -142,7 +164,7 @@ def test_degree_predecessor_split(graph_data):
     # successors + predecessors = 3 for every type: each vertex is trivalent
     for triple in TABLE:
         a = graph_data[triple]["automaton"]
-        assert (a.d == 3).all()
+        assert a.degree == 3
         assert (a.M.sum(axis=1) + a.r == 3).all()
         assert (a.r[1:] >= 1).all()  # only the base point lacks predecessors
 
@@ -536,7 +558,7 @@ def test_json_round_trip(data444):
     a2, ra2 = automaton_from_json(doc)
     assert a2.K_total == a.K_total
     assert np.array_equal(a2.M, a.M)
-    assert np.array_equal(a2.d, a.d)
+    assert a2.degree == a.degree
     assert np.array_equal(a2.r, a.r)
     assert ra2.types == ra.types
     assert np.array_equal(ra2.M, ra.M)
@@ -569,3 +591,23 @@ def test_json_schema_errors(data444):
         doc["d"] = d
         with pytest.raises(SchemaError):
             automaton_from_json(_json.dumps(doc))
+    # r and the reduced block must be what M and d give
+    assert 1 not in ra.types
+    for path, value in [(("r", 1), int(a.r[1]) + 1),  # a type outside the reduced set
+                        (("reduced", "p"), ra.p + 1),
+                        (("reduced", "types"), [1, 3, 4, 5]),
+                        (("reduced", "M", 0, 0), int(ra.M[0, 0]) + 1),
+                        (("d",), [4] * 6)]:  # with the degree-3 M and r
+        doc = _json.loads(good)
+        *keys, last = path
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(SchemaError):
+            automaton_from_json(_json.dumps(doc))
+    # more successors than the degree: r = d - row sums is negative
+    doc = _json.loads(good)
+    doc["d"], doc["r"] = [2] * 6, (2 - a.M.sum(axis=1)).tolist()
+    with pytest.raises(SchemaError):
+        automaton_from_json(_json.dumps(doc))

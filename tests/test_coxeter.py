@@ -215,9 +215,10 @@ def test_two_predecessor_vertices_have_equal_words():
     assert checked > 0
 
 
-def test_memory_cap():
+def test_memory_cap(monkeypatch):
+    monkeypatch.setattr(coxeter, "MAX_VERTICES", 20)
     with pytest.raises(MemoryCap):
-        build_ball(new_params(2, 3, 7), 12, max_vertices=20)
+        build_ball(new_params(2, 3, 7), 12)
 
 
 def test_monotone_growth_and_export():

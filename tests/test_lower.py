@@ -29,9 +29,8 @@ def test_tilde_matrix_444(data444):
 
 
 def test_tilde_matrix_requires_predecessors():
-    ra = ReducedAutomaton(
-        types=(0,), M=np.array([[2]]), d=np.array([3]), r=np.array([0]), p=1
-    )
+    # every arc of the 3-regular graph leads forward: r = 3 - 3 = 0
+    ra = ReducedAutomaton(types=(0,), M=np.array([[3]]), degree=3, p=1)
     with pytest.raises(ZeroPredecessor):
         tilde_matrix(ra)
 

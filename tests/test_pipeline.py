@@ -150,8 +150,7 @@ def _tree_automaton(params):
     words ending in s."""
     M = np.array([[0, 3], [0, 2]])
     return ConeTypeAutomaton(
-        params=params, K_total=2, M=M, d=np.array([3, 3]), r=np.array([0, 1]),
-        root_type=0,
+        params=params, K_total=2, M=M, degree=3, root_type=0,
         transitions=np.array([[1, 2, 3], [-1, 2, 3], [1, -1, 3], [1, 2, -1]]),
         state_type=np.array([0, 1, 1, 1]),
     )
@@ -209,10 +208,21 @@ def test_run_from_automaton_reads_the_degree():
 
 
 def test_run_from_automaton_tree_file(tmp_path):
+    # the command reads the file; the library takes document text only
     path = tmp_path / "tree.json"
     path.write_text(TREE_DOC)
-    report = run_from_automaton(str(path))
-    assert report.upper == pytest.approx(TREE_RHO, abs=1e-10)
+    result = CliRunner().invoke(main, ["from-automaton", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["upper"] == pytest.approx(TREE_RHO, abs=1e-10)
+
+
+def test_from_automaton_file_named_like_json(tmp_path, monkeypatch):
+    # a relative name starting with "{" is a file name, not document text
+    (tmp_path / "{g}.json").write_text(TREE_DOC)
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["from-automaton", "{g}.json", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[0] == CSV_HEADER
 
 
 def test_run_from_automaton_round_trip(data444):
@@ -223,7 +233,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
-    assert report.diagnostics["fold"]["solves"] <= 8
+    assert report.diagnostics["fold"]["solves"] <= 7
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -233,7 +243,9 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
     with pytest.raises(SchemaError):
         run_from_automaton(json.dumps(doc))
     with pytest.raises(SchemaError):
-        run_from_automaton("/no/such/file.json")
+        run_from_automaton("/no/such/file.json")  # not document text
+    result = CliRunner().invoke(main, ["from-automaton", "/no/such/file.json"])
+    assert result.exit_code == 2
 
 
 def test_report_json_shape():

@@ -44,11 +44,19 @@ def tree_w(z):
     return (1.0 - math.sqrt(1.0 - 8.0 * z * z / 9.0)) / (4.0 * z / 3.0)
 
 
+def eig_radius(spec, z, w):
+    """max |eig J(w)|, with J_ij = z (delta_ij sum_k M_ik w_k + w_i M_ij) / d
+    built from the integer M and the degree."""
+    M = spec.ra.M
+    J = z * (np.diag(M @ w) + w[:, None] * M) / spec.ra.degree
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
 def test_spec_probabilities(tree_reduced):
     spec = tree_walk_spec(tree_reduced, 0)
     assert spec.p_minus == pytest.approx([1.0 / 3.0])
-    assert spec.p_step == pytest.approx([1.0 / 3.0])
-    assert spec.root_d == 3
+    assert spec.Mp == pytest.approx(np.array([[2.0 / 3.0]]))  # two arcs, 1/3 each
+    assert spec.ra.degree == 3
 
 
 def test_spec_rejects_unknown_root(tree_reduced):
@@ -57,11 +65,11 @@ def test_spec_rejects_unknown_root(tree_reduced):
 
 
 def test_spec_balance_all_groups(graph_data):
-    # p_{-i} + sum_j M_ij / d_i = 1 holds for every group's reduced set
+    # p_{-i} + sum_j M_ij / d = 1 holds for every group's reduced set
     for triple in TABLE:
         ra = graph_data[triple]["reduced"]
         spec = tree_walk_spec(ra, default_root_type(ra))
-        balance = spec.p_minus + (spec.M * spec.p_step[:, None]).sum(axis=1)
+        balance = spec.p_minus + spec.Mp.sum(axis=1)
         assert np.allclose(balance, 1.0, atol=1e-12)
 
 
@@ -226,7 +234,15 @@ def test_tree_upper_bound(tree_reduced):
     assert res.R_F == pytest.approx(TREE_RF, abs=1e-12)
     assert res.F_at_RF == pytest.approx(0.5, abs=1e-10)
     assert res.rho_T == pytest.approx(TREE_RHO, abs=1e-10)
-    assert res.jacobian_radius == pytest.approx(1.0, abs=1e-6)
+
+
+def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
+    # the polished fold solves J u = u with u > 0, so rho(J(R_F, w)) = 1
+    for ra in [tree_reduced, data444["reduced"]]:
+        spec = tree_walk_spec(ra, default_root_type(ra))
+        fold = fold_point(spec)
+        assert fold.R_F == upper_bound(ra).R_F
+        assert eig_radius(spec, fold.R_F, fold.w) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_444_upper_bound(data444):
@@ -278,8 +294,7 @@ def test_certificate_rejects_non_post_fixed_points(tree_reduced, data444):
 def test_certificate_demands_first_return_below_one():
     # with r_root = 0 the root row allows F = 1; only the strict root check
     # rejects w = 1/z, where Phi(z, w) = z w^2 = w
-    ra = ReducedAutomaton(types=(0,), M=np.array([[3]]), d=np.array([3]),
-                          r=np.array([0]), p=1)
+    ra = ReducedAutomaton(types=(0,), M=np.array([[3]]), degree=3, p=1)
     spec = tree_walk_spec(ra, 0)
     assert first_return_value(spec, 1.0, np.array([1.0])) == 1.0
     assert not is_post_fixed_point(spec, Fraction(1), np.array([1.0]))
@@ -338,7 +353,7 @@ def test_integer_certificate_matches_fraction_oracle(committed_folds):
         for wv in [w, -w, 2.0 * w, w * (1.0 - 1e-6)]:
             for z in certificate_points(fold.R_F):
                 assert is_post_fixed_point(spec, z, wv) == \
-                    post_fixed_point_fractions(spec, z, wv), (spec.types, spec.root_type)
+                    post_fixed_point_fractions(spec, z, wv), (spec.ra.types, spec.root)
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,11 +391,6 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
             refused.append((spec, z, w.copy(), rad))
         return rad
 
-    def eig_radius(spec, z, w):
-        # J_ij = z (delta_ij sum_k M_ik w_k + w_i M_ij) / d_i
-        J = z * (np.diag(spec.M @ w) + w[:, None] * spec.M) / spec.d[:, None]
-        return float(np.max(np.abs(np.linalg.eigvals(J))))
-
     monkeypatch.setattr(upper, "minimal_fixed_point", recorded_solver)
     monkeypatch.setattr(upper, "_jacobian_bound", recorded_bound)
     for triple in TABLE:
@@ -390,9 +400,9 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
     assert solutions
     for spec, z, w, rad in solutions:
         assert rad < 1.0
-        assert eig_radius(spec, z, w) <= rad + 1e-12, (spec.types, spec.root_type, z)
+        assert eig_radius(spec, z, w) <= rad + 1e-12, (spec.ra.types, spec.root, z)
     for spec, z, w, rad in refused:
-        assert eig_radius(spec, z, w) >= 1.0 - 1e-9, (spec.types, spec.root_type, z)
+        assert eig_radius(spec, z, w) >= 1.0 - 1e-9, (spec.ra.types, spec.root, z)
 
 
 def test_fold_search_work_on_committed_documents():
@@ -401,7 +411,7 @@ def test_fold_search_work_on_committed_documents():
     # so more solves, Newton steps or Diverged fail here
     totals = Counter()
     for path in DOCUMENTS:
-        fold = run_from_automaton(str(path)).diagnostics["fold"]
+        fold = run_from_automaton(path.read_text()).diagnostics["fold"]
         assert fold["solves"] <= 7, path.name
         totals.update(fold)
     assert len(DOCUMENTS) == 28
