@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .coxeter import CayleyBall, GroupParams
+from .coxeter import CayleyBall, GroupParams, new_params, ring_and_tensors
 from .errors import (
     IdentificationAmbiguity,
     MultipleTerminalSCCs,
@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     VerificationFailed,
 )
-from .ring import CosineRing, reflection_tensors
+from .ring import CosineRing
 
 
 class _Regular:
@@ -95,49 +95,64 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sign(ring: CosineRing, x: np.ndarray) -> int:
-    """Sign of the field element with coefficient vector x; zero is exact.
+def _sign(ring: CosineRing, x: np.ndarray) -> list[int | None]:
+    """Signs of the field elements with coefficient rows x; zero is exact.
 
     A basis value 2cos(j pi/f), j < f/2, errs by less than (1.5 f + 2) eps
-    relatively, so the float sum of x times the basis values errs by less
-    than (dim + 2 sum(factors) + 8) eps times the sum of the absolute
-    terms.  A value within twice that margin raises IdentificationAmbiguity.
+    relatively, so the float sum of a row times the basis values errs by
+    less than (dim + 2 sum(factors) + 8) eps times the sum of the absolute
+    terms.  A value within twice that margin has the sign None: the caller
+    raises IdentificationAmbiguity if it reads it.
     """
-    if not x.any():
-        return 0
-    terms = x * ring.basis_values
-    value, size = float(terms.sum()), float(np.abs(terms).sum())
+    value, size = x @ ring.basis_values, np.abs(x) @ np.abs(ring.basis_values)
     margin = 2 * (ring.dim + 2 * sum(ring.factors) + 8) * np.finfo(float).eps * size
-    if abs(value) <= margin:
-        raise IdentificationAmbiguity(f"root form {value!r} is within its error {margin:.1e}")
-    return 1 if value > 0 else -1
+    zero = ~x.any(axis=1)
+    unsure = (np.abs(value) <= margin) & ~zero
+    sign = np.where(zero, 0, np.where(value > 0, 1, -1))
+    return [None if u else g for g, u in zip(sign.tolist(), unsure.tolist())]
 
 
-def _elementary_roots(params: GroupParams) -> tuple[int, np.ndarray]:
-    """|E| and act[s, i], the index of s beta_i in E or -1 if it is not in E.
+def _elementary_roots(ring: CosineRing, W: np.ndarray) -> tuple[np.ndarray, int]:
+    """act[s, i], the index of s beta_i in E or -1 if it is not in E, and the
+    number of root layers closed.
 
     A root is its [3, dim] coefficient array over the simple roots, which
     are roots 0, 1, 2.  E is their closure under beta -> s beta =
     beta - 2B(alpha_s, beta) alpha_s whenever -1 < B(alpha_s, beta) < 0, with
-    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st).
+    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st).  It is
+    closed one layer of new roots at a time, the images visited in
+    (root, s) order, so the roots are numbered as a scalar BFS numbers them;
+    a sign is read, and may raise, only where that BFS would read it.
     """
-    orders = params.orders()
-    ring = CosineRing(orders.values())
-    W = reflection_tensors(orders, ring)
-    roots = list(np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one()))
-    index = {beta.tobytes(): i for i, beta in enumerate(roots)}
-    images = []
-    for beta in roots:  # grows while it is read
-        for s in range(3):
-            # W[s, t] multiplies by 2cos(pi/m_st) and W[s, s] by -2
-            b = -np.einsum("td,tde->e", beta, W[s])  # 2B(alpha_s, beta)
-            image = beta.copy()
-            image[s] -= b
-            images.append(image.tobytes())
-            if images[-1] not in index and _sign(ring, b) < 0 < _sign(ring, b + 2 * ring.one()):
-                index[images[-1]] = len(roots)
-                roots.append(image)
-    return len(roots), np.array([index.get(k, -1) for k in images]).reshape(-1, 3).T
+    dim = ring.dim
+    # W[s, t] multiplies by 2cos(pi/m_st) and W[s, s] by -2, so a root's
+    # flattened coefficients times -W[s, t] summed over t give 2B(alpha_s, beta)
+    form = -W.transpose(1, 2, 0, 3).reshape(3 * dim, 3 * dim)
+    two = 2 * ring.one()
+    layer = np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one())
+    index = {beta.tobytes(): i for i, beta in enumerate(layer)}
+    keys, rounds = [], 0
+    while len(layer):
+        rounds += 1
+        b = (layer.reshape(len(layer), -1) @ form).reshape(-1, dim)  # row (root, s)
+        images = np.repeat(layer, 3, axis=0).reshape(-1, 3, 3, dim)
+        images[:, range(3), range(3)] -= b.reshape(-1, 3, dim)
+        images = images.reshape(-1, 3, dim)
+        signs = _sign(ring, np.concatenate([b, b + two]))
+        new = []
+        for image, below, above in zip(images, signs[:len(b)], signs[len(b):]):
+            keys.append(image.tobytes())
+            if keys[-1] in index:
+                continue
+            if below is None or below < 0 and above is None:
+                i, s = divmod(len(keys) - 1, 3)
+                raise IdentificationAmbiguity(
+                    f"2B(alpha_{s}, beta_{i}) is within the float error of its sign test")
+            if below < 0 < above:
+                index[keys[-1]] = len(index)
+                new.append(image)
+        layer = np.array(new, dtype=np.int64).reshape(-1, 3, dim)
+    return np.array([index.get(k, -1) for k in keys]).reshape(-1, 3).T, rounds
 
 
 def _root_states(act: np.ndarray) -> np.ndarray:
@@ -146,13 +161,15 @@ def _root_states(act: np.ndarray) -> np.ndarray:
     A state is a bitset over E in a Python int, of any width; bit s is
     alpha_s.  Row q holds the state of ws, or -1 when alpha_s is in D(w).
     """
+    # bit[s][j] is the bit of s beta_j, or 0 when s beta_j is not in E
+    bit = [[1 << j if j >= 0 else 0 for j in row] for row in act.tolist()]
     states, index, table = [0], {0: 0}, []
     for D in states:  # grows while it is read
         members = [j for j in range(D.bit_length()) if D >> j & 1]
         row = [-1, -1, -1]
         for s in range(3):
             if not D >> s & 1:
-                nxt = sum(1 << int(act[s, j]) for j in members if act[s, j] >= 0) | 1 << s
+                nxt = sum(bit[s][j] for j in members) | 1 << s
                 row[s] = index.setdefault(nxt, len(states))
                 if row[s] == len(states):
                     states.append(nxt)
@@ -160,23 +177,30 @@ def _root_states(act: np.ndarray) -> np.ndarray:
     return np.array(table, dtype=np.int64)
 
 
-def _minimize(table: np.ndarray) -> np.ndarray:
-    """Moore-minimized table of a BFS-ordered table, in BFS order again.
+def _minimize(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """Moore-minimized table of a BFS-ordered table, in BFS order again, and
+    the number of refinement rounds, the last of which splits no class.
 
-    States are merged when they accept the same words.  A class is numbered
-    by its first state: the BFS follows the generators in order, so that is
-    the order of the classes' shortlex-least words.
+    States are merged when they accept the same words.  Each round numbers
+    the classes by their first state, keyed on (class, successor classes),
+    so the final numbering is that of the classes' shortlex-least words:
+    the BFS follows the generators in order.
     """
-    cls = np.zeros(len(table), dtype=np.int64)
+    rows = table.tolist()
+    # cls ends in -1, the class of the missing successor -1
+    cls, n_cls, rounds = [0] * len(rows) + [-1], 1, 0
     while True:
-        sig = np.column_stack([cls, np.where(table >= 0, cls[table], -1)])
-        new = np.unique(sig, axis=0, return_inverse=True)[1].reshape(-1)
-        if new.max() == cls.max():
+        rounds += 1
+        ids: dict = {}
+        new = [ids.setdefault((c, cls[a], cls[b], cls[d]), len(ids))
+               for c, (a, b, d) in zip(cls, rows)]
+        if len(ids) == n_cls:
             break
-        cls = new
-    first = np.unique(cls, return_index=True)[1]
-    rank = np.append(np.argsort(np.argsort(first))[cls], -1)
-    return rank[table[np.sort(first)]]
+        cls, n_cls = new + [-1], len(ids)
+    first = {}
+    for q, c in enumerate(cls[:-1]):
+        first.setdefault(c, q)
+    return np.array([[cls[t] for t in rows[q]] for q in first.values()], dtype=np.int64), rounds
 
 
 def _state_types(table: np.ndarray, perms) -> np.ndarray:
@@ -187,25 +211,30 @@ def _state_types(table: np.ndarray, perms) -> np.ndarray:
     permutations form a group, so the least image of q is the least state
     of its orbit, and the types are numbered in that order.
     """
-    least = np.arange(len(table))
+    rows = table.tolist()
+    least = list(range(len(rows)))
     for p in perms:
-        pi = np.zeros(len(table), dtype=np.int64)
-        for q, s in zip(*np.nonzero(table >= 0)):  # q is reached from a smaller state
-            pi[table[q, s]] = table[pi[q], p[s]]
-        least = np.minimum(least, pi)
-    return np.unique(least, return_inverse=True)[1].reshape(-1)
+        pi = [0] * len(rows)
+        for q, row in enumerate(rows):  # q is reached from a smaller state
+            for s, t in enumerate(row):
+                if t >= 0:
+                    pi[t] = rows[pi[q]][p[s]]
+        least = [min(a, b) for a, b in zip(least, pi)]
+    rank = {q: i for i, q in enumerate(sorted(set(least)))}
+    return np.array([rank[q] for q in least], dtype=np.int64)
 
 
 def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeTypeAutomaton:
     """The cone-type automaton of Delta(l,m,n), from its elementary roots.
 
     M counts the successor types of one state of each type in the
-    trivalent Cayley graph.  diag["roots"] receives |E| and diag["states"]
-    the number of states before and after minimization.
+    trivalent Cayley graph.  diag receives "roots", |E|; "closure_rounds",
+    the number of root layers closed; "states", the number of states before
+    and after minimization; and "moore_rounds", the refinement rounds.
     """
-    n_roots, act = _elementary_roots(params)
+    act, closure_rounds = _elementary_roots(*ring_and_tensors(params))
     states = _root_states(act)
-    table = _minimize(states)
+    table, moore_rounds = _minimize(states)
     state_type = _state_types(table, _admissible_perms(params))
     K = int(state_type.max()) + 1
     succ = table[np.unique(state_type, return_index=True)[1]]
@@ -213,8 +242,10 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     rows, gens = np.nonzero(succ >= 0)
     np.add.at(M, (rows, state_type[succ[rows, gens]]), 1)
     if diag is not None:
-        diag["roots"] = n_roots
+        diag["roots"] = act.shape[1]
+        diag["closure_rounds"] = closure_rounds
         diag["states"] = {"before": len(states), "after": len(table)}
+        diag["moore_rounds"] = moore_rounds
     return ConeTypeAutomaton(params=params, K_total=K, M=M, degree=3,
                              root_type=int(state_type[0]), transitions=table,
                              state_type=state_type)
@@ -267,23 +298,24 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
     """Restrict to the unique terminal strongly connected component.
 
     That component is the set of types every type reaches; the set is empty
-    when there are two or more terminal components.
+    when there are two or more terminal components.  The 0/1 matrix
+    products are float64 products clipped to 1, exact on 0/1 entries.
     """
     K = a.K_total
-    reach = (a.M > 0) | np.eye(K, dtype=bool)
+    reach = np.maximum(a.M > 0, np.eye(K))
     for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
-        reach = reach @ reach
+        reach = np.minimum(reach @ reach, 1.0)
     idx = np.flatnonzero(reach.all(axis=0))
     if idx.size == 0:
         raise MultipleTerminalSCCs("no type is reached from every type")
     MT = a.M[np.ix_(idx, idx)]
     KT = len(idx)
-    power = (MT > 0)
-    p = 1
+    step = (MT > 0).astype(float)
+    power, p = step, 1
     while not power.all():
         if p > KT * KT:
             raise NotPrimitive(f"no positive power up to exponent {KT * KT}")
-        power = (power @ (MT > 0))
+        power = np.minimum(power @ step, 1.0)
         p += 1
     return ReducedAutomaton(types=tuple(int(t) for t in idx), M=MT, degree=a.degree, p=p)
 
@@ -345,12 +377,12 @@ def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton | None = N
         "params": list(a.params.triple()) if a.params is not None else None,
         "K_total": a.K_total,
         "root_type": a.root_type,
-        "M": [[int(x) for x in row] for row in a.M],
+        "M": a.M.tolist(),
         "d": [a.degree] * a.K_total,
-        "r": [int(x) for x in a.r],
+        "r": a.r.tolist(),
         "reduced": {
             "types": list(reduced.types),
-            "M": [[int(x) for x in row] for row in reduced.M],
+            "M": reduced.M.tolist(),
             "p": reduced.p,
         },
     }
@@ -388,11 +420,11 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
     # the lower bound holds for a d-regular graph only
     if (d <= 0).any() or (d != d[0]).any():
         raise SchemaError(f"degree vector {d.tolist()} is not one positive value")
-    params = None
-    if doc.get("params") is not None:
-        from .coxeter import new_params
-
-        params = new_params(*doc["params"])
+    params = doc.get("params")
+    if params is not None:
+        if not isinstance(params, list) or len(params) != 3:
+            raise SchemaError(f"params {params!r} is not a list of three exponents")
+        params = new_params(*params)
     a = ConeTypeAutomaton(params=params, K_total=K, M=M, degree=int(d[0]), root_type=root_type)
     if not np.array_equal(r, a.r) or (r < 0).any():
         raise SchemaError(f"predecessor vector {r.tolist()} is not d - row sums "

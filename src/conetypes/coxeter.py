@@ -70,6 +70,17 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
     return p
 
 
+@lru_cache(maxsize=8)
+def ring_and_tensors(params: GroupParams) -> tuple[CosineRing, np.ndarray]:
+    """The cosine ring of Delta(l,m,n) and its reflection tensors W, built
+    once per exponent triple for the automaton and the ball; W is read-only."""
+    orders = params.orders()
+    ring = CosineRing(orders.values())
+    W = reflection_tensors(orders, ring)
+    W.flags.writeable = False
+    return ring, W
+
+
 @lru_cache(maxsize=None)
 def _multipliers(width: int) -> np.ndarray:
     """Fixed odd uint64 weights of the fingerprint of a width-`width` row."""
@@ -209,8 +220,7 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    orders = params.orders()
-    ring = CosineRing(orders.values())
+    ring, W = ring_and_tensors(params)
     y0 = np.zeros((1, 3, ring.dim), dtype=np.int64)
     y0[0, :] = ring.one()
     ball = CayleyBall(
@@ -221,7 +231,7 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         edges=np.zeros((0, 3), dtype=np.int64),
         parent=np.array([-1], dtype=np.int64),
         parent_gen=np.array([-1], dtype=np.int16),
-        _W=reflection_tensors(orders, ring),
+        _W=W,
         _y=y0,
         _down=np.zeros((1, 3), dtype=bool),
     )

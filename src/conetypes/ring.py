@@ -118,7 +118,8 @@ class CosineRing:
             y_mul[:, 1:] += D[:d - 1].T
             self.degrees.append(d)
             self.y_mul.append(y_mul)
-            values = np.kron(values, np.append(1.0, 2 * np.cos(np.pi * np.arange(1, d) / f)))
+            cosines = np.append(1.0, 2 * np.cos(np.pi * np.arange(1, d) / f))
+            values = np.multiply.outer(values, cosines).ravel()
         self.dim = int(np.prod(self.degrees)) if self.degrees else 1
         self.basis_values = values
         degree = _field_degree(orders)
@@ -144,14 +145,18 @@ class CosineRing:
         if k == 3:
             return np.eye(self.dim, dtype=np.int64)
         idx = next(i for i, f in enumerate(self.factors) if f % k == 0)
-        x = self.y_mul[idx].T
+        x = self.y_mul[idx].T.copy()
         prev, cur = 2 * np.eye(len(x), dtype=np.int64), x
         for _ in range(1, self.factors[idx] // k):
             prev, cur = cur, x @ cur - prev
-        out = np.eye(1, dtype=np.int64)
-        for i, d in enumerate(self.degrees):
-            out = np.kron(out, cur if i == idx else np.eye(d, dtype=np.int64))
-        return out
+        # identities on the factors before and after this one; a side with
+        # no factor needs no Kronecker product
+        before, after = math.prod(self.degrees[:idx]), math.prod(self.degrees[idx + 1:])
+        if before > 1:
+            cur = np.kron(np.eye(before, dtype=np.int64), cur)
+        if after > 1:
+            cur = np.kron(cur, np.eye(after, dtype=np.int64))
+        return cur
 
 
 def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:
@@ -161,14 +166,11 @@ def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> 
     y -> y sigma_s to y_t + y_s * 2cos(pi/order(s,t)) in coordinate t != s,
     and coordinate s flips sign.  W[s, t] holds the corresponding [dim, dim]
     coefficient-space matrix, so the update is y_t + y_s @ W[s, t] for every
-    t (W[s, s] = -2 I gives the sign flip).
+    t (W[s, s] = -2 I gives the sign flip).  W[s, t] = W[t, s], so each
+    unordered pair's matrix is built once.
     """
-    dim = ring.dim
-    W = np.zeros((3, 3, dim, dim), dtype=np.int64)
-    for s in range(3):
-        for t in range(3):
-            if s == t:
-                W[s, t] = -2 * np.eye(dim, dtype=np.int64)
-            else:
-                W[s, t] = ring.mul_by_2cos(orders[(s, t)])
+    W = np.zeros((3, 3, ring.dim, ring.dim), dtype=np.int64)
+    W[range(3), range(3)] = -2 * np.eye(ring.dim, dtype=np.int64)
+    for s, t in combinations(range(3), 2):
+        W[s, t] = W[t, s] = ring.mul_by_2cos(orders[(s, t)])
     return W

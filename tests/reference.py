@@ -1,6 +1,8 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
-the post-fixed-point check in Fractions, and helpers only the tests read.
+the post-fixed-point check in Fractions, the root path one root and one
+generator at a time with np.unique minimization, and helpers only the
+tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -13,6 +15,7 @@ own label layers are checked against from-scratch ones at one radius with
 lexicographic ids, and its one-pass verifier against one depth at a time.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +23,17 @@ from functools import lru_cache
 import numpy as np
 
 from conetypes import (
+    ConeTypeAutomaton,
+    CosineRing,
     GroupParams,
+    IdentificationAmbiguity,
     ReturnSeries,
     VerificationFailed,
     build_ball,
+    reflection_tensors,
     types_on_ball,
 )
-from conetypes.automaton import _admissible_perms
+from conetypes.automaton import _admissible_perms, _root_states
 
 
 class WordCapExceeded(Exception):
@@ -702,3 +709,106 @@ def extract_escalating(params, radius=None, diag: dict | None = None) -> BallAut
         except (NotStabilized, VerificationFailed) as exc:
             error = exc
     raise error
+
+
+def scalar_sign(ring: CosineRing, x: np.ndarray) -> int:
+    """Sign of one field element with the root path's float margin; a value
+    within the margin raises IdentificationAmbiguity at once."""
+    if not x.any():
+        return 0
+    terms = x * ring.basis_values
+    value, size = float(terms.sum()), float(np.abs(terms).sum())
+    margin = 2 * (ring.dim + 2 * sum(ring.factors) + 8) * np.finfo(float).eps * size
+    if abs(value) <= margin:
+        raise IdentificationAmbiguity(f"root form {value!r} is within its error {margin:.1e}")
+    return 1 if value > 0 else -1
+
+
+def scalar_elementary_roots(params: GroupParams) -> np.ndarray:
+    """act[s, i] of the elementary roots by a scalar BFS: one root and one
+    generator at a time, a sign read only where the closure needs it."""
+    orders = params.orders()
+    ring = CosineRing(orders.values())
+    W = reflection_tensors(orders, ring)
+    roots = list(np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one()))
+    index = {beta.tobytes(): i for i, beta in enumerate(roots)}
+    images = []
+    for beta in roots:  # grows while it is read
+        for s in range(3):
+            b = -np.einsum("td,tde->e", beta, W[s])  # 2B(alpha_s, beta)
+            image = beta.copy()
+            image[s] -= b
+            images.append(image.tobytes())
+            if (images[-1] not in index
+                    and scalar_sign(ring, b) < 0 < scalar_sign(ring, b + 2 * ring.one())):
+                index[images[-1]] = len(roots)
+                roots.append(image)
+    return np.array([index.get(k, -1) for k in images]).reshape(-1, 3).T
+
+
+def unique_minimize(table: np.ndarray) -> np.ndarray:
+    """Moore refinement with np.unique over whole signature rows, classes
+    renumbered by their first state at the end."""
+    cls = np.zeros(len(table), dtype=np.int64)
+    while True:
+        sig = np.column_stack([cls, np.where(table >= 0, cls[table], -1)])
+        new = np.unique(sig, axis=0, return_inverse=True)[1].reshape(-1)
+        if new.max() == cls.max():
+            break
+        cls = new
+    first = np.unique(cls, return_index=True)[1]
+    rank = np.append(np.argsort(np.argsort(first))[cls], -1)
+    return rank[table[np.sort(first)]]
+
+
+def array_state_types(table: np.ndarray, perms) -> np.ndarray:
+    """Orbits of the states under the permutations, by numpy indexing."""
+    least = np.arange(len(table))
+    for p in perms:
+        pi = np.zeros(len(table), dtype=np.int64)
+        for q, s in zip(*np.nonzero(table >= 0)):
+            pi[table[q, s]] = table[pi[q], p[s]]
+        least = np.minimum(least, pi)
+    return np.unique(least, return_inverse=True)[1].reshape(-1)
+
+
+def root_automaton_reference(params: GroupParams) -> tuple[np.ndarray, ConeTypeAutomaton]:
+    """act and the root-path automaton from the scalar closure, np.unique
+    minimization and array orbits; the states D(w) are the library's."""
+    act = scalar_elementary_roots(params)
+    table = unique_minimize(_root_states(act))
+    state_type = array_state_types(table, _admissible_perms(params))
+    K = int(state_type.max()) + 1
+    succ = table[np.unique(state_type, return_index=True)[1]]
+    M = np.zeros((K, K), dtype=np.int64)
+    rows, gens = np.nonzero(succ >= 0)
+    np.add.at(M, (rows, state_type[succ[rows, gens]]), 1)
+    return act, ConeTypeAutomaton(params=params, K_total=K, M=M, degree=3,
+                                  root_type=int(state_type[0]), transitions=table,
+                                  state_type=state_type)
+
+
+def cta1_reference(a: ConeTypeAutomaton) -> str:
+    """The cta-1 document of a, with the reduction by boolean matrix powers
+    and every number converted one at a time."""
+    K = a.K_total
+    reach = (a.M > 0) | np.eye(K, dtype=bool)
+    for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
+        reach = reach @ reach
+    idx = np.flatnonzero(reach.all(axis=0))
+    MT = a.M[np.ix_(idx, idx)]
+    power, p = MT > 0, 1
+    while not power.all():
+        power, p = power @ (MT > 0), p + 1
+    doc = {
+        "schema": "cta-1",
+        "params": list(a.params.triple()),
+        "K_total": K,
+        "root_type": a.root_type,
+        "M": [[int(x) for x in row] for row in a.M],
+        "d": [a.degree] * K,
+        "r": [int(x) for x in a.r],
+        "reduced": {"types": [int(t) for t in idx],
+                    "M": [[int(x) for x in row] for row in MT], "p": p},
+    }
+    return json.dumps(doc, sort_keys=True)

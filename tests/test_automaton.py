@@ -2,6 +2,7 @@
 extraction's own checks, reduction, and export."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,7 +30,9 @@ from conetypes import (
     types_on_ball,
     verify_counts,
 )
-from conetypes.automaton import _admissible_perms, _sign
+from conetypes import automaton
+from conetypes.automaton import _admissible_perms, _elementary_roots, _sign
+from conetypes.coxeter import ring_and_tensors
 from conftest import EXPECTED_COUNTS, TABLE
 from reference import (
     LabelLayers,
@@ -456,6 +459,10 @@ HYPERBOLIC_8 = [
     (l, m, n) for l in range(2, 9) for m in range(l, 9) for n in range(m, 9)
     if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
 ]
+HYPERBOLIC_12 = [
+    (l, m, n) for l in range(2, 13) for m in range(l, 13) for n in range(m, 13)
+    if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
+]
 
 
 @pytest.mark.parametrize("triple", HYPERBOLIC_8)
@@ -472,13 +479,63 @@ def test_root_automaton_equals_ball_reference(triple):
 
 def test_root_sign_test_refuses_what_floats_cannot_decide():
     ring = CosineRing((4, 4, 4))  # basis 1, sqrt 2
-    assert _sign(ring, np.array([0, 0])) == 0
-    assert _sign(ring, np.array([3, -2])) == 1
-    assert _sign(ring, np.array([-3, 2])) == -1
     # a Pell pair: 22619537 - 15994428 sqrt 2 = 2.2e-8, below the float
-    # error bound of terms near 2.3e7
+    # error bound of terms near 2.3e7, has no sign
+    rows = np.array([[0, 0], [3, -2], [-3, 2], [22619537, -15994428]])
+    assert _sign(ring, rows) == [0, 1, -1, None]
+
+
+def test_root_closure_reads_a_sign_only_where_a_scalar_closure_does(monkeypatch):
+    # 2B(alpha_s, beta) = 0 maps beta to itself, already in E, so the
+    # closure never reads that sign: unknown, it changes nothing.  In
+    # (2,3,7) alpha_1 and alpha_2 are orthogonal.
+    ring, W = ring_and_tensors(new_params(2, 3, 7))
+    want = _elementary_roots(ring, W)
+    unread = []
+
+    def zero_unknown(ring, x):
+        signs = _sign(ring, x)
+        unread.extend(g for g in signs if g == 0)
+        return [None if g == 0 else g for g in signs]
+
+    monkeypatch.setattr(automaton, "_sign", zero_unknown)
+    got = _elementary_roots(ring, W)
+    assert unread
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    # a sign it reads raises
+    monkeypatch.setattr(automaton, "_sign", lambda ring, x: [None] * len(x))
     with pytest.raises(IdentificationAmbiguity):
-        _sign(ring, np.array([22619537, -15994428]))
+        _elementary_roots(ring, W)
+
+
+def test_root_path_equals_its_scalar_oracles():
+    # the layered closure, the keyed Moore refinement and the list-based
+    # orbits give the scalar BFS's act table, np.unique's minimized table,
+    # the array orbits and a byte-identical cta-1 document, in two orders
+    for triple in HYPERBOLIC_12:
+        for order in (triple, triple[::-1]):
+            params = new_params(*order)
+            act, want = reference.root_automaton_reference(params)
+            got = extract_automaton(params)
+            assert np.array_equal(_elementary_roots(*ring_and_tensors(params))[0], act), order
+            assert np.array_equal(got.transitions, want.transitions), order
+            assert np.array_equal(got.state_type, want.state_type), order
+            assert np.array_equal(got.M, want.M), order
+            assert got.root_type == want.root_type, order
+            assert automaton_to_json(got) == reference.cta1_reference(want), order
+
+
+def test_root_path_work_over_hyperbolic_12():
+    # tripwire: the root layers closed and the Moore rounds over the 269
+    # triples when this test was written; more of either fails here
+    totals = Counter()
+    for triple in HYPERBOLIC_12:
+        diag = {}
+        extract_automaton(new_params(*triple), diag)
+        totals.update(closure=diag["closure_rounds"], moore=diag["moore_rounds"])
+    assert len(HYPERBOLIC_12) == 269
+    assert totals["closure"] <= 1366
+    assert totals["moore"] <= 2677
 
 
 @pytest.mark.parametrize("triple", [(12, 16, 18), (12, 16, 20), (12, 18, 20),
@@ -604,6 +661,12 @@ def test_json_schema_errors(data444):
         for key in keys:
             node = node[key]
         node[last] = value
+        with pytest.raises(SchemaError):
+            automaton_from_json(_json.dumps(doc))
+    # params, when given, is a list of three exponents
+    for params in ([4, 4], 5, [4, 4, 4, 4]):
+        doc = _json.loads(good)
+        doc["params"] = params
         with pytest.raises(SchemaError):
             automaton_from_json(_json.dumps(doc))
     # more successors than the degree: r = d - row sums is negative

@@ -27,7 +27,7 @@ from conetypes import (
     table_to_csv,
     table_to_markdown,
 )
-from conetypes import pipeline
+from conetypes import coxeter, pipeline
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
 from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS
@@ -98,10 +98,14 @@ def test_run_group_444():
     assert report.curvature == Fraction(-1, 4)
     assert 0.8 < report.envelope < report.upper
     diag = report.diagnostics
-    # 9 elementary roots; 22 states, already minimal, in 6 orbits under
-    # the six generator permutations, all admissible for (4,4,4)
+    # 9 elementary roots in two layers (the simple roots, then six that add
+    # none); 22 states, already minimal (4 Moore rounds, the last splitting
+    # no class), in 6 orbits under the six generator permutations, all
+    # admissible for (4,4,4)
     assert diag["roots"] == 9
+    assert diag["closure_rounds"] == 2
     assert diag["states"] == {"before": 22, "after": 22}
+    assert diag["moore_rounds"] == 4
     assert diag["oracle_radius"] == 10
     for key in ("radius", "k_star", "escalations", "sphere_sizes", "label_rounds",
                 "verifier"):
@@ -248,6 +252,24 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
     assert result.exit_code == 2
 
 
+def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
+    # the automaton and the checked ball share one ring and one read-only W
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    real = coxeter.reflection_tensors
+    monkeypatch.setattr(coxeter, "reflection_tensors", counted)
+    coxeter.ring_and_tensors.cache_clear()
+    params = new_params(3, 4, 5)
+    report = run_group(params)
+    assert report.ok and "ball" in report.diagnostics["timings"]
+    assert len(built) == 1
+    assert not coxeter.ring_and_tensors(params)[1].flags.writeable
+
+
 def test_report_json_shape():
     report = run_group(new_params(4, 4, 4))
     text = report_to_json(report, timestamp=False)
@@ -256,6 +278,8 @@ def test_report_json_shape():
     assert doc["schema"] == "bnd-1"
     assert doc["group"] == [4, 4, 4]
     assert doc["curvature"] == {"num": -1, "den": 4}
+    assert doc["diagnostics"]["closure_rounds"] == 2
+    assert doc["diagnostics"]["moore_rounds"] == 4
     assert "generated_at" not in doc
     assert "generated_at" in json.loads(report_to_json(report))
 
