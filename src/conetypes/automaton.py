@@ -389,11 +389,28 @@ def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton | None = N
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer as it was parsed; a float, string or bool is refused."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_ints(value, name: str) -> np.ndarray:
+    """A JSON array of integers as a signed integer array, refused unless
+    numpy infers a signed integer dtype from the parsed values alone."""
+    arr = np.array(value)
+    if arr.dtype.kind != "i":
+        raise SchemaError(f"{name} is not an array of integers (read as {arr.dtype})")
+    return arr
+
+
 def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]:
     """Parse a cta-1 document and check it against what its M and d imply.
 
-    r must be d - sum_j M_ij >= 0, and the reduced block (types, M, p) must
-    be the reduction of M, which is returned with the automaton.
+    Every count must be a JSON integer, r must be d - sum_j M_ij >= 0, and
+    the reduced block (types, M, p) must be the reduction of M, which is
+    returned with the automaton.
     """
     try:
         doc = json.loads(text)
@@ -402,15 +419,15 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
     if not isinstance(doc, dict) or doc.get("schema") != "cta-1":
         raise SchemaError("missing or unsupported schema field (expected cta-1)")
     try:
-        K = int(doc["K_total"])
-        M = np.array(doc["M"], dtype=np.int64)
-        d = np.array(doc["d"], dtype=np.int64)
-        r = np.array(doc["r"], dtype=np.int64)
-        root_type = int(doc["root_type"])
+        K = _json_int(doc["K_total"], "K_total")
+        M = _json_ints(doc["M"], "M")
+        d = _json_ints(doc["d"], "d")
+        r = _json_ints(doc["r"], "r")
+        root_type = _json_int(doc["root_type"], "root_type")
         red = doc["reduced"]
-        types = tuple(int(t) for t in red["types"])
-        MT = np.array(red["M"], dtype=np.int64)
-        p = int(red["p"])
+        types = tuple(_json_ints(red["types"], "reduced.types").tolist())
+        MT = _json_ints(red["M"], "reduced.M")
+        p = _json_int(red["p"], "reduced.p")
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed cta-1 document: {e}") from None
     if M.shape != (K, K) or d.shape != (K,) or r.shape != (K,):

@@ -12,10 +12,13 @@ every Newton step computes, is close to linear in R_F - z.  Starting at
 z = 1, z steps most of the way to where the last two solutions extrapolate
 g to 0, each solve warm-started from the previous solution (a pre-fixed
 point below the next least solution, so Newton still rises to it).  Near
-the estimate, Newton on the bordered fold system polishes it.  The polished
-z is accepted only if it lies above the last solved z and below any z found
-past the fold, and the minimal solution exists at z (1 - 1e-9) but not at
-z (1 + 1e-9).  There is no fallback: anything else raises NotConverged.
+the estimate, Newton on the bordered fold system polishes it, seeded with
+the direction of the last x, which turns to the Perron vector of J as
+rho(J) -> 1.  The polished z is accepted only if it lies above the last
+solved z and below any z found past the fold, the exact check below proves
+the polished w a post-fixed point at z (1 - 1e-9), and the minimal solution,
+warm-started from the last one solved, does not exist at z (1 + 1e-9).
+There is no fallback: anything else raises NotConverged.
 
 The Green-kernel radius is R_F itself.  The graph is d-regular, and the
 root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
@@ -25,14 +28,16 @@ predecessor, and it is not in the reduced set).  So F never reaches 1 up
 to the fold, and no smaller root of F(z) = 1 can bound the radius;
 upper_bound raises NotConverged should F(R_F) >= 1 all the same.
 
-The bound is certified exactly.  A rational z and w >= 0 with
+The bound is certified exactly, and the same check confirms the fold from
+below.  A rational z and w >= 0 with
 z(r_i + w_i sum_j M_ij w_j) <= d w_i for every type and
 z sum_j M_root,j w_j < d make w a post-fixed point of the monotone
 system, so the least solution exists at z and lies below w (Etessami and
-Yannakakis, JACM 2009); then F(z) < 1 and rho_T <= 1/z.  The check is made
-on the polished fold solution at z = R_F (1 - CERT_MARGIN), in exact integer
-arithmetic: every w_i is a dyadic rational, so over one common power of two
-and z's denominator the same inequalities compare Python ints.
+Yannakakis, JACM 2009); then F(z) < 1, R_F >= z and rho_T <= 1/z.  The
+check is made once, on the polished fold solution at
+z = R_F (1 - CERT_MARGIN), in exact integer arithmetic: every w_i is a
+dyadic rational, so over one common power of two and z's denominator the
+same inequalities compare Python ints.
 """
 
 from __future__ import annotations
@@ -49,17 +54,16 @@ from .errors import InvalidRoot, NotConverged
 STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
 # approach to the fold: first trial z, share of the estimated distance to
-# step, relative distance at which the bordered Newton takes over, and the
-# relative gap on each side of the polished z where the solver is rerun
+# step, and relative distance at which the bordered Newton takes over
 FIRST_STEP = 0.01
 APPROACH_STEP = 0.9
 HANDOFF = 1e-3
-CONFIRM_GAP = 1e-9
 SOLVE_CAP = 40
 # residual at which the bordered Newton accepts the polished fold
 FOLD_TOL = 1e-13
-# relative step below the fold point at which the exact check is made; far
-# above the fold residual (< 1e-13), far below the reported digits
+# relative gap on each side of the polished fold: the exact check is made
+# below it and the solver must diverge above it; far above the fold
+# residual (< 1e-13), far below the reported digits
 CERT_MARGIN = 1e-9
 
 
@@ -83,7 +87,8 @@ class FixedPointSolution:
     # from the last Newton step; below 1 by construction
     jacobian_spectral_radius: float
     iterations: int
-    x_max: float  # max of (I - J)^-1 1 at the last step, ||(I - J)^-1||_inf
+    x: np.ndarray  # (I - J)^-1 1 > 0 at the last step
+    x_max: float  # max(x), ||(I - J)^-1||_inf
 
 
 @dataclass
@@ -94,10 +99,18 @@ class Diverged:
 
 @dataclass
 class FoldResult:
+    """The polished fold, confirmed from below by an exact certificate.
+
+    w is proven a post-fixed point at certified_z = R_F (1 - CERT_MARGIN),
+    so the least solution exists there and rho_T <= 1/certified_z; the
+    solver diverged at R_F (1 + CERT_MARGIN).
+    """
+
     R_F: float
     w: np.ndarray  # the minimal fixed point at R_F
     u: np.ndarray
     residual: float
+    certified_z: Fraction
     # always False; kept only because the benchmark's trace hook reads it
     fallback: bool
     # fixed-point solves of the search, their Newton steps, Diverged count
@@ -113,7 +126,7 @@ class UpperBoundResult:
     rho_T: float
     root_type: int
     fold_residual: float
-    certified_upper: Fraction | None
+    certified_upper: Fraction
     fold_solves: int
     fold_newton_steps: int
     fold_diverged: int
@@ -165,43 +178,48 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     by Collatz-Wielandt, max_i (J x)_i / x_i: a bound below 1 proves
     rho(J) < 1 there, with no eigen-solve; a bound >= 1 gives Diverged.
     """
-    Mp, Mp_diag, p_minus = spec.Mp, spec.Mp_diag, spec.p_minus
+    Mp = spec.Mp
     K = Mp.shape[0]
+    # the factors of z, once per solve; A = I - J is refilled in place, its
+    # diagonal written through a strided view
+    nzMp, zMp_diag, zp = -z * Mp, z * spec.Mp_diag, z * spec.p_minus
+    A = np.empty((K, K))
+    A_diag = A.reshape(-1)[::K + 1]
     rhs = np.empty((K, 2))
     rhs[:, 1] = 1.0
     w = np.zeros(K) if w0 is None else np.array(w0, dtype=float)
     w_max = float(w.max())
     for it in range(1, STEP_CAP + 1):
-        # I - J and Phi - w from one v = Mp w, each entry rounded as
-        # 1 - z (v_i + w_i Mp_ii), -(z (w_i Mp_ij)) and z (p_i + w_i v_i) - w_i
-        v = Mp @ w
-        A = w[:, None] * Mp
-        A *= -z
-        np.fill_diagonal(A, 1.0 - z * (v + w * Mp_diag))
-        rhs[:, 0] = z * (p_minus + w * v) - w
+        # I - J and Phi - w from one nv = -z Mp w: entries
+        # 1 + nv_i - w_i z Mp_ii, w_i (-z Mp_ij) and z p_i - w_i nv_i - w_i
+        nv = nzMp @ w
+        np.multiply(w[:, None], nzMp, out=A)
+        A_diag[:] = 1.0 + nv - w * zMp_diag
+        rhs[:, 0] = zp - w * nv - w
         try:
-            step, x = np.linalg.solve(A, rhs).T
+            sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             return Diverged(z=z, iterations=it)
-        x_max, step_min, step_max = float(x.max()), float(step.min()), float(step.max())
+        (step_min, x_min), (step_max, x_max) = sol.min(axis=0).tolist(), sol.max(axis=0).tolist()
         # roundoff in the step, measured within 1e-12 of the fold on every root
         # of the reference automata, stays below 0.6 eps ||(I - J)^-1|| max(1, w)
         floor = 1e-14 * x_max * max(1.0, w_max)
-        if x.min() <= 0.0 or step_min < -floor:
+        if x_min <= 0.0 or step_min < -floor:
             return Diverged(z=z, iterations=it)
-        w = w + step
+        w = w + sol[:, 0]
         w_max = float(w.max())
         if w_max > DIVERGENCE_CAP:
             return Diverged(z=z, iterations=it)
         if max(step_max, -step_min) <= floor:
+            x = sol[:, 1]
             v = Mp @ w
             rad = _jacobian_bound(spec, z, w, v, x)
             if rad >= 1.0:
                 return Diverged(z=z, iterations=it)
-            residual = float(np.max(np.abs(z * (p_minus + w * v) - w)))
+            residual = float(np.max(np.abs(z * (spec.p_minus + w * v) - w)))
             return FixedPointSolution(
                 z=z, w=w, residual=residual, jacobian_spectral_radius=rad,
-                iterations=it, x_max=x_max,
+                iterations=it, x=x, x_max=x_max,
             )
     return Diverged(z=z, iterations=STEP_CAP)
 
@@ -248,9 +266,11 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     square-root singularity makes it nearly linear in R_F - z) and z steps
     APPROACH_STEP of the way there, never past the midpoint to the least
     z found Diverged.  Within HANDOFF z of the estimate, Newton on the fold
-    system polishes it.  The polished z is accepted only inside the bracket,
-    with w >= 0 and u > 0, when the minimal solution exists at
-    z (1 - CONFIRM_GAP) and not at z (1 + CONFIRM_GAP); else NotConverged.
+    system polishes it, seeded with u = x / sum(x) from the last solve.
+    The polished z is accepted only inside the bracket, with u > 0, when
+    is_post_fixed_point proves w >= 0 a post-fixed point at
+    z (1 - CERT_MARGIN) and the solver, warm-started from the last
+    converged solution, diverges at z (1 + CERT_MARGIN); else NotConverged.
     """
     counts = {"solves": 0, "newton_steps": 0, "diverged": 0}
 
@@ -284,21 +304,21 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
         if target - last.z <= HANDOFF * last.z:
             break
         z = last.z + APPROACH_STEP * (target - last.z)
-    vals, vecs = np.linalg.eig(_jacobian(spec, last.z, last.w, spec.Mp @ last.w))
-    u = np.real(vecs[:, np.argmax(np.abs(vals))])
-    polished = _fold_newton(spec, last.w, u / u.sum(), target, FOLD_TOL)
+    polished = _fold_newton(spec, last.w, last.x / last.x.sum(), target, FOLD_TOL)
     if polished is None:
         raise NotConverged(f"bordered Newton failed from z = {target}")
     w, u, z, res = polished
-    if not (last.z < z < hi and (w >= -1e-12).all() and (u > 0).all()):
-        raise NotConverged(f"polished fold z = {z} outside ({last.z}, {hi}) or not positive")
-    z_below = z * (1.0 - CONFIRM_GAP)
-    below = solve(z_below, last.w if last.z < z_below else None)
-    if isinstance(below, Diverged):
-        raise NotConverged(f"no minimal fixed point just below the polished fold z = {z}")
-    if not isinstance(solve(z * (1.0 + CONFIRM_GAP), below.w), Diverged):
+    if not (last.z < z < hi and (u > 0).all()):
+        raise NotConverged(f"polished fold z = {z} outside ({last.z}, {hi}) or u not positive")
+    certified_z = Fraction(z * (1.0 - CERT_MARGIN))
+    if not is_post_fixed_point(spec, certified_z, w):
+        raise NotConverged(f"polished fold solution is no post-fixed point just below z = {z}")
+    # last.w lies below every least solution past last.z, so Newton from it
+    # rises to the least solution at any z where one exists
+    if not isinstance(solve(z * (1.0 + CERT_MARGIN), last.w), Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
-    return FoldResult(R_F=z, w=w, u=u, residual=res, fallback=False, **counts)
+    return FoldResult(R_F=z, w=w, u=u, residual=res, certified_z=certified_z,
+                      fallback=False, **counts)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None) -> float:
@@ -340,21 +360,20 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
 
 
 def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:
-    """rho_T = 1/R_F, with 1/z certified exactly just above it (or None)."""
+    """rho_T = 1/R_F, with 1/z certified exactly just above it by fold_point."""
     root = default_root_type(ra) if root_type is None else root_type
     spec = tree_walk_spec(ra, root)
     fold = fold_point(spec)
     F_rf = first_return_value(spec, fold.R_F, fold.w)
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
-    z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
     return UpperBoundResult(
         R_F=fold.R_F,
         F_at_RF=F_rf,
         rho_T=1.0 / fold.R_F,
         root_type=root,
         fold_residual=fold.residual,
-        certified_upper=1 / z if is_post_fixed_point(spec, z, fold.w) else None,
+        certified_upper=1 / fold.certified_z,
         fold_solves=fold.solves,
         fold_newton_steps=fold.newton_steps,
         fold_diverged=fold.diverged,

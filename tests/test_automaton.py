@@ -648,13 +648,19 @@ def test_json_schema_errors(data444):
         doc["d"] = d
         with pytest.raises(SchemaError):
             automaton_from_json(_json.dumps(doc))
-    # r and the reduced block must be what M and d give
+    # r and the reduced block must be what M and d give, and every count is
+    # an integer: a float, string or bool is refused, not truncated or parsed
     assert 1 not in ra.types
+    assert (a.K_total, a.root_type, int(a.M[0, 1])) == (6, 0, 3)
     for path, value in [(("r", 1), int(a.r[1]) + 1),  # a type outside the reduced set
                         (("reduced", "p"), ra.p + 1),
                         (("reduced", "types"), [1, 3, 4, 5]),
                         (("reduced", "M", 0, 0), int(ra.M[0, 0]) + 1),
-                        (("d",), [4] * 6)]:  # with the degree-3 M and r
+                        (("d",), [4] * 6),  # with the degree-3 M and r
+                        (("K_total",), 6.7), (("root_type",), "0"), (("root_type",), 0.9),
+                        (("root_type",), True), (("reduced", "p"), ra.p + 0.5),
+                        (("M", 0, 1), 3.9), (("d",), [3.0] * 6),
+                        (("reduced", "types"), [2.0, 3, 4, 5])]:
         doc = _json.loads(good)
         *keys, last = path
         node = doc

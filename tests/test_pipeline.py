@@ -115,7 +115,7 @@ def test_run_group_444():
     # confirmation just above the fold)
     fold = diag["fold"]
     assert set(fold) == {"solves", "newton_steps", "diverged"}
-    assert 1 <= fold["diverged"] < fold["solves"] <= 8
+    assert 1 <= fold["diverged"] < fold["solves"] <= 6
     assert fold["newton_steps"] >= fold["solves"]
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
@@ -237,7 +237,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
-    assert report.diagnostics["fold"]["solves"] <= 7
+    assert report.diagnostics["fold"]["solves"] <= 6
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -340,7 +340,7 @@ def test_cli_bounds():
     cert = doc["diagnostics"]["upper_certified"]
     assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
     fold = doc["diagnostics"]["fold"]
-    assert 1 <= fold["diverged"] < fold["solves"] <= 8
+    assert 1 <= fold["diverged"] < fold["solves"] <= 6
     assert fold["newton_steps"] >= fold["solves"]
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)

@@ -165,6 +165,30 @@ def test_fold_off_the_fold_raises(tree_reduced, monkeypatch):
             fold_point(spec)
 
 
+def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch):
+    # the exact post-fixed-point check confirms the fold from below: a
+    # polished fold it does not prove is refused
+    import conetypes.upper as upper
+
+    monkeypatch.setattr(upper, "is_post_fixed_point", lambda spec, z, w: False)
+    for ra in [tree_reduced, data444["reduced"]]:
+        with pytest.raises(NotConverged):
+            fold_point(tree_walk_spec(ra, default_root_type(ra)))
+
+
+def test_fold_needs_no_eigen_solve(tree_reduced, data444, monkeypatch):
+    # the bordered Newton is seeded with the last solve's x, not an eigenvector
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    fold = fold_point(tree_walk_spec(tree_reduced, 0))
+    assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
+    ra = data444["reduced"]
+    fold = fold_point(tree_walk_spec(ra, default_root_type(ra)))
+    assert 1.0 / fold.R_F == pytest.approx(UPPER_BOUNDS[(4, 4, 4)], abs=1e-9)
+
+
 def test_first_trial_past_the_fold(tree_reduced, monkeypatch):
     # a first trial z past the fold is Diverged; the search then steps no
     # further than the midpoint and still finds the fold
@@ -200,7 +224,8 @@ def test_warm_start_matches_cold_solve(tree_reduced, data444):
 
 
 def test_fold_search_solve_count(tree_reduced, data444, data237, monkeypatch):
-    # the extrapolated approach plus the two confirming solves stay within 8
+    # the extrapolated approach plus the confirming solve above the fold stay
+    # within 6, as on every root type of the committed documents
     import conetypes.upper as upper
 
     calls = []
@@ -216,7 +241,7 @@ def test_fold_search_solve_count(tree_reduced, data444, data237, monkeypatch):
     for ra, t in runs:
         calls.clear()
         res = upper_bound(ra, root_type=int(t))
-        assert res.fold_solves == len(calls) <= 8, (ra.types, t)
+        assert res.fold_solves == len(calls) <= 6, (ra.types, t)
         assert res.fold_diverged >= 1
         assert res.fold_newton_steps >= res.fold_solves
 
@@ -325,6 +350,18 @@ def test_certificate_refuses_non_finite_w(tree_reduced, data444, bad):
         assert is_post_fixed_point(spec, z, w) is False
 
 
+def test_every_root_of_the_committed_documents_is_certified():
+    pairs = 0
+    for path in DOCUMENTS:
+        _, ra = automaton_from_json(path.read_text())
+        for t in ra.types:
+            res = upper_bound(ra, root_type=int(t))
+            assert isinstance(res.certified_upper, Fraction), (path.name, t)
+            assert 0 < res.certified_upper - Fraction(res.rho_T) <= 2e-9, (path.name, t)
+            pairs += 1
+    assert pairs == 402
+
+
 def certificate_points(R_F):
     """z at the certificate margin, at the fold, and just past it."""
     return [Fraction(R_F * (1.0 - CERT_MARGIN)), Fraction(R_F), Fraction(R_F * (1.0 + 1e-6))]
@@ -406,15 +443,15 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
 
 
 def test_fold_search_work_on_committed_documents():
-    # at most 7 solves per document, as the README states; the totals are
+    # at most 6 solves per document, as the README states; the totals are
     # the search's work over the 28 documents when this test was written,
     # so more solves, Newton steps or Diverged fail here
     totals = Counter()
     for path in DOCUMENTS:
         fold = run_from_automaton(path.read_text()).diagnostics["fold"]
-        assert fold["solves"] <= 7, path.name
+        assert fold["solves"] <= 6, path.name
         totals.update(fold)
     assert len(DOCUMENTS) == 28
-    assert totals["solves"] <= 161
-    assert totals["newton_steps"] <= 1093
+    assert totals["solves"] <= 133
+    assert totals["newton_steps"] <= 981
     assert totals["diverged"] <= 34
