@@ -29,6 +29,7 @@ from .errors import (
 from .ring import CosineRing, reflection_tensors
 
 COEFF_GUARD = 2 ** 57
+_MASK64 = 2 ** 64 - 1
 # vertex budget of a ball; grow raises MemoryCap past it
 MAX_VERTICES = 8_000_000
 
@@ -83,10 +84,15 @@ def ring_and_tensors(params: GroupParams) -> tuple[CosineRing, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _multipliers(width: int) -> np.ndarray:
-    """Fixed odd uint64 weights of the fingerprint of a width-`width` row."""
-    rng = np.random.default_rng(0x9E3779B97F4A7C15)
-    mult = rng.integers(np.iinfo(np.uint64).max, size=width, dtype=np.uint64,
-                        endpoint=True) | np.uint64(1)
+    """Fixed odd uint64 weights of the fingerprint of a width-`width` row:
+    the splitmix64 sequence from state 0, each made odd."""
+    weights, state = [], 0
+    for _ in range(width):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        weights.append(z ^ (z >> 31) | 1)
+    mult = np.array(weights, dtype=np.uint64)
     mult.flags.writeable = False
     return mult
 
@@ -110,10 +116,12 @@ class CayleyBall:
     parent: np.ndarray
     parent_gen: np.ndarray
     # exact state of the last sphere, from which grow() continues: the
-    # reflection tensors, one orbit covector [3, dim] per vertex and its
-    # descent set (the generators leading back to the previous sphere)
-    _W: np.ndarray | None = field(default=None, repr=False)
+    # cosine ring, the orbit covectors [3, dim] of its candidates, the row of
+    # _y of each vertex and its descent set (the generators leading back to
+    # the previous sphere)
+    _ring: CosineRing | None = field(default=None, repr=False)
     _y: np.ndarray | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
     _down: np.ndarray | None = field(default=None, repr=False)
     _nbr: np.ndarray | None = field(default=None, repr=False)
 
@@ -159,32 +167,44 @@ class CayleyBall:
         Each last-sphere vertex w is expanded along its non-descent
         generators s, in (id, s) order; bipartiteness puts every candidate ws
         on the next sphere.  Right multiplication by s maps the covector y_w
-        to y_t + y_s W[s, t] (t != s) and -y_s.  Candidates are grouped by a
+        to y_t + y_s 2cos(pi/order(s, t)) (t != s) and -y_s, computed
+        generator by generator in place, each product on one factor axis of
+        the ring (CosineRing.add_times_2cos).  Candidates are grouped by a
         uint64 fingerprint, and every candidate must equal the first of its
         group exactly, else IdentificationAmbiguity is raised: rows are never
         merged on a fingerprint alone.  A new vertex takes the rank of its
-        first candidate, which is its shortlex position.
+        first candidate, which is its shortlex position, and keeps that
+        candidate's row of the new _y.
         """
-        W, y, down = self._W, self._y, self._down
+        ring, y, rows, down = self._ring, self._y, self._rows, self._down
+        orders = self.params.orders()
         k = self.radius
         src, gens = np.nonzero(~down)
-        cand = np.empty((src.size,) + y.shape[1:], dtype=np.int64)
-        for s in range(3):
-            rows = np.flatnonzero(gens == s)
-            sub = y[src[rows]]
-            ys = sub[:, s].copy()
+        # cand holds the candidates generator by generator (a stable radix
+        # sort of gens), so that each generator updates one slice in place;
+        # candidate c is row at[c] of cand
+        order = np.argsort(gens.astype(np.int8), kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        cand = y[rows[src[order]]]
+        lo = 0
+        for s, hi in enumerate(np.cumsum(np.bincount(gens, minlength=3))):
+            block = cand[lo:hi]
+            ys = block[:, s].copy()
+            np.negative(ys, out=block[:, s])
             for t in range(3):
-                sub[:, t] = -ys if t == s else sub[:, t] + ys @ W[s, t]
-            cand[rows] = sub
+                if t != s:
+                    ring.add_times_2cos(orders[s, t], ys, block[:, t])
+            lo = hi
 
         flat = cand.reshape(src.size, -1)
-        keys = flat.view(np.uint64) @ _multipliers(flat.shape[1])
+        keys = (flat.view(np.uint64) @ _multipliers(flat.shape[1]))[at]
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         n_new = first.size
         if self.n_vertices + n_new > MAX_VERTICES:
             raise MemoryCap(f"ball would exceed {MAX_VERTICES} vertices at radius {k + 1}")
         dup = np.flatnonzero(first[inv] != np.arange(inv.size))
-        if not np.array_equal(flat[dup], flat[first[inv[dup]]]):
+        if not np.array_equal(flat[at[dup]], flat[at[first[inv[dup]]]]):
             raise IdentificationAmbiguity(
                 f"distinct covectors share a fingerprint at radius {k + 1}"
             )
@@ -193,8 +213,8 @@ class CayleyBall:
         is_first[first] = True
         keep = np.flatnonzero(is_first)
         ids = (np.cumsum(is_first) - 1)[first][inv]
-        new_y = cand[keep]
-        if max(int(new_y.max()), -int(new_y.min())) >= COEFF_GUARD:
+        # every duplicate equals its first, so cand bounds the new covectors
+        if max(int(cand.max()), -int(cand.min())) >= COEFF_GUARD:
             raise IdentificationAmbiguity(
                 f"coefficient guard 2^57 exhausted at radius {k + 1}"
             )
@@ -211,7 +231,8 @@ class CayleyBall:
         self.edges = np.concatenate([self.edges, chunk])
         self.parent = np.concatenate([self.parent, base + src[keep]])
         self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
-        self._y = new_y
+        self._y = cand
+        self._rows = at[keep]
         self._down = new_down
         self._nbr = None
 
@@ -220,7 +241,7 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    ring, W = ring_and_tensors(params)
+    ring = ring_and_tensors(params)[0]
     y0 = np.zeros((1, 3, ring.dim), dtype=np.int64)
     y0[0, :] = ring.one()
     ball = CayleyBall(
@@ -231,8 +252,9 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         edges=np.zeros((0, 3), dtype=np.int64),
         parent=np.array([-1], dtype=np.int64),
         parent_gen=np.array([-1], dtype=np.int16),
-        _W=W,
+        _ring=ring,
         _y=y0,
+        _rows=np.zeros(1, dtype=np.int64),
         _down=np.zeros((1, 3), dtype=bool),
     )
     while ball.radius < radius:

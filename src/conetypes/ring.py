@@ -106,22 +106,31 @@ class CosineRing:
         orders = list(orders)
         self.factors = _field_factors(orders)
         self.degrees = []
-        self.y_mul = []
+        y_mul = []
         values = np.ones(1)
         for f in self.factors:
             c = _cyclotomic(2 * f)
             d = (len(c) - 1) // 2
-            # D_0 .. D_d in the basis; column j of y_mul is y times element j
+            # D_0 .. D_d in the basis; row j of y_mul is y times element j
             D = np.vstack([2 * np.eye(1, d, dtype=np.int64), np.eye(d, dtype=np.int64)[1:],
                            -np.array([c[d:2 * d]], dtype=np.int64)])
-            y_mul = D[1:].T.copy()
-            y_mul[:, 1:] += D[:d - 1].T
+            y_mul.append(D[1:].copy())
+            y_mul[-1][1:] += D[:d - 1]
             self.degrees.append(d)
-            self.y_mul.append(y_mul)
             cosines = np.append(1.0, 2 * np.cos(np.pi * np.arange(1, d) / f))
             values = np.multiply.outer(values, cosines).ravel()
         self.dim = int(np.prod(self.degrees)) if self.degrees else 1
         self.basis_values = values
+        # 2cos(pi/k) = D_(f/k) of the first factor f that k divides, as its
+        # d x d matrix on rows, and the size of the factors after f
+        self._factor_mul = {}
+        for k in {k for k in orders if k >= 4}:
+            idx = next(i for i, f in enumerate(self.factors) if f % k == 0)
+            x = y_mul[idx]
+            prev, cur = 2 * np.eye(len(x), dtype=np.int64), x
+            for _ in range(1, self.factors[idx] // k):
+                prev, cur = cur, x @ cur - prev
+            self._factor_mul[k] = (cur, math.prod(self.degrees[idx + 1:]))
         degree = _field_degree(orders)
         if self.dim != degree:
             raise IdentificationAmbiguity(
@@ -134,29 +143,34 @@ class CosineRing:
         e[0] = 1
         return e
 
-    def mul_by_2cos(self, k: int) -> np.ndarray:
-        """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows.
+    def add_times_2cos(self, k: int, x: np.ndarray, out: np.ndarray) -> None:
+        """out += x * 2cos(pi/k), for coefficient rows x and out of shape [n, dim].
 
-        A factor's matrix acts on coefficient columns; row vectors need its
-        transpose, Kronecker-embedded in the full basis.
+        2cos(pi/2) = 0 adds nothing and 2cos(pi/3) = 1 adds x.  Any other
+        2cos(pi/k) lies in one factor; its small Chebyshev matrix acts on that
+        factor's axis of x, seen as [n, before, d, after], and the identity
+        on the factors before and after it.
         """
         if k == 2:
-            return np.zeros((self.dim, self.dim), dtype=np.int64)
+            return
         if k == 3:
-            return np.eye(self.dim, dtype=np.int64)
-        idx = next(i for i, f in enumerate(self.factors) if f % k == 0)
-        x = self.y_mul[idx].T.copy()
-        prev, cur = 2 * np.eye(len(x), dtype=np.int64), x
-        for _ in range(1, self.factors[idx] // k):
-            prev, cur = cur, x @ cur - prev
-        # identities on the factors before and after this one; a side with
-        # no factor needs no Kronecker product
-        before, after = math.prod(self.degrees[:idx]), math.prod(self.degrees[idx + 1:])
-        if before > 1:
-            cur = np.kron(np.eye(before, dtype=np.int64), cur)
-        if after > 1:
-            cur = np.kron(cur, np.eye(after, dtype=np.int64))
-        return cur
+            out += x
+            return
+        X, after = self._factor_mul[k]
+        # a last factor's axis is contiguous: one flat [rows, d] product,
+        # which numpy runs faster than a stack of [d, 1] ones
+        if after == 1:
+            prod = x.reshape(-1, len(X)) @ X
+        else:
+            prod = X.T @ x.reshape(-1, len(X), after)
+        out += prod.reshape(out.shape)
+
+    def mul_by_2cos(self, k: int) -> np.ndarray:
+        """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows:
+        add_times_2cos applied to the identity."""
+        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
+        self.add_times_2cos(k, np.eye(self.dim, dtype=np.int64), mat)
+        return mat
 
 
 def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:

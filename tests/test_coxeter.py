@@ -1,6 +1,11 @@
 """Group parameters and exact Cayley-ball construction, against independent references."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +168,48 @@ def test_ball_deterministic_rebuild():
     assert np.array_equal(b1.edges, b2.edges)
     assert np.array_equal(b1.norms, b2.norms)
     assert np.array_equal(b1.parent, b2.parent)
+
+
+# sha256 of to_json(), recorded with the dense-product, numpy.random-weighted
+# grow: vertex ids and edge order must not move with the growth's internals
+BALL_DIGESTS = {
+    ((2, 3, 7), 10): "dd00657dd2da2813d35b432e5fd6d6e2e203a04f29612c2a67fdae082880e58e",
+    ((3, 5, 7), 8): "0f80fa88e14d52cae6ec6de0decf8f1877ae5d62a2da100b750b782cb4f358b5",
+    ((4, 7, 8), 8): "32cb65dd09ab0cfa664b403c2cfeb787824a7ae14d0fcc24b0e6f36c3eed22c6",
+}
+
+
+@pytest.mark.parametrize("triple,radius", list(BALL_DIGESTS))
+def test_ball_json_digest_is_pinned(triple, radius):
+    text = build_ball(new_params(*triple), radius).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[triple, radius]
+
+
+def test_ball_growth_imports_no_numpy_random():
+    """build_ball and run_group leave numpy.random unimported, and the
+    fingerprint weights are odd, distinct and the same in a fresh process.
+
+    A subprocess, because other test modules import numpy.random here."""
+    script = (
+        "import sys\n"
+        "from conetypes import build_ball, new_params, run_group\n"
+        "from conetypes.coxeter import _multipliers\n"
+        "build_ball(new_params(2, 3, 7), 10)\n"
+        "assert run_group(new_params(2, 3, 7)).ok\n"
+        "print('numpy.random' in sys.modules)\n"
+        "print([_multipliers(w).tolist() for w in (3, 36, 72)])\n"
+    )
+    src = str(Path(coxeter.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "False"
+    weights = [coxeter._multipliers(w).tolist() for w in (3, 36, 72)]
+    assert out[1] == str(weights)
+    for mult in weights:
+        assert all(m % 2 == 1 for m in mult)
+        assert len(set(mult)) == len(mult)
 
 
 # the triples with max <= 8 on which a tensor product of one basis per order
@@ -349,7 +396,10 @@ def _extract(ball):
 
 @pytest.mark.parametrize("triple,radius", [
     ((2, 3, 7), 22), ((3, 5, 7), 15), ((4, 4, 5), 13), ((2, 5, 6), 16), ((7, 7, 7), 15),
-] + [(t, 9) for t in FIELD_MERGED])
+] + [(t, 9) for t in FIELD_MERGED] + [
+    # three factors: 2cos(pi/7) acts on a middle axis, with identities on both sides
+    ((5, 7, 8), 9),
+])
 def test_covector_ball_matches_matrix_reference(triple, radius):
     """Radius by radius: same spheres, same labelled edges and same cone types.
 

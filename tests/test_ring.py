@@ -100,6 +100,25 @@ def test_ring_multiplication_matches_floats(orders):
                 ring_to_float(ring, a) * 2 * np.cos(np.pi / k), abs=1e-9, rel=1e-9)
 
 
+@pytest.mark.parametrize("orders", [(5, 7, 8), (6, 7, 8)])
+def test_factor_axis_products_match_floats(orders):
+    """Three factors, so the middle one has identities on both sides.  The
+    in-place product into a strided coordinate of covector rows agrees with
+    the matrix and with floats, and leaves the other coordinates alone."""
+    ring = CosineRing(orders)
+    assert len(ring.factors) == 3
+    rng = np.random.default_rng(11)
+    y = rng.integers(-50, 51, size=(40, 3, ring.dim))
+    for k in set(orders):
+        out = y.copy()
+        ring.add_times_2cos(k, y[:, 0].copy(), out[:, 2])
+        assert np.array_equal(out[:, :2], y[:, :2])
+        assert np.array_equal(out[:, 2], y[:, 2] + y[:, 0] @ ring.mul_by_2cos(k))
+        got = (out[:, 2] - y[:, 2]) @ ring.basis_values
+        want = y[:, 0] @ ring.basis_values * 2 * math.cos(math.pi / k)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-9), k
+
+
 def _unit_count_degree(orders):
     """Degree of Q(2cos(pi/k) : k in orders), by counting units.
 
