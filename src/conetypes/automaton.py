@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .coxeter import CayleyBall, GroupParams, new_params, ring_and_tensors
+from .coxeter import CayleyBall, GroupParams, new_params, ring_of
 from .errors import (
     IdentificationAmbiguity,
     MultipleTerminalSCCs,
@@ -95,50 +95,42 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sign(ring: CosineRing, x: np.ndarray) -> list[int | None]:
-    """Signs of the field elements with coefficient rows x; zero is exact.
-
-    A basis value 2cos(j pi/f), j < f/2, errs by less than (1.5 f + 2) eps
-    relatively, so the float sum of a row times the basis values errs by
-    less than (dim + 2 sum(factors) + 8) eps times the sum of the absolute
-    terms.  A value within twice that margin has the sign None: the caller
-    raises IdentificationAmbiguity if it reads it.
-    """
-    value, size = x @ ring.basis_values, np.abs(x) @ np.abs(ring.basis_values)
-    margin = 2 * (ring.dim + 2 * sum(ring.factors) + 8) * np.finfo(float).eps * size
-    zero = ~x.any(axis=1)
-    unsure = (np.abs(value) <= margin) & ~zero
-    sign = np.where(zero, 0, np.where(value > 0, 1, -1))
-    return [None if u else g for g, u in zip(sign.tolist(), unsure.tolist())]
-
-
-def _elementary_roots(ring: CosineRing, W: np.ndarray) -> tuple[np.ndarray, int]:
+def _elementary_roots(ring: CosineRing, orders: dict) -> tuple[np.ndarray, int]:
     """act[s, i], the index of s beta_i in E or -1 if it is not in E, and the
     number of root layers closed.
 
     A root is its [3, dim] coefficient array over the simple roots, which
     are roots 0, 1, 2.  E is their closure under beta -> s beta =
     beta - 2B(alpha_s, beta) alpha_s whenever -1 < B(alpha_s, beta) < 0, with
-    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st).  It is
-    closed one layer of new roots at a time, the images visited in
-    (root, s) order, so the roots are numbered as a scalar BFS numbers them;
-    a sign is read, and may raise, only where that BFS would read it.
+    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st), m_st =
+    orders[s, t].  So s beta differs from beta in coordinate s alone, which
+    is -beta_s + sum_(t != s) 2cos(pi/m_st) beta_t, computed as the ball's
+    covectors are (CosineRing.add_times_2cos), and 2B(alpha_s, beta) =
+    beta_s - (s beta)_s.  E is closed one layer of new roots at a time, the
+    images visited in (root, s) order, so the roots are numbered as a scalar
+    BFS numbers them; a sign is read, and may raise, only where that BFS
+    would read it.
     """
     dim = ring.dim
-    # W[s, t] multiplies by 2cos(pi/m_st) and W[s, s] by -2, so a root's
-    # flattened coefficients times -W[s, t] summed over t give 2B(alpha_s, beta)
-    form = -W.transpose(1, 2, 0, 3).reshape(3 * dim, 3 * dim)
     two = 2 * ring.one()
+    # mix[k][s, t] = 1 where m_st = k, so the sum over t of 2cos(pi/m_st)
+    # beta_t is one product by 2cos(pi/k) of mix[k] @ beta per order k
+    mix = {}
+    for (s, t), k in orders.items():
+        mix.setdefault(k, np.zeros((3, 3), dtype=np.int64))[s, t] = 1
     layer = np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one())
     index = {beta.tobytes(): i for i, beta in enumerate(layer)}
     keys, rounds = [], 0
     while len(layer):
         rounds += 1
-        b = (layer.reshape(len(layer), -1) @ form).reshape(-1, dim)  # row (root, s)
-        images = np.repeat(layer, 3, axis=0).reshape(-1, 3, 3, dim)
-        images[:, range(3), range(3)] -= b.reshape(-1, 3, dim)
+        c = -layer  # c[:, s] becomes (s beta)_s
+        for k, A in mix.items():
+            ring.add_times_2cos(k, (A @ layer).reshape(-1, dim), c.reshape(-1, dim))
+        b = (layer - c).reshape(-1, dim)  # row (root, s)
+        images = np.repeat(layer, 3, axis=0).reshape(-1, 3, 3, dim)  # [root, s, t]
+        images.reshape(-1, 9, dim)[:, ::4] = c  # the diagonal t = s
         images = images.reshape(-1, 3, dim)
-        signs = _sign(ring, np.concatenate([b, b + two]))
+        signs = ring.signs(np.concatenate([b, b + two]))
         new = []
         for image, below, above in zip(images, signs[:len(b)], signs[len(b):]):
             keys.append(image.tobytes())
@@ -232,7 +224,7 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     the number of root layers closed; "states", the number of states before
     and after minimization; and "moore_rounds", the refinement rounds.
     """
-    act, closure_rounds = _elementary_roots(*ring_and_tensors(params))
+    act, closure_rounds = _elementary_roots(ring_of(params), params.orders())
     states = _root_states(act)
     table, moore_rounds = _minimize(states)
     state_type = _state_types(table, _admissible_perms(params))
@@ -441,7 +433,7 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
     if params is not None:
         if not isinstance(params, list) or len(params) != 3:
             raise SchemaError(f"params {params!r} is not a list of three exponents")
-        params = new_params(*params)
+        params = new_params(*(_json_int(v, "params") for v in params))
     a = ConeTypeAutomaton(params=params, K_total=K, M=M, degree=int(d[0]), root_type=root_type)
     if not np.array_equal(r, a.r) or (r < 0).any():
         raise SchemaError(f"predecessor vector {r.tolist()} is not d - row sums "

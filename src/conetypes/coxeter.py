@@ -26,7 +26,7 @@ from .errors import (
     MemoryCap,
     NonHyperbolic,
 )
-from .ring import CosineRing, reflection_tensors
+from .ring import CosineRing
 
 COEFF_GUARD = 2 ** 57
 _MASK64 = 2 ** 64 - 1
@@ -72,14 +72,10 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
 
 
 @lru_cache(maxsize=8)
-def ring_and_tensors(params: GroupParams) -> tuple[CosineRing, np.ndarray]:
-    """The cosine ring of Delta(l,m,n) and its reflection tensors W, built
-    once per exponent triple for the automaton and the ball; W is read-only."""
-    orders = params.orders()
-    ring = CosineRing(orders.values())
-    W = reflection_tensors(orders, ring)
-    W.flags.writeable = False
-    return ring, W
+def ring_of(params: GroupParams) -> CosineRing:
+    """The cosine ring of Delta(l,m,n), built once per exponent triple for
+    the automaton's root closure and the ball alike."""
+    return CosineRing(params.orders().values())
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +237,7 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    ring = ring_and_tensors(params)[0]
+    ring = ring_of(params)
     y0 = np.zeros((1, 3, ring.dim), dtype=np.int64)
     y0[0, :] = ring.one()
     ball = CayleyBall(

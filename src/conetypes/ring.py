@@ -1,12 +1,15 @@
 """Exact integer arithmetic in the field Q(2cos(pi/k1), ..., 2cos(pi/kr)).
 
-Entries of the geometric reflection matrices of a triangle group live in the
-ring generated over Z by the numbers 2cos(pi/k) for the finite rotation
-orders k of the presentation.  Elements are stored as int64 coefficient
-vectors over a tensor product of Chebyshev bases whose dimension equals the
-degree of the field, so a coefficient vector is zero exactly when its number
-is: equality of group elements and of roots is exact equality of vectors,
-and no floating tolerance enters vertex identification.
+The geometric reflections of a triangle group act on roots and covectors
+through the numbers 2cos(pi/k) for the finite rotation orders k of the
+presentation.  Elements are stored as int64 coefficient vectors over a
+tensor product of Chebyshev bases whose dimension equals the degree of the
+field, so a coefficient vector is zero exactly when its number is: equality
+of group elements and of roots is exact equality of vectors, and no
+floating tolerance enters vertex identification.  CosineRing is the only
+module that knows this layout.  Its one product, add_times_2cos, adds
+x * 2cos(pi/k) on one factor axis, and its one float read, signs, gives a
+sign only outside the error of the basis values.
 """
 
 from __future__ import annotations
@@ -121,6 +124,11 @@ class CosineRing:
             values = np.multiply.outer(values, cosines).ravel()
         self.dim = int(np.prod(self.degrees)) if self.degrees else 1
         self.basis_values = values
+        # a basis value 2cos(j pi/f), j < f/2, errs by less than (1.5 f + 2)
+        # eps relatively, so the float sum of a row times the basis values
+        # errs by less than (dim + 2 sum(factors) + 8) eps times the sum of
+        # the absolute terms; signs refuses a value within twice that
+        self._sign_error = 2 * (self.dim + 2 * sum(self.factors) + 8) * np.finfo(float).eps
         # 2cos(pi/k) = D_(f/k) of the first factor f that k divides, as its
         # d x d matrix on rows, and the size of the factors after f
         self._factor_mul = {}
@@ -165,26 +173,15 @@ class CosineRing:
             prod = X.T @ x.reshape(-1, len(X), after)
         out += prod.reshape(out.shape)
 
-    def mul_by_2cos(self, k: int) -> np.ndarray:
-        """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows:
-        add_times_2cos applied to the identity."""
-        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
-        self.add_times_2cos(k, np.eye(self.dim, dtype=np.int64), mat)
-        return mat
+    def signs(self, x: np.ndarray) -> list[int | None]:
+        """Signs of the field elements with coefficient rows x; zero is exact.
 
-
-def reflection_tensors(orders: dict[tuple[int, int], int], ring: CosineRing) -> np.ndarray:
-    """Coordinate-update tensors W for right multiplication by a generator.
-
-    A covector y = (y_0, y_1, y_2), such as a row of a matrix P, maps under
-    y -> y sigma_s to y_t + y_s * 2cos(pi/order(s,t)) in coordinate t != s,
-    and coordinate s flips sign.  W[s, t] holds the corresponding [dim, dim]
-    coefficient-space matrix, so the update is y_t + y_s @ W[s, t] for every
-    t (W[s, s] = -2 I gives the sign flip).  W[s, t] = W[t, s], so each
-    unordered pair's matrix is built once.
-    """
-    W = np.zeros((3, 3, ring.dim, ring.dim), dtype=np.int64)
-    W[range(3), range(3)] = -2 * np.eye(ring.dim, dtype=np.int64)
-    for s, t in combinations(range(3), 2):
-        W[s, t] = W[t, s] = ring.mul_by_2cos(orders[(s, t)])
-    return W
+        A nonzero element whose float value lies within twice the error
+        bound of its float sum (see __init__) has the sign None: the caller
+        raises IdentificationAmbiguity if it reads it.
+        """
+        value, size = x @ self.basis_values, np.abs(x) @ np.abs(self.basis_values)
+        zero = ~x.any(axis=1)
+        unsure = (np.abs(value) <= self._sign_error * size) & ~zero
+        sign = np.where(zero, 0, np.where(value > 0, 1, -1))
+        return [None if u else g for g, u in zip(sign.tolist(), unsure.tolist())]

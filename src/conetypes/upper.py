@@ -321,13 +321,9 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
                       fallback=False, **counts)
 
 
-def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray | None = None) -> float:
-    """F(root, root | z) = sum_j M_{root,j} (1/d) z w_j."""
-    if w is None:
-        sol = minimal_fixed_point(spec, z)
-        if isinstance(sol, Diverged):
-            raise NotConverged(f"no minimal fixed point at z = {z}")
-        w = sol.w
+def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:
+    """F(root, root | z) = sum_j M_{root,j} (1/d) z w_j, with w the fixed
+    point at z."""
     return float(z * np.dot(spec.ra.M[spec.root], w) / spec.ra.degree)
 
 

@@ -1,8 +1,9 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
 the post-fixed-point check in Fractions, the root path one root and one
-generator at a time with np.unique minimization, and helpers only the
-tests read.
+generator at a time with np.unique minimization, dense reflection tensors
+for the oracles that multiply whole matrices, and helpers only the tests
+read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -30,7 +31,6 @@ from conetypes import (
     ReturnSeries,
     VerificationFailed,
     build_ball,
-    reflection_tensors,
     types_on_ball,
 )
 from conetypes.automaton import _admissible_perms, _root_states
@@ -67,6 +67,32 @@ def reflection_rep(params: GroupParams) -> ReflectionRep:
         e[s] = 1.0
         sigmas.append(np.eye(3) - 2.0 * np.outer(e, B @ e))
     return ReflectionRep(sigma=tuple(sigmas), gram=B)
+
+
+def mul_by_2cos(ring: CosineRing, k: int) -> np.ndarray:
+    """Matrix of multiplication by 2cos(pi/k) acting on coefficient rows:
+    CosineRing.add_times_2cos applied to the identity."""
+    mat = np.zeros((ring.dim, ring.dim), dtype=np.int64)
+    ring.add_times_2cos(k, np.eye(ring.dim, dtype=np.int64), mat)
+    return mat
+
+
+def reflection_tensors(orders: dict, ring: CosineRing) -> np.ndarray:
+    """Coordinate-update tensors W for right multiplication by a generator.
+
+    A covector y = (y_0, y_1, y_2), such as a row of a matrix P, maps under
+    y -> y sigma_s to y_t + y_s * 2cos(pi/order(s,t)) in coordinate t != s,
+    and coordinate s flips sign.  W[s, t] holds the corresponding [dim, dim]
+    coefficient-space matrix, so the update is y_t + y_s @ W[s, t] for every
+    t (W[s, s] = -2 I gives the sign flip).  Only the matrix oracles read W;
+    the library multiplies on one factor axis instead.
+    """
+    W = np.zeros((3, 3, ring.dim, ring.dim), dtype=np.int64)
+    W[range(3), range(3)] = -2 * np.eye(ring.dim, dtype=np.int64)
+    for s in range(3):
+        for t in range(s + 1, 3):
+            W[s, t] = W[t, s] = mul_by_2cos(ring, orders[(s, t)])
+    return W
 
 
 def free_reduce(word) -> tuple[int, ...]:

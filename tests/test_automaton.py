@@ -15,6 +15,7 @@ from conetypes import (
     CosineRing,
     IdentificationAmbiguity,
     MultipleTerminalSCCs,
+    NonHyperbolic,
     NotPrimitive,
     SchemaError,
     VerificationFailed,
@@ -30,9 +31,8 @@ from conetypes import (
     types_on_ball,
     verify_counts,
 )
-from conetypes import automaton
-from conetypes.automaton import _admissible_perms, _elementary_roots, _sign
-from conetypes.coxeter import ring_and_tensors
+from conetypes.automaton import _admissible_perms, _elementary_roots
+from conetypes.coxeter import ring_of
 from conftest import EXPECTED_COUNTS, TABLE
 from reference import (
     LabelLayers,
@@ -482,30 +482,32 @@ def test_root_sign_test_refuses_what_floats_cannot_decide():
     # a Pell pair: 22619537 - 15994428 sqrt 2 = 2.2e-8, below the float
     # error bound of terms near 2.3e7, has no sign
     rows = np.array([[0, 0], [3, -2], [-3, 2], [22619537, -15994428]])
-    assert _sign(ring, rows) == [0, 1, -1, None]
+    assert ring.signs(rows) == [0, 1, -1, None]
 
 
 def test_root_closure_reads_a_sign_only_where_a_scalar_closure_does(monkeypatch):
     # 2B(alpha_s, beta) = 0 maps beta to itself, already in E, so the
     # closure never reads that sign: unknown, it changes nothing.  In
     # (2,3,7) alpha_1 and alpha_2 are orthogonal.
-    ring, W = ring_and_tensors(new_params(2, 3, 7))
-    want = _elementary_roots(ring, W)
+    orders = new_params(2, 3, 7).orders()
+    ring = CosineRing(orders.values())
+    want = _elementary_roots(ring, orders)
     unread = []
+    real = ring.signs
 
-    def zero_unknown(ring, x):
-        signs = _sign(ring, x)
+    def zero_unknown(x):
+        signs = real(x)
         unread.extend(g for g in signs if g == 0)
         return [None if g == 0 else g for g in signs]
 
-    monkeypatch.setattr(automaton, "_sign", zero_unknown)
-    got = _elementary_roots(ring, W)
+    monkeypatch.setattr(ring, "signs", zero_unknown)
+    got = _elementary_roots(ring, orders)
     assert unread
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     # a sign it reads raises
-    monkeypatch.setattr(automaton, "_sign", lambda ring, x: [None] * len(x))
+    monkeypatch.setattr(ring, "signs", lambda x: [None] * len(x))
     with pytest.raises(IdentificationAmbiguity):
-        _elementary_roots(ring, W)
+        _elementary_roots(ring, orders)
 
 
 def test_root_path_equals_its_scalar_oracles():
@@ -517,7 +519,7 @@ def test_root_path_equals_its_scalar_oracles():
             params = new_params(*order)
             act, want = reference.root_automaton_reference(params)
             got = extract_automaton(params)
-            assert np.array_equal(_elementary_roots(*ring_and_tensors(params))[0], act), order
+            assert np.array_equal(_elementary_roots(ring_of(params), params.orders())[0], act), order
             assert np.array_equal(got.transitions, want.transitions), order
             assert np.array_equal(got.state_type, want.state_type), order
             assert np.array_equal(got.M, want.M), order
@@ -669,12 +671,18 @@ def test_json_schema_errors(data444):
         node[last] = value
         with pytest.raises(SchemaError):
             automaton_from_json(_json.dumps(doc))
-    # params, when given, is a list of three exponents
-    for params in ([4, 4], 5, [4, 4, 4, 4]):
+    # params, when given, is a list of three JSON integers: a float, string
+    # or bool exponent is refused like any other count
+    for params in ([4, 4], 5, [4, 4, 4, 4], [4.0, 4, 4], ["4", 4, 4], [True, 4, 4]):
         doc = _json.loads(good)
         doc["params"] = params
         with pytest.raises(SchemaError):
             automaton_from_json(_json.dumps(doc))
+    # integer exponents are then checked as a triple
+    doc = _json.loads(good)
+    doc["params"] = [2, 3, 6]
+    with pytest.raises(NonHyperbolic):
+        automaton_from_json(_json.dumps(doc))
     # more successors than the degree: r = d - row sums is negative
     doc = _json.loads(good)
     doc["d"], doc["r"] = [2] * 6, (2 - a.M.sum(axis=1)).tolist()

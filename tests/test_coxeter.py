@@ -20,7 +20,6 @@ from conetypes import (
     VerificationFailed,
     build_ball,
     new_params,
-    reflection_tensors,
 )
 from conetypes import coxeter
 from reference import (
@@ -30,6 +29,7 @@ from reference import (
     free_reduce,
     geodesic_closure,
     reflection_rep,
+    reflection_tensors,
     representative_word,
     tits_equal,
 )

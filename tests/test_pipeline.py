@@ -253,21 +253,21 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
 
 
 def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
-    # the automaton and the checked ball share one ring and one read-only W
+    # the automaton's root closure and the checked ball share one ring per
+    # triple: two triples, two rings, and a rerun builds none
     built = []
 
-    def counted(*args):
-        built.append(args)
-        return real(*args)
+    def counted(orders):
+        built.append(tuple(orders))
+        return real(orders)
 
-    real = coxeter.reflection_tensors
-    monkeypatch.setattr(coxeter, "reflection_tensors", counted)
-    coxeter.ring_and_tensors.cache_clear()
-    params = new_params(3, 4, 5)
-    report = run_group(params)
-    assert report.ok and "ball" in report.diagnostics["timings"]
-    assert len(built) == 1
-    assert not coxeter.ring_and_tensors(params)[1].flags.writeable
+    real = coxeter.CosineRing
+    monkeypatch.setattr(coxeter, "CosineRing", counted)
+    coxeter.ring_of.cache_clear()
+    for triple in [(3, 4, 5), (2, 3, 7), (3, 4, 5)]:
+        report = run_group(new_params(*triple))
+        assert report.ok and "ball" in report.diagnostics["timings"]
+    assert len(built) == 2
 
 
 def test_report_json_shape():
