@@ -17,14 +17,12 @@ from .errors import ConeTypesError
 from .pipeline import (
     RunConfig,
     curvature,
-    report_to_csv_row,
     report_to_json,
     run_from_automaton,
     run_group,
     run_table,
     table_to_csv,
     table_to_markdown,
-    CSV_HEADER,
 )
 from .coxeter import build_ball, new_params
 
@@ -111,19 +109,22 @@ def cone_types(l, m, n, fmt):
 @click.pass_context
 def bounds(ctx, l, m, n, fmt):
     """Lower and upper spectral-radius bounds for one group."""
-    _emit_report(run_group(new_params(l, m, n), _config(ctx)), fmt)
+    _emit([run_group(new_params(l, m, n), _config(ctx))], fmt)
 
 
-def _emit_report(report, fmt):
-    """Print one report; exit 1 when it fails."""
+def _emit(reports, fmt):
+    """Print the reports in fmt; exit 1 when any fails."""
     if fmt == "json":
-        click.echo(report_to_json(report))
+        for r in reports:
+            click.echo(report_to_json(r))
     elif fmt == "csv":
-        click.echo(CSV_HEADER)
-        click.echo(report_to_csv_row(report))
+        click.echo(table_to_csv(reports), nl=False)
+    elif fmt == "markdown":
+        click.echo(table_to_markdown(reports), nl=False)
     else:
-        _echo_report(report)
-    if not report.ok:
+        for r in reports:
+            _echo_report(r)
+    if not all(r.ok for r in reports):
         sys.exit(1)
 
 
@@ -148,20 +149,7 @@ def _echo_report(report):
 @click.pass_context
 def table(ctx, fmt):
     """Reproduce the full ten-group bounds table."""
-    config = _config(ctx)
-    reports = run_table(config)
-    if fmt == "json":
-        for r in reports:
-            click.echo(report_to_json(r))
-    elif fmt == "csv":
-        click.echo(table_to_csv(reports), nl=False)
-    elif fmt == "markdown":
-        click.echo(table_to_markdown(reports), nl=False)
-    else:
-        for r in reports:
-            _echo_report(r)
-    if not all(r.ok for r in reports):
-        sys.exit(1)
+    _emit(run_table(_config(ctx)), fmt)
 
 
 @main.command("curvature")
@@ -179,7 +167,7 @@ def curvature_cmd(l, m, n):
 @format_option("json", "csv")
 def from_automaton(file, fmt):
     """Bounds from an externally supplied cta-1 automaton document."""
-    _emit_report(run_from_automaton(file.read()), fmt)
+    _emit([run_from_automaton(file.read())], fmt)
 
 
 def run():  # console-script shim keeping ConeTypesError exits tidy

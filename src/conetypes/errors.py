@@ -34,11 +34,12 @@ class NotPrimitive(ConeTypesError):
 
 
 class InvalidRoot(ConeTypesError):
-    """Chosen start type is outside the reduced set or has successors outside it."""
+    """Chosen start type is outside the reduced set."""
 
 
 class NotConverged(ConeTypesError):
-    """An iterative eigensolver failed to reach its residual target."""
+    """A numeric result failed its check: the fold search, F(R_F) < 1, or the
+    Perron vector's positivity or residual."""
 
 
 class ZeroPredecessor(ConeTypesError):

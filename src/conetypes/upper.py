@@ -5,20 +5,14 @@ w_i = F_{-i}(z) solving the monotone polynomial system
 w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
 Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
 
-R_F is found in a few solves.  The system has a square-root singularity at
-the fold (Drmota-Lalley-Woods; Flajolet and Sedgewick, Analytic
-Combinatorics, Thm VII.6), so g = 1/max(x)^2 with x = (I - J)^-1 1, which
-every Newton step computes, is close to linear in R_F - z.  Starting at
-z = 1, z steps most of the way to where the last two solutions extrapolate
-g to 0, each solve warm-started from the previous solution (a pre-fixed
-point below the next least solution, so Newton still rises to it).  Near
-the estimate, Newton on the bordered fold system polishes it, seeded with
-the direction of the last x, which turns to the Perron vector of J as
-rho(J) -> 1.  The polished z is accepted only if it lies above the last
-solved z and below any z found past the fold, the exact check below proves
-the polished w a post-fixed point at z (1 - 1e-9), and the minimal solution,
-warm-started from the last one solved, does not exist at z (1 + 1e-9).
-There is no fallback: anything else raises NotConverged.
+R_F is found from the least solution at z = 1.  Newton on the bordered
+fold system (Phi(w) - w, J(w) u - u, sum(u) - 1) in (w, u, z) starts there,
+seeded with u = x / sum(x), from the positive x = (I - J)^-1 1 of that
+solve's last Newton step.  The polished z is accepted only if it lies
+above 1 with u > 0, the exact check below proves the polished w a
+post-fixed point at z (1 - 1e-9), and the minimal solution, warm-started
+from the one at z = 1, does not exist at z (1 + 1e-9).  There is no
+fallback: anything else raises NotConverged.
 
 The Green-kernel radius is R_F itself.  The graph is d-regular, and the
 root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
@@ -42,7 +36,6 @@ same inequalities compare Python ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,12 +46,6 @@ from .errors import InvalidRoot, NotConverged
 
 STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
-# approach to the fold: first trial z, share of the estimated distance to
-# step, and relative distance at which the bordered Newton takes over
-FIRST_STEP = 0.01
-APPROACH_STEP = 0.9
-HANDOFF = 1e-3
-SOLVE_CAP = 40
 # residual at which the bordered Newton accepts the polished fold
 FOLD_TOL = 1e-13
 # relative gap on each side of the polished fold: the exact check is made
@@ -88,7 +75,6 @@ class FixedPointSolution:
     jacobian_spectral_radius: float
     iterations: int
     x: np.ndarray  # (I - J)^-1 1 > 0 at the last step
-    x_max: float  # max(x), ||(I - J)^-1||_inf
 
 
 @dataclass
@@ -217,14 +203,12 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
             if rad >= 1.0:
                 return Diverged(z=z, iterations=it)
             residual = float(np.max(np.abs(z * (spec.p_minus + w * v) - w)))
-            return FixedPointSolution(
-                z=z, w=w, residual=residual, jacobian_spectral_radius=rad,
-                iterations=it, x=x, x_max=x_max,
-            )
+            return FixedPointSolution(z=z, w=w, residual=residual,
+                                      jacobian_spectral_radius=rad, iterations=it, x=x)
     return Diverged(z=z, iterations=STEP_CAP)
 
 
-def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
+def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     """Newton on (Phi(w)-w, J(w)u-u, sum(u)-1) in the unknowns (w, u, z)."""
     K = w0.size
     Mp, eye = spec.Mp, np.eye(K)
@@ -240,7 +224,7 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
         F2 = Ju - u
         F3 = u.sum() - 1.0
         res = float(max(np.max(np.abs(F1)), np.max(np.abs(F2)), abs(F3)))
-        if res < tol:
+        if res < FOLD_TOL:
             return w, u, z, res
         A[:K, :K] = A[K:2 * K, K:2 * K] = J - eye
         A[:K, 2 * K] = phi / z
@@ -259,18 +243,14 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0, tol: float):
 
 
 def fold_point(spec: TreeWalkSpec) -> FoldResult:
-    """Locate R_F: extrapolated approach, bordered Newton, two-sided confirm.
+    """Locate R_F: bordered Newton from the z = 1 solution, two-sided confirm.
 
-    Each solve is warm-started from the last converged one.  From the last
-    two converged points g = 1/max(x)^2 is extrapolated linearly to 0 (the
-    square-root singularity makes it nearly linear in R_F - z) and z steps
-    APPROACH_STEP of the way there, never past the midpoint to the least
-    z found Diverged.  Within HANDOFF z of the estimate, Newton on the fold
-    system polishes it, seeded with u = x / sum(x) from the last solve.
-    The polished z is accepted only inside the bracket, with u > 0, when
-    is_post_fixed_point proves w >= 0 a post-fixed point at
-    z (1 - CERT_MARGIN) and the solver, warm-started from the last
-    converged solution, diverges at z (1 + CERT_MARGIN); else NotConverged.
+    Newton on the fold system starts from the least solution at z = 1,
+    seeded with u = x / sum(x) from that solve.  The polished z is accepted
+    only above 1, with u > 0, when is_post_fixed_point proves w >= 0 a
+    post-fixed point at z (1 - CERT_MARGIN) and the solver, warm-started
+    from the z = 1 solution, diverges at z (1 + CERT_MARGIN); else
+    NotConverged.
     """
     counts = {"solves": 0, "newton_steps": 0, "diverged": 0}
 
@@ -281,41 +261,21 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
         counts["diverged"] += isinstance(out, Diverged)
         return out
 
-    last = solve(1.0, None)
-    if isinstance(last, Diverged):
+    start = solve(1.0, None)
+    if isinstance(start, Diverged):
         raise NotConverged("no minimal fixed point at z = 1")
-    prev, hi, z = None, math.inf, 1.0 + FIRST_STEP
-    while True:
-        if counts["solves"] >= SOLVE_CAP:
-            raise NotConverged(f"fold not approached in {SOLVE_CAP} solves")
-        out = solve(z, last.w)
-        if isinstance(out, Diverged):
-            hi = z
-        else:
-            prev, last = last, out
-        target = 0.5 * (last.z + hi)
-        if prev is not None:
-            # x grows with z, so g falls; equal values would leave no estimate
-            g0, g1 = prev.x_max ** -2, last.x_max ** -2
-            if g1 < g0:
-                target = min(target, last.z + g1 * (last.z - prev.z) / (g0 - g1))
-        if not math.isfinite(target):
-            raise NotConverged(f"1/max(x)^2 does not fall between z = {prev.z} and {last.z}")
-        if target - last.z <= HANDOFF * last.z:
-            break
-        z = last.z + APPROACH_STEP * (target - last.z)
-    polished = _fold_newton(spec, last.w, last.x / last.x.sum(), target, FOLD_TOL)
+    polished = _fold_newton(spec, start.w, start.x / start.x.sum(), 1.0)
     if polished is None:
-        raise NotConverged(f"bordered Newton failed from z = {target}")
+        raise NotConverged("bordered Newton failed from z = 1")
     w, u, z, res = polished
-    if not (last.z < z < hi and (u > 0).all()):
-        raise NotConverged(f"polished fold z = {z} outside ({last.z}, {hi}) or u not positive")
+    if not (z > 1.0 and (u > 0).all()):
+        raise NotConverged(f"polished fold z = {z} not above 1 or u not positive")
     certified_z = Fraction(z * (1.0 - CERT_MARGIN))
     if not is_post_fixed_point(spec, certified_z, w):
         raise NotConverged(f"polished fold solution is no post-fixed point just below z = {z}")
-    # last.w lies below every least solution past last.z, so Newton from it
+    # start.w lies below every least solution past z = 1, so Newton from it
     # rises to the least solution at any z where one exists
-    if not isinstance(solve(z * (1.0 + CERT_MARGIN), last.w), Diverged):
+    if not isinstance(solve(z * (1.0 + CERT_MARGIN), start.w), Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
     return FoldResult(R_F=z, w=w, u=u, residual=res, certified_z=certified_z,
                       fallback=False, **counts)

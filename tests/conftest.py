@@ -1,6 +1,7 @@
 """Shared fixtures: graph data for the ten reference groups, built once."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ UPPER_BOUNDS = {
     (3, 5, 7): 0.9650571213,
     (7, 7, 7): 0.9460344380,
 }
+# the hyperbolic triples l <= m <= n <= 12
+HYPERBOLIC_12 = [
+    (l, m, n) for l in range(2, 13) for m in range(l, 13) for n in range(m, 13)
+    if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
+]
 # least radius of the balls in census_data
 CENSUS_RADIUS = 20
 

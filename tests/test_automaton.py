@@ -33,7 +33,7 @@ from conetypes import (
 )
 from conetypes.automaton import _admissible_perms, _elementary_roots
 from conetypes.coxeter import ring_of
-from conftest import EXPECTED_COUNTS, TABLE
+from conftest import EXPECTED_COUNTS, HYPERBOLIC_12, TABLE
 from reference import (
     LabelLayers,
     NotStabilized,
@@ -457,10 +457,6 @@ def test_row_ids_match_unique_rows(seed):
 
 HYPERBOLIC_8 = [
     (l, m, n) for l in range(2, 9) for m in range(l, 9) for n in range(m, 9)
-    if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
-]
-HYPERBOLIC_12 = [
-    (l, m, n) for l in range(2, 13) for m in range(l, 13) for n in range(m, 13)
     if Fraction(1, l) + Fraction(1, m) + Fraction(1, n) < 1
 ]
 

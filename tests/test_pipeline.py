@@ -111,11 +111,11 @@ def test_run_group_444():
                 "verifier"):
         assert key not in diag
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
-    # the fold search: a few warm-started solves, one Diverged at least (the
-    # confirmation just above the fold)
+    # the fold search: the solve at z = 1 and the confirming solve just
+    # above the fold, Diverged
     fold = diag["fold"]
     assert set(fold) == {"solves", "newton_steps", "diverged"}
-    assert 1 <= fold["diverged"] < fold["solves"] <= 6
+    assert (fold["solves"], fold["diverged"]) == (2, 1)
     assert fold["newton_steps"] >= fold["solves"]
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
@@ -237,7 +237,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
-    assert report.diagnostics["fold"]["solves"] <= 6
+    assert report.diagnostics["fold"]["solves"] == 2
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -340,7 +340,7 @@ def test_cli_bounds():
     cert = doc["diagnostics"]["upper_certified"]
     assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
     fold = doc["diagnostics"]["fold"]
-    assert 1 <= fold["diverged"] < fold["solves"] <= 6
+    assert (fold["solves"], fold["diverged"]) == (2, 1)
     assert fold["newton_steps"] >= fold["solves"]
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
