@@ -247,8 +247,11 @@ def types_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> np.ndarray:
     """The cone type of every ball vertex, read along its shortlex normal form.
 
     parent[v] is the prefix of v's normal form and parent_gen[v] its last
-    letter.  A normal form the automaton refuses raises VerificationFailed.
+    letter.  A normal form the automaton refuses, or an automaton without
+    transitions (one read from a cta-1 document), raises VerificationFailed.
     """
+    if a.transitions is None:
+        raise VerificationFailed("the automaton has no transitions to type the ball's vertices")
     state = np.zeros(ball.n_vertices, dtype=np.int64)
     for k in range(1, ball.radius + 1):
         vs = np.arange(ball.offsets[k], ball.offsets[k + 1])

@@ -22,7 +22,8 @@ class MemoryCap(ConeTypesError):
 
 
 class VerificationFailed(ConeTypesError):
-    """The automaton disagrees with a Cayley ball on sphere sizes or successor types."""
+    """The automaton disagrees with a Cayley ball on sphere sizes or successor
+    types, or has no transitions to type the ball's vertices."""
 
 
 class MultipleTerminalSCCs(ConeTypesError):
@@ -38,8 +39,9 @@ class InvalidRoot(ConeTypesError):
 
 
 class NotConverged(ConeTypesError):
-    """A numeric result failed its check: the fold search, F(R_F) < 1, or the
-    Perron vector's positivity or residual."""
+    """A numeric result failed its check: the fold search, F(R_F) < 1, the
+    Perron vector's positivity or residual, or the residual of lambda's
+    eigenpair."""
 
 
 class ZeroPredecessor(ConeTypesError):

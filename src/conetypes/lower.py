@@ -26,7 +26,6 @@ class LowerBoundResult:
     nu: float
     A: np.ndarray
     lam: float
-    d: int
     bound: float
     residual_nu: float
     residual_lam: float
@@ -70,15 +69,16 @@ def symmetrize(ra: ReducedAutomaton, A: np.ndarray) -> np.ndarray:
 
 
 def lower_bound(ra: ReducedAutomaton) -> LowerBoundResult:
-    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph, d = ra.degree."""
-    d = ra.degree
-    tilde = tilde_matrix(ra)
-    nu, A, residual = perron(tilde)
+    """2*lambda/(d*sqrt(nu)) for the d-regular bipartite Cayley graph, d = ra.degree.
+
+    Both eigenpairs must have residual below EIGEN_TOL, else NotConverged.
+    """
+    nu, A, residual_nu = perron(tilde_matrix(ra))
     S = symmetrize(ra, A)
     vals, vecs = np.linalg.eigh(S)
     lam, v = float(vals[-1]), vecs[:, -1]
-    bound = 2.0 * lam / (d * np.sqrt(nu))
-    return LowerBoundResult(
-        nu=nu, A=A, lam=lam, d=d, bound=bound, residual_nu=residual,
-        residual_lam=float(np.max(np.abs(S @ v - lam * v))),
-    )
+    residual_lam = float(np.max(np.abs(S @ v - lam * v)))
+    if not residual_lam < EIGEN_TOL:
+        raise NotConverged(f"lambda residual {residual_lam} is not below {EIGEN_TOL}")
+    return LowerBoundResult(nu=nu, A=A, lam=lam, bound=2.0 * lam / (ra.degree * np.sqrt(nu)),
+                            residual_nu=residual_nu, residual_lam=residual_lam)

@@ -11,8 +11,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .automaton import (
     automaton_from_json,
     check_on_ball,
@@ -141,13 +139,14 @@ def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,
     """Copy the bound results that exist into the report and its diagnostics."""
     diag = report.diagnostics
     if ub is not None:
+        fold = ub.fold
         report.upper = ub.rho_T
-        diag["R_F"] = ub.R_F
+        diag["R_F"] = fold.R_F
         diag["F_at_RF"] = ub.F_at_RF
         diag["root_type"] = ub.root_type
-        diag["residuals"]["fold"] = ub.fold_residual
-        diag["fold"] = {"solves": ub.fold_solves, "newton_steps": ub.fold_newton_steps,
-                        "diverged": ub.fold_diverged}
+        diag["residuals"]["fold"] = fold.residual
+        diag["fold"] = {"solves": fold.solves, "newton_steps": fold.newton_steps,
+                        "diverged": fold.diverged, "bordered_steps": fold.bordered_steps}
         diag["upper_certified"] = ub.certified_upper
     if lb is not None:
         report.lower = lb.bound
@@ -177,8 +176,9 @@ def run_from_automaton(text: str) -> BoundReport:
     return report
 
 
-def report_to_json(report: BoundReport, timestamp: bool = True) -> str:
-    """Versioned bnd-1 document; deterministic apart from the timestamp."""
+def report_to_json(report: BoundReport) -> str:
+    """Versioned bnd-1 document, keys sorted; a Fraction is written as
+    {num, den}.  Deterministic apart from generated_at."""
     doc = {
         "schema": BOUND_SCHEMA,
         "group": list(report.params.triple()) if report.params else None,
@@ -188,30 +188,18 @@ def report_to_json(report: BoundReport, timestamp: bool = True) -> str:
         "theorem_match": report.theorem_match,
         "lower": report.lower,
         "upper": report.upper,
-        "curvature": (
-            {"num": report.curvature.numerator, "den": report.curvature.denominator}
-            if report.curvature is not None else None
-        ),
+        "curvature": report.curvature,
         "envelope": report.envelope,
-        "diagnostics": _jsonable(report.diagnostics),
+        "diagnostics": report.diagnostics,
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if timestamp:
-        doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, default=_fraction)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+def _fraction(obj) -> dict:
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def report_to_csv_row(report: BoundReport) -> str:

@@ -62,14 +62,12 @@ class TreeWalkSpec:
     root: int  # position of the root type in ra.types
     p_minus: np.ndarray  # r_i / d, the step back
     Mp: np.ndarray  # M_ij / d, the steps forward
-    Mp_diag: np.ndarray
 
 
 @dataclass
 class FixedPointSolution:
     z: float
     w: np.ndarray
-    residual: float
     # Collatz-Wielandt bound max_i (J x)_i / x_i on rho(J) at w, with x > 0
     # from the last Newton step; below 1 by construction
     jacobian_spectral_radius: float
@@ -99,23 +97,28 @@ class FoldResult:
     certified_z: Fraction
     # always False; kept only because the benchmark's trace hook reads it
     fallback: bool
-    # fixed-point solves of the search, their Newton steps, Diverged count
+    # fixed-point solves of the search, their Newton steps, Diverged count,
+    # and the linear solves of the bordered Newton
     solves: int
     newton_steps: int
     diverged: int
+    bordered_steps: int
 
 
 @dataclass
 class UpperBoundResult:
-    R_F: float
-    F_at_RF: float
+    """The bound from one fold search, whose FoldResult is kept as fold.
+
+    rho_T = 1/fold.R_F; F_at_RF is F(root, root | R_F) < 1; certified_upper
+    = 1/fold.certified_z is the exact bound just above rho_T.  R_F, the fold
+    residual and the search counters are read from fold only.
+    """
+
     rho_T: float
+    F_at_RF: float
     root_type: int
-    fold_residual: float
     certified_upper: Fraction
-    fold_solves: int
-    fold_newton_steps: int
-    fold_diverged: int
+    fold: FoldResult
 
 
 def default_root_type(ra: ReducedAutomaton) -> int:
@@ -130,9 +133,8 @@ def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
     """Probabilities p_{-i} = r_i/d and p_{i,j} = 1/d over the reduced set."""
     if root_type not in ra.types:
         raise InvalidRoot(f"type {root_type} is not in the reduced set {ra.types}")
-    Mp = ra.M * (1.0 / ra.degree)
     return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=ra.r / ra.degree,
-                        Mp=Mp, Mp_diag=Mp.diagonal().copy())
+                        Mp=ra.M * (1.0 / ra.degree))
 
 
 def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,7 +170,7 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     K = Mp.shape[0]
     # the factors of z, once per solve; A = I - J is refilled in place, its
     # diagonal written through a strided view
-    nzMp, zMp_diag, zp = -z * Mp, z * spec.Mp_diag, z * spec.p_minus
+    nzMp, zMp_diag, zp = -z * Mp, z * Mp.diagonal(), z * spec.p_minus
     A = np.empty((K, K))
     A_diag = A.reshape(-1)[::K + 1]
     rhs = np.empty((K, 2))
@@ -198,24 +200,25 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
             return Diverged(z=z, iterations=it)
         if max(step_max, -step_min) <= floor:
             x = sol[:, 1]
-            v = Mp @ w
-            rad = _jacobian_bound(spec, z, w, v, x)
+            rad = _jacobian_bound(spec, z, w, Mp @ w, x)
             if rad >= 1.0:
                 return Diverged(z=z, iterations=it)
-            residual = float(np.max(np.abs(z * (spec.p_minus + w * v) - w)))
-            return FixedPointSolution(z=z, w=w, residual=residual,
-                                      jacobian_spectral_radius=rad, iterations=it, x=x)
+            return FixedPointSolution(z=z, w=w, jacobian_spectral_radius=rad,
+                                      iterations=it, x=x)
     return Diverged(z=z, iterations=STEP_CAP)
 
 
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
-    """Newton on (Phi(w)-w, J(w)u-u, sum(u)-1) in the unknowns (w, u, z)."""
+    """Newton on (Phi(w)-w, J(w)u-u, sum(u)-1) in the unknowns (w, u, z).
+
+    Returns (w, u, z, residual, linear solves made), or None on failure.
+    """
     K = w0.size
     Mp, eye = spec.Mp, np.eye(K)
     A = np.zeros((2 * K + 1, 2 * K + 1))
     A[2 * K, K:2 * K] = 1.0
     w, u, z = w0.copy(), u0.copy(), float(z0)
-    for _ in range(60):
+    for steps in range(60):
         v = Mp @ w
         J = _jacobian(spec, z, w, v)
         phi = z * (spec.p_minus + w * v)
@@ -225,10 +228,11 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
         F3 = u.sum() - 1.0
         res = float(max(np.max(np.abs(F1)), np.max(np.abs(F2)), abs(F3)))
         if res < FOLD_TOL:
-            return w, u, z, res
+            return w, u, z, res, steps
         A[:K, :K] = A[K:2 * K, K:2 * K] = J - eye
         A[:K, 2 * K] = phi / z
-        A[K:2 * K, :K] = z * (u[:, None] * Mp + np.diag(Mp @ u))
+        # J(w) u = J(u) w, so d(J(w) u)/dw = J(u)
+        A[K:2 * K, :K] = _jacobian(spec, z, u, Mp @ u)
         A[K:2 * K, 2 * K] = Ju / z
         try:
             step = np.linalg.solve(A, np.concatenate([F1, F2, [F3]]))
@@ -267,7 +271,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     polished = _fold_newton(spec, start.w, start.x / start.x.sum(), 1.0)
     if polished is None:
         raise NotConverged("bordered Newton failed from z = 1")
-    w, u, z, res = polished
+    w, u, z, res, bordered_steps = polished
     if not (z > 1.0 and (u > 0).all()):
         raise NotConverged(f"polished fold z = {z} not above 1 or u not positive")
     certified_z = Fraction(z * (1.0 - CERT_MARGIN))
@@ -278,7 +282,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     if not isinstance(solve(z * (1.0 + CERT_MARGIN), start.w), Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
     return FoldResult(R_F=z, w=w, u=u, residual=res, certified_z=certified_z,
-                      fallback=False, **counts)
+                      fallback=False, bordered_steps=bordered_steps, **counts)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:
@@ -323,14 +327,5 @@ def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoun
     F_rf = first_return_value(spec, fold.R_F, fold.w)
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
-    return UpperBoundResult(
-        R_F=fold.R_F,
-        F_at_RF=F_rf,
-        rho_T=1.0 / fold.R_F,
-        root_type=root,
-        fold_residual=fold.residual,
-        certified_upper=1 / fold.certified_z,
-        fold_solves=fold.solves,
-        fold_newton_steps=fold.newton_steps,
-        fold_diverged=fold.diverged,
-    )
+    return UpperBoundResult(rho_T=1.0 / fold.R_F, F_at_RF=F_rf, root_type=root,
+                            certified_upper=1 / fold.certified_z, fold=fold)

@@ -96,7 +96,7 @@ def test_criterion_3_upper_bounds(graph_data):
                     "is inconsistent with the certified automaton")
             warnings.warn(note)
     res444 = upper_bound(graph_data[(4, 4, 4)]["reduced"])
-    assert res444.R_F == pytest.approx(1.0321531591, abs=1e-8)
+    assert res444.fold.R_F == pytest.approx(1.0321531591, abs=1e-8)
     assert res444.F_at_RF < 1.0
     print("criterion 3 PASS: upper bounds reproduced to 1e-8 "
           "(nine reference rows; (3,5,7) graph-certified), each within 10 s; "

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +548,17 @@ def test_root_automaton_on_one_large_field_factor(triple):
     a = extract_automaton(params)
     assert a.K_total == theorem_case(*triple)[1]
     check_on_ball(a, build_ball(params, 8))
+
+
+def test_ball_check_refuses_a_document_automaton():
+    # an automaton read from a cta-1 document has no transitions: its sphere
+    # sizes agree with the ball, but it cannot type the ball's vertices
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "automata" / "cta-4-4-4.json"
+    a, _ = automaton_from_json(path.read_text())
+    ball = build_ball(new_params(4, 4, 4), 6)
+    for check in (types_on_ball, check_on_ball):
+        with pytest.raises(VerificationFailed, match="no transitions"):
+            check(a, ball)
 
 
 def test_root_types_are_the_reference_partition(graph_data):

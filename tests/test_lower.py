@@ -83,6 +83,22 @@ def test_tree_bound_is_exact(tree_reduced):
     assert res.bound == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
+def test_lambda_residual_is_checked(data444, monkeypatch):
+    # an eigenvector of M'' off by 1e-9 fails the residual check, as the
+    # Perron vector's does
+    eigh = np.linalg.eigh
+
+    def perturbed(mat):
+        vals, vecs = eigh(mat)
+        vecs = vecs.copy()
+        vecs[0, -1] += 1e-9
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NotConverged, match="lambda residual"):
+        lower_bound(data444["reduced"])
+
+
 def test_all_groups_match_reference(graph_data):
     for triple in TABLE:
         res = lower_bound(graph_data[triple]["reduced"])

@@ -114,9 +114,10 @@ def test_run_group_444():
     # the fold search: the solve at z = 1 and the confirming solve just
     # above the fold, Diverged
     fold = diag["fold"]
-    assert set(fold) == {"solves", "newton_steps", "diverged"}
+    assert set(fold) == {"solves", "newton_steps", "diverged", "bordered_steps"}
     assert (fold["solves"], fold["diverged"]) == (2, 1)
     assert fold["newton_steps"] >= fold["solves"]
+    assert 1 <= fold["bordered_steps"] <= 5
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
     for stage in ("extract", "upper", "lower", "ball", "guard", "oracle"):
@@ -272,16 +273,20 @@ def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
 
 def test_report_json_shape():
     report = run_group(new_params(4, 4, 4))
-    text = report_to_json(report, timestamp=False)
-    assert text == report_to_json(report, timestamp=False)  # deterministic
-    doc = json.loads(text)
+    doc, again = json.loads(report_to_json(report)), json.loads(report_to_json(report))
+    assert "generated_at" in doc
+    doc.pop("generated_at")
+    again.pop("generated_at")
+    assert doc == again  # deterministic apart from generated_at
     assert doc["schema"] == "bnd-1"
     assert doc["group"] == [4, 4, 4]
     assert doc["curvature"] == {"num": -1, "den": 4}
     assert doc["diagnostics"]["closure_rounds"] == 2
     assert doc["diagnostics"]["moore_rounds"] == 4
-    assert "generated_at" not in doc
-    assert "generated_at" in json.loads(report_to_json(report))
+    # a value json cannot write, and that is no Fraction, is refused
+    report.diagnostics["count"] = np.int64(1)
+    with pytest.raises(TypeError):
+        report_to_json(report)
 
 
 def test_csv_layout():

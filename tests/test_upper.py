@@ -111,7 +111,9 @@ def test_newton_fast_just_below_fold(tree_reduced, data444):
         sol = minimal_fixed_point(spec, R_F * (1.0 - 1e-9))
         assert isinstance(sol, FixedPointSolution)
         assert sol.iterations <= 60
-        assert sol.residual < 1e-13
+        z, w = sol.z, sol.w
+        residual = np.max(np.abs(z * (spec.p_minus + w * (spec.Mp @ w)) - w))
+        assert residual < 1e-13
         assert sol.jacobian_spectral_radius < 1.0
 
 
@@ -158,8 +160,8 @@ def test_fold_off_the_fold_raises(tree_reduced, monkeypatch):
     spec = tree_walk_spec(tree_reduced, 0)
     for shift in [1e-6, -1e-6]:
         def off_fold(spec, w0, u0, z0, shift=shift):
-            w, u, z, res = polish(spec, w0, u0, z0)
-            return w, u, z + shift, res
+            w, u, z, res, steps = polish(spec, w0, u0, z0)
+            return w, u, z + shift, res, steps
 
         monkeypatch.setattr(upper, "_fold_newton", off_fold)
         with pytest.raises(NotConverged):
@@ -231,9 +233,9 @@ def test_fold_search_solve_count(tree_reduced, data444, data237, monkeypatch):
     for ra, t in runs:
         calls.clear()
         res = upper_bound(ra, root_type=int(t))
-        assert res.fold_solves == len(calls) == 2, (ra.types, t)
-        assert res.fold_diverged == 1
-        assert res.fold_newton_steps >= res.fold_solves
+        assert res.fold.solves == len(calls) == 2, (ra.types, t)
+        assert res.fold.diverged == 1
+        assert res.fold.newton_steps >= res.fold.solves
 
 
 def test_tree_first_return_value(tree_reduced):
@@ -247,7 +249,7 @@ def test_tree_first_return_value(tree_reduced):
 
 def test_tree_upper_bound(tree_reduced):
     res = upper_bound(tree_reduced)
-    assert res.R_F == pytest.approx(TREE_RF, abs=1e-12)
+    assert res.fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
     assert res.F_at_RF == pytest.approx(0.5, abs=1e-10)
     assert res.rho_T == pytest.approx(TREE_RHO, abs=1e-10)
 
@@ -262,7 +264,7 @@ def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
         spec = tree_walk_spec(ra, default_root_type(ra))
         fold = fold_point(spec)
         res = upper_bound(ra)
-        assert fold.R_F == res.R_F and res.fold_solves == 2, ra.types
+        assert fold.R_F == res.fold.R_F and res.fold.solves == 2, ra.types
         assert eig_radius(spec, fold.R_F, fold.w) == pytest.approx(1.0, abs=1e-6)
         start = minimal_fixed_point(spec, 1.0)
         below = minimal_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start.w)
@@ -286,7 +288,7 @@ def test_all_groups_match_reference(graph_data):
     for triple in TABLE:
         res = upper_bound(graph_data[triple]["reduced"])
         assert res.rho_T == pytest.approx(UPPER_BOUNDS[triple], abs=1e-9), triple
-        assert res.fold_residual < 1e-10
+        assert res.fold.residual < 1e-10
 
 
 def test_tree_certified_upper(tree_reduced):
@@ -443,14 +445,16 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
 
 def test_fold_search_work_on_committed_documents():
     # 2 solves per document, 1 of them Diverged, as the README states; the
-    # Newton steps are the search's work over the 28 documents when this
-    # test was written, so more fail here
+    # Newton steps and the bordered Newton's linear solves are the search's
+    # work over the 28 documents when this test was written, so more fail here
     totals = Counter()
     for path in DOCUMENTS:
         fold = run_from_automaton(path.read_text()).diagnostics["fold"]
         assert (fold["solves"], fold["diverged"]) == (2, 1), path.name
+        assert fold["bordered_steps"] <= 5, path.name
         totals.update(fold)
     assert len(DOCUMENTS) == 28
     assert totals["solves"] == 56
     assert totals["newton_steps"] <= 611
     assert totals["diverged"] == 28
+    assert totals["bordered_steps"] <= 134
