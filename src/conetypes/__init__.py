@@ -5,7 +5,6 @@ random walk on their Cayley graphs."""
 from .automaton import (
     ConeTypeAutomaton,
     ReducedAutomaton,
-    VerificationReport,
     automaton_from_json,
     automaton_to_json,
     check_on_ball,
@@ -14,7 +13,6 @@ from .automaton import (
     theorem_case,
     to_digraph_dot,
     types_on_ball,
-    verify_counts,
 )
 from .coxeter import CayleyBall, GroupParams, build_ball, new_params
 from .errors import (

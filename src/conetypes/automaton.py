@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class ReducedAutomaton(_Regular):
     M: np.ndarray
     degree: int
     p: int
-
-
-@dataclass
-class VerificationReport:
-    case: str
-    expected: int
-    actual: int
-    matches: bool
 
 
 def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
@@ -333,14 +325,6 @@ def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
     return "(iii.3)", 2 * c + 21
 
 
-def verify_counts(params: GroupParams, a: ConeTypeAutomaton) -> VerificationReport:
-    """Compare K_total against the classification formula for (l,m,n)."""
-    case, expected = theorem_case(*params.triple())
-    return VerificationReport(
-        case=case, expected=expected, actual=a.K_total, matches=expected == a.K_total
-    )
-
-
 def to_digraph_dot(a) -> str:
     """DOT rendering: one node per type, M_{i,j} parallel arcs, r annotations."""
     if isinstance(a, ReducedAutomaton):
@@ -363,10 +347,9 @@ def to_digraph_dot(a) -> str:
     return "\n".join(lines) + "\n"
 
 
-def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton | None = None) -> str:
-    """Versioned document (schema cta-1) for export and re-import."""
-    if reduced is None:
-        reduced = reduce_automaton(a)
+def automaton_to_json(a: ConeTypeAutomaton, reduced: ReducedAutomaton) -> str:
+    """Versioned document (schema cta-1) for export and re-import; reduced
+    is reduce_automaton(a)."""
     doc = {
         "schema": "cta-1",
         "params": list(a.params.triple()) if a.params is not None else None,
@@ -393,10 +376,15 @@ def _json_int(value, name: str) -> int:
 
 def _json_ints(value, name: str) -> np.ndarray:
     """A JSON array of integers as a signed integer array, refused unless
-    numpy infers a signed integer dtype from the parsed values alone."""
+    numpy infers a signed integer dtype from the parsed values alone and
+    no value is a bool, which numpy reads as an integer among integers."""
     arr = np.array(value)
     if arr.dtype.kind != "i":
         raise SchemaError(f"{name} is not an array of integers (read as {arr.dtype})")
+    # a vector is one row; any other shape is refused by the shape checks
+    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
+    if bool in set(map(type, chain.from_iterable(rows))):
+        raise SchemaError(f"{name} holds a boolean, not an integer")
     return arr
 
 

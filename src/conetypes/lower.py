@@ -23,8 +23,9 @@ EIGEN_TOL = 1e-12
 
 @dataclass
 class LowerBoundResult:
+    """bound = 2 lam/(d sqrt(nu)), with the residuals of both eigenpairs."""
+
     nu: float
-    A: np.ndarray
     lam: float
     bound: float
     residual_nu: float
@@ -80,5 +81,5 @@ def lower_bound(ra: ReducedAutomaton) -> LowerBoundResult:
     residual_lam = float(np.max(np.abs(S @ v - lam * v)))
     if not residual_lam < EIGEN_TOL:
         raise NotConverged(f"lambda residual {residual_lam} is not below {EIGEN_TOL}")
-    return LowerBoundResult(nu=nu, A=A, lam=lam, bound=2.0 * lam / (ra.degree * np.sqrt(nu)),
+    return LowerBoundResult(nu=nu, lam=lam, bound=2.0 * lam / (ra.degree * np.sqrt(nu)),
                             residual_nu=residual_nu, residual_lam=residual_lam)

@@ -17,7 +17,6 @@ from .automaton import (
     extract_automaton,
     reduce_automaton,
     theorem_case,
-    verify_counts,
 )
 from .coxeter import GroupParams, build_ball, new_params
 from .errors import ConeTypesError
@@ -89,16 +88,15 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     config = config or RunConfig()
     diag: dict = {"timings": {}, "residuals": {}, "errors": {}}
     report = BoundReport(params=params, diagnostics=diag)
-    report.case = theorem_case(*params.triple())[0]
+    report.case, expected = theorem_case(*params.triple())
     report.curvature = curvature(params)
 
     a = _stage(diag, "extract", extract_automaton, params, diag)
     if a is None:
         return report
     report.K_total = a.K_total
-    vr = verify_counts(params, a)
-    report.theorem_match = vr.matches
-    diag["theorem_expected"] = vr.expected
+    report.theorem_match = a.K_total == expected
+    diag["theorem_expected"] = expected
 
     ra = _stage(diag, "reduce", reduce_automaton, a)
     if ra is None:
@@ -168,10 +166,9 @@ def run_from_automaton(text: str) -> BoundReport:
     report = BoundReport(params=a.params, K_total=a.K_total,
                          T_size=len(ra.types), diagnostics=diag)
     if a.params is not None:
-        report.case = theorem_case(*a.params.triple())[0]
+        report.case, expected = theorem_case(*a.params.triple())
         report.curvature = curvature(a.params)
-        vr = verify_counts(a.params, a)
-        report.theorem_match = vr.matches
+        report.theorem_match = a.K_total == expected
     _record_bounds(report, upper_bound(ra), lower_bound(ra))
     return report
 

@@ -66,18 +66,18 @@ class TreeWalkSpec:
 
 @dataclass
 class FixedPointSolution:
-    z: float
+    """The least fixed point w; its Jacobian's Collatz-Wielandt bound at
+    the x > 0 of the last Newton step, max_i (J x)_i / x_i, is below 1."""
+
     w: np.ndarray
-    # Collatz-Wielandt bound max_i (J x)_i / x_i on rho(J) at w, with x > 0
-    # from the last Newton step; below 1 by construction
-    jacobian_spectral_radius: float
     iterations: int
     x: np.ndarray  # (I - J)^-1 1 > 0 at the last step
 
 
 @dataclass
 class Diverged:
-    z: float
+    """No least fixed point found; iterations is the Newton steps made."""
+
     iterations: int
 
 
@@ -92,7 +92,6 @@ class FoldResult:
 
     R_F: float
     w: np.ndarray  # the minimal fixed point at R_F
-    u: np.ndarray
     residual: float
     certified_z: Fraction
     # always False; kept only because the benchmark's trace hook reads it
@@ -187,25 +186,23 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
         try:
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
-            return Diverged(z=z, iterations=it)
+            return Diverged(iterations=it)
         (step_min, x_min), (step_max, x_max) = sol.min(axis=0).tolist(), sol.max(axis=0).tolist()
         # roundoff in the step, measured within 1e-12 of the fold on every root
         # of the reference automata, stays below 0.6 eps ||(I - J)^-1|| max(1, w)
         floor = 1e-14 * x_max * max(1.0, w_max)
         if x_min <= 0.0 or step_min < -floor:
-            return Diverged(z=z, iterations=it)
+            return Diverged(iterations=it)
         w = w + sol[:, 0]
         w_max = float(w.max())
         if w_max > DIVERGENCE_CAP:
-            return Diverged(z=z, iterations=it)
+            return Diverged(iterations=it)
         if max(step_max, -step_min) <= floor:
             x = sol[:, 1]
-            rad = _jacobian_bound(spec, z, w, Mp @ w, x)
-            if rad >= 1.0:
-                return Diverged(z=z, iterations=it)
-            return FixedPointSolution(z=z, w=w, jacobian_spectral_radius=rad,
-                                      iterations=it, x=x)
-    return Diverged(z=z, iterations=STEP_CAP)
+            if _jacobian_bound(spec, z, w, Mp @ w, x) >= 1.0:
+                return Diverged(iterations=it)
+            return FixedPointSolution(w=w, iterations=it, x=x)
+    return Diverged(iterations=STEP_CAP)
 
 
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
@@ -281,7 +278,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     # rises to the least solution at any z where one exists
     if not isinstance(solve(z * (1.0 + CERT_MARGIN), start.w), Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
-    return FoldResult(R_F=z, w=w, u=u, residual=res, certified_z=certified_z,
+    return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z,
                       fallback=False, bordered_steps=bordered_steps, **counts)
 
 

@@ -27,10 +27,10 @@ from conetypes import (
     perron,
     return_probabilities,
     table_params,
+    theorem_case,
     tilde_matrix,
     tree_walk_spec,
     upper_bound,
-    verify_counts,
 )
 from conftest import EXPECTED_COUNTS, LOWER_BOUNDS, TABLE, UPPER_BOUNDS
 from reference import reflection_rep, sphere_type_census, tits_equal
@@ -65,9 +65,8 @@ CURVATURE_COLUMN = [
 def test_criterion_1_cone_type_counts(graph_data):
     for triple in TABLE:
         data = graph_data[triple]
-        report = verify_counts(data["params"], data["automaton"])
-        assert report.actual == EXPECTED_COUNTS[triple] == report.expected, triple
-        assert report.matches
+        _, expected = theorem_case(*data["params"].triple())
+        assert data["automaton"].K_total == EXPECTED_COUNTS[triple] == expected, triple
         assert data["build_seconds"] <= 60.0, (triple, data["build_seconds"])
     print("criterion 1 PASS: all ten cone-type counts match the "
           "classification formula, each group built within 60 s")

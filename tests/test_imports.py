@@ -87,3 +87,24 @@ def test_no_public_function_only_tests_read():
         library_trees(), (ast.FunctionDef, ast.AsyncFunctionDef),
         lambda node: not node.name.startswith("_") and not is_click_command(node))
     assert sorted(dead) == sorted(UNREAD_PUBLIC)
+
+
+# read by the benchmark's trace hook only; it leaves src/ with the
+# benchmark's dead metrics (ROADMAP item 2)
+UNREAD_FIELDS = {"upper.py:FoldResult.fallback"}
+
+
+def test_no_field_only_tests_read():
+    # every annotated class field is read as an attribute by library code,
+    # so src/ computes and stores nothing that only the tests look at; a
+    # write (report.upper = ...) is not a read
+    trees = library_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = [f"{name}:{cls.name}.{item.target.id}"
+            for name, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+    assert sorted(dead) == sorted(UNREAD_FIELDS)

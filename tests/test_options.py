@@ -9,7 +9,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import conetypes
-from conetypes import automaton_to_json, extract_automaton, new_params
+from conetypes import automaton_to_json, extract_automaton, new_params, reduce_automaton
 from conetypes.cli import main
 from conetypes.pipeline import RunConfig
 
@@ -63,7 +63,8 @@ def _formats(command) -> list[str]:
 def test_every_offered_format_renders(tmp_path):
     runner = CliRunner()
     doc = tmp_path / "444.json"
-    doc.write_text(automaton_to_json(extract_automaton(new_params(4, 4, 4))))
+    a = extract_automaton(new_params(4, 4, 4))
+    doc.write_text(automaton_to_json(a, reduce_automaton(a)))
     with_format = sorted(name for name, cmd in main.commands.items()
                          if any(p.name == "fmt" for p in cmd.params))
     assert with_format == sorted(FORMAT_ARGS)

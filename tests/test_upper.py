@@ -29,7 +29,7 @@ from conetypes import (
     tree_walk_spec,
     upper_bound,
 )
-from conetypes.upper import CERT_MARGIN
+from conetypes.upper import CERT_MARGIN, _jacobian_bound
 from conftest import HYPERBOLIC_12, TABLE, UPPER_BOUNDS
 from reference import post_fixed_point_fractions
 
@@ -107,14 +107,14 @@ def test_newton_fast_just_below_fold(tree_reduced, data444):
     # fixed-point iteration needs ~3e5 there
     for ra in [tree_reduced, data444["reduced"]]:
         spec = tree_walk_spec(ra, default_root_type(ra))
-        R_F = fold_point(spec).R_F
-        sol = minimal_fixed_point(spec, R_F * (1.0 - 1e-9))
+        z = fold_point(spec).R_F * (1.0 - 1e-9)
+        sol = minimal_fixed_point(spec, z)
         assert isinstance(sol, FixedPointSolution)
         assert sol.iterations <= 60
-        z, w = sol.z, sol.w
+        w = sol.w
         residual = np.max(np.abs(z * (spec.p_minus + w * (spec.Mp @ w)) - w))
         assert residual < 1e-13
-        assert sol.jacobian_spectral_radius < 1.0
+        assert _jacobian_bound(spec, z, w, spec.Mp @ w, sol.x) < 1.0
 
 
 def test_newton_diverges_just_above_fold(tree_reduced, data444):
@@ -141,7 +141,16 @@ def test_newton_tree_closed_form_near_fold(tree_reduced):
     assert fold.R_F * (1.0 - 1e-9) <= TREE_RF <= fold.R_F * (1.0 + 1e-9)
 
 
-def test_tree_fold_point(tree_reduced):
+def test_tree_fold_point(tree_reduced, monkeypatch):
+    import conetypes.upper as upper
+
+    polish, polished = upper._fold_newton, []
+
+    def recorded_polish(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(upper, "_fold_newton", recorded_polish)
     spec = tree_walk_spec(tree_reduced, 0)
     fold = fold_point(spec)
     assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
@@ -149,7 +158,10 @@ def test_tree_fold_point(tree_reduced):
     assert fold.residual < 1e-10
     # minimal solution at the fold: w = 1/sqrt(2), Jacobian has eigenvalue 1
     assert fold.w[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
-    assert abs(fold.u).sum() == pytest.approx(1.0, abs=1e-12)
+    # the polished null vector u of J - I keeps its normalization
+    [(_, u, z, _, _)] = polished
+    assert z == fold.R_F
+    assert abs(u).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fold_off_the_fold_raises(tree_reduced, monkeypatch):
@@ -420,7 +432,8 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
     def recorded_solver(spec, z, w0=None):
         out = solver(spec, z, w0)
         if isinstance(out, FixedPointSolution):
-            solutions.append((spec, out.z, out.w, out.jacobian_spectral_radius))
+            rad = bound(spec, z, out.w, spec.Mp @ out.w, out.x)
+            solutions.append((spec, z, out.w, rad))
         return out
 
     def recorded_bound(spec, z, w, v, x):
