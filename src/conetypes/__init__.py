@@ -58,6 +58,7 @@ from .upper import (
     default_root_type,
     first_return_value,
     fold_point,
+    is_below_least,
     is_post_fixed_point,
     minimal_fixed_point,
     tree_walk_spec,

@@ -8,11 +8,15 @@ Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
 R_F is found from the least solution at z = 1.  Newton on the bordered
 fold system (Phi(w) - w, J(w) u - u, sum(u) - 1) in (w, u, z) starts there,
 seeded with u = x / sum(x), from the positive x = (I - J)^-1 1 of that
-solve's last Newton step.  The polished z is accepted only if it lies
-above 1 with u > 0, the exact check below proves the polished w a
-post-fixed point at z (1 - 1e-9), and the minimal solution, warm-started
-from the one at z = 1, does not exist at z (1 + 1e-9).  There is no
-fallback: anything else raises NotConverged.
+solve's last Newton step.  The polished (w, u, z) is accepted only if z
+lies above 1 with u > 0, the exact check below proves w a post-fixed point
+at z (1 - 1e-9), and the minimal solution does not exist at z (1 + 1e-9).
+That last solve starts just below the fold, from v = w - t u with
+t = sqrt(1e-9) max(w) / max(u), which a second exact check,
+is_below_least, first proves to lie below every fixed point at
+z (1 + 1e-9); Newton from it rises to the least solution wherever one
+exists, so its Diverged result shows there is none, in 2 steps.  There is
+no fallback: anything else raises NotConverged.
 
 The Green-kernel radius is R_F itself.  The graph is d-regular, and the
 root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
@@ -31,7 +35,11 @@ Yannakakis, JACM 2009); then F(z) < 1, R_F >= z and rho_T <= 1/z.  The
 check is made once, on the polished fold solution at
 z = R_F (1 - CERT_MARGIN), in exact integer arithmetic: every w_i is a
 dyadic rational, so over one common power of two and z's denominator the
-same inequalities compare Python ints.
+same inequalities compare Python ints.  The confirm above the fold has the
+matching exact check: a rational z, v >= 0 and x > 0 with Phi_z(v) >= v
+and J_z(v) x < x put v below every fixed point at z (the proof is in
+is_below_least's docstring), compared in integers the same way.  Both
+checks sum only the nonzeros of M, at most d a row.
 """
 
 from __future__ import annotations
@@ -83,11 +91,12 @@ class Diverged:
 
 @dataclass
 class FoldResult:
-    """The polished fold, confirmed from below by an exact certificate.
+    """The polished fold, confirmed on both sides by exact checks.
 
     w is proven a post-fixed point at certified_z = R_F (1 - CERT_MARGIN),
     so the least solution exists there and rho_T <= 1/certified_z; the
-    solver diverged at R_F (1 + CERT_MARGIN).
+    solver diverged at R_F (1 + CERT_MARGIN) from a start that
+    is_below_least proves below every fixed point there.
     """
 
     R_F: float
@@ -134,11 +143,6 @@ def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
         raise InvalidRoot(f"type {root_type} is not in the reduced set {ra.types}")
     return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=ra.r / ra.degree,
                         Mp=ra.M * (1.0 / ra.degree))
-
-
-def _jacobian(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J(w) = z (diag(Mp w) + w_i Mp_ij), given v = Mp w."""
-    return z * (np.diag(v) + w[:, None] * spec.Mp)
 
 
 def _jacobian_bound(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray,
@@ -208,31 +212,44 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     """Newton on (Phi(w)-w, J(w)u-u, sum(u)-1) in the unknowns (w, u, z).
 
+    J(w) = z (diag(Mp w) + w_i Mp_ij).  The bordered matrix
+    [[J(w) - I, 0, Phi/z], [J(u), J(w) - I, J(w)u/z], [0, 1, 0]] (using
+    J(w) u = J(u) w, so d(J(w) u)/dw = J(u)) is refilled in place each step,
+    its three diagonals written through strided views of the flat array.
     Returns (w, u, z, residual, linear solves made), or None on failure.
     """
     K = w0.size
-    Mp, eye = spec.Mp, np.eye(K)
-    A = np.zeros((2 * K + 1, 2 * K + 1))
+    n = 2 * K + 1
+    Mp = spec.Mp
+    A = np.zeros((n, n))
     A[2 * K, K:2 * K] = 1.0
+    top, low, mid = A[:K, :K], A[K:2 * K, :K], A[K:2 * K, K:2 * K]
+    flat = A.reshape(-1)
+    top_diag, low_diag = flat[::n + 1][:K], flat[K * n::n + 1][:K]
+    rhs = np.empty(n)
     w, u, z = w0.copy(), u0.copy(), float(z0)
     for steps in range(60):
-        v = Mp @ w
-        J = _jacobian(spec, z, w, v)
+        v, mu = Mp @ w, Mp @ u
         phi = z * (spec.p_minus + w * v)
-        Ju = J @ u
-        F1 = phi - w
-        F2 = Ju - u
-        F3 = u.sum() - 1.0
-        res = float(max(np.max(np.abs(F1)), np.max(np.abs(F2)), abs(F3)))
+        Ju = z * (v * u + w * mu)
+        rhs[:K] = phi - w
+        rhs[K:2 * K] = Ju - u
+        rhs[2 * K] = u.sum() - 1.0
+        res = float(np.max(np.abs(rhs)))
         if res < FOLD_TOL:
             return w, u, z, res, steps
-        A[:K, :K] = A[K:2 * K, K:2 * K] = J - eye
+        np.multiply(w[:, None], Mp, out=top)
+        top_diag += v
+        top *= z
+        top_diag -= 1.0
+        mid[:] = top
+        np.multiply(u[:, None], Mp, out=low)
+        low_diag += mu
+        low *= z
         A[:K, 2 * K] = phi / z
-        # J(w) u = J(u) w, so d(J(w) u)/dw = J(u)
-        A[K:2 * K, :K] = _jacobian(spec, z, u, Mp @ u)
         A[K:2 * K, 2 * K] = Ju / z
         try:
-            step = np.linalg.solve(A, np.concatenate([F1, F2, [F3]]))
+            step = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             return None
         w = w - step[:K]
@@ -247,11 +264,12 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     """Locate R_F: bordered Newton from the z = 1 solution, two-sided confirm.
 
     Newton on the fold system starts from the least solution at z = 1,
-    seeded with u = x / sum(x) from that solve.  The polished z is accepted
-    only above 1, with u > 0, when is_post_fixed_point proves w >= 0 a
-    post-fixed point at z (1 - CERT_MARGIN) and the solver, warm-started
-    from the z = 1 solution, diverges at z (1 + CERT_MARGIN); else
-    NotConverged.
+    seeded with u = x / sum(x) from that solve.  The polished (w, u, z) is
+    accepted only with z above 1 and u > 0, when is_post_fixed_point proves
+    w >= 0 a post-fixed point at z (1 - CERT_MARGIN), and when the solver
+    diverges at z (1 + CERT_MARGIN) from the start v = w - t u,
+    t = sqrt(CERT_MARGIN) max(w) / max(u), which is_below_least first
+    proves to lie below every fixed point there; else NotConverged.
     """
     counts = {"solves": 0, "newton_steps": 0, "diverged": 0}
 
@@ -274,9 +292,14 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     certified_z = Fraction(z * (1.0 - CERT_MARGIN))
     if not is_post_fixed_point(spec, certified_z, w):
         raise NotConverged(f"polished fold solution is no post-fixed point just below z = {z}")
-    # start.w lies below every least solution past z = 1, so Newton from it
-    # rises to the least solution at any z where one exists
-    if not isinstance(solve(z * (1.0 + CERT_MARGIN), start.w), Diverged):
+    # Diverged means "no solution" only from a start proven below every
+    # fixed point; one sqrt(CERT_MARGIN) below the fold along u diverges
+    # in 2 Newton steps
+    above = z * (1.0 + CERT_MARGIN)
+    v = w - CERT_MARGIN ** 0.5 * w.max() / u.max() * u
+    if not is_below_least(spec, Fraction(above), v, u):
+        raise NotConverged(f"no start proven below the least solution just above z = {z}")
+    if not isinstance(solve(above, v), Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
     return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z,
                       fallback=False, bordered_steps=bordered_steps, **counts)
@@ -288,6 +311,25 @@ def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:
     return float(z * np.dot(spec.ra.M[spec.root], w) / spec.ra.degree)
 
 
+def _dyadic(a: np.ndarray):
+    """(A, S): Python ints A_i and one power of two S with a_i = A_i / S
+    exactly, or None when a holds NaN or an infinity."""
+    if not np.isfinite(a).all():
+        return None
+    ratios = [x.as_integer_ratio() for x in a.tolist()]
+    S = max(den for _, den in ratios)
+    return [num * (S // den) for num, den in ratios], S
+
+
+def _int_matvec(M: np.ndarray, A: list) -> list:
+    """M A in Python ints, summing only the nonzeros of M (at most d a row)."""
+    out = [0] * len(A)
+    rows, cols = np.nonzero(M)
+    for i, j, m in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+        out[i] += m * A[j]
+    return out
+
+
 def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     """Exact check that w >= 0 satisfies Phi(z, w) <= w and F(z, w) < 1.
 
@@ -295,25 +337,60 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     z(r_i + w_i sum_j M_ij w_j) <= d w_i and z sum_j M_root,j w_j < d,
     on the exact binary values of w.  Each w_i is a dyadic W_i / S over one
     common power of two S, and z = zn / zd, so the rows are compared in
-    integers as zn (r_i S^2 + W_i sum_j M_ij W_j) <= zd d W_i S and
-    zn sum_j M_root,j W_j < zd d S.  A w holding NaN or an infinity
+    integers as zn (r_i S^2 + W_i MW_i) <= zd d W_i S and
+    zn MW_root < zd d S, with MW = M W.  A w holding NaN or an infinity
     proves nothing: the check fails.
     """
-    if not np.isfinite(w).all():
+    dyadic = _dyadic(w)
+    if dyadic is None:
         return False
-    ratios = [x.as_integer_ratio() for x in w.tolist()]
-    S = max(den for _, den in ratios)
-    W = [num * (S // den) for num, den in ratios]
+    W, S = dyadic
     if min(W) < 0:
         return False
     zn, zd = z.as_integer_ratio()
-    S2, d, M = S * S, spec.ra.degree, spec.ra.M.tolist()
-    for row, ri, Wi in zip(M, spec.ra.r.tolist(), W):
-        out = sum(m * Wj for m, Wj in zip(row, W) if m)
-        if zn * (ri * S2 + Wi * out) > zd * d * Wi * S:
+    S2, d, MW = S * S, spec.ra.degree, _int_matvec(spec.ra.M, W)
+    for ri, Wi, MWi in zip(spec.ra.r.tolist(), W, MW):
+        if zn * (ri * S2 + Wi * MWi) > zd * d * Wi * S:
             return False
-    root = sum(m * Wj for m, Wj in zip(M[spec.root], W) if m)
-    return zn * root < zd * d * S
+    return zn * MW[spec.root] < zd * d * S
+
+
+def is_below_least(spec: TreeWalkSpec, z: Fraction, v: np.ndarray, x: np.ndarray) -> bool:
+    """Exact check that v lies below every fixed point w* >= 0 of Phi_z.
+
+    The check is v >= 0, x > 0, Phi_z(v) >= v and J_z(v) x < x, where
+    J_z(v) = z (diag(Mp v) + v_i Mp_ij) >= 0 is Phi_z's Jacobian.  With v =
+    V / S, x = X / T over powers of two (T cancels) and z = zn / zd, the
+    rows read zn (r_i S^2 + V_i MV_i) >= zd d V_i S and
+    zn (MV_i X_i + V_i MX_i) < zd d X_i S in integers.  A NaN or an
+    infinity proves nothing: the check fails.
+
+    Proof.  Suppose v <= w* fails for a fixed point w* >= 0.  Let
+    t = max_i (v_i - w*_i) / x_i > 0 and s = v - t x; then s <= w*, with
+    equality at some index i.  Phi is quadratic, with second-order term
+    Q(h)_i = z h_i (Mp h)_i >= 0 for h >= 0.  About w*, with h = w* - s >= 0
+    and h_i = 0, Q(h)_i vanishes, so Phi(s)_i = w*_i - (J(w*) h)_i <= s_i.
+    About v, Phi(s) = Phi(v) - t J(v) x + t^2 Q(x), so
+    Phi(s)_i >= v_i - t (J(v) x)_i > v_i - t x_i = s_i, a contradiction.
+    So v <= w*, and as Phi_z(v) >= v, Newton from v rises to the least
+    fixed point at z wherever one exists (Esparza, Kiefer and Luttenberger,
+    JACM 2010): there, a Diverged solve from v shows that none exists.
+    """
+    dv, dx = _dyadic(v), _dyadic(x)
+    if dv is None or dx is None:
+        return False
+    (V, S), (X, _) = dv, dx
+    if min(V) < 0 or min(X) <= 0:
+        return False
+    zn, zd = z.as_integer_ratio()
+    S2, d, M = S * S, spec.ra.degree, spec.ra.M
+    for ri, Vi, Xi, MVi, MXi in zip(spec.ra.r.tolist(), V, X, _int_matvec(M, V),
+                                    _int_matvec(M, X)):
+        if zn * (ri * S2 + Vi * MVi) < zd * d * Vi * S:
+            return False
+        if zn * (MVi * Xi + Vi * MXi) >= zd * d * Xi * S:
+            return False
+    return True
 
 
 def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:

@@ -1,9 +1,9 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
-the post-fixed-point check in Fractions, the root path one root and one
-generator at a time with np.unique minimization, dense reflection tensors
-for the oracles that multiply whole matrices, and helpers only the tests
-read.
+the post-fixed-point and below-least checks in Fractions, the root path one
+root and one generator at a time with np.unique minimization, dense
+reflection tensors for the oracles that multiply whole matrices, and
+helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -414,6 +414,25 @@ def post_fixed_point_fractions(spec, z: Fraction, w: np.ndarray) -> bool:
     return z * root < d
 
 
+def below_least_fractions(spec, z: Fraction, v: np.ndarray, x: np.ndarray) -> bool:
+    """The check of upper.is_below_least in Fractions.
+
+    v >= 0, x > 0, z(r_i + v_i sum_j M_ij v_j) >= d v_i and
+    z(x_i sum_j M_ij v_j + v_i sum_j M_ij x_j) < d x_i for every type, on
+    the exact binary values of v and x, one Fraction per term.
+    """
+    V, X = [Fraction(a) for a in v.tolist()], [Fraction(a) for a in x.tolist()]
+    if min(V) < 0 or min(X) <= 0:
+        return False
+    d, M = spec.ra.degree, spec.ra.M.tolist()
+    for row, ri, vi, xi in zip(M, spec.ra.r.tolist(), V, X):
+        mv = sum(int(m) * vj for m, vj in zip(row, V) if m)
+        mx = sum(int(m) * xj for m, xj in zip(row, X) if m)
+        if z * (ri + vi * mv) < d * vi or z * (xi * mv + vi * mx) >= d * xi:
+            return False
+    return True
+
+
 # The ball extraction of cone types.
 
 @dataclass
@@ -453,7 +472,8 @@ class LabelLayers:
     read; first[j][c] is the first vertex of id c, counts[j][s] the number of
     ids on norm <= s, and known[j] the sorted packed keys of the known rows
     and the keys' ids.  Every vertex of one cone type has one label on each
-    layer, so a layer has at most K ids, far below the key base.
+    layer, so a layer has at most K ids, far below the key base.  table is
+    the ball's successor_table at table_radius, built once per radius.
     """
 
     def __init__(self):
@@ -461,6 +481,13 @@ class LabelLayers:
         self.first = [np.zeros(1, dtype=np.int64)]
         self.counts = [[1]]
         self.known = [None]
+        self.table, self.table_radius = None, -1
+
+    def successors(self, ball):
+        """successor_table(ball), built once per radius of the growing ball."""
+        if self.table_radius != ball.radius:
+            self.table, self.table_radius = successor_table(ball), ball.radius
+        return self.table
 
     def extend(self, ball, depth: int) -> None:
         """Bring layers 0..depth up to the ball's radius, in order."""
@@ -468,7 +495,7 @@ class LabelLayers:
         if len(self.counts[0]) <= R:
             self.lab[0] = np.append(np.zeros(ball.n_vertices, dtype=np.int64), -1)
             self.counts[0] = [1] * (R + 1)
-        succ = successor_table(ball)[0]
+        succ = self.successors(ball)[0]
         for _ in range(len(self.lab), depth + 1):
             self.lab.append(np.array([-1]))
             self.first.append(np.zeros(0, dtype=np.int64))
@@ -681,7 +708,7 @@ def extract_from_ball(ball, diag: dict | None = None, layers=None) -> BallAutoma
     # equal counts on norm <= R - k and R - k - 1: every type has a
     # representative below dom_k1, whose successors all carry a type
 
-    succ, _, npred = successor_table(ball)
+    succ, _, npred = layers.successors(ball)
     # a padded slot reads the last vertex, on sphere R: type -1
     rows = np.sort(type_of[succ[:dom_k1]], axis=1)
     tvec = type_of[:dom_k1]

@@ -1,7 +1,9 @@
 """Tree-walk fixed point, fold detection, and the upper spectral-radius bound."""
 
 import math
+import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from conetypes import (
     extract_automaton,
     first_return_value,
     fold_point,
+    is_below_least,
     is_post_fixed_point,
     minimal_fixed_point,
     new_params,
@@ -31,7 +34,7 @@ from conetypes import (
 )
 from conetypes.upper import CERT_MARGIN, _jacobian_bound
 from conftest import HYPERBOLIC_12, TABLE, UPPER_BOUNDS
-from reference import post_fixed_point_fractions
+from reference import below_least_fractions, post_fixed_point_fractions
 
 # the committed cta-1 documents of the benchmark's automata workload
 DOCUMENTS = sorted(
@@ -45,6 +48,28 @@ TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 
 def tree_w(z):
     return (1.0 - math.sqrt(1.0 - 8.0 * z * z / 9.0)) / (4.0 * z / 3.0)
+
+
+@contextmanager
+def recorded_polish():
+    """The (w, u, z, residual, steps) of every bordered Newton run inside."""
+    import conetypes.upper as upper
+
+    polish, polished = upper._fold_newton, []
+
+    def recorded(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upper, "_fold_newton", recorded)
+        yield polished
+
+
+def start_below(w, u, offset):
+    """w - t u with t = offset max(w) / max(u): fold_point's confirm start
+    at offset sqrt(CERT_MARGIN)."""
+    return w - offset * w.max() / u.max() * u
 
 
 def eig_radius(spec, z, w):
@@ -141,18 +166,10 @@ def test_newton_tree_closed_form_near_fold(tree_reduced):
     assert fold.R_F * (1.0 - 1e-9) <= TREE_RF <= fold.R_F * (1.0 + 1e-9)
 
 
-def test_tree_fold_point(tree_reduced, monkeypatch):
-    import conetypes.upper as upper
-
-    polish, polished = upper._fold_newton, []
-
-    def recorded_polish(*args):
-        polished.append(polish(*args))
-        return polished[-1]
-
-    monkeypatch.setattr(upper, "_fold_newton", recorded_polish)
+def test_tree_fold_point(tree_reduced):
     spec = tree_walk_spec(tree_reduced, 0)
-    fold = fold_point(spec)
+    with recorded_polish() as polished:
+        fold = fold_point(spec)
     assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
     assert not fold.fallback
     assert fold.residual < 1e-10
@@ -186,6 +203,17 @@ def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch
     import conetypes.upper as upper
 
     monkeypatch.setattr(upper, "is_post_fixed_point", lambda spec, z, w: False)
+    for ra in [tree_reduced, data444["reduced"]]:
+        with pytest.raises(NotConverged):
+            fold_point(tree_walk_spec(ra, default_root_type(ra)))
+
+
+def test_fold_refused_without_a_proven_start(tree_reduced, data444, monkeypatch):
+    # the Diverged confirm above the fold means "no solution there" only
+    # from a start the exact check proves below the least solution
+    import conetypes.upper as upper
+
+    monkeypatch.setattr(upper, "is_below_least", lambda spec, z, v, x: False)
     for ra in [tree_reduced, data444["reduced"]]:
         with pytest.raises(NotConverged):
             fold_point(tree_walk_spec(ra, default_root_type(ra)))
@@ -269,18 +297,26 @@ def test_tree_upper_bound(tree_reduced):
 def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
     # the polished fold solves J u = u with u > 0, so rho(J(R_F, w)) = 1;
     # also on the 269 triples of the atlas, each in 2 solves, where a solve
-    # just below R_F from the z = 1 solution converges, so the Diverged
-    # confirm just above R_F is not vacuous
+    # just below R_F from the z = 1 solution converges, and where, at
+    # R_F (1 - CERT_MARGIN), a start built as the confirm's but 100 times
+    # further from the fold passes the exact check and its solve converges:
+    # so neither the check nor the Diverged confirm just above R_F is vacuous
     atlas = [reduce_automaton(extract_automaton(new_params(*t))) for t in HYPERBOLIC_12]
     for ra in [tree_reduced, data444["reduced"], *atlas]:
         spec = tree_walk_spec(ra, default_root_type(ra))
-        fold = fold_point(spec)
+        with recorded_polish() as polished:
+            fold = fold_point(spec)
+        [(_, u, _, _, _)] = polished
         res = upper_bound(ra)
         assert fold.R_F == res.fold.R_F and res.fold.solves == 2, ra.types
         assert eig_radius(spec, fold.R_F, fold.w) == pytest.approx(1.0, abs=1e-6)
         start = minimal_fixed_point(spec, 1.0)
         below = minimal_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start.w)
         assert isinstance(below, FixedPointSolution), ra.types
+        z = fold.R_F * (1.0 - CERT_MARGIN)
+        v = start_below(fold.w, u, 100.0 * math.sqrt(CERT_MARGIN))
+        assert is_below_least(spec, Fraction(z), v, u), ra.types
+        assert isinstance(minimal_fixed_point(spec, z, v), FixedPointSolution), ra.types
 
 
 def test_444_upper_bound(data444):
@@ -380,24 +416,29 @@ def certificate_points(R_F):
     return [Fraction(R_F * (1.0 - CERT_MARGIN)), Fraction(R_F), Fraction(R_F * (1.0 + 1e-6))]
 
 
+def start_points(R_F):
+    """z at the confirm above the fold, at the certificate margin below it,
+    and at the fold."""
+    return [Fraction(R_F * (1.0 + CERT_MARGIN)), Fraction(R_F * (1.0 - CERT_MARGIN)),
+            Fraction(R_F)]
+
+
 @pytest.fixture(scope="module")
 def committed_folds(tree_reduced):
-    """(spec, polished fold) of the tree and of every committed document at
-    each r = 2 root."""
-    spec = tree_walk_spec(tree_reduced, 0)
-    out = [(spec, fold_point(spec))]
+    """(spec, polished fold, polished u) of the tree and of every committed
+    document at each r = 2 root."""
+    specs = [tree_walk_spec(tree_reduced, 0)]
     for path in DOCUMENTS:
         _, ra = automaton_from_json(path.read_text())
-        for t, rv in zip(ra.types, ra.r):
-            if rv == 2:
-                spec = tree_walk_spec(ra, int(t))
-                out.append((spec, fold_point(spec)))
-    return out
+        specs += [tree_walk_spec(ra, int(t)) for t, rv in zip(ra.types, ra.r) if rv == 2]
+    with recorded_polish() as polished:
+        folds = [fold_point(spec) for spec in specs]
+    return [(spec, fold, u) for spec, fold, (_, u, _, _, _) in zip(specs, folds, polished)]
 
 
 def test_integer_certificate_matches_fraction_oracle(committed_folds):
     assert len(DOCUMENTS) == 28
-    for spec, fold in committed_folds:
+    for spec, fold, _ in committed_folds:
         w = fold.w
         assert is_post_fixed_point(spec, certificate_points(fold.R_F)[0], w)
         for wv in [w, -w, 2.0 * w, w * (1.0 - 1e-6)]:
@@ -411,13 +452,79 @@ def test_integer_certificate_matches_fraction_oracle(committed_folds):
 def test_integer_certificate_matches_oracle_on_perturbed_w(committed_folds, data):
     # w + k 2^e, k a small integer per type: dyadic perturbations on both
     # sides of the certificate margin (about 2^-30 relative)
-    spec, fold = data.draw(st.sampled_from(committed_folds), label="fold")
+    spec, fold, _ = data.draw(st.sampled_from(committed_folds), label="fold")
     e = data.draw(st.integers(-60, -20), label="exponent")
     k = data.draw(st.lists(st.integers(-8, 8), min_size=fold.w.size,
                            max_size=fold.w.size), label="k")
     w = fold.w + np.ldexp(np.array(k, dtype=float), e)
     z = data.draw(st.sampled_from(certificate_points(fold.R_F)), label="z")
     assert is_post_fixed_point(spec, z, w) == post_fixed_point_fractions(spec, z, w)
+
+
+def test_start_check_matches_fraction_oracle(committed_folds):
+    # fold_point's start passes at the confirm above the fold; the fold
+    # solution itself, where J u = u, and the start reflected or doubled fail
+    for spec, fold, u in committed_folds:
+        v = start_below(fold.w, u, math.sqrt(CERT_MARGIN))
+        assert is_below_least(spec, start_points(fold.R_F)[0], v, u)
+        for vv in [v, fold.w, -v, 2.0 * v]:
+            for z in start_points(fold.R_F):
+                assert is_below_least(spec, z, vv, u) == \
+                    below_least_fractions(spec, z, vv, u), (spec.ra.types, spec.root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_start_check_matches_oracle_on_perturbed_v(committed_folds, data):
+    # v + k 2^e, k a small integer per type: dyadic perturbations of the
+    # confirm's start on both sides of its Phi(v) >= v margin (about 2^-30
+    # relative at the confirm's z)
+    spec, fold, u = data.draw(st.sampled_from(committed_folds), label="fold")
+    e = data.draw(st.integers(-60, -20), label="exponent")
+    k = data.draw(st.lists(st.integers(-8, 8), min_size=u.size, max_size=u.size), label="k")
+    v = start_below(fold.w, u, math.sqrt(CERT_MARGIN)) + np.ldexp(np.array(k, dtype=float), e)
+    z = data.draw(st.sampled_from(start_points(fold.R_F)), label="z")
+    assert is_below_least(spec, z, v, u) == below_least_fractions(spec, z, v, u)
+
+
+def test_start_check_refuses_points_above_the_least_solution(tree_reduced, data444):
+    # at z = R_F (1 - 1e-4), with w the least solution and x = (I - J)^-1 1
+    # > 0 from its solve: no point above w passes, as the check proves its
+    # point below every fixed point; w - 1e-6 x passes, since there
+    # Phi(v) - v = 1e-6 (I - J) x + O(1e-12) = 1e-6 + O(1e-12)
+    tree_spec = tree_walk_spec(tree_reduced, 0)
+    for spec in [tree_spec, tree_walk_spec(data444["reduced"], default_root_type(data444["reduced"]))]:
+        z = fold_point(spec).R_F * (1.0 - 1e-4)
+        sol = minimal_fixed_point(spec, z)
+        w, x, z = sol.w, sol.x, Fraction(z)
+        assert not is_below_least(spec, z, w * (1.0 + 1e-6), x)
+        assert not is_below_least(spec, z, w + 1e-6 * x, x)
+        assert is_below_least(spec, z, w - 1e-6 * x, x)
+        # a scaled-down w has Phi(v) - v = 1e-6 (2 z p_minus - w) + O(1e-12):
+        # it passes on the tree, where w < 2 z p_minus, and fails on
+        # (4,4,4), where some w_i exceeds 2 z p_minus_i
+        assert is_below_least(spec, z, w * (1.0 - 1e-6), x) == (spec is tree_spec)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+def test_start_check_refuses_bad_entries(committed_folds, bad):
+    # a negative or non-finite entry in v or x proves nothing: the check
+    # fails instead of raising
+    for spec, fold, u in committed_folds:
+        z = start_points(fold.R_F)[0]
+        v = start_below(fold.w, u, math.sqrt(CERT_MARGIN))
+        bad_v, bad_x = v.copy(), u.copy()
+        bad_v[-1] = bad_x[-1] = bad
+        assert is_below_least(spec, z, bad_v, u) is False
+        assert is_below_least(spec, z, v, bad_x) is False
+
+
+def test_start_check_refuses_x_with_a_zero_entry(committed_folds):
+    for spec, fold, u in committed_folds:
+        v = start_below(fold.w, u, math.sqrt(CERT_MARGIN))
+        x = u.copy()
+        x[0] = 0.0
+        assert is_below_least(spec, start_points(fold.R_F)[0], v, x) is False
 
 
 def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
@@ -459,7 +566,9 @@ def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
 def test_fold_search_work_on_committed_documents():
     # 2 solves per document, 1 of them Diverged, as the README states; the
     # Newton steps and the bordered Newton's linear solves are the search's
-    # work over the 28 documents when this test was written, so more fail here
+    # work over the 28 documents when this test was written, so more fail
+    # here.  The Diverged confirm starts just below the fold and takes 2
+    # steps; from the z = 1 solution it took 13 to 15
     totals = Counter()
     for path in DOCUMENTS:
         fold = run_from_automaton(path.read_text()).diagnostics["fold"]
@@ -468,6 +577,20 @@ def test_fold_search_work_on_committed_documents():
         totals.update(fold)
     assert len(DOCUMENTS) == 28
     assert totals["solves"] == 56
-    assert totals["newton_steps"] <= 611
+    assert totals["newton_steps"] <= 266
     assert totals["diverged"] == 28
     assert totals["bordered_steps"] <= 134
+
+
+def test_upper_bound_on_large_triples():
+    # K from 56 to 240 and ring dimensions in the thousands: the fold search
+    # is still the z = 1 solve and the Diverged confirm
+    elapsed = 0.0
+    for triple in [(56, 56, 56), (64, 64, 64), (3, 68, 68), (30, 40, 50), (37, 41, 43),
+                   (2, 3, 97)]:
+        ra = reduce_automaton(extract_automaton(new_params(*triple)))
+        start = time.perf_counter()
+        fold = upper_bound(ra).fold
+        elapsed += time.perf_counter() - start
+        assert (fold.solves, fold.diverged) == (2, 1), triple
+    assert elapsed <= 3.0
