@@ -308,8 +308,9 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
 
 
 def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
-    """Classification-case label and predicted cone-type count."""
-    a, b, c = sorted((l, m, n))
+    """Classification-case label and predicted cone-type count of a
+    hyperbolic triple; any other raises as new_params does."""
+    a, b, c = sorted(new_params(l, m, n).triple())
     if a == b == c:
         return "(i)", c + 2
     if a == b or b == c:
@@ -325,24 +326,19 @@ def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
     return "(iii.3)", 2 * c + 21
 
 
-def to_digraph_dot(a) -> str:
+def to_digraph_dot(a: ConeTypeAutomaton) -> str:
     """DOT rendering: one node per type, M_{i,j} parallel arcs, r annotations."""
-    if isinstance(a, ReducedAutomaton):
-        names = list(a.types)
-    else:
-        names = list(range(a.K_total))
-    M = np.asarray(a.M)
-    r = np.asarray(a.r)
+    r = a.r
     lines = ["digraph cone_types {"]
-    for pos, t in enumerate(names):
+    for t in range(a.K_total):
         attr = f'label="{t}"'
-        if r[pos] != 1:
-            attr += f', xlabel="{int(r[pos])}"'
+        if r[t] != 1:
+            attr += f', xlabel="{int(r[t])}"'
         lines.append(f"  n{t} [{attr}];")
-    for i in range(len(names)):
-        for j in range(len(names)):
-            for _ in range(int(M[i, j])):
-                lines.append(f"  n{names[i]} -> n{names[j]};")
+    for i in range(a.K_total):
+        for j in range(a.K_total):
+            for _ in range(int(a.M[i, j])):
+                lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

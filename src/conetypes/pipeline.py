@@ -2,6 +2,8 @@
 the envelope.  Each stage fails soft: an error is recorded in the report
 diagnostics and the dependent stages are skipped, so one bad group cannot
 abort a table run.  Stage timings and residuals are kept for budget checks.
+A cta-1 document is reported by the same bound stages as an extracted
+automaton.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automaton import (
+    ConeTypeAutomaton,
+    ReducedAutomaton,
     automaton_from_json,
     check_on_ball,
     extract_automaton,
@@ -20,9 +24,9 @@ from .automaton import (
 )
 from .coxeter import GroupParams, build_ball, new_params
 from .errors import ConeTypesError
-from .lower import LowerBoundResult, lower_bound
+from .lower import lower_bound
 from .oracle import empirical_envelope, return_probabilities
-from .upper import UpperBoundResult, upper_bound
+from .upper import upper_bound
 
 BOUND_SCHEMA = "bnd-1"
 CSV_HEADER = "group,K_total,T_size,case,lower,upper,curvature_num,curvature_den,envelope"
@@ -87,25 +91,11 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     """
     config = config or RunConfig()
     diag: dict = {"timings": {}, "residuals": {}, "errors": {}}
-    report = BoundReport(params=params, diagnostics=diag)
-    report.case, expected = theorem_case(*params.triple())
-    report.curvature = curvature(params)
-
     a = _stage(diag, "extract", extract_automaton, params, diag)
-    if a is None:
-        return report
-    report.K_total = a.K_total
-    report.theorem_match = a.K_total == expected
-    diag["theorem_expected"] = expected
-
-    ra = _stage(diag, "reduce", reduce_automaton, a)
+    ra = None if a is None else _stage(diag, "reduce", reduce_automaton, a)
+    report = _report(params, a, ra, diag)
     if ra is None:
         return report
-    report.T_size = len(ra.types)
-    diag["primitivity_power"] = ra.p
-    ub = _stage(diag, "upper", upper_bound, ra)
-    lb = _stage(diag, "lower", lower_bound, ra)
-    _record_bounds(report, ub, lb)
     radius = ORACLE_STEPS // 2 if config.radius is None else config.radius
     ball = _stage(diag, "ball", build_ball, params, radius)
     if ball is not None:
@@ -132,10 +122,25 @@ def _envelope(ball) -> float:
     return empirical_envelope(return_probabilities(ball, 2 * ball.radius))
 
 
-def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,
-                   lb: LowerBoundResult | None) -> None:
-    """Copy the bound results that exist into the report and its diagnostics."""
-    diag = report.diagnostics
+def _report(params: GroupParams | None, a: ConeTypeAutomaton | None,
+            ra: ReducedAutomaton | None, diag: dict) -> BoundReport:
+    """The report on automaton a of params and its reduction ra, either None
+    where its stage failed: what each of them gives, and both bounds, each
+    a stage of its own."""
+    report = BoundReport(params=params, diagnostics=diag)
+    if params is not None:
+        report.case, diag["theorem_expected"] = theorem_case(*params.triple())
+        report.curvature = curvature(params)
+    if a is None:
+        return report
+    report.K_total = a.K_total
+    if params is not None:
+        report.theorem_match = a.K_total == diag["theorem_expected"]
+    if ra is None:
+        return report
+    report.T_size = len(ra.types)
+    diag["primitivity_power"] = ra.p
+    ub = _stage(diag, "upper", upper_bound, ra)
     if ub is not None:
         fold = ub.fold
         report.upper = ub.rho_T
@@ -146,12 +151,14 @@ def _record_bounds(report: BoundReport, ub: UpperBoundResult | None,
         diag["fold"] = {"solves": fold.solves, "newton_steps": fold.newton_steps,
                         "diverged": fold.diverged, "bordered_steps": fold.bordered_steps}
         diag["upper_certified"] = ub.certified_upper
+    lb = _stage(diag, "lower", lower_bound, ra)
     if lb is not None:
         report.lower = lb.bound
         diag["nu"] = lb.nu
         diag["lambda"] = lb.lam
         diag["residuals"]["nu"] = lb.residual_nu
         diag["residuals"]["lam"] = lb.residual_lam
+    return report
 
 
 def run_table(config: RunConfig | None = None) -> list[BoundReport]:
@@ -160,17 +167,10 @@ def run_table(config: RunConfig | None = None) -> list[BoundReport]:
 
 
 def run_from_automaton(text: str) -> BoundReport:
-    """Bounds from the text of an externally supplied cta-1 automaton document."""
+    """Bounds from the text of an externally supplied cta-1 automaton
+    document, by run_group's bound stages; SchemaError if it is refused."""
     a, ra = automaton_from_json(text)
-    diag: dict = {"timings": {}, "residuals": {}, "errors": {}}
-    report = BoundReport(params=a.params, K_total=a.K_total,
-                         T_size=len(ra.types), diagnostics=diag)
-    if a.params is not None:
-        report.case, expected = theorem_case(*a.params.triple())
-        report.curvature = curvature(a.params)
-        report.theorem_match = a.K_total == expected
-    _record_bounds(report, upper_bound(ra), lower_bound(ra))
-    return report
+    return _report(a.params, a, ra, {"timings": {}, "residuals": {}, "errors": {}})
 
 
 def report_to_json(report: BoundReport) -> str:

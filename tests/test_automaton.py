@@ -15,6 +15,7 @@ from conetypes import (
     ConeTypeAutomaton,
     CosineRing,
     IdentificationAmbiguity,
+    InvalidParameter,
     MultipleTerminalSCCs,
     NonHyperbolic,
     NotPrimitive,
@@ -81,6 +82,16 @@ def test_theorem_case_formulas():
     assert theorem_case(2, 3, 7) == ("(iii.3)", 2 * 7 + 21)
     for triple, count in EXPECTED_COUNTS.items():
         assert theorem_case(*triple)[1] == count
+
+
+@pytest.mark.parametrize("triple, error", [
+    ((2, 3, 6), NonHyperbolic), ((3, 3, 3), NonHyperbolic), ((2, 3, 5), NonHyperbolic),
+    ((1, 4, 4), InvalidParameter), ((2, 3, 7.0), InvalidParameter),
+], ids=["2-3-6", "3-3-3", "2-3-5", "1-4-4", "2-3-7.0"])
+def test_theorem_case_refuses_a_triple_that_is_not_hyperbolic(triple, error):
+    # the closed forms count the cone types of hyperbolic triples only
+    with pytest.raises(error):
+        theorem_case(*triple)
 
 
 def test_truncated_cone_of_base_point(data444):
@@ -632,12 +643,17 @@ def test_iii2_count_is_one_below_the_closed_form():
 
 def test_dot_output(data444):
     a = data444["automaton"]
-    dot = to_digraph_dot(a)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == int(np.count_nonzero(a.M) + (a.M > 1).sum() * 0) or "->" in dot
-    ra = data444["reduced"]
-    dot_r = to_digraph_dot(ra)
-    assert "->" in dot_r
+    lines = to_digraph_dot(a).splitlines()
+    assert lines[0] == "digraph cone_types {" and lines[-1] == "}"
+    arcs = [line for line in lines[1:-1] if "->" in line]
+    nodes = [line for line in lines[1:-1] if "->" not in line]
+    # M_ij parallel arcs from type i to type j, 12 in all
+    assert len(arcs) == int(a.M.sum()) == 12
+    assert Counter(arcs) == {f"  n{i} -> n{j};": int(a.M[i, j]) for i, j in zip(*np.nonzero(a.M))}
+    assert len(nodes) == a.K_total
+    # r_i != 1 on exactly the root type (0) and type 4 (2)
+    assert [line for line in nodes if "xlabel" in line] == [
+        '  n0 [label="0", xlabel="0"];', '  n4 [label="4", xlabel="2"];']
 
 
 def test_json_round_trip(data444):

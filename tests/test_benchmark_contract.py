@@ -1,7 +1,7 @@
 """The benchmark's hold on the program: perfbench/tracing.py wraps functions
 by name, and perfbench/worker.py runs and checks items through the public
-entry points.  One table item and one sweep item run traced here, as a
-traced benchmark pass runs them, so a renamed or unreachable name fails in
+entry points.  One item of each workload runs traced here, as a traced
+benchmark pass runs them, so a renamed or unreachable name fails in
 the test suite rather than in the benchmark."""
 
 import importlib
@@ -13,6 +13,7 @@ import conetypes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import items  # noqa: E402
 import tracing  # noqa: E402
 import worker  # noqa: E402
 
@@ -27,9 +28,12 @@ def test_traced_items_pass_their_checks():
     try:
         table = worker.run_table((4, 4, 4), tracer)
         sweep = worker.run_sweep((5, 3, 4), tracer)
+        counts = tracer.counts.copy()
+        automata = worker.run_automata(items.doc_path((4, 4, 4)).read_text(), tracer)
     finally:
         tracer.uninstall()
     assert worker.check_table(table, golden["table"]["4-4-4"]) == []
+    assert worker.check_automata(automata, golden["automata"]["4-4-4"]) == []
     assert worker.check_sweep(sweep, golden["sweep"]["3-4-5"]) == []
     # every wrapper is gone again
     for mod, names in zip(modules, before):
@@ -40,6 +44,9 @@ def test_traced_items_pass_their_checks():
                  "coxeter.build_ball", "upper.upper_bound", "upper.fold_point",
                  "upper.fixed_point", "lower.lower_bound", "oracle.return_probabilities"):
         assert tracer.counts[span + ".calls"] > 0, span
+    # the automata item read its document and ran both bound stages
+    for span in ("automaton.from_json", "upper.fold_point", "lower.perron"):
+        assert tracer.counts[span + ".calls"] > counts[span + ".calls"], span
     layers = tracing.layer_metrics(tracer)
     assert layers["automaton.cone_types"] == 6 + 22
     assert layers["automaton.extract_yield"] == 1.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from conetypes import (
     ConeTypeAutomaton,
+    NotConverged,
     RunConfig,
     SchemaError,
     VerificationFailed,
@@ -240,6 +242,34 @@ def test_run_from_automaton_round_trip(data444):
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
     assert report.diagnostics["fold"]["solves"] == 2
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
+
+
+def test_bounds_and_from_automaton_fail_a_stage_alike(data444, tmp_path, monkeypatch):
+    # a failing bound stage is recorded the same way on both paths: the
+    # other bound is kept, the error is reported and the exit status is 1
+    def fail(ra):
+        raise NotConverged("lower stage failed on purpose")
+
+    monkeypatch.setattr(pipeline, "lower_bound", fail)
+    path = tmp_path / "cta-4-4-4.json"
+    path.write_text(automaton_to_json(data444["automaton"], data444["reduced"]))
+    runs = {"bounds": ["bounds", "4", "4", "4"], "from-automaton": ["from-automaton", str(path)]}
+    uppers, docs = {}, {}
+    for name, args in runs.items():
+        text = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert text.exit_code == 1, name
+        assert "error[lower] lower stage failed on purpose" in text.output, name
+        uppers[name] = re.search(r"^lower - upper (\S+) ", text.stdout, re.M).group(1)
+        res = CliRunner().invoke(main, args + ["--format", "json"], catch_exceptions=False)
+        assert res.exit_code == 1, name
+        docs[name] = json.loads(res.stdout)
+        assert docs[name]["diagnostics"]["errors"] == {"lower": "lower stage failed on purpose"}
+    assert uppers["bounds"] == uppers["from-automaton"] == f"{docs['bounds']['upper']:.10f}"
+    assert docs["bounds"]["upper"] == docs["from-automaton"]["upper"]
+    diag = docs["from-automaton"]["diagnostics"]
+    assert set(diag["timings"]) == {"upper", "lower"}
+    assert diag["theorem_expected"] == 6
+    assert diag["primitivity_power"] == data444["reduced"].p
 
 
 def test_run_from_automaton_rejects_inconsistent_block(data444):
