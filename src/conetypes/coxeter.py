@@ -71,11 +71,16 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
     return p
 
 
-@lru_cache(maxsize=8)
 def ring_of(params: GroupParams) -> CosineRing:
-    """The cosine ring of Delta(l,m,n), built once per exponent triple for
-    the automaton's root closure and the ball alike."""
-    return CosineRing(params.orders().values())
+    """The cosine ring of Delta(l,m,n), built once per field for the root
+    closure and the ball alike: orders 2 and 3 have rational cosines and
+    add no factor, so (2,3,7) shares the ring of (7,7,7)."""
+    return _field_ring(tuple(sorted({k for k in params.triple() if k >= 4})))
+
+
+@lru_cache(maxsize=8)
+def _field_ring(orders: tuple[int, ...]) -> CosineRing:
+    return CosineRing(orders)
 
 
 @lru_cache(maxsize=None)

@@ -5,18 +5,18 @@ w_i = F_{-i}(z) solving the monotone polynomial system
 w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
 Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
 
-R_F is found from the least solution at z = 1.  Newton on the bordered
-fold system (Phi(w) - w, J(w) u - u, sum(u) - 1) in (w, u, z) starts there,
-seeded with u = x / sum(x), from the positive x = (I - J)^-1 1 of that
-solve's last Newton step.  The polished (w, u, z) is accepted only if z
-lies above 1 with u > 0, the exact check below proves w a post-fixed point
-at z (1 - 1e-9), and the minimal solution does not exist at z (1 + 1e-9).
-That last solve starts just below the fold, from v = w - t u with
-t = sqrt(1e-9) max(w) / max(u), which a second exact check,
-is_below_least, first proves to lie below every fixed point at
-z (1 + 1e-9); Newton from it rises to the least solution wherever one
-exists, so its Diverged result shows there is none, in 2 steps.  There is
-no fallback: anything else raises NotConverged.
+R_F is found by Newton on the bordered fold system (Phi(w) - w,
+J(w) u - u, sum(u) - 1) in (w, u, z), started at z = 1 from Newton's first
+step from 0: J(0) = 0 gives w = z p_minus and x = 1, so u = x / sum(x) = 1/K.
+The start sets only whether the search converges: the polished (w, u, z)
+is accepted only if z lies above 1 with u > 0, the exact check below proves
+w a post-fixed point at z (1 - 1e-9), and the minimal solution does not
+exist at z (1 + 1e-9).  That solve, the search's only one, starts just
+below the fold, from v = w - t u with t = sqrt(1e-9) max(w) / max(u),
+which a second exact check, is_below_least, first proves to lie below
+every fixed point at z (1 + 1e-9); Newton from it rises to the least
+solution wherever one exists, so its Diverged result shows there is none,
+in 2 steps.  There is no fallback: anything else raises NotConverged.
 
 The Green-kernel radius is R_F itself.  The graph is d-regular, and the
 root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
@@ -79,7 +79,6 @@ class FixedPointSolution:
 
     w: np.ndarray
     iterations: int
-    x: np.ndarray  # (I - J)^-1 1 > 0 at the last step
 
 
 @dataclass
@@ -96,7 +95,8 @@ class FoldResult:
     w is proven a post-fixed point at certified_z = R_F (1 - CERT_MARGIN),
     so the least solution exists there and rho_T <= 1/certified_z; the
     solver diverged at R_F (1 + CERT_MARGIN) from a start that
-    is_below_least proves below every fixed point there.
+    is_below_least proves below every fixed point there.  That Diverged
+    solve is the search's only one, so solves and diverged are both 1.
     """
 
     R_F: float
@@ -105,8 +105,8 @@ class FoldResult:
     certified_z: Fraction
     # always False; kept only because the benchmark's trace hook reads it
     fallback: bool
-    # fixed-point solves of the search, their Newton steps, Diverged count,
-    # and the linear solves of the bordered Newton
+    # fixed-point solves of the search (the confirm), its Newton steps,
+    # Diverged count, and the linear solves of the bordered Newton
     solves: int
     newton_steps: int
     diverged: int
@@ -202,10 +202,9 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
         if w_max > DIVERGENCE_CAP:
             return Diverged(iterations=it)
         if max(step_max, -step_min) <= floor:
-            x = sol[:, 1]
-            if _jacobian_bound(spec, z, w, Mp @ w, x) >= 1.0:
+            if _jacobian_bound(spec, z, w, Mp @ w, sol[:, 1]) >= 1.0:
                 return Diverged(iterations=it)
-            return FixedPointSolution(w=w, iterations=it, x=x)
+            return FixedPointSolution(w=w, iterations=it)
     return Diverged(iterations=STEP_CAP)
 
 
@@ -216,7 +215,10 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     [[J(w) - I, 0, Phi/z], [J(u), J(w) - I, J(w)u/z], [0, 1, 0]] (using
     J(w) u = J(u) w, so d(J(w) u)/dw = J(u)) is refilled in place each step,
     its three diagonals written through strided views of the flat array.
-    Returns (w, u, z, residual, linear solves made), or None on failure.
+    fold_point starts it from Newton's first step from 0 at z = 1, which
+    lies below the least solution; from w0 = 0 itself it fails on some
+    committed documents.  Returns (w, u, z, residual, linear solves made),
+    or None on failure.
     """
     K = w0.size
     n = 2 * K + 1
@@ -261,29 +263,19 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
 
 
 def fold_point(spec: TreeWalkSpec) -> FoldResult:
-    """Locate R_F: bordered Newton from the z = 1 solution, two-sided confirm.
+    """Locate R_F: bordered Newton from a closed-form start, two-sided confirm.
 
-    Newton on the fold system starts from the least solution at z = 1,
-    seeded with u = x / sum(x) from that solve.  The polished (w, u, z) is
-    accepted only with z above 1 and u > 0, when is_post_fixed_point proves
-    w >= 0 a post-fixed point at z (1 - CERT_MARGIN), and when the solver
-    diverges at z (1 + CERT_MARGIN) from the start v = w - t u,
-    t = sqrt(CERT_MARGIN) max(w) / max(u), which is_below_least first
-    proves to lie below every fixed point there; else NotConverged.
+    Newton on the fold system starts from (w, u, z) = (p_minus, 1/K, 1):
+    Newton's first iterate from 0 at z = 1 (w = z p_minus, x = 1), with
+    u = x / sum(x).  The polished (w, u, z) is accepted only with z above 1
+    and u > 0, when is_post_fixed_point proves w >= 0 a post-fixed point at
+    z (1 - CERT_MARGIN), and when the solver diverges at z (1 + CERT_MARGIN)
+    from the start v = w - t u, t = sqrt(CERT_MARGIN) max(w) / max(u), which
+    is_below_least first proves to lie below every fixed point there; else
+    NotConverged.  That confirm is the search's one fixed-point solve.
     """
-    counts = {"solves": 0, "newton_steps": 0, "diverged": 0}
-
-    def solve(z: float, w0: np.ndarray | None):
-        out = minimal_fixed_point(spec, z, w0)
-        counts["solves"] += 1
-        counts["newton_steps"] += out.iterations
-        counts["diverged"] += isinstance(out, Diverged)
-        return out
-
-    start = solve(1.0, None)
-    if isinstance(start, Diverged):
-        raise NotConverged("no minimal fixed point at z = 1")
-    polished = _fold_newton(spec, start.w, start.x / start.x.sum(), 1.0)
+    K = spec.p_minus.size
+    polished = _fold_newton(spec, spec.p_minus, np.full(K, 1.0 / K), 1.0)
     if polished is None:
         raise NotConverged("bordered Newton failed from z = 1")
     w, u, z, res, bordered_steps = polished
@@ -299,10 +291,12 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     v = w - CERT_MARGIN ** 0.5 * w.max() / u.max() * u
     if not is_below_least(spec, Fraction(above), v, u):
         raise NotConverged(f"no start proven below the least solution just above z = {z}")
-    if not isinstance(solve(above, v), Diverged):
+    confirm = minimal_fixed_point(spec, above, v)
+    if not isinstance(confirm, Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
-    return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z,
-                      fallback=False, bordered_steps=bordered_steps, **counts)
+    return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z, fallback=False,
+                      solves=1, newton_steps=confirm.iterations, diverged=1,
+                      bordered_steps=bordered_steps)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:

@@ -113,11 +113,11 @@ def test_run_group_444():
                 "verifier"):
         assert key not in diag
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
-    # the fold search: the solve at z = 1 and the confirming solve just
-    # above the fold, Diverged
+    # the fold search: its one solve is the confirm just above the fold,
+    # Diverged
     fold = diag["fold"]
     assert set(fold) == {"solves", "newton_steps", "diverged", "bordered_steps"}
-    assert (fold["solves"], fold["diverged"]) == (2, 1)
+    assert (fold["solves"], fold["diverged"]) == (1, 1)
     assert fold["newton_steps"] >= fold["solves"]
     assert 1 <= fold["bordered_steps"] <= 5
     assert diag["residuals"]["lam"] < 1e-12
@@ -240,7 +240,7 @@ def test_run_from_automaton_round_trip(data444):
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
-    assert report.diagnostics["fold"]["solves"] == 2
+    assert report.diagnostics["fold"]["solves"] == 1
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -285,7 +285,8 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
 
 def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
     # the automaton's root closure and the checked ball share one ring per
-    # triple: two triples, two rings, and a rerun builds none
+    # field: two triples, two rings, and a rerun builds none.  Orders 2 and
+    # 3 add no factor, and the order of the exponents does not matter
     built = []
 
     def counted(orders):
@@ -294,11 +295,16 @@ def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
 
     real = coxeter.CosineRing
     monkeypatch.setattr(coxeter, "CosineRing", counted)
-    coxeter.ring_of.cache_clear()
+    coxeter._field_ring.cache_clear()
     for triple in [(3, 4, 5), (2, 3, 7), (3, 4, 5)]:
         report = run_group(new_params(*triple))
         assert report.ok and "ball" in report.diagnostics["timings"]
     assert len(built) == 2
+    for same_field in [[(2, 3, 7), (7, 7, 7)], [(3, 4, 5), (5, 4, 3), (2, 4, 5)]]:
+        built.clear()
+        coxeter._field_ring.cache_clear()
+        rings = {id(coxeter.ring_of(new_params(*triple))) for triple in same_field}
+        assert len(rings) == len(built) == 1, same_field
 
 
 def test_report_json_shape():
@@ -375,7 +381,7 @@ def test_cli_bounds():
     cert = doc["diagnostics"]["upper_certified"]
     assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
     fold = doc["diagnostics"]["fold"]
-    assert (fold["solves"], fold["diverged"]) == (2, 1)
+    assert (fold["solves"], fold["diverged"]) == (1, 1)
     assert fold["newton_steps"] >= fold["solves"]
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
