@@ -125,8 +125,8 @@ def _envelope(ball) -> float:
 def _report(params: GroupParams | None, a: ConeTypeAutomaton | None,
             ra: ReducedAutomaton | None, diag: dict) -> BoundReport:
     """The report on automaton a of params and its reduction ra, either None
-    where its stage failed: what each of them gives, and both bounds, each
-    a stage of its own."""
+    where its stage failed: what each of them gives, both bounds as stages
+    of their own, and the fold search's work as diagnostics["fold"]."""
     report = BoundReport(params=params, diagnostics=diag)
     if params is not None:
         report.case, diag["theorem_expected"] = theorem_case(*params.triple())
@@ -148,8 +148,7 @@ def _report(params: GroupParams | None, a: ConeTypeAutomaton | None,
         diag["F_at_RF"] = ub.F_at_RF
         diag["root_type"] = ub.root_type
         diag["residuals"]["fold"] = fold.residual
-        diag["fold"] = {"solves": fold.solves, "newton_steps": fold.newton_steps,
-                        "diverged": fold.diverged, "bordered_steps": fold.bordered_steps}
+        diag["fold"] = {"newton_steps": fold.newton_steps, "bordered_steps": fold.bordered_steps}
         diag["upper_certified"] = ub.certified_upper
     lb = _stage(diag, "lower", lower_bound, ra)
     if lb is not None:

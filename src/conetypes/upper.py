@@ -83,7 +83,8 @@ class FixedPointSolution:
 
 @dataclass
 class Diverged:
-    """No least fixed point found; iterations is the Newton steps made."""
+    """Evidence that no least fixed point exists (see minimal_fixed_point);
+    iterations is the Newton steps made."""
 
     iterations: int
 
@@ -96,7 +97,7 @@ class FoldResult:
     so the least solution exists there and rho_T <= 1/certified_z; the
     solver diverged at R_F (1 + CERT_MARGIN) from a start that
     is_below_least proves below every fixed point there.  That Diverged
-    solve is the search's only one, so solves and diverged are both 1.
+    solve is the search's only one.
     """
 
     R_F: float
@@ -105,11 +106,9 @@ class FoldResult:
     certified_z: Fraction
     # always False; kept only because the benchmark's trace hook reads it
     fallback: bool
-    # fixed-point solves of the search (the confirm), its Newton steps,
-    # Diverged count, and the linear solves of the bordered Newton
-    solves: int
+    # Newton steps of the search's one solve (the confirm), and the linear
+    # solves of the bordered Newton
     newton_steps: int
-    diverged: int
     bordered_steps: int
 
 
@@ -168,6 +167,7 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     the step is below the floor, the last x > 0 bounds rho(J) at the new w
     by Collatz-Wielandt, max_i (J x)_i / x_i: a bound below 1 proves
     rho(J) < 1 there, with no eigen-solve; a bound >= 1 gives Diverged.
+    STEP_CAP steps with neither outcome are no evidence: NotConverged.
     """
     Mp = spec.Mp
     K = Mp.shape[0]
@@ -205,7 +205,7 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
             if _jacobian_bound(spec, z, w, Mp @ w, sol[:, 1]) >= 1.0:
                 return Diverged(iterations=it)
             return FixedPointSolution(w=w, iterations=it)
-    return Diverged(iterations=STEP_CAP)
+    raise NotConverged(f"{STEP_CAP} Newton steps at z = {z} neither converged nor diverged")
 
 
 def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
@@ -295,8 +295,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     if not isinstance(confirm, Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
     return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z, fallback=False,
-                      solves=1, newton_steps=confirm.iterations, diverged=1,
-                      bordered_steps=bordered_steps)
+                      newton_steps=confirm.iterations, bordered_steps=bordered_steps)
 
 
 def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Shared fixtures: graph data for the ten reference groups, built once."""
 
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,23 @@ EXPECTED_COUNTS = {
     (2, 6, 6): 17, (3, 4, 4): 12, (3, 4, 5): 22, (4, 4, 4): 6,
     (3, 5, 7): 28, (7, 7, 7): 9,
 }
+
+
+@contextmanager
+def counted_solves():
+    """The (z, result) of every fixed-point solve the fold search makes
+    inside, through upper.minimal_fixed_point."""
+    import conetypes.upper as upper
+
+    solver, solves = upper.minimal_fixed_point, []
+
+    def counted(spec, z, w0=None):
+        solves.append((z, solver(spec, z, w0)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upper, "minimal_fixed_point", counted)
+        yield solves
 
 
 @pytest.fixture(scope="session")

@@ -571,6 +571,34 @@ def test_ball_check_refuses_a_document_automaton():
             check(a, ball)
 
 
+def test_ball_typing_refuses_a_missing_transition():
+    # an automaton without the transition from the identity by generator 0
+    # refuses a geodesic of length 1
+    params = new_params(4, 4, 4)
+    a = extract_automaton(params)
+    a.transitions = a.transitions.copy()
+    a.transitions[0, 0] = -1
+    with pytest.raises(VerificationFailed, match="refuses a geodesic of length 1$"):
+        types_on_ball(a, build_ball(params, 3))
+
+
+def test_ball_check_refuses_fractional_type_counts():
+    # one of the root's successors moved to a type with r >= 2, in the same
+    # row so that r is unchanged: sphere 1 then holds a count of that type
+    # that its r does not divide
+    params = new_params(4, 4, 4)
+    a = extract_automaton(params)
+    root, r = a.root_type, a.r
+    j = int(np.flatnonzero(a.M[root])[0])
+    i = next(i for i in range(a.K_total) if r[i] >= 2 and (a.M[root, i] + 1) % r[i])
+    a.M = a.M.copy()
+    a.M[root, j] -= 1
+    a.M[root, i] += 1
+    assert np.array_equal(a.r, r)
+    with pytest.raises(VerificationFailed, match="no whole type counts on sphere 1$"):
+        check_on_ball(a, build_ball(params, 3))
+
+
 def test_json_refuses_booleans_in_integer_arrays():
     # numpy reads a bool among ints as an int, so np.array([1, True]) is
     # int64; a bool standing for the very count it equals is still refused,
@@ -685,6 +713,10 @@ def test_json_schema_errors(data444):
     doc = _json.loads(good)
     doc["M"][0][1] = -3
     with pytest.raises(SchemaError):
+        automaton_from_json(_json.dumps(doc))
+    doc = _json.loads(good)
+    del doc["M"]
+    with pytest.raises(SchemaError, match="^malformed cta-1 document: 'M'$"):
         automaton_from_json(_json.dumps(doc))
     doc = _json.loads(good)
     doc["root_type"] = 99

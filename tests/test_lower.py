@@ -83,6 +83,27 @@ def test_tree_bound_is_exact(tree_reduced):
     assert res.bound == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("change,message", [
+    (lambda v: v * np.where(v == v.max(), -1.0, 1.0), "the Perron vector is not positive"),
+    (lambda v: v * (1.0 + 1e-6 * np.arange(v.size)), "Perron residual .* is not below"),
+])
+def test_perron_refuses_a_bad_eigenvector(data444, monkeypatch, change, message):
+    # a Perron vector with an entry of the wrong sign, or one off by a
+    # relative 1e-6 per entry, is refused
+    eig = np.linalg.eig
+
+    def changed(mat):
+        vals, vecs = eig(mat)
+        k = int(np.argmax(vals.real))
+        vecs = vecs.copy()
+        vecs[:, k] = change(vecs[:, k])
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", changed)
+    with pytest.raises(NotConverged, match=message):
+        perron(tilde_matrix(data444["reduced"]))
+
+
 def test_lambda_residual_is_checked(data444, monkeypatch):
     # an eigenvector of M'' off by 1e-9 fails the residual check, as the
     # Perron vector's does

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from click.testing import CliRunner
 
 from conetypes import (
     ConeTypeAutomaton,
+    Diverged,
     NotConverged,
     RunConfig,
     SchemaError,
@@ -29,10 +34,10 @@ from conetypes import (
     table_to_csv,
     table_to_markdown,
 )
-from conetypes import coxeter, pipeline
+from conetypes import cli, coxeter, pipeline
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
-from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS
+from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS, counted_solves
 from reference import extract_escalating, extract_from_ball
 
 # exact combinatorial curvature, as the rational multiple q of pi
@@ -89,7 +94,8 @@ def test_table_order_by_curvature():
 
 
 def test_run_group_444():
-    report = run_group(new_params(4, 4, 4))
+    with counted_solves() as solves:
+        report = run_group(new_params(4, 4, 4))
     assert report.ok
     assert report.K_total == 6
     assert report.T_size == 4
@@ -116,9 +122,10 @@ def test_run_group_444():
     # the fold search: its one solve is the confirm just above the fold,
     # Diverged
     fold = diag["fold"]
-    assert set(fold) == {"solves", "newton_steps", "diverged", "bordered_steps"}
-    assert (fold["solves"], fold["diverged"]) == (1, 1)
-    assert fold["newton_steps"] >= fold["solves"]
+    assert set(fold) == {"newton_steps", "bordered_steps"}
+    [(_, confirm)] = solves
+    assert isinstance(confirm, Diverged)
+    assert fold["newton_steps"] == confirm.iterations >= 1
     assert 1 <= fold["bordered_steps"] <= 5
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
@@ -149,6 +156,31 @@ def test_run_group_radius_too_small_fails_soft():
     small = run_group(new_params(4, 4, 4), RunConfig(radius=5))
     assert small.ok and small.diagnostics["oracle_radius"] == 5
     assert small.envelope < report.upper
+
+
+@pytest.mark.parametrize("stage,fn", [("extract", "extract_automaton"),
+                                      ("reduce", "reduce_automaton")])
+def test_run_group_fails_soft_without_an_automaton(stage, fn, monkeypatch):
+    # a failed extraction or reduction ends the report there: what the
+    # stages before it gave is kept, and there is no bound, ball or
+    # envelope; the report is not ok and still writes a bnd-1 document
+    def fail(*args):
+        raise VerificationFailed(f"{stage} failed on purpose")
+
+    monkeypatch.setattr(pipeline, fn, fail)
+    report = run_group(new_params(4, 4, 4))
+    diag = report.diagnostics
+    assert diag["errors"] == {stage: f"{stage} failed on purpose"}
+    assert not report.ok
+    assert (report.case, diag["theorem_expected"]) == ("(i)", 6)
+    extracted = stage == "reduce"
+    assert report.K_total == (6 if extracted else None)
+    assert report.theorem_match is (True if extracted else None)
+    assert (report.T_size, report.lower, report.upper, report.envelope) == (None,) * 4
+    assert list(diag["timings"]) == ["extract", "reduce"][:1 + extracted]
+    for key in ("primitivity_power", "R_F", "fold", "nu", "oracle_radius"):
+        assert key not in diag, key
+    assert json.loads(report_to_json(report))["K_total"] == report.K_total
 
 
 def _tree_automaton(params):
@@ -234,13 +266,14 @@ def test_from_automaton_file_named_like_json(tmp_path, monkeypatch):
 
 def test_run_from_automaton_round_trip(data444):
     doc = automaton_to_json(data444["automaton"], data444["reduced"])
-    report = run_from_automaton(doc)
+    with counted_solves() as solves:
+        report = run_from_automaton(doc)
     direct = run_group(new_params(4, 4, 4))
     assert report.theorem_match is True
     assert report.lower == pytest.approx(direct.lower, abs=1e-12)
     assert report.upper == pytest.approx(direct.upper, abs=1e-12)
     assert report.diagnostics["fold"] == direct.diagnostics["fold"]
-    assert report.diagnostics["fold"]["solves"] == 1
+    assert len(solves) == 1
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
@@ -374,15 +407,17 @@ def test_cli_cone_types(tmp_path):
 def test_cli_bounds():
     runner = CliRunner()
     args = ["bounds", "4", "4", "4", "--format", "json"]
-    result = runner.invoke(main, args)
+    with counted_solves() as solves:
+        result = runner.invoke(main, args)
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["theorem_match"] is True
     cert = doc["diagnostics"]["upper_certified"]
     assert 0 < Fraction(cert["num"], cert["den"]) - Fraction(doc["upper"]) <= 2e-9
     fold = doc["diagnostics"]["fold"]
-    assert (fold["solves"], fold["diverged"]) == (1, 1)
-    assert fold["newton_steps"] >= fold["solves"]
+    [(_, confirm)] = solves
+    assert isinstance(confirm, Diverged)
+    assert fold["newton_steps"] == confirm.iterations >= 1
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
     assert again["lower"] == doc["lower"] and again["upper"] == doc["upper"]
@@ -430,6 +465,35 @@ def test_cli_from_automaton_exits_on_report_ok(tmp_path, data444):
     result = runner.invoke(main, ["from-automaton", str(path)])
     assert result.exit_code == 1
     assert "theorem_match False" in result.output
+
+
+def test_cli_cone_types_exits_1_on_a_count_mismatch(monkeypatch):
+    # an automaton whose count differs from the closed form is still
+    # written, and the exit status is 1
+    monkeypatch.setattr(cli, "theorem_case", lambda l, m, n: ("(i)", 7))
+    text = CliRunner().invoke(main, ["cone-types", "4", "4", "4"])
+    assert text.exit_code == 1
+    assert "K_total 6 expected 7 match False" in text.output
+    doc = CliRunner().invoke(main, ["cone-types", "4", "4", "4", "--format", "json"])
+    assert doc.exit_code == 1
+    assert json.loads(doc.output)["K_total"] == 6
+
+
+def test_console_shim_exits_2_on_a_library_error(monkeypatch, capsys):
+    # run() turns a ConeTypesError into "error: ..." on stderr and exit 2,
+    # in process and as python -m conetypes.cli
+    monkeypatch.setattr(sys, "argv", ["conetypes", "bounds", "2", "3", "6"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "error: 1/l+1/m+1/n = 1 >= 1 for (2, 3, 6)\n"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "conetypes.cli", "bounds", "2", "3", "6"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: 1/l+1/m+1/n")
 
 
 def test_cli_rejects_nonhyperbolic():

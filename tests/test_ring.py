@@ -147,6 +147,18 @@ def test_ring_dimension_is_the_field_degree():
     assert merged > 0
 
 
+def test_ring_refuses_a_dimension_off_the_field_degree(monkeypatch):
+    # coefficient vectors identify numbers only when the ring's dimension is
+    # the field's degree
+    from conetypes import IdentificationAmbiguity, ring
+
+    degree = ring._field_degree
+    monkeypatch.setattr(ring, "_field_degree", lambda orders: degree(orders) + 1)
+    with pytest.raises(IdentificationAmbiguity,
+                       match="^ring of dimension 2 for a field of degree 3:"):
+        CosineRing((4, 4, 4))
+
+
 def test_ring_basis_values_match_math_cos():
     for orders in [(4, 7, 8), (4, 6, 8), (6, 14, 16), (3, 5, 7), (2, 3, 7)]:
         ring = CosineRing(orders)

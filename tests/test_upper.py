@@ -33,7 +33,7 @@ from conetypes import (
     upper_bound,
 )
 from conetypes.upper import CERT_MARGIN, _jacobian_bound
-from conftest import HYPERBOLIC_12, TABLE, UPPER_BOUNDS
+from conftest import HYPERBOLIC_12, TABLE, UPPER_BOUNDS, counted_solves
 from reference import below_least_fractions, post_fixed_point_fractions
 
 # the committed cta-1 documents of the benchmark's automata workload
@@ -104,6 +104,14 @@ def eig_radius(spec, z, w):
     M = spec.ra.M
     J = z * (np.diag(M @ w) + w[:, None] * M) / spec.ra.degree
     return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
+def default_spec(ra):
+    return tree_walk_spec(ra, default_root_type(ra))
+
+
+def singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def test_spec_probabilities(tree_reduced):
@@ -206,20 +214,34 @@ def test_tree_fold_point(tree_reduced):
     assert abs(u).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fold_off_the_fold_raises(tree_reduced, monkeypatch):
-    # a polished z 1e-6 past or short of the fold fails the two-sided confirm
+def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
+    # a polished z 1e-6 past the fold fails the exact check below it, and
+    # 1e-6 short of it the start check above it; a z not above 1 or a u not
+    # positive is refused; so is a polish stopped short of the fold, at
+    # z = R_F (1 - 1e-4) with the least solution there: it passes both
+    # exact checks, but the confirm just above it converges
     import conetypes.upper as upper
 
     polish = upper._fold_newton
-    spec = tree_walk_spec(tree_reduced, 0)
-    for shift in [1e-6, -1e-6]:
-        def off_fold(spec, w0, u0, z0, shift=shift):
-            w, u, z, res, steps = polish(spec, w0, u0, z0)
-            return w, u, z + shift, res, steps
 
-        monkeypatch.setattr(upper, "_fold_newton", off_fold)
-        with pytest.raises(NotConverged):
-            fold_point(spec)
+    def short(spec, w, u, z):
+        z *= 1.0 - 1e-4
+        return minimal_fixed_point(spec, z).w, u, z
+
+    cases = [(lambda spec, w, u, z: (w, u, z + 1e-6), "is no post-fixed point"),
+             (lambda spec, w, u, z: (w, u, z - 1e-6), "^no start proven below"),
+             (lambda spec, w, u, z: (w, u, 1.0), "not above 1 or u not positive"),
+             (lambda spec, w, u, z: (w, -u, z), "not above 1 or u not positive"),
+             (short, "^minimal fixed point just above the polished fold")]
+    for ra in [tree_reduced, data444["reduced"]]:
+        for change, message in cases:
+            def changed(spec, w0, u0, z0, change=change):
+                w, u, z, res, steps = polish(spec, w0, u0, z0)
+                return (*change(spec, w, u, z), res, steps)
+
+            monkeypatch.setattr(upper, "_fold_newton", changed)
+            with pytest.raises(NotConverged, match=message):
+                fold_point(default_spec(ra))
 
 
 def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch):
@@ -242,6 +264,98 @@ def test_fold_refused_without_a_proven_start(tree_reduced, data444, monkeypatch)
     for ra in [tree_reduced, data444["reduced"]]:
         with pytest.raises(NotConverged):
             fold_point(tree_walk_spec(ra, default_root_type(ra)))
+
+
+def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
+    # running out of steps shows neither a solution nor its absence: at
+    # z = 1, below the fold, Newton from 0 converges in 7 steps, so cut at
+    # 3 it raises instead of reporting Diverged; and a confirm above the
+    # fold cut at 1 step is not taken for a divergence
+    import conetypes.upper as upper
+
+    spec = default_spec(data444["reduced"])
+    assert minimal_fixed_point(spec, 1.0).iterations == 7
+    monkeypatch.setattr(upper, "STEP_CAP", 3)
+    with pytest.raises(NotConverged, match="^3 Newton steps at z = 1.0 neither converged"):
+        minimal_fixed_point(spec, 1.0)
+    monkeypatch.setattr(upper, "STEP_CAP", 1)
+    with pytest.raises(NotConverged, match="^1 Newton steps at z = .* neither converged"):
+        fold_point(spec)
+
+
+def test_fixed_point_singular_system_diverges(data444, monkeypatch):
+    # a singular I - J at the current w puts z past the fold
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert minimal_fixed_point(default_spec(data444["reduced"]), 1.0) == Diverged(iterations=1)
+
+
+def test_fixed_point_blow_up_diverges(tree_reduced, monkeypatch):
+    # past the tree's fold, at z = 1.2, from just below w = 3/(4z), where
+    # J = 4zw/3 = 1: the first step passes DIVERGENCE_CAP.  With the cap
+    # raised, the same solve diverges one step later on an x of the wrong
+    # sign, so the first result is the blow-up exit's
+    import conetypes.upper as upper
+
+    spec, z = tree_walk_spec(tree_reduced, 0), 1.2
+    w0 = np.array([3.0 / (4.0 * z) - 1e-9])
+    assert minimal_fixed_point(spec, z, w0) == Diverged(iterations=1)
+    monkeypatch.setattr(upper, "DIVERGENCE_CAP", 1e9)
+    assert minimal_fixed_point(spec, z, w0) == Diverged(iterations=2)
+
+
+def test_fixed_point_collatz_wielandt_bound_of_one_diverges(data444, monkeypatch):
+    # a converged step whose Collatz-Wielandt bound is not below 1 does not
+    # prove rho(J) < 1: Diverged, at the step where the solve converges
+    import conetypes.upper as upper
+
+    monkeypatch.setattr(upper, "_jacobian_bound", lambda spec, z, w, v, x: 1.0)
+    assert minimal_fixed_point(default_spec(data444["reduced"]), 1.0) == Diverged(iterations=7)
+
+
+def test_bordered_newton_failures(data444, monkeypatch):
+    # _fold_newton gives None on a singular bordered matrix, on a step that
+    # takes z to 0, below it or to NaN, and after 60 steps without a
+    # residual below FOLD_TOL; fold_point raises on None
+    import conetypes.upper as upper
+
+    spec = default_spec(data444["reduced"])
+    K = spec.p_minus.size
+    start = (spec, spec.p_minus, np.full(K, 1.0 / K), 1.0)
+    assert upper._fold_newton(*start) is not None
+    solve = np.linalg.solve
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "solve", singular)
+        assert upper._fold_newton(*start) is None
+    for z_step in [1.0, 2.0, math.nan]:  # z = 1 - z_step: 0, -1, NaN
+        def bad_z(a, b, z_step=z_step):
+            step = solve(a, b)
+            step[-1] = z_step
+            return step
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "solve", bad_z)
+            assert upper._fold_newton(*start) is None, z_step
+    solves = []
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(upper, "FOLD_TOL", 0.0)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert upper._fold_newton(*start) is None
+    assert len(solves) == 60
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(NotConverged, match="^bordered Newton failed from z = 1$"):
+        fold_point(spec)
+
+
+def test_upper_bound_refuses_a_first_return_value_of_one(data444, monkeypatch):
+    import conetypes.upper as upper
+
+    monkeypatch.setattr(upper, "first_return_value", lambda spec, z, w: 1.0)
+    with pytest.raises(NotConverged, match="^first-return value 1.0 >= 1 at the fold point$"):
+        upper_bound(data444["reduced"])
 
 
 def test_fold_needs_no_eigen_solve(tree_reduced, data444, monkeypatch):
@@ -279,28 +393,18 @@ def test_warm_start_matches_cold_solve(tree_reduced, data444):
             prev = warm
 
 
-def test_fold_search_solve_count(tree_reduced, data444, data237, monkeypatch):
+def test_fold_search_solve_count(tree_reduced, data444, data237):
     # one solve, the confirm above the fold, Diverged, as on every root type
     # of the committed documents; the bordered Newton starts in closed form
-    import conetypes.upper as upper
-
-    calls = []
-    solver = upper.minimal_fixed_point
-
-    def counted(spec, z, w0=None):
-        calls.append(z)
-        return solver(spec, z, w0)
-
-    monkeypatch.setattr(upper, "minimal_fixed_point", counted)
     runs = [(tree_reduced, 0)] + [(data["reduced"], t) for data in [data444, data237]
                                   for t in data["reduced"].types]
     for ra, t in runs:
-        calls.clear()
-        res = upper_bound(ra, root_type=int(t))
-        assert res.fold.solves == len(calls) == 1, (ra.types, t)
-        assert calls[0] > res.fold.R_F
-        assert res.fold.diverged == 1
-        assert res.fold.newton_steps >= res.fold.solves
+        with counted_solves() as solves:
+            res = upper_bound(ra, root_type=int(t))
+        [(z, confirm)] = solves
+        assert z > res.fold.R_F, (ra.types, t)
+        assert isinstance(confirm, Diverged), (ra.types, t)
+        assert res.fold.newton_steps == confirm.iterations >= 1
 
 
 def test_tree_first_return_value(tree_reduced):
@@ -332,8 +436,9 @@ def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
         with recorded_polish() as polished:
             fold = fold_point(spec)
         [(_, u, _, _, _)] = polished
-        res = upper_bound(ra)
-        assert fold.R_F == res.fold.R_F and res.fold.solves == 1, ra.types
+        with counted_solves() as solves:
+            res = upper_bound(ra)
+        assert fold.R_F == res.fold.R_F and len(solves) == 1, ra.types
         assert eig_radius(spec, fold.R_F, fold.w) == pytest.approx(1.0, abs=1e-6)
         start = minimal_fixed_point(spec, 1.0)
         below = minimal_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start.w)
@@ -433,10 +538,12 @@ def test_every_root_of_the_committed_documents_is_certified():
         _, ra = automaton_from_json(path.read_text())
         values = []
         for t in ra.types:
-            res = upper_bound(ra, root_type=int(t))
+            with counted_solves() as solves:
+                res = upper_bound(ra, root_type=int(t))
             assert isinstance(res.certified_upper, Fraction), (path.name, t)
             assert 0 < res.certified_upper - Fraction(res.rho_T) <= 2e-9, (path.name, t)
-            assert (res.fold.solves, res.fold.diverged) == (1, 1), (path.name, t)
+            [(_, confirm)] = solves
+            assert isinstance(confirm, Diverged), (path.name, t)
             assert res.fold.bordered_steps <= 6, (path.name, t)
             values.append(res.rho_T)
             pairs += 1
@@ -607,14 +714,16 @@ def test_fold_search_work_on_committed_documents():
     # linear solves before, is 205
     totals = Counter()
     for path in DOCUMENTS:
-        fold = run_from_automaton(path.read_text()).diagnostics["fold"]
-        assert (fold["solves"], fold["diverged"]) == (1, 1), path.name
+        with counted_solves() as solves:
+            fold = run_from_automaton(path.read_text()).diagnostics["fold"]
+        [(_, confirm)] = solves
+        assert isinstance(confirm, Diverged), path.name
+        assert set(fold) == {"newton_steps", "bordered_steps"}, path.name
         assert fold["bordered_steps"] <= 6, path.name
-        totals.update(fold)
+        totals.update(fold, solves=1)
     assert len(DOCUMENTS) == 28
     assert totals["solves"] == 28
     assert totals["newton_steps"] <= 56
-    assert totals["diverged"] == 28
     assert totals["bordered_steps"] <= 149
     assert totals["newton_steps"] + totals["bordered_steps"] <= 205
 
@@ -626,8 +735,10 @@ def test_upper_bound_on_large_triples():
     for triple in [(56, 56, 56), (64, 64, 64), (3, 68, 68), (30, 40, 50), (37, 41, 43),
                    (2, 3, 97)]:
         ra = reduce_automaton(extract_automaton(new_params(*triple)))
-        start = time.perf_counter()
-        fold = upper_bound(ra).fold
-        elapsed += time.perf_counter() - start
-        assert (fold.solves, fold.diverged) == (1, 1), triple
+        with counted_solves() as solves:
+            start = time.perf_counter()
+            upper_bound(ra)
+            elapsed += time.perf_counter() - start
+        [(_, confirm)] = solves
+        assert isinstance(confirm, Diverged), triple
     assert elapsed <= 3.0
