@@ -10,11 +10,11 @@ J(w) u - u, sum(u) - 1) in (w, u, z), started at z = 1 from Newton's first
 step from 0: J(0) = 0 gives w = z p_minus and x = 1, so u = x / sum(x) = 1/K.
 The start sets only whether the search converges: the polished (w, u, z)
 is accepted only if z lies above 1 with u > 0, the exact check below proves
-w a post-fixed point at z (1 - 1e-9), and the minimal solution does not
-exist at z (1 + 1e-9).  That solve, the search's only one, starts just
-below the fold, from v = w - t u with t = sqrt(1e-9) max(w) / max(u),
+w a post-fixed point at z (1 - 1e-12), and the minimal solution does not
+exist at z (1 + 1e-12).  That solve, the search's only one, starts just
+below the fold, from v = w - t u with t = sqrt(1e-12) max(w) / max(u),
 which a second exact check, is_below_least, first proves to lie below
-every fixed point at z (1 + 1e-9); Newton from it rises to the least
+every fixed point at z (1 + 1e-12); Newton from it rises to the least
 solution wherever one exists, so its Diverged result shows there is none,
 in 2 steps.  There is no fallback: anything else raises NotConverged.
 
@@ -57,19 +57,27 @@ DIVERGENCE_CAP = 1e6
 # residual at which the bordered Newton accepts the polished fold
 FOLD_TOL = 1e-13
 # relative gap on each side of the polished fold: the exact check is made
-# below it and the solver must diverge above it; far above the fold
-# residual (< 1e-13), far below the reported digits
-CERT_MARGIN = 1e-9
+# below it and the solver must diverge above it; above the fold residual
+# (< 1e-13), far below the reported digits.  Both exact checks held at
+# 1e-13 on all 269 triples with max <= 12 and five larger ones, and failed
+# on 7 of them at 1e-14: 1e-12 leaves a factor 10
+CERT_MARGIN = 1e-12
 
 
 @dataclass
 class TreeWalkSpec:
-    """Transition data of the tree walk over the reduced type set."""
+    """Transition data of the tree walk over the reduced type set.
+
+    The exact checks read M and r as Python ints, stored once here: the
+    nonzeros of M as (i, j, M_ij) and r as a list.
+    """
 
     ra: ReducedAutomaton
     root: int  # position of the root type in ra.types
     p_minus: np.ndarray  # r_i / d, the step back
     Mp: np.ndarray  # M_ij / d, the steps forward
+    M_nonzeros: list  # (i, j, M_ij) for each M_ij != 0, in Python ints
+    r: list  # r_i in Python ints
 
 
 @dataclass
@@ -140,8 +148,13 @@ def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
     """Probabilities p_{-i} = r_i/d and p_{i,j} = 1/d over the reduced set."""
     if root_type not in ra.types:
         raise InvalidRoot(f"type {root_type} is not in the reduced set {ra.types}")
-    return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=ra.r / ra.degree,
-                        Mp=ra.M * (1.0 / ra.degree))
+    r = ra.r
+    rows, cols = np.nonzero(ra.M)
+    return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=r / ra.degree,
+                        Mp=ra.M * (1.0 / ra.degree),
+                        M_nonzeros=list(zip(rows.tolist(), cols.tolist(),
+                                            ra.M[rows, cols].tolist())),
+                        r=r.tolist())
 
 
 def _jacobian_bound(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray,
@@ -314,11 +327,10 @@ def _dyadic(a: np.ndarray):
     return [num * (S // den) for num, den in ratios], S
 
 
-def _int_matvec(M: np.ndarray, A: list) -> list:
+def _int_matvec(M_nonzeros: list, A: list) -> list:
     """M A in Python ints, summing only the nonzeros of M (at most d a row)."""
     out = [0] * len(A)
-    rows, cols = np.nonzero(M)
-    for i, j, m in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+    for i, j, m in M_nonzeros:
         out[i] += m * A[j]
     return out
 
@@ -341,8 +353,8 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     if min(W) < 0:
         return False
     zn, zd = z.as_integer_ratio()
-    S2, d, MW = S * S, spec.ra.degree, _int_matvec(spec.ra.M, W)
-    for ri, Wi, MWi in zip(spec.ra.r.tolist(), W, MW):
+    S2, d, MW = S * S, spec.ra.degree, _int_matvec(spec.M_nonzeros, W)
+    for ri, Wi, MWi in zip(spec.r, W, MW):
         if zn * (ri * S2 + Wi * MWi) > zd * d * Wi * S:
             return False
     return zn * MW[spec.root] < zd * d * S
@@ -376,9 +388,8 @@ def is_below_least(spec: TreeWalkSpec, z: Fraction, v: np.ndarray, x: np.ndarray
     if min(V) < 0 or min(X) <= 0:
         return False
     zn, zd = z.as_integer_ratio()
-    S2, d, M = S * S, spec.ra.degree, spec.ra.M
-    for ri, Vi, Xi, MVi, MXi in zip(spec.ra.r.tolist(), V, X, _int_matvec(M, V),
-                                    _int_matvec(M, X)):
+    S2, d, nz = S * S, spec.ra.degree, spec.M_nonzeros
+    for ri, Vi, Xi, MVi, MXi in zip(spec.r, V, X, _int_matvec(nz, V), _int_matvec(nz, X)):
         if zn * (ri * S2 + Vi * MVi) < zd * d * Vi * S:
             return False
         if zn * (MVi * Xi + Vi * MXi) >= zd * d * Xi * S:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +26,17 @@ from conetypes import (
     fold_point,
     is_below_least,
     is_post_fixed_point,
+    lower_bound,
     minimal_fixed_point,
     new_params,
+    perron,
     reduce_automaton,
     run_from_automaton,
+    tilde_matrix,
     tree_walk_spec,
     upper_bound,
 )
+from conetypes.cli import main
 from conetypes.upper import CERT_MARGIN, _jacobian_bound
 from conftest import HYPERBOLIC_12, TABLE, UPPER_BOUNDS, counted_solves
 from reference import below_least_fractions, post_fixed_point_fractions
@@ -729,16 +734,31 @@ def test_fold_search_work_on_committed_documents():
 
 
 def test_upper_bound_on_large_triples():
-    # K from 56 to 240 and ring dimensions in the thousands: the fold search
-    # is still the closed-form start and the one Diverged confirm
+    # K from 56 to 240 and ring dimensions in the thousands: every stage
+    # runs, the fold search is still the closed-form start and the one
+    # Diverged confirm, the certificate lies within 2e-12 of rho_T, and the
+    # Perron vector of M~, whose smallest entries fall below 1e-16 of the
+    # largest from (56,56,56) on, is positive, each entry's residual within
+    # 1e-12 of the entry itself
     elapsed = 0.0
-    for triple in [(56, 56, 56), (64, 64, 64), (3, 68, 68), (30, 40, 50), (37, 41, 43),
-                   (2, 3, 97)]:
+    for triple in [(56, 56, 56), (60, 60, 60), (64, 64, 64), (3, 68, 68), (30, 40, 50),
+                   (37, 41, 43), (2, 3, 97)]:
         ra = reduce_automaton(extract_automaton(new_params(*triple)))
         with counted_solves() as solves:
             start = time.perf_counter()
-            upper_bound(ra)
+            upper = upper_bound(ra)
+            lower = lower_bound(ra)
             elapsed += time.perf_counter() - start
         [(_, confirm)] = solves
         assert isinstance(confirm, Diverged), triple
+        # the proven upper bound: at (64,64,64) lower and rho_T agree to
+        # within their rounding (the float lower lies 3e-16 above rho_T)
+        assert lower.bound <= upper.certified_upper, triple
+        assert float(upper.certified_upper - Fraction(upper.rho_T)) <= 2e-12, triple
+        T = tilde_matrix(ra)
+        nu, A, _ = perron(T)
+        assert np.max(np.abs(T @ A - nu * A) / A) <= 1e-12, triple
     assert elapsed <= 3.0
+    result = CliRunner().invoke(main, ["bounds", "56", "56", "56"])
+    assert result.exit_code == 0, result.output
+    assert "error[lower]" not in result.output
