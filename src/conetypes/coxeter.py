@@ -105,15 +105,17 @@ class CayleyBall:
     Vertex ids run sphere by sphere and, within a sphere, in the shortlex
     order of the vertices' normal forms (L < M < N).  parent[v] is the
     least-id predecessor of v and parent_gen[v] the last letter of v's normal
-    form.  `edges` is sorted by (u, v, g), so the radius-R ball is a prefix of
-    the radius-(R+1) ball and `grow` extends it in place.
+    form.  The ball's one adjacency is the neighbour table `nbr`, which
+    `grow` extends in place: nbr[v, g] is the g-neighbour of v, or -1 outside
+    the ball, so the radius-R ball is a prefix of the radius-(R+1) ball up to
+    the last sphere's up-links.  `edges` is derived from it for export.
     """
 
     params: GroupParams
     radius: int
     norms: np.ndarray
     offsets: np.ndarray
-    edges: np.ndarray
+    nbr: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
     # exact state of the last sphere, from which grow() continues: the
@@ -124,26 +126,26 @@ class CayleyBall:
     _y: np.ndarray | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
     _down: np.ndarray | None = field(default=None, repr=False)
-    _nbr: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
         return int(self.norms.size)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The edges (u, v, g) with |v| = |u| + 1 and v = u g, sorted by (u, v)."""
+        u, g = np.nonzero(self.nbr > np.arange(self.n_vertices)[:, None])
+        v = self.nbr[u, g]
+        order = np.lexsort((v, u))
+        return np.column_stack([u[order], v[order], g[order]])
+
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
     def neighbor_table(self) -> np.ndarray:
-        """nbr[v, g] is the g-neighbor of v, or -1 outside the ball."""
-        if self._nbr is None:
-            nbr = -np.ones((self.n_vertices, 3), dtype=np.int64)
-            u = self.edges[:, 0]
-            v = self.edges[:, 1]
-            g = self.edges[:, 2]
-            nbr[u, g] = v
-            nbr[v, g] = u
-            self._nbr = nbr
-        return self._nbr
+        """nbr[v, g] is the g-neighbor of v, or -1 outside the ball; the
+        stored table itself, which grow replaces and never writes into."""
+        return self.nbr
 
     def to_json(self) -> str:
         doc = {
@@ -156,9 +158,8 @@ class CayleyBall:
 
     def to_adjacency_csv(self) -> str:
         lines = ["vertex,norm,neighbors"]
-        nbr = self.neighbor_table()
         for v in range(self.n_vertices):
-            ns = " ".join(str(int(w)) for w in nbr[v] if w >= 0)
+            ns = " ".join(str(int(w)) for w in self.nbr[v] if w >= 0)
             lines.append(f"{v},{int(self.norms[v])},{ns}")
         return "\n".join(lines) + "\n"
 
@@ -166,28 +167,26 @@ class CayleyBall:
         """Add the next sphere in place; every existing id is kept.
 
         Each last-sphere vertex w is expanded along its non-descent
-        generators s, in (id, s) order; bipartiteness puts every candidate ws
-        on the next sphere.  Right multiplication by s maps the covector y_w
-        to y_t + y_s 2cos(pi/order(s, t)) (t != s) and -y_s, computed
-        generator by generator in place, each product on one factor axis of
-        the ring (CosineRing.add_times_2cos).  Candidates are grouped by a
-        uint64 fingerprint, and every candidate must equal the first of its
-        group exactly, else IdentificationAmbiguity is raised: rows are never
-        merged on a fingerprint alone.  A new vertex takes the rank of its
-        first candidate, which is its shortlex position, and keeps that
-        candidate's row of the new _y.
+        generators s; bipartiteness puts every candidate ws on the next
+        sphere.  The candidates come generator by generator, and within a
+        generator by w, so that each generator updates one slice in place;
+        candidate ws has shortlex rank 3 w + s.  Right multiplication by s
+        maps the covector y_w to y_t + y_s 2cos(pi/order(s, t)) (t != s) and
+        -y_s, each product on one factor axis of the ring
+        (CosineRing.add_times_2cos).  One sort on a uint64 fingerprint groups
+        the candidates, and every member of a group must equal its
+        predecessor in that order exactly, else IdentificationAmbiguity is
+        raised: rows are never merged on a fingerprint alone.  A new vertex
+        takes the least rank in its group, which is its shortlex position,
+        and keeps one member's row of the new _y.  The table gains the new
+        rows, holding their down-links, and the last sphere's up-links; the
+        new descent sets are the new rows' links.
         """
         ring, y, rows, down = self._ring, self._y, self._rows, self._down
         orders = self.params.orders()
         k = self.radius
-        src, gens = np.nonzero(~down)
-        # cand holds the candidates generator by generator (a stable radix
-        # sort of gens), so that each generator updates one slice in place;
-        # candidate c is row at[c] of cand
-        order = np.argsort(gens.astype(np.int8), kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(order.size)
-        cand = y[rows[src[order]]]
+        gens, src = np.nonzero(~down.T)
+        cand = y[rows[src]]
         lo = 0
         for s, hi in enumerate(np.cumsum(np.bincount(gens, minlength=3))):
             block = cand[lo:hi]
@@ -199,43 +198,51 @@ class CayleyBall:
             lo = hi
 
         flat = cand.reshape(src.size, -1)
-        keys = (flat.view(np.uint64) @ _multipliers(flat.shape[1]))[at]
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        n_new = first.size
+        keys = flat.view(np.uint64) @ _multipliers(flat.shape[1])
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.empty(keys.size, dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        n_new = starts.size
         if self.n_vertices + n_new > MAX_VERTICES:
             raise MemoryCap(f"ball would exceed {MAX_VERTICES} vertices at radius {k + 1}")
-        dup = np.flatnonzero(first[inv] != np.arange(inv.size))
-        if not np.array_equal(flat[at[dup]], flat[at[first[inv[dup]]]]):
+        dup = np.flatnonzero(~new)
+        if not np.array_equal(flat[order[dup]], flat[order[dup - 1]]):
             raise IdentificationAmbiguity(
                 f"distinct covectors share a fingerprint at radius {k + 1}"
             )
-        # a class's id is the rank of its first candidate among all firsts
-        is_first = np.zeros(src.size, dtype=bool)
-        is_first[first] = True
-        keep = np.flatnonzero(is_first)
-        ids = (np.cumsum(is_first) - 1)[first][inv]
         # every duplicate equals its first, so cand bounds the new covectors
         if max(int(cand.max()), -int(cand.min())) >= COEFF_GUARD:
             raise IdentificationAmbiguity(
                 f"coefficient guard 2^57 exhausted at radius {k + 1}"
             )
+        # a group's id is the rank of its shortlex-first candidate among
+        # those of all groups
+        first_rank = np.minimum.reduceat((3 * src + gens)[order], starts)
+        by_rank = np.argsort(first_rank)
+        group_id = np.empty(n_new, dtype=np.int64)
+        group_id[by_rank] = np.arange(n_new)
+        ids = np.empty(keys.size, dtype=np.int64)
+        ids[order] = group_id[np.cumsum(new) - 1]
+        first_rank = first_rank[by_rank]
 
         base, first_id = int(self.offsets[-2]), int(self.offsets[-1])
-        chunk = np.column_stack([base + src, first_id + ids, gens])
-        chunk = chunk[np.lexsort((ids, src))]
-        new_down = np.zeros((n_new, 3), dtype=bool)
-        new_down[ids, gens] = True
+        new_rows = np.full((n_new, 3), -1, dtype=np.int64)
+        new_rows[ids, gens] = base + src
+        nbr = np.concatenate([self.nbr, new_rows])
+        nbr[base + src, gens] = first_id + ids
 
         self.radius = k + 1
         self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
         self.offsets = np.append(self.offsets, first_id + n_new)
-        self.edges = np.concatenate([self.edges, chunk])
-        self.parent = np.concatenate([self.parent, base + src[keep]])
-        self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
+        self.nbr = nbr
+        self.parent = np.concatenate([self.parent, base + first_rank // 3])
+        self.parent_gen = np.concatenate([self.parent_gen, (first_rank % 3).astype(np.int16)])
         self._y = cand
-        self._rows = at[keep]
-        self._down = new_down
-        self._nbr = None
+        self._rows = order[starts[by_rank]]
+        self._down = new_rows >= 0
 
 
 def build_ball(params: GroupParams, radius: int) -> CayleyBall:
@@ -250,7 +257,7 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         radius=0,
         norms=np.zeros(1, dtype=np.int16),
         offsets=np.array([0, 1], dtype=np.int64),
-        edges=np.zeros((0, 3), dtype=np.int64),
+        nbr=np.full((1, 3), -1, dtype=np.int64),
         parent=np.array([-1], dtype=np.int64),
         parent_gen=np.array([-1], dtype=np.int16),
         _ring=ring,

@@ -173,17 +173,21 @@ class TruncatedCone:
 def successor_table(ball):
     """(succ, nsucc, npred): succ[v] lists v's up-neighbors padded with -1,
     nsucc and npred count the up- and down-neighbors of each vertex."""
+    nbr = ball.neighbor_table()
     V = ball.n_vertices
-    u = ball.edges[:, 0].astype(np.int64)
-    v = ball.edges[:, 1].astype(np.int64)
-    nsucc = np.bincount(u, minlength=V)
-    npred = np.bincount(v, minlength=V)
+    # ids run sphere by sphere, so a neighbour is up exactly when its id is larger
+    up = nbr > np.arange(V)[:, None]
+    down = (nbr >= 0) & ~up
+    nsucc = up[:, 0].astype(np.int64) + up[:, 1] + up[:, 2]
+    npred = down[:, 0].astype(np.int64) + down[:, 1] + down[:, 2]
     width = int(nsucc.max()) if V > 1 else 0
-    succ = -np.ones((V, width), dtype=np.int64)
-    # edges are sorted by u, so each vertex's up-edges are contiguous
-    starts = np.zeros(V, dtype=np.int64)
-    starts[1:] = np.cumsum(nsucc)[:-1]
-    succ[u, np.arange(u.size) - starts[u]] = v
+    # each row's up-neighbours in increasing order, then the -1 padding: the
+    # three columns sorted by a min/max network, with V standing for padding
+    a, b, c = np.where(up, nbr, V).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    succ = np.column_stack([np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)),
+                            np.maximum(hi, c)])[:, :width]
+    succ[succ == V] = -1
     return succ, nsucc, npred
 
 
@@ -760,7 +764,10 @@ def extract_escalating(params, radius=None, diag: dict | None = None) -> BallAut
         try:
             return extract_from_ball(ball, diag, layers)
         except (NotStabilized, VerificationFailed) as exc:
-            error = exc
+            # a traceback would hold this frame, and the frame `error`: that
+            # cycle would keep the ball alive past the return until a full
+            # garbage collection
+            error = exc.with_traceback(None)
     raise error
 
 

@@ -223,14 +223,14 @@ def test_grown_ball_equals_fresh_build(triple):
     params = new_params(*triple)
     ball = build_ball(params, 1)
     while ball.radius < 13:
-        # fill the lazy table, which growing must invalidate
-        ball.neighbor_table()
         ball.grow()
         fresh = build_ball(params, ball.radius)
-        for name in ("norms", "offsets", "edges", "parent", "parent_gen"):
+        for name in ("norms", "offsets", "edges", "parent", "parent_gen", "_down"):
             got, want = getattr(ball, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.array_equal(ball.neighbor_table(), fresh.neighbor_table())
+        # the covectors of the last sphere, from which the next grow continues
+        assert np.array_equal(ball._y[ball._rows], fresh._y[fresh._rows])
 
 
 def test_representative_words_are_geodesics():
@@ -382,8 +382,11 @@ def matrix_balls(params, radius):
         offsets.append(first + n_new)
         parent += par.tolist()
         parent_gen += par_gen.tolist()
+        nbr = np.full((len(norms), 3), -1, dtype=np.int64)
+        nbr[edges[:, 0], edges[:, 2]] = edges[:, 1]
+        nbr[edges[:, 1], edges[:, 2]] = edges[:, 0]
         yield CayleyBall(params=params, radius=k + 1, norms=np.array(norms),
-                         offsets=np.array(offsets), edges=edges, parent=np.array(parent),
+                         offsets=np.array(offsets), nbr=nbr, parent=np.array(parent),
                          parent_gen=np.array(parent_gen))
 
 

@@ -739,18 +739,22 @@ def test_upper_bound_on_large_triples():
     # Diverged confirm, the certificate lies within 2e-12 of rho_T, and the
     # Perron vector of M~, whose smallest entries fall below 1e-16 of the
     # largest from (56,56,56) on, is positive, each entry's residual within
-    # 1e-12 of the entry itself
+    # 1e-12 of the entry itself.  The budget is CPU time of this process,
+    # which other load on the machine does not move, and the work itself is
+    # bounded by counts: two Newton steps and at most six bordered steps
     elapsed = 0.0
     for triple in [(56, 56, 56), (60, 60, 60), (64, 64, 64), (3, 68, 68), (30, 40, 50),
                    (37, 41, 43), (2, 3, 97)]:
         ra = reduce_automaton(extract_automaton(new_params(*triple)))
         with counted_solves() as solves:
-            start = time.perf_counter()
+            start = time.process_time()
             upper = upper_bound(ra)
             lower = lower_bound(ra)
-            elapsed += time.perf_counter() - start
+            elapsed += time.process_time() - start
         [(_, confirm)] = solves
         assert isinstance(confirm, Diverged), triple
+        assert upper.fold.newton_steps == 2, triple
+        assert upper.fold.bordered_steps <= 6, triple
         # the proven upper bound: at (64,64,64) lower and rho_T agree to
         # within their rounding (the float lower lies 3e-16 above rho_T)
         assert lower.bound <= upper.certified_upper, triple
