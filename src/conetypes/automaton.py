@@ -96,8 +96,8 @@ def _elementary_roots(ring: CosineRing, orders: dict) -> tuple[np.ndarray, int]:
     beta - 2B(alpha_s, beta) alpha_s whenever -1 < B(alpha_s, beta) < 0, with
     B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st), m_st =
     orders[s, t].  So s beta differs from beta in coordinate s alone, which
-    is -beta_s + sum_(t != s) 2cos(pi/m_st) beta_t, computed as the ball's
-    covectors are (CosineRing.add_times_2cos), and 2B(alpha_s, beta) =
+    is -beta_s + sum_(t != s) 2cos(pi/m_st) beta_t, computed one product
+    per order (CosineRing.add_times_2cos), and 2B(alpha_s, beta) =
     beta_s - (s beta)_s.  E is closed one layer of new roots at a time, the
     images visited in (root, s) order, so the roots are numbered as a scalar
     BFS numbers them; a sign is read, and may raise, only where that BFS
@@ -272,7 +272,8 @@ def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
     types = types_on_ball(a, ball)
     inner = int(ball.offsets[ball.radius])
     nbr = ball.neighbor_table()[:inner]
-    rows, gens = np.nonzero((nbr >= 0) & (ball.norms[nbr] > ball.norms[:inner, None]))
+    # ids run sphere by sphere, so a larger neighbour id is on the next sphere
+    rows, gens = np.nonzero(nbr > np.arange(inner)[:, None])
     got = np.zeros((inner, a.K_total), dtype=np.int64)
     np.add.at(got, (rows, types[nbr[rows, gens]]), 1)
     bad = np.flatnonzero((got != a.M[types[:inner]]).any(axis=1))

@@ -1,14 +1,18 @@
 """Triangle-group elements and exact Cayley-graph balls.
 
 The group Delta(l,m,n) = <L,M,N | L^2 = M^2 = N^2 = (LM)^n = (MN)^l = (NL)^m>
-acts on covectors through the contragredient of its geometric reflection
-representation, with exact integer coordinates (see ring.py).  The covector
-y0 = (1, 1, 1) is positive on every simple root, so it lies in the open
-fundamental chamber, whose points have trivial stabilizer (Tits; Humphreys,
-Reflection Groups and Coxeter Groups, 5.13).  Hence w is identified exactly
-by its orbit covector y_w = y0 P_w, where P_w is the product of the
-reflection matrices along any word for w, and balls of the right Cayley
-graph w -- ws are built breadth first from three ring coordinates per vertex.
+is a Coxeter group, and balls of its right Cayley graph w -- ws are grown
+breadth first from the exponents alone.  A vertex v of the next sphere has
+two geodesic predecessors, v = ws = w's' with s != s', exactly when both s
+and s' are descents of v.  Then v = u w0(s, s') is the top of the rank-2
+coset u W_{s,s'}, whose minimal element is u, and l(v) = l(u) + m(s, s')
+(Bjorner and Brenti, Combinatorics of Coxeter Groups, GTM 231, 2005,
+section 2.4).  Equivalently, the walk down from w along s', s, s', ...
+takes m(s, s') - 1 steps, each to the previous sphere, and so does the walk
+from w' along s, s', s, ...; both end at u.  Delta(l,m,n) is infinite, so
+no element has three descents, and each new vertex has one or two
+predecessors.  No field arithmetic is needed: the cosine ring (ring_of)
+serves the root closure of automaton.py only.
 """
 
 from __future__ import annotations
@@ -28,10 +32,16 @@ from .errors import (
 )
 from .ring import CosineRing
 
-COEFF_GUARD = 2 ** 57
-_MASK64 = 2 ** 64 - 1
 # vertex budget of a ball; grow raises MemoryCap past it
 MAX_VERTICES = 8_000_000
+# column c of CayleyBall._len and _end is the walk along g, h, g, ... for
+# (g, h) = (_PAIR_G[c], _PAIR_H[c]), so that a vertex w's two columns with
+# h = s are 2 s and 2 s + 1, and 6 w + c is twice the rank 3 w + s of the
+# candidate w s; _FLIP[c] is the column of (h, g) and _OUT[c] the
+# generator outside {g, h}
+_PAIR_H, _PAIR_G = np.nonzero(1 - np.eye(3, dtype=np.int64))
+_FLIP = 2 * _PAIR_G + _PAIR_H - (_PAIR_H > _PAIR_G)
+_OUT = 3 - _PAIR_G - _PAIR_H
 
 
 GEN_NAMES = ("L", "M", "N")
@@ -73,8 +83,8 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
 
 def ring_of(params: GroupParams) -> CosineRing:
     """The cosine ring of Delta(l,m,n), built once per field for the root
-    closure and the ball alike: orders 2 and 3 have rational cosines and
-    add no factor, so (2,3,7) shares the ring of (7,7,7)."""
+    closure: orders 2 and 3 have rational cosines and add no factor, so
+    (2,3,7) shares the ring of (7,7,7)."""
     return _field_ring(tuple(sorted({k for k in params.triple() if k >= 4})))
 
 
@@ -83,24 +93,10 @@ def _field_ring(orders: tuple[int, ...]) -> CosineRing:
     return CosineRing(orders)
 
 
-@lru_cache(maxsize=None)
-def _multipliers(width: int) -> np.ndarray:
-    """Fixed odd uint64 weights of the fingerprint of a width-`width` row:
-    the splitmix64 sequence from state 0, each made odd."""
-    weights, state = [], 0
-    for _ in range(width):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        weights.append(z ^ (z >> 31) | 1)
-    mult = np.array(weights, dtype=np.uint64)
-    mult.flags.writeable = False
-    return mult
-
-
 @dataclass
 class CayleyBall:
-    """Radius-R ball of the Cayley graph with exact vertex identification.
+    """Radius-R ball of the Cayley graph, its vertices identified by the
+    rank-2 cosets of the group (see the module docstring).
 
     Vertex ids run sphere by sphere and, within a sphere, in the shortlex
     order of the vertices' normal forms (L < M < N).  parent[v] is the
@@ -118,14 +114,13 @@ class CayleyBall:
     nbr: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
-    # exact state of the last sphere, from which grow() continues: the
-    # cosine ring, the orbit covectors [3, dim] of its candidates, the row of
-    # _y of each vertex and its descent set (the generators leading back to
-    # the previous sphere)
-    _ring: CosineRing | None = field(default=None, repr=False)
-    _y: np.ndarray | None = field(default=None, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
+    # the last sphere, from which grow() continues: its descent sets (the
+    # generators leading back to the previous sphere) and, for each ordered
+    # pair (g, h) with g != h, the number of steps of the walk down from it
+    # along g, h, g, ... and the vertex where that walk ends
     _down: np.ndarray | None = field(default=None, repr=False)
+    _len: np.ndarray | None = field(default=None, repr=False)
+    _end: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -168,90 +163,73 @@ class CayleyBall:
 
         Each last-sphere vertex w is expanded along its non-descent
         generators s; bipartiteness puts every candidate ws on the next
-        sphere.  The candidates come generator by generator, and within a
-        generator by w, so that each generator updates one slice in place;
-        candidate ws has shortlex rank 3 w + s.  Right multiplication by s
-        maps the covector y_w to y_t + y_s 2cos(pi/order(s, t)) (t != s) and
-        -y_s, each product on one factor axis of the ring
-        (CosineRing.add_times_2cos).  One sort on a uint64 fingerprint groups
-        the candidates, and every member of a group must equal its
-        predecessor in that order exactly, else IdentificationAmbiguity is
-        raised: rows are never merged on a fingerprint alone.  A new vertex
-        takes the least rank in its group, which is its shortlex position,
-        and keeps one member's row of the new _y.  The table gains the new
-        rows, holding their down-links, and the last sphere's up-links; the
-        new descent sets are the new rows' links.
+        sphere, and np.nonzero(~_down) gives the candidates in shortlex
+        rank 3 w + s.  Candidate ws is paired through s' != s when the walk
+        down from w along s', s, s', ... takes m(s, s') - 1 steps; its key
+        is that walk's end and the pair {s, s'}, and the two candidates of
+        one key are one vertex.  Unless every key occurs exactly twice and
+        no candidate pairs through both other generators,
+        IdentificationAmbiguity is raised before anything changes.  A new
+        vertex takes the least rank of its candidates, which is its
+        shortlex position.  The table gains the new rows, holding their
+        down-links, and the last sphere's up-links; the new descent sets
+        are the new rows' links, and a new vertex's walk along g, h, ...
+        with g a descent is one step to the last sphere followed by that
+        vertex's walk along h, g, ....
         """
-        ring, y, rows, down = self._ring, self._y, self._rows, self._down
-        orders = self.params.orders()
         k = self.radius
-        gens, src = np.nonzero(~down.T)
-        cand = y[rows[src]]
-        lo = 0
-        for s, hi in enumerate(np.cumsum(np.bincount(gens, minlength=3))):
-            block = cand[lo:hi]
-            ys = block[:, s].copy()
-            np.negative(ys, out=block[:, s])
-            for t in range(3):
-                if t != s:
-                    ring.add_times_2cos(orders[s, t], ys, block[:, t])
-            lo = hi
-
-        flat = cand.reshape(src.size, -1)
-        keys = flat.view(np.uint64) @ _multipliers(flat.shape[1])
+        cand = ~self._down
+        rank = np.flatnonzero(cand)
+        # column (s', s) of vertex w pairs the candidate w s through s' when
+        # its walk reaches m(s, s') - 1 steps; the key is the walk's end
+        # and the generator outside {s, s'}
+        tops = np.array(self.params.triple())[_OUT] - 1
+        at = np.flatnonzero((self._len == tops) & cand[:, _PAIR_H])
+        paired = at // 2
+        keys = 3 * self._end.take(at) + _OUT[at % 6]
         order = np.argsort(keys)
-        keys = keys[order]
-        new = np.empty(keys.size, dtype=bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        n_new = starts.size
+        gaps = np.diff(keys[order])
+        if keys.size % 2 or gaps[0::2].any() or not gaps[1::2].all() or not np.diff(paired).all():
+            raise IdentificationAmbiguity(
+                f"the rank-2 cosets do not pair the candidates at radius {k + 1}"
+            )
+        first, second = paired[order[0::2]], paired[order[1::2]]
+        n_new = rank.size - first.size
         if self.n_vertices + n_new > MAX_VERTICES:
             raise MemoryCap(f"ball would exceed {MAX_VERTICES} vertices at radius {k + 1}")
-        dup = np.flatnonzero(~new)
-        if not np.array_equal(flat[order[dup]], flat[order[dup - 1]]):
-            raise IdentificationAmbiguity(
-                f"distinct covectors share a fingerprint at radius {k + 1}"
-            )
-        # every duplicate equals its first, so cand bounds the new covectors
-        if max(int(cand.max()), -int(cand.min())) >= COEFF_GUARD:
-            raise IdentificationAmbiguity(
-                f"coefficient guard 2^57 exhausted at radius {k + 1}"
-            )
-        # a group's id is the rank of its shortlex-first candidate among
-        # those of all groups
-        first_rank = np.minimum.reduceat((3 * src + gens)[order], starts)
-        by_rank = np.argsort(first_rank)
-        group_id = np.empty(n_new, dtype=np.int64)
-        group_id[by_rank] = np.arange(n_new)
-        ids = np.empty(keys.size, dtype=np.int64)
-        ids[order] = group_id[np.cumsum(new) - 1]
-        first_rank = first_rank[by_rank]
+        # the later candidate of a pair is the vertex of the earlier one
+        dup = np.searchsorted(rank, np.maximum(first, second))
+        keep = np.ones(rank.size, dtype=bool)
+        keep[dup] = False
+        ids = np.cumsum(keep) - 1
+        ids[dup] = ids[np.searchsorted(rank, np.minimum(first, second))]
 
         base, first_id = int(self.offsets[-2]), int(self.offsets[-1])
+        src, gens = np.divmod(rank, 3)
         new_rows = np.full((n_new, 3), -1, dtype=np.int64)
         new_rows[ids, gens] = base + src
         nbr = np.concatenate([self.nbr, new_rows])
-        nbr[base + src, gens] = first_id + ids
+        nbr.reshape(-1)[3 * base + rank] = first_id + ids
 
+        prev = new_rows[:, _PAIR_G] - base
+        step = prev >= 0
+        at = np.maximum(prev, 0) * 6 + _FLIP
         self.radius = k + 1
         self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
         self.offsets = np.append(self.offsets, first_id + n_new)
         self.nbr = nbr
-        self.parent = np.concatenate([self.parent, base + first_rank // 3])
-        self.parent_gen = np.concatenate([self.parent_gen, (first_rank % 3).astype(np.int16)])
-        self._y = cand
-        self._rows = order[starts[by_rank]]
+        self.parent = np.concatenate([self.parent, base + src[keep]])
+        self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
         self._down = new_rows >= 0
+        self._len = np.where(step, self._len.take(at) + 1, 0)
+        self._end = np.where(step, self._end.take(at),
+                             np.arange(first_id, first_id + n_new)[:, None])
 
 
 def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    ring = ring_of(params)
-    y0 = np.zeros((1, 3, ring.dim), dtype=np.int64)
-    y0[0, :] = ring.one()
     ball = CayleyBall(
         params=params,
         radius=0,
@@ -260,10 +238,9 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         nbr=np.full((1, 3), -1, dtype=np.int64),
         parent=np.array([-1], dtype=np.int64),
         parent_gen=np.array([-1], dtype=np.int16),
-        _ring=ring,
-        _y=y0,
-        _rows=np.zeros(1, dtype=np.int64),
         _down=np.zeros((1, 3), dtype=bool),
+        _len=np.zeros((1, 6), dtype=np.int64),
+        _end=np.zeros((1, 6), dtype=np.int64),
     )
     while ball.radius < radius:
         ball.grow()

@@ -14,7 +14,9 @@ class NonHyperbolic(ConeTypesError):
 
 
 class IdentificationAmbiguity(ConeTypesError):
-    """Exact arithmetic cannot decide: fingerprint clash, coefficient guard, ring or sign."""
+    """Exact identification cannot decide: a ball's rank-2 cosets do not pair
+    its candidates, a ring's dimension is not its field's degree, or a sign
+    test is within its float error."""
 
 
 class MemoryCap(ConeTypesError):

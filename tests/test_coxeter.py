@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -186,30 +187,22 @@ def test_ball_json_digest_is_pinned(triple, radius):
 
 
 def test_ball_growth_imports_no_numpy_random():
-    """build_ball and run_group leave numpy.random unimported, and the
-    fingerprint weights are odd, distinct and the same in a fresh process.
+    """build_ball and run_group leave numpy.random unimported.
 
     A subprocess, because other test modules import numpy.random here."""
     script = (
         "import sys\n"
         "from conetypes import build_ball, new_params, run_group\n"
-        "from conetypes.coxeter import _multipliers\n"
         "build_ball(new_params(2, 3, 7), 10)\n"
         "assert run_group(new_params(2, 3, 7)).ok\n"
         "print('numpy.random' in sys.modules)\n"
-        "print([_multipliers(w).tolist() for w in (3, 36, 72)])\n"
     )
     src = str(Path(coxeter.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out[0] == "False"
-    weights = [coxeter._multipliers(w).tolist() for w in (3, 36, 72)]
-    assert out[1] == str(weights)
-    for mult in weights:
-        assert all(m % 2 == 1 for m in mult)
-        assert len(set(mult)) == len(mult)
+    assert out == ["False"]
 
 
 # the triples with max <= 8 on which a tensor product of one basis per order
@@ -229,8 +222,9 @@ def test_grown_ball_equals_fresh_build(triple):
             got, want = getattr(ball, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.array_equal(ball.neighbor_table(), fresh.neighbor_table())
-        # the covectors of the last sphere, from which the next grow continues
-        assert np.array_equal(ball._y[ball._rows], fresh._y[fresh._rows])
+        # the walks of the last sphere, from which the next grow continues
+        for name in ("_len", "_end"):
+            assert np.array_equal(getattr(ball, name), getattr(fresh, name)), name
 
 
 def test_representative_words_are_geodesics():
@@ -280,36 +274,54 @@ def test_monotone_growth_and_export():
     assert len(lines) == ball.n_vertices + 1
 
 
-def test_fingerprint_clash_raises(monkeypatch):
-    """With every fingerprint equal, the exact confirm refuses to merge."""
-    ball = build_ball(new_params(4, 4, 4), 3)
+def test_rank2_walks_match_words():
+    """Each walk of the last sphere is the walk down the neighbour table
+    along g, h, g, ...: the same number of steps, at most m(g, h), and the
+    same end."""
+    ball = build_ball(new_params(3, 4, 5), 7)
+    orders = ball.params.orders()
+    first = int(ball.offsets[-2])
+    for x in range(first, ball.n_vertices):
+        for c, (g, h) in enumerate(zip(coxeter._PAIR_G, coxeter._PAIR_H)):
+            steps, v = 0, x
+            while True:
+                w = ball.nbr[v, (g, h)[steps % 2]]
+                if w < 0 or ball.norms[w] > ball.norms[v]:
+                    break
+                steps, v = steps + 1, w
+            assert steps <= orders[g, h]
+            assert (ball._len[x - first, c], ball._end[x - first, c]) == (steps, v)
+
+
+@pytest.mark.parametrize("triple", [(4, 4, 4), (2, 3, 7)])
+def test_pairing_guard_raises(triple):
+    """A corrupt walk length pairs a candidate with nothing: grow refuses it
+    and changes no field."""
+    params = new_params(*triple)
+    ball = build_ball(params, 5)
     before = {name: getattr(ball, name).copy()
-              for name in ("norms", "offsets", "edges", "parent", "parent_gen")}
-    monkeypatch.setattr(coxeter, "_multipliers",
-                        lambda width: np.zeros(width, dtype=np.uint64))
-    with pytest.raises(IdentificationAmbiguity, match="radius 4"):
+              for name in ("norms", "offsets", "nbr", "parent", "parent_gen", "_down")}
+    # the column (g, h) of a vertex that h does not lead back from
+    x, c = next((x, c) for x in range(ball._len.shape[0]) for c in range(6)
+                if ball._len[x, c] == 0 and not ball._down[x, coxeter._PAIR_H[c]])
+    g, h = coxeter._PAIR_G[c], coxeter._PAIR_H[c]
+    ball._len[x, c] = params.orders()[g, h] - 1
+    with pytest.raises(IdentificationAmbiguity, match="radius 6"):
         ball.grow()
-    assert ball.radius == 3
+    assert ball.radius == 5
     for name, want in before.items():
         assert np.array_equal(getattr(ball, name), want), name
-    with pytest.raises(IdentificationAmbiguity):
-        build_ball(new_params(2, 3, 7), 2)
 
 
-def test_coefficient_guard_raises_at_first_radius_over_it(monkeypatch):
-    params = new_params(2, 3, 7)
-    ball = build_ball(params, 1)
-    peaks = [int(np.abs(ball._y).max())]
-    while ball.radius < 10:
-        ball.grow()
-        peaks.append(int(np.abs(ball._y).max()))
-    guard = peaks[-1]
-    first_over = 1 + next(i for i, p in enumerate(peaks) if p >= guard)
-    assert first_over > 2
-    monkeypatch.setattr(coxeter, "COEFF_GUARD", guard)
-    assert build_ball(params, first_over - 1).radius == first_over - 1
-    with pytest.raises(IdentificationAmbiguity, match=f"radius {first_over}$"):
-        build_ball(params, first_over)
+def test_large_exponents_give_the_tree_ball_fast():
+    """With every exponent above 2 R no rank-2 coset closes inside the
+    ball, which is the 3-regular tree's: sphere k holds 3 2^(k-1) vertices.
+    The exponents cost nothing, since no field arithmetic is done."""
+    start = time.process_time()
+    ball = build_ball(new_params(61, 67, 71), 10)
+    assert time.process_time() - start < 0.5
+    assert ball.sphere_sizes().tolist() == [1] + [3 * 2 ** (k - 1) for k in range(1, 11)]
+    assert ball.n_vertices == 3070
 
 
 @pytest.mark.parametrize("triple,radius", [((4, 4, 4), 9), ((2, 3, 7), 14), ((3, 5, 7), 9)])

@@ -317,9 +317,9 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
 
 
 def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
-    # the automaton's root closure and the checked ball share one ring per
-    # field: two triples, two rings, and a rerun builds none.  Orders 2 and
-    # 3 add no factor, and the order of the exponents does not matter
+    # the automaton's root closure builds one ring per field and the checked
+    # ball none: two triples, two rings, and a rerun builds none.  Orders 2
+    # and 3 add no factor, and the order of the exponents does not matter
     built = []
 
     def counted(orders):
