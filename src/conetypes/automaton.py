@@ -244,42 +244,55 @@ def types_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> np.ndarray:
     """
     if a.transitions is None:
         raise VerificationFailed("the automaton has no transitions to type the ball's vertices")
+    parent, gen, offsets = ball.parent, ball.parent_gen, ball.offsets.tolist()
     state = np.zeros(ball.n_vertices, dtype=np.int64)
-    for k in range(1, ball.radius + 1):
-        vs = np.arange(ball.offsets[k], ball.offsets[k + 1])
-        state[vs] = a.transitions[state[ball.parent[vs]], ball.parent_gen[vs]]
-        if (state[vs] < 0).any():
-            raise VerificationFailed(f"the automaton refuses a geodesic of length {k}")
+    for lo, hi in zip(offsets[1:], offsets[2:]):
+        state[lo:hi] = a.transitions[state[parent[lo:hi]], gen[lo:hi]]
+    # after a refused step (-1) the last row is read: the first -1 is on its sphere
+    refused = np.flatnonzero(state < 0)
+    if refused.size:
+        k = ball.norms[refused[0]]
+        raise VerificationFailed(f"the automaton refuses a geodesic of length {k}")
     return a.state_type[state]
 
 
 def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
     """Raise VerificationFailed unless the automaton agrees with the ball.
 
-    The sphere sizes that M and the root type give through
-    r_j s_(k+1)(j) = sum_i s_k(i) M_ij must be the ball's, and every vertex
-    inside the last sphere must have the successor types of its row of M.
+    The automaton must be for the ball's ordered triple.  The type counts s_k
+    of the typed ball's spheres must satisfy r_j s_(k+1)(j) = sum_i s_k(i) M_ij,
+    whole through sphere R + 1, and every vertex inside the last sphere must
+    have the successor types of its row of M.
     """
-    s, r = np.zeros(a.K_total, dtype=np.int64), a.r
-    s[a.root_type] = 1
-    for k, size in enumerate(ball.sphere_sizes()):
-        if s.sum() != size:
-            raise VerificationFailed(f"M gives {s.sum()} vertices on sphere {k}, not {size}")
-        into = s @ a.M
-        s, rem = np.divmod(into, np.maximum(r, 1))
-        if rem.any() or into[r <= 0].any():
-            raise VerificationFailed(f"M gives no whole type counts on sphere {k + 1}")
+    if a.params is not None and a.params != ball.params:
+        raise VerificationFailed(f"a {a.params.name()} automaton on a {ball.params.name()} ball")
     types = types_on_ball(a, ball)
-    inner = int(ball.offsets[ball.radius])
+    K, R, r = a.K_total, ball.radius, a.r
+    counts = np.bincount(ball.norms.astype(np.int64) * K + types,
+                         minlength=(R + 1) * K).reshape(R + 1, K)
+    # at the first failing sphere k + 1: wholeness and size, successors, counts
+    into = counts @ a.M
+    s, rem = np.divmod(into, np.maximum(r, 1))
+    whole = ~(rem.any(axis=1) | into[:, r <= 0].any(axis=1))
+    same = np.append((s[:-1] == counts[1:]).all(axis=1), True)
+    k = int(np.argmin(whole & same))
+    if not whole[k]:
+        raise VerificationFailed(f"M gives no whole type counts on sphere {k + 1}")
+    if s[k].sum() != counts[k + 1].sum():
+        raise VerificationFailed(f"M gives {s[k].sum()} vertices on sphere {k + 1}, "
+                                 f"not {counts[k + 1].sum()}")
+    inner = int(ball.offsets[R])
     nbr = ball.neighbor_table()[:inner]
     # ids run sphere by sphere, so a larger neighbour id is on the next sphere
-    rows, gens = np.nonzero(nbr > np.arange(inner)[:, None])
-    got = np.zeros((inner, a.K_total), dtype=np.int64)
-    np.add.at(got, (rows, types[nbr[rows, gens]]), 1)
-    bad = np.flatnonzero((got != a.M[types[:inner]]).any(axis=1))
+    up = np.flatnonzero(nbr > np.arange(inner)[:, None])
+    got = np.bincount(up // 3 * K + types[nbr.flat[up]], minlength=inner * K).reshape(inner, K)
+    bad = np.flatnonzero(got != a.M.take(types[:inner], axis=0)) // K
     if bad.size:
         raise VerificationFailed(f"vertex {bad[0]} has successor types {got[bad[0]].tolist()}, "
                                  f"not the row of its type {types[bad[0]]}")
+    if not same[k]:
+        raise VerificationFailed(f"M gives type counts {s[k].tolist()} on sphere {k + 1}, "
+                                 f"the ball {counts[k + 1].tolist()}")
 
 
 def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:

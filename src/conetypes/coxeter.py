@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -99,12 +99,11 @@ class CayleyBall:
     rank-2 cosets of the group (see the module docstring).
 
     Vertex ids run sphere by sphere and, within a sphere, in the shortlex
-    order of the vertices' normal forms (L < M < N).  parent[v] is the
-    least-id predecessor of v and parent_gen[v] the last letter of v's normal
-    form.  The ball's one adjacency is the neighbour table `nbr`, which
-    `grow` extends in place: nbr[v, g] is the g-neighbour of v, or -1 outside
-    the ball, so the radius-R ball is a prefix of the radius-(R+1) ball up to
-    the last sphere's up-links.  `edges` is derived from it for export.
+    order of the vertices' normal forms (L < M < N).  The ball's one
+    adjacency, from which `edges`, `parent` and `parent_gen` are derived, is
+    the neighbour table `nbr`, which `grow` extends in place: nbr[v, g] is
+    the g-neighbour of v, or -1 outside the ball, so the radius-R ball is a
+    prefix of the radius-(R+1) ball up to the last sphere's up-links.
     """
 
     params: GroupParams
@@ -112,8 +111,6 @@ class CayleyBall:
     norms: np.ndarray
     offsets: np.ndarray
     nbr: np.ndarray
-    parent: np.ndarray
-    parent_gen: np.ndarray
     # the last sphere, from which grow() continues: its descent sets (the
     # generators leading back to the previous sphere) and, for each ordered
     # pair (g, h) with g != h, the number of steps of the walk down from it
@@ -133,6 +130,18 @@ class CayleyBall:
         v = self.nbr[u, g]
         order = np.lexsort((v, u))
         return np.column_stack([u[order], v[order], g[order]])
+
+    @property
+    def parent_gen(self) -> np.ndarray:
+        """The last letter of each normal form, int16, -1 at the identity: the
+        generator to the least-id neighbour, which is on the sphere below once
+        the -1 of a missing neighbour is read unsigned, as the largest id."""
+        return np.append(-1, self.nbr[1:].view(np.uint64).argmin(axis=1)).astype(np.int16)
+
+    @property
+    def parent(self) -> np.ndarray:
+        """The normal form's prefix, int64: the neighbour along parent_gen."""
+        return np.append(-1, reduce(np.minimum, self.nbr[1:].view(np.uint64).T).view(np.int64))
 
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -218,8 +227,6 @@ class CayleyBall:
         self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
         self.offsets = np.append(self.offsets, first_id + n_new)
         self.nbr = nbr
-        self.parent = np.concatenate([self.parent, base + src[keep]])
-        self.parent_gen = np.concatenate([self.parent_gen, gens[keep].astype(np.int16)])
         self._down = new_rows >= 0
         self._len = np.where(step, self._len.take(at) + 1, 0)
         self._end = np.where(step, self._end.take(at),
@@ -236,8 +243,6 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         norms=np.zeros(1, dtype=np.int16),
         offsets=np.array([0, 1], dtype=np.int64),
         nbr=np.full((1, 3), -1, dtype=np.int64),
-        parent=np.array([-1], dtype=np.int64),
-        parent_gen=np.array([-1], dtype=np.int16),
         _down=np.zeros((1, 3), dtype=bool),
         _len=np.zeros((1, 6), dtype=np.int64),
         _end=np.zeros((1, 6), dtype=np.int64),

@@ -34,9 +34,10 @@ class ReturnSeries:
 def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
     """p^(k)(x0, x0) for k = 0..n_max as exact Fractions.
 
-    The walks of length k ending at each vertex are counted as integers,
-    and p^(k) = count / 3^k.  The counts are int64 while 3^n_max < 2^63
-    bounds them, Python integers beyond that.
+    With c_k the integer counts of the k-step walks from x0 at each vertex,
+    p^(2k) = sum_v c_k(v)^2 / 9^k for 2k <= n_max (the walk is symmetric), and
+    p^(2k+1) = 0 (the Cayley graph is bipartite).  The counts are int64 while
+    3^n_max < 2^63 bounds the sums, Python integers beyond that.
     """
     dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
     if n_max > 2 * ball.radius:
@@ -50,11 +51,11 @@ def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
     vec = np.zeros(V + 1, dtype=dtype)
     vec[0] = 1
     values: list = [Fraction(1)]
-    for k in range(1, n_max + 1):
-        # the count at w is the sum over its neighbours (the graph is undirected)
-        vec[:V] = vec[n0] + vec[n1] + vec[n2]
-        values.append(Fraction(int(vec[0]), 3 ** k))
-    return ReturnSeries(n_max=n_max, values=values)
+    # c_k(w) sums c_(k-1) over w's neighbours; beyond distance k, from id hi, it is 0
+    for k, hi in enumerate(ball.offsets[2:n_max // 2 + 2].tolist(), 1):
+        vec[:hi] = vec[n0[:hi]] + vec[n1[:hi]] + vec[n2[:hi]]
+        values += [Fraction(0), Fraction(int(vec[:hi] @ vec[:hi]), 9 ** k)]
+    return ReturnSeries(n_max=n_max, values=(values + [Fraction(0)])[:n_max + 1])
 
 
 def empirical_envelope(rs: ReturnSeries) -> float:

@@ -369,13 +369,30 @@ def sphere_type_census(ball, a) -> np.ndarray:
     return counts
 
 
-def representative_word(ball, v: int) -> tuple[int, ...]:
-    """A geodesic word for vertex v, read off the BFS parent chain."""
-    out = []
-    while v != 0:
-        out.append(int(ball.parent_gen[v]))
-        v = int(ball.parent[v])
-    return tuple(reversed(out))
+def representative_words(ball) -> list[tuple[int, ...]]:
+    """A geodesic word for every vertex, read off the BFS parent chain."""
+    parent, gen = ball.parent.tolist(), ball.parent_gen.tolist()
+    words = [()]
+    for v in range(1, ball.n_vertices):
+        words.append(words[parent[v]] + (gen[v],))
+    return words
+
+
+def stepwise_returns(ball, n_max: int) -> ReturnSeries:
+    """Reference for return_probabilities: p^(k) for k = 0..n_max from the
+    walk counts after each of n_max steps, read at the base point; int64
+    while 3^n_max < 2^63 bounds the counts, Python integers beyond."""
+    dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
+    V = ball.n_vertices
+    nbr = ball.neighbor_table()
+    n0, n1, n2 = np.ascontiguousarray(np.where(nbr >= 0, nbr, V).T)
+    vec = np.zeros(V + 1, dtype=dtype)
+    vec[0] = 1
+    values = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        vec[:V] = vec[n0] + vec[n1] + vec[n2]
+        values.append(Fraction(int(vec[0]), 3 ** k))
+    return ReturnSeries(n_max=n_max, values=values)
 
 
 def tree_return_series(n_max: int) -> ReturnSeries:

@@ -31,7 +31,7 @@ from reference import (
     geodesic_closure,
     reflection_rep,
     reflection_tensors,
-    representative_word,
+    representative_words,
     tits_equal,
 )
 
@@ -186,6 +186,27 @@ def test_ball_json_digest_is_pinned(triple, radius):
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[triple, radius]
 
 
+# sha256 of the parent and parent_gen bytes of the same balls, recorded when
+# grow stored both arrays; the JSON digests do not cover them
+PARENT_DIGESTS = {
+    ((2, 3, 7), 10): ("d66a0047756b6052b55e43e2d670238a611c27b2d2f9625f4e600973b282329a",
+                      "7976a20d056e9ee6c48728c2900f914f8cc2544f434516b7a886fac9cea3571d"),
+    ((3, 5, 7), 8): ("50cd72d7a61492d9bf21b0eabe781f131842e93e9583f25a38402748204cce30",
+                     "5c8dd0effda3adcdf954bfe44ce29dc71176f5df5d0d5110b72aafc8705b62ef"),
+    ((4, 7, 8), 8): ("c741e26a05bac43091cd7dd31ec6c4b3fe09cb71439940297cb85e3d76bd06af",
+                     "420102d78842b391d68a158481b7a0b2b32313c33dd4ca522078caec65fe40ff"),
+}
+
+
+@pytest.mark.parametrize("triple,radius", list(PARENT_DIGESTS))
+def test_ball_parent_digest_is_pinned(triple, radius):
+    ball = build_ball(new_params(*triple), radius)
+    parent, parent_gen = ball.parent, ball.parent_gen
+    assert (parent.dtype, parent_gen.dtype) == (np.int64, np.int16)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (parent, parent_gen))
+    assert got == PARENT_DIGESTS[triple, radius]
+
+
 def test_ball_growth_imports_no_numpy_random():
     """build_ball and run_group leave numpy.random unimported.
 
@@ -230,8 +251,9 @@ def test_grown_ball_equals_fresh_build(triple):
 def test_representative_words_are_geodesics():
     ball = build_ball(new_params(4, 4, 4), 6)
     p = ball.params
+    words = representative_words(ball)
     for v in range(0, ball.n_vertices, 17):
-        w = representative_word(ball, v)
+        w = words[v]
         assert len(w) == int(ball.norms[v])
         assert free_reduce(w) == w
 
@@ -240,6 +262,7 @@ def test_two_predecessor_vertices_have_equal_words():
     """Where two edges meet a vertex, both parent routes spell equal elements."""
     ball = build_ball(new_params(4, 4, 4), 6)
     p = ball.params
+    words = representative_words(ball)
     incoming: dict[int, list] = {}
     for u, v, g in ball.edges:
         incoming.setdefault(int(v), []).append((int(u), int(g)))
@@ -247,8 +270,8 @@ def test_two_predecessor_vertices_have_equal_words():
     for v, pres in incoming.items():
         if len(pres) == 2 and ball.norms[v] <= 5:
             (u1, g1), (u2, g2) = pres
-            w1 = representative_word(ball, u1) + (g1,)
-            w2 = representative_word(ball, u2) + (g2,)
+            w1 = words[u1] + (g1,)
+            w2 = words[u2] + (g2,)
             assert tits_equal(p, w1, w2)
             checked += 1
             if checked >= 10:
@@ -332,12 +355,13 @@ def test_vertex_ids_are_shortlex(triple, radius):
     u, v = ball.edges[:, 0], ball.edges[:, 1]
     least_pred = np.full(V, V, dtype=np.int64)
     np.minimum.at(least_pred, v, u)
-    assert np.array_equal(ball.parent[1:], least_pred[1:])
-    key = ball.parent * 3 + ball.parent_gen
+    parent, parent_gen = ball.parent, ball.parent_gen
+    assert np.array_equal(parent[1:], least_pred[1:])
+    key = parent * 3 + parent_gen
     for k in range(1, radius + 1):
         lo, hi = ball.offsets[k], ball.offsets[k + 1]
         assert (np.diff(key[lo:hi]) > 0).all()
-    words = [representative_word(ball, x) for x in range(V)]
+    words = representative_words(ball)
     assert all((len(a), a) < (len(b), b) for a, b in zip(words, words[1:]))
 
 
@@ -345,8 +369,7 @@ def test_vertex_ids_are_shortlex(triple, radius):
 def test_representative_word_is_shortlex_normal_form(triple, radius):
     """The parent chain spells the lex-least geodesic of the braid closure."""
     ball = build_ball(new_params(*triple), radius)
-    for v in range(ball.n_vertices):
-        w = representative_word(ball, v)
+    for w in representative_words(ball):
         assert min(geodesic_closure(triple, w)) == w
 
 
@@ -366,7 +389,6 @@ def matrix_balls(params, radius):
         mats[0, i, i] = ring.one()
     down = np.zeros((1, 3), dtype=bool)
     norms, offsets, edges = [0], [0, 1], np.zeros((0, 3), dtype=np.int64)
-    parent, parent_gen = [-1], [-1]
     for k in range(radius):
         base, first = offsets[-2], offsets[-1]
         cands, pars, gens = [], [], []
@@ -388,18 +410,13 @@ def matrix_balls(params, radius):
         down[inv, gens] = True
         chunk = np.column_stack([pars, first + inv, gens])
         edges = np.concatenate([edges, chunk[np.lexsort(chunk.T[::-1])]])
-        par, par_gen = np.empty(n_new, dtype=np.int64), np.empty(n_new, dtype=np.int64)
-        par[inv], par_gen[inv] = pars, gens
         norms += [k + 1] * n_new
         offsets.append(first + n_new)
-        parent += par.tolist()
-        parent_gen += par_gen.tolist()
         nbr = np.full((len(norms), 3), -1, dtype=np.int64)
         nbr[edges[:, 0], edges[:, 2]] = edges[:, 1]
         nbr[edges[:, 1], edges[:, 2]] = edges[:, 0]
         yield CayleyBall(params=params, radius=k + 1, norms=np.array(norms),
-                         offsets=np.array(offsets), nbr=nbr, parent=np.array(parent),
-                         parent_gen=np.array(parent_gen))
+                         offsets=np.array(offsets), nbr=nbr)
 
 
 def _extract(ball):
@@ -415,7 +432,7 @@ def _extract(ball):
     # three factors: 2cos(pi/7) acts on a middle axis, with identities on both sides
     ((5, 7, 8), 9),
 ])
-def test_covector_ball_matches_matrix_reference(triple, radius):
+def test_ball_matches_matrix_reference(triple, radius):
     """Radius by radius: same spheres, same labelled edges and same cone types.
 
     The vertex map follows parent/parent_gen from the identity; the extracted
@@ -431,9 +448,10 @@ def test_covector_ball_matches_matrix_reference(triple, radius):
         assert np.array_equal(ball.sphere_sizes(), ref.sphere_sizes())
         phi = np.zeros(ball.n_vertices, dtype=np.int64)
         ref_nbr = ref.neighbor_table()
+        parent, parent_gen = ball.parent, ball.parent_gen
         for k in range(1, ball.radius + 1):
             vs = np.arange(ball.offsets[k], ball.offsets[k + 1])
-            phi[vs] = ref_nbr[phi[ball.parent[vs]], ball.parent_gen[vs]]
+            phi[vs] = ref_nbr[phi[parent[vs]], parent_gen[vs]]
         assert np.array_equal(np.sort(phi), np.arange(ball.n_vertices))
         mapped = np.column_stack([phi[ball.edges[:, 0]], phi[ball.edges[:, 1]],
                                   ball.edges[:, 2]])

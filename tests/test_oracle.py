@@ -13,7 +13,8 @@ from conetypes import (
     new_params,
     return_probabilities,
 )
-from reference import tits_equal, tree_return_series
+from conftest import HYPERBOLIC_12
+from reference import stepwise_returns, tits_equal, tree_return_series
 
 TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -108,6 +109,19 @@ def test_counts_beyond_int64_are_exact():
     assert rs.values == return_probabilities(build_ball(params, 24), 41).values
     assert rs.values[:40] == return_probabilities(build_ball(params, 20), 39).values
     assert all(rs.values[k] == 0 for k in range(1, 42, 2))
+
+
+HYPERBOLIC_8 = [t for t in HYPERBOLIC_12 if max(t) <= 8]
+
+
+@pytest.mark.parametrize("n_max", [11, 12])
+def test_half_length_walks_equal_stepwise_counts(n_max):
+    # an odd and an even horizon, both reaching the radius-6 ball's edge
+    assert len(HYPERBOLIC_8) == 71
+    for triple in HYPERBOLIC_8:
+        ball = build_ball(new_params(*triple), 6)
+        assert return_probabilities(ball, n_max).values == \
+            stepwise_returns(ball, n_max).values, triple
 
 
 def test_tree_series_closed_values():

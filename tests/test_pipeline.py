@@ -1,5 +1,6 @@
 """End-to-end per-group pipeline, exports, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from conetypes import (
     report_to_json,
     run_from_automaton,
     run_group,
+    run_table,
     table_params,
     table_to_csv,
     table_to_markdown,
@@ -219,6 +221,22 @@ def test_guard_checks_successor_types():
     a.state_type = swap[a.state_type]
     with pytest.raises(VerificationFailed, match="successor types"):
         check_on_ball(a, ball)
+
+
+def test_guard_compares_the_ordered_triples():
+    # both balls are the tree's out to radius 10, so only the triples differ
+    with pytest.raises(VerificationFailed, match=r"Delta\(12,12,12\) automaton on a Delta\(13"):
+        check_on_ball(extract_automaton(new_params(12, 12, 12)),
+                      build_ball(new_params(13, 13, 13), 10))
+    with pytest.raises(VerificationFailed, match=r"Delta\(4,5,6\) automaton on a Delta\(6,5,4"):
+        check_on_ball(extract_automaton(new_params(4, 5, 6)), build_ball(new_params(6, 5, 4), 6))
+
+
+def test_table_csv_digest_is_pinned():
+    # sha256 of `conetypes table --format csv`, recorded before the envelope
+    # was computed from half-length walks
+    digest = hashlib.sha256(table_to_csv(run_table()).encode()).hexdigest()
+    assert digest == "ece246b39920b4a90ae8bb9d8b248fe506b8d3c291ed7ec319960fdea90795d9"
 
 
 @pytest.mark.parametrize("triple", TABLE)
