@@ -49,7 +49,7 @@ from .pipeline import (
     table_to_csv,
     table_to_markdown,
 )
-from .ring import CosineRing, minpoly_2cos
+from .ring import minpoly_2cos
 from .upper import (
     Diverged,
     FixedPointSolution,

@@ -6,9 +6,11 @@ Howlett, Math. Ann. 1993; Parkinson & Yau, "Cone types, automata, and
 regular partitions in Coxeter groups"): with N(w) the positive roots w
 makes negative, D(w) = N(w) & E is empty at the identity, ws is longer than
 w exactly when alpha_s is not in D(w), and D(ws) = {alpha_s} | (s D(w) & E).
-Moore-minimized, these states are the labelled cone types.  A type of the
-package is an orbit of them under the admissible generator permutations,
-numbered by its shortlex-least element, as along the vertex ids of a ball.
+E and the action of the generators on it are known in closed form from the
+exponents, so no field arithmetic enters.  Moore-minimized, these states
+are the labelled cone types.  A type of the package is an orbit of them
+under the admissible generator permutations, numbered by its
+shortlex-least element, as along the vertex ids of a ball.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .coxeter import CayleyBall, GroupParams, new_params, ring_of
+from .coxeter import CayleyBall, GroupParams, new_params
 from .errors import (
-    IdentificationAmbiguity,
     MultipleTerminalSCCs,
     NotPrimitive,
     SchemaError,
     VerificationFailed,
 )
-from .ring import CosineRing
 
 
 class _Regular:
@@ -87,56 +87,92 @@ def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     return out
 
 
-def _elementary_roots(ring: CosineRing, orders: dict) -> tuple[np.ndarray, int]:
+def _elementary_roots(orders: dict) -> tuple[np.ndarray, int]:
     """act[s, i], the index of s beta_i in E or -1 if it is not in E, and the
-    number of root layers closed.
+    number of root layers closed, from the rotation orders m_st alone.
 
-    A root is its [3, dim] coefficient array over the simple roots, which
-    are roots 0, 1, 2.  E is their closure under beta -> s beta =
-    beta - 2B(alpha_s, beta) alpha_s whenever -1 < B(alpha_s, beta) < 0, with
-    B(alpha_s, alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st), m_st =
-    orders[s, t].  So s beta differs from beta in coordinate s alone, which
-    is -beta_s + sum_(t != s) 2cos(pi/m_st) beta_t, computed one product
-    per order (CosineRing.add_times_2cos), and 2B(alpha_s, beta) =
-    beta_s - (s beta)_s.  E is closed one layer of new roots at a time, the
-    images visited in (root, s) order, so the roots are numbered as a scalar
-    BFS numbers them; a sign is read, and may raise, only where that BFS
-    would read it.
+    E is the closure of the simple roots alpha_0, alpha_1, alpha_2 under
+    beta -> s beta whenever -1 < B(alpha_s, beta) < 0, with B(alpha_s,
+    alpha_s) = 1 and B(alpha_s, alpha_t) = -cos(pi/m_st); a root s beta with
+    B(alpha_s, beta) <= -1 dominates alpha_s and is not elementary.  The
+    chain of a pair {t, u} of order m is its rank-2 roots rho_k = U_k alpha_t
+    + U_(k-1) alpha_u, 0 <= k < m, U_k = sin((k+1)pi/m)/sin(pi/m), from
+    rho_0 = alpha_t to rho_(m-1) = alpha_u, with s_t rho_k = rho_(m-k) for
+    k >= 1 and s_u rho_k = rho_(m-2-k) for k <= m-2; its roots are
+    elementary, and U_k >= 1 on its inner roots.  For the third generator s,
+
+        B(alpha_s, rho_k) = -U_k cos(pi/m_st) - U_(k-1) cos(pi/m_su),
+
+    and each case of E follows from one inequality in it:
+    - every order >= 3: on an inner root B <= -cos(pi/m_st) - cos(pi/m_su)
+      <= -1, so E is the three chains;
+    - s_a and s_b commute, c the third generator: on the chain from alpha_a
+      to alpha_c, B(alpha_b, rho_k) = -U_(k-1) cos(pi/m_bc), which lies in
+      (-1, 0) at k = 1 and, unless m_ac or m_bc is 3, is at most
+      -2cos(pi/m_ac) cos(pi/m_bc) < -1 beyond, and likewise with a and b
+      swapped.  So E adds gamma =
+      s_a s_b alpha_c, with s_a gamma = s_b alpha_c and s_b gamma =
+      s_a alpha_c, and s_c sends gamma out of E: B(alpha_c, gamma) =
+      1 - 2cos^2(pi/m_bc) - 2cos^2(pi/m_ac) < -1;
+    - in addition m_xc = 3 for one x in {a, b}, y the other, and rho the
+      chain from alpha_y to alpha_c, of order q >= 7: B(alpha_x, rho_k) =
+      -U_(k-1)/2 is -cos(pi/q) at k = 2 and k = q - 2 and at most
+      -U_2/2 < -1 between.  So E adds s_x rho_2 and s_x rho_(q-2), which
+      s_x sends back to their chain roots and s_y, commuting with s_x,
+      swaps; B(alpha_c, s_x rho_k) = -U_(k+1)/2, so s_c fixes
+      s_x rho_(q-2) and sends s_x rho_2 out of E (B = -cos(3pi/q) -
+      cos(pi/q) < -1).
+    A root's layer is its depth less one, so an image with B >= 0, the root
+    itself or a shallower one, is never new: a BFS of these images in
+    (root, s) order numbers E as the closure does (Brink & Howlett, Math.
+    Ann. 1993).
     """
-    dim = ring.dim
-    two = 2 * ring.one()
-    # mix[k][s, t] = 1 where m_st = k, so the sum over t of 2cos(pi/m_st)
-    # beta_t is one product by 2cos(pi/k) of mix[k] @ beta per order k
-    mix = {}
-    for (s, t), k in orders.items():
-        mix.setdefault(k, np.zeros((3, 3), dtype=np.int64))[s, t] = 1
-    layer = np.einsum("st,d->std", np.eye(3, dtype=np.int64), ring.one())
-    index = {beta.tobytes(): i for i, beta in enumerate(layer)}
-    keys, rounds = [], 0
-    while len(layer):
-        rounds += 1
-        c = -layer  # c[:, s] becomes (s beta)_s
-        for k, A in mix.items():
-            ring.add_times_2cos(k, (A @ layer).reshape(-1, dim), c.reshape(-1, dim))
-        b = (layer - c).reshape(-1, dim)  # row (root, s)
-        images = np.repeat(layer, 3, axis=0).reshape(-1, 3, 3, dim)  # [root, s, t]
-        images.reshape(-1, 9, dim)[:, ::4] = c  # the diagonal t = s
-        images = images.reshape(-1, 3, dim)
-        signs = ring.signs(np.concatenate([b, b + two]))
-        new = []
-        for image, below, above in zip(images, signs[:len(b)], signs[len(b):]):
-            keys.append(image.tobytes())
-            if keys[-1] in index:
-                continue
-            if below is None or below < 0 and above is None:
-                i, s = divmod(len(keys) - 1, 3)
-                raise IdentificationAmbiguity(
-                    f"2B(alpha_{s}, beta_{i}) is within the float error of its sign test")
-            if below < 0 < above:
-                index[keys[-1]] = len(index)
-                new.append(image)
-        layer = np.array(new, dtype=np.int64).reshape(-1, 3, dim)
-    return np.array([index.get(k, -1) for k in keys]).reshape(-1, 3).T, rounds
+    def rho(t, u, k):
+        """rho_k of the chain from alpha_t to alpha_u: the simple root t or u
+        at its ends, else the inner root (t, u, k) with t < u."""
+        m = orders[t, u]
+        if k in (0, m - 1):
+            return u if k else t
+        return (t, u, k) if t < u else (u, t, m - 1 - k)
+
+    # the images of and into the roots outside the chains, None outside E
+    extra = {}
+    for c in range(3):
+        a, b = (t for t in range(3) if t != c)
+        if orders[a, b] != 2:
+            continue
+        extra.update({(rho(a, c, 1), b): "gamma", (rho(b, c, 1), a): "gamma",
+                      ("gamma", a): rho(b, c, 1), ("gamma", b): rho(a, c, 1),
+                      ("gamma", c): None})
+        for x, y in ((a, b), (b, a)):
+            if orders[x, c] == 3:
+                q = orders[y, c]
+                for k in (2, q - 2):
+                    extra[rho(y, c, k), x] = ("delta", k)
+                    extra[("delta", k), x] = rho(y, c, k)
+                    extra[("delta", k), y] = ("delta", q - k)
+                extra[("delta", 2), c], extra[("delta", q - 2), c] = None, ("delta", q - 2)
+
+    def image(beta, s):
+        if (beta, s) in extra:
+            return extra[beta, s]
+        if isinstance(beta, int):
+            return None if s == beta else rho(s, beta, 1)
+        t, u, k = beta
+        if s in (t, u):
+            return rho(t, u, orders[t, u] - k - 2 * (s == u))
+        return None
+
+    roots, layer, images = [0, 1, 2], [0, 0, 0], []
+    index = {beta: i for i, beta in enumerate(roots)}
+    for i, beta in enumerate(roots):  # grows while it is read
+        for s in range(3):
+            images.append(image(beta, s))
+            if images[-1] is not None and images[-1] not in index:
+                index[images[-1]] = len(roots)
+                roots.append(images[-1])
+                layer.append(layer[i] + 1)
+    return np.array([index.get(j, -1) for j in images]).reshape(-1, 3).T, layer[-1] + 1
 
 
 def _root_states(act: np.ndarray) -> np.ndarray:
@@ -216,7 +252,7 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     the number of root layers closed; "states", the number of states before
     and after minimization; and "moore_rounds", the refinement rounds.
     """
-    act, closure_rounds = _elementary_roots(ring_of(params), params.orders())
+    act, closure_rounds = _elementary_roots(params.orders())
     states = _root_states(act)
     table, moore_rounds = _minimize(states)
     state_type = _state_types(table, _admissible_perms(params))
@@ -282,7 +318,7 @@ def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
         raise VerificationFailed(f"M gives {s[k].sum()} vertices on sphere {k + 1}, "
                                  f"not {counts[k + 1].sum()}")
     inner = int(ball.offsets[R])
-    nbr = ball.neighbor_table()[:inner]
+    nbr = ball.nbr[:inner]
     # ids run sphere by sphere, so a larger neighbour id is on the next sphere
     up = np.flatnonzero(nbr > np.arange(inner)[:, None])
     got = np.bincount(up // 3 * K + types[nbr.flat[up]], minlength=inner * K).reshape(inner, K)

@@ -11,8 +11,8 @@ section 2.4).  Equivalently, the walk down from w along s', s, s', ...
 takes m(s, s') - 1 steps, each to the previous sphere, and so does the walk
 from w' along s, s', s, ...; both end at u.  Delta(l,m,n) is infinite, so
 no element has three descents, and each new vertex has one or two
-predecessors.  No field arithmetic is needed: the cosine ring (ring_of)
-serves the root closure of automaton.py only.
+predecessors.  No field arithmetic is needed, and the root closure of
+automaton.py needs none either.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     MemoryCap,
     NonHyperbolic,
 )
-from .ring import CosineRing
 
 # vertex budget of a ball; grow raises MemoryCap past it
 MAX_VERTICES = 8_000_000
@@ -79,18 +78,6 @@ def new_params(l: int, m: int, n: int) -> GroupParams:
     if p.angle_sum() >= 1:
         raise NonHyperbolic(f"1/l+1/m+1/n = {p.angle_sum()} >= 1 for {(l, m, n)}")
     return p
-
-
-def ring_of(params: GroupParams) -> CosineRing:
-    """The cosine ring of Delta(l,m,n), built once per field for the root
-    closure: orders 2 and 3 have rational cosines and add no factor, so
-    (2,3,7) shares the ring of (7,7,7)."""
-    return _field_ring(tuple(sorted({k for k in params.triple() if k >= 4})))
-
-
-@lru_cache(maxsize=8)
-def _field_ring(orders: tuple[int, ...]) -> CosineRing:
-    return CosineRing(orders)
 
 
 @dataclass
@@ -145,11 +132,6 @@ class CayleyBall:
 
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def neighbor_table(self) -> np.ndarray:
-        """nbr[v, g] is the g-neighbor of v, or -1 outside the ball; the
-        stored table itself, which grow replaces and never writes into."""
-        return self.nbr
 
     def to_json(self) -> str:
         doc = {

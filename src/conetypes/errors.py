@@ -15,8 +15,7 @@ class NonHyperbolic(ConeTypesError):
 
 class IdentificationAmbiguity(ConeTypesError):
     """Exact identification cannot decide: a ball's rank-2 cosets do not pair
-    its candidates, a ring's dimension is not its field's degree, or a sign
-    test is within its float error."""
+    its candidates (CayleyBall.grow's pairing guard)."""
 
 
 class MemoryCap(ConeTypesError):

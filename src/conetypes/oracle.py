@@ -46,8 +46,7 @@ def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
         )
     V = ball.n_vertices
     # a missing neighbour reads the always-zero entry at index V
-    nbr = ball.neighbor_table()
-    n0, n1, n2 = np.ascontiguousarray(np.where(nbr >= 0, nbr, V).T)
+    n0, n1, n2 = np.ascontiguousarray(np.where(ball.nbr >= 0, ball.nbr, V).T)
     vec = np.zeros(V + 1, dtype=dtype)
     vec[0] = 1
     values: list = [Fraction(1)]

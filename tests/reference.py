@@ -1,15 +1,15 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
 the post-fixed-point and below-least checks in Fractions, the root path one
-root and one generator at a time with np.unique minimization, dense
-reflection tensors for the oracles that multiply whole matrices, and
-helpers only the tests read.
+root and one generator at a time in the exact cosine field with np.unique
+minimization, dense reflection tensors for the oracles that multiply whole
+matrices, and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
-check the exact ring-coordinate Cayley balls without sharing any of their
-code.  The ball extraction finds the cone types of a Cayley ball by label
-layers that stabilize and an exact verifier of twisted cone isomorphisms,
+check the exact Cayley balls without sharing any of their code.  The ball
+extraction finds the cone types of a Cayley ball by label layers that
+stabilize and an exact verifier of twisted cone isomorphisms,
 escalating the radius until both succeed; it shares no code with the
 library's root-system automaton, which the tests compare against it.  Its
 own label layers are checked against from-scratch ones at one radius with
@@ -17,15 +17,16 @@ lexicographic ids, and its one-pass verifier against one depth at a time.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from conetypes import (
     ConeTypeAutomaton,
-    CosineRing,
     GroupParams,
     IdentificationAmbiguity,
     ReturnSeries,
@@ -34,6 +35,7 @@ from conetypes import (
     types_on_ball,
 )
 from conetypes.automaton import _admissible_perms, _root_states
+from conetypes.ring import _cyclotomic
 
 
 class WordCapExceeded(Exception):
@@ -67,6 +69,113 @@ def reflection_rep(params: GroupParams) -> ReflectionRep:
         e[s] = 1.0
         sigmas.append(np.eye(3) - 2.0 * np.outer(e, B @ e))
     return ReflectionRep(sigma=tuple(sigmas), gram=B)
+
+
+def _field_degree(orders) -> int:
+    """Degree over Q of the field generated by the 2cos(pi/k), k in orders.
+
+    The field lies in Q(zeta_2L), L = lcm, where the unit a mod 2L sends
+    2cos(pi/k) to 2cos(a pi/k).  So the field is fixed by the units with
+    a = +-1 mod 2k for every k, and its degree is phi(2L) over their number.
+    """
+    n = 2 * math.lcm(*orders, 1)
+    a = np.arange(n)
+    units = np.gcd(a, n) == 1
+    fixing = units.copy()
+    for k in orders:
+        fixing &= (a % (2 * k) == 1) | (a % (2 * k) == 2 * k - 1)
+    return int(units.sum()) // int(fixing.sum())
+
+
+def _field_factors(orders) -> list[int]:
+    """Orders whose bases tensor to the field of all the 2cos(pi/k).
+
+    Q(2cos(pi/a)) and Q(2cos(pi/b)) meet in Q(2cos(pi/g)), g = gcd(a, b),
+    and for g >= 2 their compositum is Q(2cos(pi/lcm)): a unit that is 1
+    mod 2a and -1 mod 2b would be 1 = -1 mod 2g.  So two orders with
+    g >= 4, whose tensor product counts Q(2cos(pi/g)) twice, merge into
+    their lcm; an order dividing another merges into it.  Orders 2 and 3
+    have rational cosines and no factor.
+    """
+    ks = {k for k in orders if k >= 4}
+    while pair := next((p for p in combinations(sorted(ks), 2) if math.gcd(*p) >= 4), None):
+        ks = ks - set(pair) | {math.lcm(*pair)}
+    return sorted(ks)
+
+
+class CosineRing:
+    """Arithmetic in the field of several 2cos(pi/k), on Chebyshev bases.
+
+    Factor f, with y = 2cos(pi/f) of degree d, has the basis 1, D_1, ...,
+    D_(d-1), D_j = 2cos(j pi/f) = D_j(y) (D_0 = 2, D_(j+1) = y D_j - D_(j-1)):
+    the lattice of the powers of y, but y D_j = D_(j+1) + D_(j-1) keeps the
+    matrices small where the minimal polynomial of y does not (coefficients
+    up to 4e12 for f = 240).  D_d follows from x^-d Phi_2f(x) = 0 at
+    x = exp(i pi/f), and 2cos(pi/k) = D_(f/k) for k dividing f.
+    """
+
+    def __init__(self, orders):
+        orders = list(orders)
+        self.factors = _field_factors(orders)
+        self.degrees = []
+        y_mul = []
+        values = np.ones(1)
+        for f in self.factors:
+            c = _cyclotomic(2 * f)
+            d = (len(c) - 1) // 2
+            # D_0 .. D_d in the basis; row j of y_mul is y times element j
+            D = np.vstack([2 * np.eye(1, d, dtype=np.int64), np.eye(d, dtype=np.int64)[1:],
+                           -np.array([c[d:2 * d]], dtype=np.int64)])
+            y_mul.append(D[1:].copy())
+            y_mul[-1][1:] += D[:d - 1]
+            self.degrees.append(d)
+            cosines = np.append(1.0, 2 * np.cos(np.pi * np.arange(1, d) / f))
+            values = np.multiply.outer(values, cosines).ravel()
+        self.dim = int(np.prod(self.degrees)) if self.degrees else 1
+        self.basis_values = values
+        # 2cos(pi/k) = D_(f/k) of the first factor f that k divides, as its
+        # d x d matrix on rows, and the size of the factors after f
+        self._factor_mul = {}
+        for k in {k for k in orders if k >= 4}:
+            idx = next(i for i, f in enumerate(self.factors) if f % k == 0)
+            x = y_mul[idx]
+            prev, cur = 2 * np.eye(len(x), dtype=np.int64), x
+            for _ in range(1, self.factors[idx] // k):
+                prev, cur = cur, x @ cur - prev
+            self._factor_mul[k] = (cur, math.prod(self.degrees[idx + 1:]))
+        degree = _field_degree(orders)
+        if self.dim != degree:
+            raise IdentificationAmbiguity(
+                f"ring of dimension {self.dim} for a field of degree {degree}: "
+                "coefficient vectors would not identify numbers"
+            )
+
+    def one(self) -> np.ndarray:
+        e = np.zeros(self.dim, dtype=np.int64)
+        e[0] = 1
+        return e
+
+    def add_times_2cos(self, k: int, x: np.ndarray, out: np.ndarray) -> None:
+        """out += x * 2cos(pi/k), for coefficient rows x and out of shape [n, dim].
+
+        2cos(pi/2) = 0 adds nothing and 2cos(pi/3) = 1 adds x.  Any other
+        2cos(pi/k) lies in one factor; its small Chebyshev matrix acts on that
+        factor's axis of x, seen as [n, before, d, after], and the identity
+        on the factors before and after it.
+        """
+        if k == 2:
+            return
+        if k == 3:
+            out += x
+            return
+        X, after = self._factor_mul[k]
+        # a last factor's axis is contiguous: one flat [rows, d] product,
+        # which numpy runs faster than a stack of [d, 1] ones
+        if after == 1:
+            prod = x.reshape(-1, len(X)) @ X
+        else:
+            prod = X.T @ x.reshape(-1, len(X), after)
+        out += prod.reshape(out.shape)
 
 
 def mul_by_2cos(ring: CosineRing, k: int) -> np.ndarray:
@@ -173,7 +282,7 @@ class TruncatedCone:
 def successor_table(ball):
     """(succ, nsucc, npred): succ[v] lists v's up-neighbors padded with -1,
     nsucc and npred count the up- and down-neighbors of each vertex."""
-    nbr = ball.neighbor_table()
+    nbr = ball.nbr
     V = ball.n_vertices
     # ids run sphere by sphere, so a neighbour is up exactly when its id is larger
     up = nbr > np.arange(V)[:, None]
@@ -209,7 +318,7 @@ def truncated_cone(ball, x: int, k: int) -> TruncatedCone:
         frontier = nxt
     verts = sorted(levels)
     vset = set(verts)
-    nbr = ball.neighbor_table()
+    nbr = ball.nbr
     edges = []
     for v in verts:
         for w in nbr[v]:
@@ -384,7 +493,7 @@ def stepwise_returns(ball, n_max: int) -> ReturnSeries:
     while 3^n_max < 2^63 bounds the counts, Python integers beyond."""
     dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
     V = ball.n_vertices
-    nbr = ball.neighbor_table()
+    nbr = ball.nbr
     n0, n1, n2 = np.ascontiguousarray(np.where(nbr >= 0, nbr, V).T)
     vec = np.zeros(V + 1, dtype=dtype)
     vec[0] = 1
@@ -584,7 +693,7 @@ def cone_levels(ball, reps: np.ndarray, depth: int) -> list:
     noff[c] .. noff[c+1] of the level, the edges eoff[c] .. eoff[c+1] and
     the nodes noff1[c] .. noff1[c+1] of the next level.
     """
-    nbr, norms = ball.neighbor_table(), ball.norms
+    nbr, norms = ball.nbr, ball.norms
     V, C = ball.n_vertices, reps.size
     cls, ver = np.arange(C), reps
     noff = np.arange(C + 1)
@@ -617,7 +726,7 @@ def twisted_maps(ball, levels: list, ys: np.ndarray, ycls: np.ndarray,
     (member, node) and (member, edge) pairs; a member leaves the batch once
     its depth is reached.
     """
-    nbr, norms = ball.neighbor_table(), ball.norms
+    nbr, norms = ball.nbr, ball.norms
     nsucc = ((nbr >= 0) & (norms[nbr] > norms[:, None])).sum(axis=1)
     V = ball.n_vertices
     mask = np.zeros(ys.size, dtype=bool)
@@ -789,12 +898,16 @@ def extract_escalating(params, radius=None, diag: dict | None = None) -> BallAut
 
 
 def scalar_sign(ring: CosineRing, x: np.ndarray) -> int:
-    """Sign of one field element with the root path's float margin; a value
-    within the margin raises IdentificationAmbiguity at once."""
+    """Sign of one field element; zero is exact, and a value within the
+    float margin raises IdentificationAmbiguity at once."""
     if not x.any():
         return 0
     terms = x * ring.basis_values
     value, size = float(terms.sum()), float(np.abs(terms).sum())
+    # a basis value 2cos(j pi/f), j < f/2, errs by less than (1.5 f + 2)
+    # eps relatively, so the float sum of the terms errs by less than
+    # (dim + 2 sum(factors) + 8) eps times the sum of their absolute values;
+    # the margin is twice that
     margin = 2 * (ring.dim + 2 * sum(ring.factors) + 8) * np.finfo(float).eps * size
     if abs(value) <= margin:
         raise IdentificationAmbiguity(f"root form {value!r} is within its error {margin:.1e}")

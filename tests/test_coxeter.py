@@ -13,7 +13,6 @@ import pytest
 
 from conetypes import (
     CayleyBall,
-    CosineRing,
     IdentificationAmbiguity,
     InvalidParameter,
     MemoryCap,
@@ -24,6 +23,7 @@ from conetypes import (
 )
 from conetypes import coxeter
 from reference import (
+    CosineRing,
     NotStabilized,
     WordCapExceeded,
     extract_from_ball,
@@ -242,7 +242,7 @@ def test_grown_ball_equals_fresh_build(triple):
         for name in ("norms", "offsets", "edges", "parent", "parent_gen", "_down"):
             got, want = getattr(ball, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert np.array_equal(ball.neighbor_table(), fresh.neighbor_table())
+        assert np.array_equal(ball.nbr, fresh.nbr)
         # the walks of the last sphere, from which the next grow continues
         for name in ("_len", "_end"):
             assert np.array_equal(getattr(ball, name), getattr(fresh, name)), name
@@ -447,7 +447,7 @@ def test_ball_matches_matrix_reference(triple, radius):
             ball.grow()
         assert np.array_equal(ball.sphere_sizes(), ref.sphere_sizes())
         phi = np.zeros(ball.n_vertices, dtype=np.int64)
-        ref_nbr = ref.neighbor_table()
+        ref_nbr = ref.nbr
         parent, parent_gen = ball.parent, ball.parent_gen
         for k in range(1, ball.radius + 1):
             vs = np.arange(ball.offsets[k], ball.offsets[k + 1])

@@ -76,7 +76,7 @@ def is_click_command(node: ast.FunctionDef) -> bool:
 
 
 # read by the benchmark's warm-up only; it leaves src/ with the benchmark's
-# dead metrics (ROADMAP item 2)
+# dead metrics (ROADMAP item 5)
 UNREAD_PUBLIC = {"ring.py:minpoly_2cos"}
 
 
@@ -90,7 +90,7 @@ def test_no_public_function_only_tests_read():
 
 
 # read by the benchmark's trace hook only; it leaves src/ with the
-# benchmark's dead metrics (ROADMAP item 2)
+# benchmark's dead metrics (ROADMAP item 5)
 UNREAD_FIELDS = {"upper.py:FoldResult.fallback"}
 
 
@@ -108,3 +108,18 @@ def test_no_field_only_tests_read():
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
             and item.target.id not in read]
     assert sorted(dead) == sorted(UNREAD_FIELDS)
+
+
+def test_only_the_package_reexport_reads_the_ring_module():
+    # the balls and the elementary roots are built from the exponents, so
+    # no library module does field arithmetic; the package re-exports
+    # minpoly_2cos for the benchmark's warm-up
+    reads = set()
+    for name, tree in library_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and name != "ring.py":
+                module = "." * node.level + (node.module or "")
+                reads.update((name, a.name) for a in node.names
+                             if module in (".ring", "conetypes.ring")
+                             or module in (".", "conetypes") and a.name == "ring")
+    assert reads == {("__init__.py", "minpoly_2cos")}

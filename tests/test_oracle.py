@@ -85,7 +85,7 @@ def test_half_radius_ball_is_exact(census_data, triple):
 
 def loop_returns(ball, n_max):
     """Reference: walk counts in Python integers, one edge at a time."""
-    nbr = ball.neighbor_table().tolist()
+    nbr = ball.nbr.tolist()
     counts = {0: 1}
     values = [Fraction(1)]
     for k in range(1, n_max + 1):

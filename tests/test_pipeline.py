@@ -36,7 +36,7 @@ from conetypes import (
     table_to_csv,
     table_to_markdown,
 )
-from conetypes import cli, coxeter, pipeline
+from conetypes import cli, pipeline
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
 from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS, counted_solves
@@ -332,30 +332,6 @@ def test_run_from_automaton_rejects_inconsistent_block(data444):
         run_from_automaton("/no/such/file.json")  # not document text
     result = CliRunner().invoke(main, ["from-automaton", "/no/such/file.json"])
     assert result.exit_code == 2
-
-
-def test_run_group_builds_one_ring_for_automaton_and_ball(monkeypatch):
-    # the automaton's root closure builds one ring per field and the checked
-    # ball none: two triples, two rings, and a rerun builds none.  Orders 2
-    # and 3 add no factor, and the order of the exponents does not matter
-    built = []
-
-    def counted(orders):
-        built.append(tuple(orders))
-        return real(orders)
-
-    real = coxeter.CosineRing
-    monkeypatch.setattr(coxeter, "CosineRing", counted)
-    coxeter._field_ring.cache_clear()
-    for triple in [(3, 4, 5), (2, 3, 7), (3, 4, 5)]:
-        report = run_group(new_params(*triple))
-        assert report.ok and "ball" in report.diagnostics["timings"]
-    assert len(built) == 2
-    for same_field in [[(2, 3, 7), (7, 7, 7)], [(3, 4, 5), (5, 4, 3), (2, 4, 5)]]:
-        built.clear()
-        coxeter._field_ring.cache_clear()
-        rings = {id(coxeter.ring_of(new_params(*triple))) for triple in same_field}
-        assert len(rings) == len(built) == 1, same_field
 
 
 def test_report_json_shape():

@@ -1,4 +1,5 @@
-"""Exact cosine-ring arithmetic against high-precision numeric oracles."""
+"""minpoly_2cos, and the exact cosine ring of the elementary-root oracle in
+tests/reference.py, against high-precision numeric oracles."""
 
 import math
 from fractions import Fraction
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 import sympy
 
-from conetypes import CosineRing, minpoly_2cos, new_params
-from reference import mul_by_2cos, reflection_rep, reflection_tensors
+import reference
+from conetypes import IdentificationAmbiguity, minpoly_2cos, new_params
+from reference import CosineRing, mul_by_2cos, reflection_rep, reflection_tensors, scalar_sign
 
 mpmath.mp.dps = 50
 
@@ -150,13 +152,20 @@ def test_ring_dimension_is_the_field_degree():
 def test_ring_refuses_a_dimension_off_the_field_degree(monkeypatch):
     # coefficient vectors identify numbers only when the ring's dimension is
     # the field's degree
-    from conetypes import IdentificationAmbiguity, ring
-
-    degree = ring._field_degree
-    monkeypatch.setattr(ring, "_field_degree", lambda orders: degree(orders) + 1)
+    degree = reference._field_degree
+    monkeypatch.setattr(reference, "_field_degree", lambda orders: degree(orders) + 1)
     with pytest.raises(IdentificationAmbiguity,
                        match="^ring of dimension 2 for a field of degree 3:"):
         CosineRing((4, 4, 4))
+
+
+def test_root_sign_test_refuses_what_floats_cannot_decide():
+    ring = CosineRing((4, 4, 4))  # basis 1, sqrt 2
+    assert [scalar_sign(ring, np.array(x)) for x in ([0, 0], [3, -2], [-3, 2])] == [0, 1, -1]
+    # a Pell pair: 22619537 - 15994428 sqrt 2 = 2.2e-8, below the float
+    # error bound of terms near 2.3e7, has no sign
+    with pytest.raises(IdentificationAmbiguity, match="^root form .* is within its error"):
+        scalar_sign(ring, np.array([22619537, -15994428]))
 
 
 def test_ring_basis_values_match_math_cos():

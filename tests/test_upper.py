@@ -734,17 +734,17 @@ def test_fold_search_work_on_committed_documents():
 
 
 def test_upper_bound_on_large_triples():
-    # K from 56 to 240 and ring dimensions in the thousands: every stage
-    # runs, the fold search is still the closed-form start and the one
-    # Diverged confirm, the certificate lies within 2e-12 of rho_T, and the
-    # Perron vector of M~, whose smallest entries fall below 1e-16 of the
-    # largest from (56,56,56) on, is positive, each entry's residual within
-    # 1e-12 of the entry itself.  The budget is CPU time of this process,
-    # which other load on the machine does not move, and the work itself is
-    # bounded by counts: two Newton steps and at most six bordered steps
+    # K from 58 to 396: every stage runs, the fold search is still the
+    # closed-form start and the one Diverged confirm, the certificate lies
+    # within 2e-12 of rho_T, and the Perron vector of M~, whose smallest
+    # entries fall below 1e-16 of the largest from (56,56,56) on, is
+    # positive, each entry's residual within 1e-12 of the entry itself.
+    # The budget is CPU time of this process, which other load on the
+    # machine does not move, and the work itself is bounded by counts: two
+    # Newton steps and at most six bordered steps
     elapsed = 0.0
     for triple in [(56, 56, 56), (60, 60, 60), (64, 64, 64), (3, 68, 68), (30, 40, 50),
-                   (37, 41, 43), (2, 3, 97)]:
+                   (37, 41, 43), (61, 67, 71), (2, 3, 97)]:
         ra = reduce_automaton(extract_automaton(new_params(*triple)))
         with counted_solves() as solves:
             start = time.process_time()
