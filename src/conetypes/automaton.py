@@ -295,40 +295,41 @@ def types_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> np.ndarray:
 def check_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> None:
     """Raise VerificationFailed unless the automaton agrees with the ball.
 
-    The automaton must be for the ball's ordered triple.  The type counts s_k
-    of the typed ball's spheres must satisfy r_j s_(k+1)(j) = sum_i s_k(i) M_ij,
-    whole through sphere R + 1, and every vertex inside the last sphere must
-    have the successor types of its row of M.
+    The automaton must be for the ball's ordered triple.  Every vertex must
+    have r of its type predecessors, every vertex inside the last sphere the
+    successor types of its row of M, and the type counts of sphere R, times
+    M, must be whole multiples of r on sphere R + 1.  These local facts give
+    the count recursion r_j s_(k+1)(j) = sum_i s_k(i) M_ij on every sphere k
+    < R: the graph is bipartite, so each of a vertex's 3 neighbours is a
+    predecessor or a successor, and the edges from sphere k to the type-j
+    vertices of sphere k + 1 number sum_i s_k(i) M_ij by the successor rows
+    and r_j s_(k+1)(j) by the predecessor counts.
     """
     if a.params is not None and a.params != ball.params:
         raise VerificationFailed(f"a {a.params.name()} automaton on a {ball.params.name()} ball")
     types = types_on_ball(a, ball)
-    K, R, r = a.K_total, ball.radius, a.r
-    counts = np.bincount(ball.norms.astype(np.int64) * K + types,
-                         minlength=(R + 1) * K).reshape(R + 1, K)
-    # at the first failing sphere k + 1: wholeness and size, successors, counts
-    into = counts @ a.M
-    s, rem = np.divmod(into, np.maximum(r, 1))
-    whole = ~(rem.any(axis=1) | into[:, r <= 0].any(axis=1))
-    same = np.append((s[:-1] == counts[1:]).all(axis=1), True)
-    k = int(np.argmin(whole & same))
-    if not whole[k]:
-        raise VerificationFailed(f"M gives no whole type counts on sphere {k + 1}")
-    if s[k].sum() != counts[k + 1].sum():
-        raise VerificationFailed(f"M gives {s[k].sum()} vertices on sphere {k + 1}, "
-                                 f"not {counts[k + 1].sum()}")
-    inner = int(ball.offsets[R])
-    nbr = ball.nbr[:inner]
-    # ids run sphere by sphere, so a larger neighbour id is on the next sphere
-    up = np.flatnonzero(nbr > np.arange(inner)[:, None])
-    got = np.bincount(up // 3 * K + types[nbr.flat[up]], minlength=inner * K).reshape(inner, K)
+    K, r, inner = a.K_total, a.r, int(ball.offsets[-2])
+    # ids run sphere by sphere, so a smaller neighbour id is on the sphere
+    # below and a larger one on the sphere above; the -1 of a missing
+    # neighbour, read unsigned, is the largest id
+    ids = np.arange(ball.n_vertices)[:, None]
+    down = np.flatnonzero(ball.nbr.view(np.uint64) < ids.view(np.uint64))
+    pred = np.bincount(down // 3, minlength=ball.n_vertices)
+    bad = np.flatnonzero(pred != r[types])
+    if bad.size:
+        v = bad[0]
+        raise VerificationFailed(f"vertex {v} on sphere {ball.norms[v]} has {pred[v]} predecessors, "
+                                 f"not the r = {r[types[v]]} of its type {types[v]}")
+    up = np.flatnonzero(ball.nbr[:inner] > ids[:inner])
+    got = np.bincount(up // 3 * K + types[ball.nbr.flat[up]], minlength=inner * K).reshape(inner, K)
     bad = np.flatnonzero(got != a.M.take(types[:inner], axis=0)) // K
     if bad.size:
-        raise VerificationFailed(f"vertex {bad[0]} has successor types {got[bad[0]].tolist()}, "
-                                 f"not the row of its type {types[bad[0]]}")
-    if not same[k]:
-        raise VerificationFailed(f"M gives type counts {s[k].tolist()} on sphere {k + 1}, "
-                                 f"the ball {counts[k + 1].tolist()}")
+        v = bad[0]
+        raise VerificationFailed(f"vertex {v} on sphere {ball.norms[v]} has successor types "
+                                 f"{got[v].tolist()}, not the row of its type {types[v]}")
+    into = np.bincount(types[inner:], minlength=K) @ a.M
+    if (into % np.maximum(r, 1)).any() or into[r <= 0].any():
+        raise VerificationFailed(f"M gives no whole type counts on sphere {ball.radius + 1}")
 
 
 def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:

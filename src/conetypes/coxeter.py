@@ -98,11 +98,9 @@ class CayleyBall:
     norms: np.ndarray
     offsets: np.ndarray
     nbr: np.ndarray
-    # the last sphere, from which grow() continues: its descent sets (the
-    # generators leading back to the previous sphere) and, for each ordered
-    # pair (g, h) with g != h, the number of steps of the walk down from it
-    # along g, h, g, ... and the vertex where that walk ends
-    _down: np.ndarray | None = field(default=None, repr=False)
+    # the last sphere, from which grow() continues: for each ordered pair
+    # (g, h) with g != h, the number of steps of the walk down from it along
+    # g, h, g, ... and the vertex where that walk ends
     _len: np.ndarray | None = field(default=None, repr=False)
     _end: np.ndarray | None = field(default=None, repr=False)
 
@@ -152,24 +150,25 @@ class CayleyBall:
     def grow(self) -> None:
         """Add the next sphere in place; every existing id is kept.
 
-        Each last-sphere vertex w is expanded along its non-descent
-        generators s; bipartiteness puts every candidate ws on the next
-        sphere, and np.nonzero(~_down) gives the candidates in shortlex
-        rank 3 w + s.  Candidate ws is paired through s' != s when the walk
-        down from w along s', s, s', ... takes m(s, s') - 1 steps; its key
-        is that walk's end and the pair {s, s'}, and the two candidates of
-        one key are one vertex.  Unless every key occurs exactly twice and
-        no candidate pairs through both other generators,
-        IdentificationAmbiguity is raised before anything changes.  A new
-        vertex takes the least rank of its candidates, which is its
-        shortlex position.  The table gains the new rows, holding their
-        down-links, and the last sphere's up-links; the new descent sets
-        are the new rows' links, and a new vertex's walk along g, h, ...
-        with g a descent is one step to the last sphere followed by that
-        vertex's walk along h, g, ....
+        The last sphere's rows of nbr hold only down-links, so its descent
+        sets (the generators leading back to the previous sphere) are the
+        rows' links, and each last-sphere vertex w is expanded along its
+        missing links s; bipartiteness puts every candidate ws on the next
+        sphere, and np.nonzero gives the candidates in shortlex rank 3 w + s.
+        Candidate ws is paired through s' != s when the walk down from w
+        along s', s, s', ... takes m(s, s') - 1 steps; its key is that walk's
+        end and the pair {s, s'}, and the two candidates of one key are one
+        vertex.  Unless every key occurs exactly twice and no candidate
+        pairs through both other generators, IdentificationAmbiguity is
+        raised before anything changes.  A new vertex takes the least rank
+        of its candidates, which is its shortlex position.  The table gains
+        the new rows, holding their down-links, and the last sphere's
+        up-links; a new vertex's walk along g, h, ... with g a descent is one
+        step to the last sphere followed by that vertex's walk along
+        h, g, ....
         """
         k = self.radius
-        cand = ~self._down
+        cand = self.nbr[self.offsets[-2]:] < 0
         rank = np.flatnonzero(cand)
         # column (s', s) of vertex w pairs the candidate w s through s' when
         # its walk reaches m(s, s') - 1 steps; the key is the walk's end
@@ -209,7 +208,6 @@ class CayleyBall:
         self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
         self.offsets = np.append(self.offsets, first_id + n_new)
         self.nbr = nbr
-        self._down = new_rows >= 0
         self._len = np.where(step, self._len.take(at) + 1, 0)
         self._end = np.where(step, self._end.take(at),
                              np.arange(first_id, first_id + n_new)[:, None])
@@ -225,7 +223,6 @@ def build_ball(params: GroupParams, radius: int) -> CayleyBall:
         norms=np.zeros(1, dtype=np.int16),
         offsets=np.array([0, 1], dtype=np.int64),
         nbr=np.full((1, 3), -1, dtype=np.int64),
-        _down=np.zeros((1, 3), dtype=bool),
         _len=np.zeros((1, 6), dtype=np.int64),
         _end=np.zeros((1, 6), dtype=np.int64),
     )

@@ -23,8 +23,8 @@ class MemoryCap(ConeTypesError):
 
 
 class VerificationFailed(ConeTypesError):
-    """The automaton disagrees with a Cayley ball on sphere sizes or successor
-    types, or has no transitions to type the ball's vertices."""
+    """The automaton disagrees with a Cayley ball at a vertex or on the sphere
+    beyond it, or has no transitions to type the ball's vertices."""
 
 
 class MultipleTerminalSCCs(ConeTypesError):

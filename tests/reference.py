@@ -478,6 +478,32 @@ def sphere_type_census(ball, a) -> np.ndarray:
     return counts
 
 
+def census_refuses(ball, a) -> bool:
+    """Whether the automaton fails the ball by sphere counts: the census s_k
+    against r_j s_(k+1)(j) = sum_i s_k(i) M_ij, with whole counts on sphere
+    R + 1, and each vertex inside the last sphere against its row of M, its
+    successors read as the neighbours one sphere further out.  A ball the
+    automaton cannot type is refused."""
+    try:
+        census = sphere_type_census(ball, a)
+    except VerificationFailed:
+        return True
+    into, r = census @ a.M, a.r
+    if (into[:-1] != r * census[1:]).any():
+        return True
+    if (into[-1] % np.maximum(r, 1)).any() or into[-1][r <= 0].any():
+        return True
+    types, norms, M = types_on_ball(a, ball).tolist(), ball.norms.tolist(), a.M.tolist()
+    for v in range(int(ball.offsets[-2])):
+        row = [0] * a.K_total
+        for w in ball.nbr[v].tolist():
+            if w >= 0 and norms[w] == norms[v] + 1:
+                row[types[w]] += 1
+        if row != M[types[v]]:
+            return True
+    return False
+
+
 def representative_words(ball) -> list[tuple[int, ...]]:
     """A geodesic word for every vertex, read off the BFS parent chain."""
     parent, gen = ball.parent.tolist(), ball.parent_gen.tolist()

@@ -3,6 +3,7 @@ extraction's own checks, reduction, and export."""
 
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -561,8 +562,9 @@ def test_ball_typing_refuses_a_missing_transition():
 
 def test_ball_check_refuses_fractional_type_counts():
     # one of the root's successors moved to a type with r >= 2, in the same
-    # row so that r is unchanged: sphere 1 then holds a count of that type
-    # that its r does not divide
+    # row so that r is unchanged: sphere 1 would then hold a count of that
+    # type that its r does not divide, and the identity's successor types
+    # are off its row
     params = new_params(4, 4, 4)
     a = extract_automaton(params)
     root, r = a.root_type, a.r
@@ -572,8 +574,70 @@ def test_ball_check_refuses_fractional_type_counts():
     a.M[root, j] -= 1
     a.M[root, i] += 1
     assert np.array_equal(a.r, r)
-    with pytest.raises(VerificationFailed, match="no whole type counts on sphere 1$"):
+    with pytest.raises(VerificationFailed, match="^vertex 0 on sphere 0 has successor types"):
         check_on_ball(a, build_ball(params, 3))
+
+
+def test_ball_check_refuses_a_successor_lost_on_the_last_sphere():
+    # type 7 of (7,7,7), with r = 2, first appears on sphere 7: at radius 7
+    # no vertex has its successor row, and only the predecessor counts of
+    # the last sphere see a successor removed from it
+    params = new_params(7, 7, 7)
+    a = extract_automaton(params)
+    ball = build_ball(params, 7)
+    assert a.r[7] == 2 and ball.norms[np.flatnonzero(types_on_ball(a, ball) == 7)].min() == 7
+    a.M = a.M.copy()
+    a.M[7, np.flatnonzero(a.M[7])[0]] -= 1
+    with pytest.raises(VerificationFailed, match="^vertex 190 on sphere 7 has 2 predecessors"):
+        check_on_ball(a, ball)
+
+
+CORRUPTIONS = ("retarget", "swap", "move", "plus_minus")
+
+
+def _corrupt(a: ConeTypeAutomaton, kind: str, rng) -> ConeTypeAutomaton:
+    """A corrupted copy of the automaton: a transition retargeted, two types
+    swapped, an M entry moved within its row, or an M entry off by one."""
+    a = replace(a, M=a.M.copy(), transitions=a.transitions.copy())
+    K = a.K_total
+    if kind == "retarget":
+        q, s = rng.choice(np.argwhere(a.transitions >= 0))
+        a.transitions[q, s] = rng.integers(len(a.transitions))
+    elif kind == "swap":
+        i, j = rng.choice(K, 2, replace=False)
+        perm = np.arange(K)
+        perm[[i, j]] = j, i
+        a.state_type = perm[a.state_type]
+    elif kind == "move":
+        i, j = rng.choice(np.argwhere(a.M > 0))
+        a.M[i, j] -= 1
+        a.M[i, rng.choice(np.delete(np.arange(K), j))] += 1
+    else:
+        a.M[tuple(rng.integers(K, size=2))] += rng.choice([-1, 1])
+    return a
+
+
+def test_ball_check_refuses_what_the_census_refuses():
+    # the local guard against the sphere counts and successor rows of
+    # reference.census_refuses, on a seeded corpus of corruptions
+    refused = Counter()
+    for triple in [(2, 3, 7), (2, 4, 5), (3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 5, 7), (7, 7, 7)]:
+        params = new_params(*triple)
+        a = extract_automaton(params)
+        for R in (3, 6):
+            ball = build_ball(params, R)
+            for k, kind in enumerate(CORRUPTIONS):
+                rng = np.random.default_rng([*triple, R, k])
+                for _ in range(16):
+                    bad = _corrupt(a, kind, rng)
+                    try:
+                        check_on_ball(bad, ball)
+                        got = False
+                    except VerificationFailed:
+                        got = True
+                    assert got == reference.census_refuses(ball, bad), (triple, R, kind)
+                    refused[kind, got] += 1
+    assert all(refused[kind, True] and refused[kind, False] for kind in CORRUPTIONS), refused
 
 
 def test_json_refuses_booleans_in_integer_arrays():

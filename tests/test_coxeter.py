@@ -239,10 +239,12 @@ def test_grown_ball_equals_fresh_build(triple):
     while ball.radius < 13:
         ball.grow()
         fresh = build_ball(params, ball.radius)
-        for name in ("norms", "offsets", "edges", "parent", "parent_gen", "_down"):
+        for name in ("norms", "offsets", "edges", "parent", "parent_gen"):
             got, want = getattr(ball, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.array_equal(ball.nbr, fresh.nbr)
+        # the last sphere's rows, whose links are its descent sets
+        assert np.array_equal(*(b.nbr[b.offsets[-2]:] >= 0 for b in (ball, fresh))), "descents"
         # the walks of the last sphere, from which the next grow continues
         for name in ("_len", "_end"):
             assert np.array_equal(getattr(ball, name), getattr(fresh, name)), name
@@ -323,10 +325,12 @@ def test_pairing_guard_raises(triple):
     params = new_params(*triple)
     ball = build_ball(params, 5)
     before = {name: getattr(ball, name).copy()
-              for name in ("norms", "offsets", "nbr", "parent", "parent_gen", "_down")}
-    # the column (g, h) of a vertex that h does not lead back from
+              for name in ("norms", "offsets", "nbr", "parent", "parent_gen")}
+    # the column (g, h) of a vertex that h does not lead back from: its
+    # last-sphere row has no h-link
+    last = ball.nbr[ball.offsets[-2]:]
     x, c = next((x, c) for x in range(ball._len.shape[0]) for c in range(6)
-                if ball._len[x, c] == 0 and not ball._down[x, coxeter._PAIR_H[c]])
+                if ball._len[x, c] == 0 and last[x, coxeter._PAIR_H[c]] < 0)
     g, h = coxeter._PAIR_G[c], coxeter._PAIR_H[c]
     ball._len[x, c] = params.orders()[g, h] - 1
     with pytest.raises(IdentificationAmbiguity, match="radius 6"):
