@@ -338,6 +338,16 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
     That component is the set of types every type reaches; the set is empty
     when there are two or more terminal components.  The 0/1 matrix
     products are float64 products clipped to 1, exact on 0/1 entries.
+
+    The primitivity exponent p, the least k with S^k > 0 for the component's
+    0/1 matrix S, is found by binary lifting.  Positivity is monotone in k:
+    an irreducible S has no zero column, so S^k > 0 gives
+    S^(k+1) = S^k S > 0.  So S is squared until S^(2^J) > 0, and the
+    largest e < 2^J with S^e not positive is read off bit by bit from the
+    top, keeping a lower power S^(2^j) in the product when the product
+    stays non-positive; p = e + 1, in about 2 log2 p products instead of p.
+    A primitive S has p <= (KT - 1)^2 + 1 <= KT^2 (Wielandt), so squaring
+    past exponent KT^2 without a positive power raises NotPrimitive.
     """
     K = a.K_total
     reach = np.maximum(a.M > 0, np.eye(K))
@@ -348,14 +358,17 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
         raise MultipleTerminalSCCs("no type is reached from every type")
     MT = a.M[np.ix_(idx, idx)]
     KT = len(idx)
-    step = (MT > 0).astype(float)
-    power, p = step, 1
-    while not power.all():
-        if p > KT * KT:
+    lifts = [(MT > 0).astype(float)]  # S^(2^j)
+    while not lifts[-1].all():
+        if 2 ** (len(lifts) - 1) > KT * KT:
             raise NotPrimitive(f"no positive power up to exponent {KT * KT}")
-        power = np.minimum(power @ step, 1.0)
-        p += 1
-    return ReducedAutomaton(types=tuple(int(t) for t in idx), M=MT, degree=a.degree, p=p)
+        lifts.append(np.minimum(lifts[-1] @ lifts[-1], 1.0))
+    e, below = 0, None  # below = S^e, not positive (None for e = 0)
+    for j in range(len(lifts) - 2, -1, -1):
+        power = lifts[j] if below is None else np.minimum(below @ lifts[j], 1.0)
+        if not power.all():
+            e, below = e + 2 ** j, power
+    return ReducedAutomaton(types=tuple(int(t) for t in idx), M=MT, degree=a.degree, p=e + 1)
 
 
 def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:

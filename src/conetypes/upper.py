@@ -6,11 +6,14 @@ w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
 Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
 
 R_F is found by Newton on the bordered fold system (Phi(w) - w,
-J(w) u - u, sum(u) - 1) in (w, u, z), started at z = 1 from Newton's first
-step from 0: J(0) = 0 gives w = z p_minus and x = 1, so u = x / sum(x) = 1/K.
-The start sets only whether the search converges: the polished (w, u, z)
-is accepted only if z lies above 1 with u > 0, the exact check below proves
-w a post-fixed point at z (1 - 1e-12), and the minimal solution does not
+J(w) u - u, sum(u) - 1) in (w, u, z), started at the fold of the radial
+walk, which steps back with the mean probability pbar = mean(p_minus):
+z0 = 1/(2 sqrt(pbar (1 - pbar))), w0 = sqrt(pbar / (1 - pbar)) in every
+entry and u0 = 1/K (Woess, Random Walks on Infinite Graphs and Groups,
+2000), the exact fold of the 3-regular tree (_radial_fold).  The start
+sets only whether the search converges: the polished (w, u, z) is accepted
+only if z lies above 1 with u > 0, the exact check below proves w a
+post-fixed point at z (1 - 1e-12), and the minimal solution does not
 exist at z (1 + 1e-12).  That solve, the search's only one, starts just
 below the fold, from v = w - t u with t = sqrt(1e-12) max(w) / max(u),
 which a second exact check, is_below_least, first proves to lie below
@@ -228,10 +231,8 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     [[J(w) - I, 0, Phi/z], [J(u), J(w) - I, J(w)u/z], [0, 1, 0]] (using
     J(w) u = J(u) w, so d(J(w) u)/dw = J(u)) is refilled in place each step,
     its three diagonals written through strided views of the flat array.
-    fold_point starts it from Newton's first step from 0 at z = 1, which
-    lies below the least solution; from w0 = 0 itself it fails on some
-    committed documents.  Returns (w, u, z, residual, linear solves made),
-    or None on failure.
+    fold_point starts it at the radial walk's fold (_radial_fold).
+    Returns (w, u, z, residual, linear solves made), or None on failure.
     """
     K = w0.size
     n = 2 * K + 1
@@ -275,22 +276,44 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     return None
 
 
+def _radial_fold(spec: TreeWalkSpec):
+    """The fold (w0, u0, z0) of the radial walk, the start of _fold_newton.
+
+    The walk on N that steps back with pbar = mean(p_minus) and forward
+    with 1 - pbar has first-return series w = z (pbar + (1 - pbar) w^2),
+    whose discriminant 1 - 4 z^2 pbar (1 - pbar) vanishes at
+    z0 = 1/(2 sqrt(pbar (1 - pbar))), the inverse of the radial walk's
+    spectral radius, with the double root w0 = sqrt(pbar / (1 - pbar)) in
+    every entry and u0 = 1/K.  Row i of Mp sums to 1 - p_minus_i, so with
+    every w_j = c the system's row i reads c = z (p_i + (1 - p_i) c^2): the
+    radial walk's system is this one averaged over the rows, and the exact
+    fold of the 3-regular tree (K = 1, pbar = 1/3).  With pbar = 0 no type
+    steps back, the least solution is 0 for every z, and there is no fold:
+    NotConverged.
+    """
+    K = spec.p_minus.size
+    pbar = float(spec.p_minus.mean())
+    if not 0.0 < pbar < 1.0:
+        raise NotConverged(f"no radial-walk fold at mean step-back probability {pbar}")
+    return (np.full(K, (pbar / (1.0 - pbar)) ** 0.5), np.full(K, 1.0 / K),
+            0.5 / (pbar * (1.0 - pbar)) ** 0.5)
+
+
 def fold_point(spec: TreeWalkSpec) -> FoldResult:
     """Locate R_F: bordered Newton from a closed-form start, two-sided confirm.
 
-    Newton on the fold system starts from (w, u, z) = (p_minus, 1/K, 1):
-    Newton's first iterate from 0 at z = 1 (w = z p_minus, x = 1), with
-    u = x / sum(x).  The polished (w, u, z) is accepted only with z above 1
+    Newton on the fold system starts from the radial walk's fold
+    (_radial_fold).  The polished (w, u, z) is accepted only with z above 1
     and u > 0, when is_post_fixed_point proves w >= 0 a post-fixed point at
     z (1 - CERT_MARGIN), and when the solver diverges at z (1 + CERT_MARGIN)
     from the start v = w - t u, t = sqrt(CERT_MARGIN) max(w) / max(u), which
     is_below_least first proves to lie below every fixed point there; else
     NotConverged.  That confirm is the search's one fixed-point solve.
     """
-    K = spec.p_minus.size
-    polished = _fold_newton(spec, spec.p_minus, np.full(K, 1.0 / K), 1.0)
+    w0, u0, z0 = _radial_fold(spec)
+    polished = _fold_newton(spec, w0, u0, z0)
     if polished is None:
-        raise NotConverged("bordered Newton failed from z = 1")
+        raise NotConverged(f"bordered Newton failed from the radial-walk fold z = {z0}")
     w, u, z, res, bordered_steps = polished
     if not (z > 1.0 and (u > 0).all()):
         raise NotConverged(f"polished fold z = {z} not above 1 or u not positive")

@@ -3,6 +3,7 @@
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from conetypes import (
     reduce_automaton,
 )
 from reference import extract_escalating
+
+# the committed cta-1 documents of the benchmark's automata workload
+DOCUMENTS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "automata").glob("cta-*.json"))
 
 TABLE = [
     (2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 5), (2, 6, 6),

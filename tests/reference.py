@@ -3,7 +3,8 @@ reflections, truncated-cone isomorphism, the ball extraction of cone types,
 the post-fixed-point and below-least checks in Fractions, the root path one
 root and one generator at a time in the exact cosine field with np.unique
 minimization, dense reflection tensors for the oracles that multiply whole
-matrices, and helpers only the tests read.
+matrices, the reduction with one matrix power per unit of the primitivity
+exponent, and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -29,6 +30,9 @@ from conetypes import (
     ConeTypeAutomaton,
     GroupParams,
     IdentificationAmbiguity,
+    MultipleTerminalSCCs,
+    NotPrimitive,
+    ReducedAutomaton,
     ReturnSeries,
     VerificationFailed,
     build_ball,
@@ -1004,18 +1008,34 @@ def root_automaton_reference(params: GroupParams) -> tuple[np.ndarray, ConeTypeA
                                   state_type=state_type)
 
 
-def cta1_reference(a: ConeTypeAutomaton) -> str:
-    """The cta-1 document of a, with the reduction by boolean matrix powers
-    and every number converted one at a time."""
+def reduce_stepwise(a: ConeTypeAutomaton) -> ReducedAutomaton:
+    """reduce_automaton with the primitivity exponent found one power at a
+    time: S, S^2, S^3, ... until a power is positive, one dense product per
+    unit of p, and NotPrimitive past exponent KT^2."""
     K = a.K_total
-    reach = (a.M > 0) | np.eye(K, dtype=bool)
+    reach = np.maximum(a.M > 0, np.eye(K))
     for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
-        reach = reach @ reach
+        reach = np.minimum(reach @ reach, 1.0)
     idx = np.flatnonzero(reach.all(axis=0))
+    if idx.size == 0:
+        raise MultipleTerminalSCCs("no type is reached from every type")
     MT = a.M[np.ix_(idx, idx)]
-    power, p = MT > 0, 1
+    KT = len(idx)
+    step = (MT > 0).astype(float)
+    power, p = step, 1
     while not power.all():
-        power, p = power @ (MT > 0), p + 1
+        if p > KT * KT:
+            raise NotPrimitive(f"no positive power up to exponent {KT * KT}")
+        power = np.minimum(power @ step, 1.0)
+        p += 1
+    return ReducedAutomaton(types=tuple(int(t) for t in idx), M=MT, degree=a.degree, p=p)
+
+
+def cta1_reference(a: ConeTypeAutomaton) -> str:
+    """The cta-1 document of a, with the stepwise reduction and every number
+    converted one at a time."""
+    K = a.K_total
+    ra = reduce_stepwise(a)
     doc = {
         "schema": "cta-1",
         "params": list(a.params.triple()),
@@ -1024,7 +1044,7 @@ def cta1_reference(a: ConeTypeAutomaton) -> str:
         "M": [[int(x) for x in row] for row in a.M],
         "d": [a.degree] * K,
         "r": [int(x) for x in a.r],
-        "reduced": {"types": [int(t) for t in idx],
-                    "M": [[int(x) for x in row] for row in MT], "p": p},
+        "reduced": {"types": list(ra.types),
+                    "M": [[int(x) for x in row] for row in ra.M], "p": ra.p},
     }
     return json.dumps(doc, sort_keys=True)

@@ -32,7 +32,7 @@ from conetypes import (
     types_on_ball,
 )
 from conetypes.automaton import _admissible_perms, _elementary_roots
-from conftest import EXPECTED_COUNTS, HYPERBOLIC_12, TABLE
+from conftest import DOCUMENTS, EXPECTED_COUNTS, HYPERBOLIC_12, TABLE
 from reference import (
     LabelLayers,
     NotStabilized,
@@ -157,11 +157,37 @@ def test_reduction_refuses_two_terminal_components():
 
 
 def test_reduction_refuses_an_imprimitive_component():
-    # the terminal component {1, 2} is a 2-cycle: its powers alternate
+    # the terminal component {1, 2} is a 2-cycle: its powers alternate.
+    # {1, 2, 3, 4} has period 3, through the classes {1, 2} -> {3} -> {4}:
+    # the squarings pass exponent KT^2 = 16 at 32 with no positive power,
+    # and so does the stepwise oracle
     a = _automaton([[0, 2, 1], [0, 0, 1], [0, 1, 0]])
     assert a.r.tolist() == [0, 2, 2]
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(NotPrimitive, match="^no positive power up to exponent 4$"):
         reduce_automaton(a)
+    a = _automaton([[0, 1, 1, 1, 0], [0, 0, 0, 2, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 2],
+                    [0, 1, 1, 0, 0]])
+    assert a.r.tolist() == [0, 1, 1, 1, 1]
+    for reduce in (reduce_automaton, reference.reduce_stepwise):
+        with pytest.raises(NotPrimitive, match="^no positive power up to exponent 16$"):
+            reduce(a)
+
+
+def test_reduction_equals_the_stepwise_oracle():
+    # the primitivity exponent by binary lifting equals the one found a
+    # power at a time, with the same types and M, on the atlas, the 28
+    # committed documents and two large triples
+    automata = [extract_automaton(new_params(*t)) for t in HYPERBOLIC_12]
+    automata += [automaton_from_json(path.read_text())[0] for path in DOCUMENTS]
+    automata += [extract_automaton(new_params(*t)) for t in [(37, 41, 43), (61, 67, 71)]]
+    assert len(automata) == 269 + 28 + 2
+    exponents = set()
+    for a in automata:
+        got, want = reduce_automaton(a), reference.reduce_stepwise(a)
+        assert got.types == want.types and got.p == want.p, (a.params, a.K_total)
+        assert np.array_equal(got.M, want.M), (a.params, a.K_total)
+        exponents.add(got.p)
+    assert len(exponents) > 4
 
 
 def test_verify_counts_all_groups(graph_data):
