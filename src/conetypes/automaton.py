@@ -73,7 +73,8 @@ class ReducedAutomaton(_Regular):
 
 
 def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
-    """Generator permutations preserving all pairwise rotation orders."""
+    """Generator permutations preserving all pairwise rotation orders, in
+    lexicographic order, so the identity comes first."""
     orders = params.orders()
     out = []
     for p in permutations(range(3)):
@@ -175,73 +176,95 @@ def _elementary_roots(orders: dict) -> tuple[np.ndarray, int]:
     return np.array([index.get(j, -1) for j in images]).reshape(-1, 3).T, layer[-1] + 1
 
 
-def _root_states(act: np.ndarray) -> np.ndarray:
+def _root_states(act: np.ndarray) -> list[list[int]]:
     """Transitions of the states D(w) reachable from D(e) = {}, in BFS order.
 
     A state is a bitset over E in a Python int, of any width; bit s is
     alpha_s.  Row q holds the state of ws, or -1 when alpha_s is in D(w).
+    Each state's members are listed once, when it is first met: those of
+    D(ws) are alpha_s and the images in E of D(w)'s, so no state's bits are
+    ever scanned.  A state of k roots costs O(k) steps for each of its three
+    images, against O(|E|) for a scan below its top bit.
     """
-    # bit[s][j] is the bit of s beta_j, or 0 when s beta_j is not in E
-    bit = [[1 << j if j >= 0 else 0 for j in row] for row in act.tolist()]
-    states, index, table = [0], {0: 0}, []
-    for D in states:  # grows while it is read
-        members = [j for j in range(D.bit_length()) if D >> j & 1]
+    # bit[j] is the bit of s beta_j, or 0 when s beta_j is not in E
+    gens = [(s, 1 << s, [1 << j if j >= 0 else 0 for j in image], image)
+            for s, image in enumerate(act.tolist())]
+    states, members, index, table = [0], [[]], {0: 0}, []
+    for D, mem in zip(states, members):  # both grow while they are read
         row = [-1, -1, -1]
-        for s in range(3):
-            if not D >> s & 1:
-                nxt = sum(bit[s][j] for j in members) | 1 << s
-                row[s] = index.setdefault(nxt, len(states))
-                if row[s] == len(states):
+        for s, alpha, bit, image in gens:
+            if not D & alpha:
+                nxt = sum([bit[j] for j in mem], alpha)
+                t = row[s] = index.setdefault(nxt, len(states))
+                if t == len(states):
                     states.append(nxt)
+                    nxt_mem = [image[j] for j in mem if image[j] >= 0]
+                    nxt_mem.append(s)
+                    members.append(nxt_mem)
         table.append(row)
-    return np.array(table, dtype=np.int64)
+    return table
 
 
-def _minimize(table: np.ndarray) -> tuple[np.ndarray, int]:
+def _minimize(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """Moore-minimized table of a BFS-ordered table, in BFS order again, and
     the number of refinement rounds, the last of which splits no class.
 
-    States are merged when they accept the same words.  Each round numbers
-    the classes by their first state, keyed on (class, successor classes),
-    so the final numbering is that of the classes' shortlex-least words:
-    the BFS follows the generators in order.
+    States are merged when they accept the same words.  The first round
+    splits the states by the steps they refuse, and each later one keys a
+    dict on (class, successor classes): every round costs O(1) per state.
+    Every round numbers the classes by their first state, so the final
+    numbering is that of the classes' shortlex-least words: the BFS follows
+    the generators in order.  The identity's state refuses no step and every
+    other state refuses its last one, so the first round splits and a keyed
+    round follows; the keys of the last round, which splits no class, are
+    the minimized rows in class order.
     """
-    rows = table.tolist()
-    # cls ends in -1, the class of the missing successor -1
-    cls, n_cls, rounds = [0] * len(rows) + [-1], 1, 0
-    while True:
+    ids: dict = {}
+    new = [ids.setdefault((a < 0, b < 0, d < 0), len(ids)) for a, b, d in rows]
+    n_cls, rounds = 1, 1
+    while len(ids) != n_cls:
+        # cls ends in -1, the class of the missing successor -1
+        cls, n_cls, ids = new + [-1], len(ids), {}
         rounds += 1
-        ids: dict = {}
         new = [ids.setdefault((c, cls[a], cls[b], cls[d]), len(ids))
                for c, (a, b, d) in zip(cls, rows)]
-        if len(ids) == n_cls:
-            break
-        cls, n_cls = new + [-1], len(ids)
-    first = {}
-    for q, c in enumerate(cls[:-1]):
-        first.setdefault(c, q)
-    return np.array([[cls[t] for t in rows[q]] for q in first.values()], dtype=np.int64), rounds
+    return [list(key[1:]) for key in ids], rounds
 
 
-def _state_types(table: np.ndarray, perms) -> np.ndarray:
+def _state_types(rows: list[list[int]], perms) -> list[int]:
     """The cone type of each state: its orbit under the permutations.
 
     p maps the cone type of w to that of p(w), so it maps state q to pi(q),
-    with pi(0) = 0 and pi(table[q, s]) = table[pi(q), p(s)].  The
+    with pi(0) = 0 and pi(rows[q][s]) = rows[pi(q)][p(s)].  The
     permutations form a group, so the least image of q is the least state
-    of its orbit, and the types are numbered in that order.
+    of its orbit, and the types are numbered in that order.  The identity,
+    which _admissible_perms yields first, is skipped: each other
+    permutation costs O(1) per arc, and a triple with distinct exponents has
+    none, so its states are its types.
     """
-    rows = table.tolist()
     least = list(range(len(rows)))
     for p in perms:
+        if p == (0, 1, 2):
+            continue
+        p0, p1, p2 = p
         pi = [0] * len(rows)
-        for q, row in enumerate(rows):  # q is reached from a smaller state
-            for s, t in enumerate(row):
-                if t >= 0:
-                    pi[t] = rows[pi[q]][p[s]]
-        least = [min(a, b) for a, b in zip(least, pi)]
-    rank = {q: i for i, q in enumerate(sorted(set(least)))}
-    return np.array([rank[q] for q in least], dtype=np.int64)
+        for q, (a, b, d) in enumerate(rows):  # q is reached from a smaller state
+            image = rows[pi[q]]
+            if a >= 0:
+                pi[a] = image[p0]
+            if b >= 0:
+                pi[b] = image[p1]
+            if d >= 0:
+                pi[d] = image[p2]
+        least = list(map(min, least, pi))
+    types, n_types = [], 0
+    for q, m in enumerate(least):  # m <= q: an orbit's least state comes first
+        if m == q:
+            types.append(n_types)
+            n_types += 1
+        else:
+            types.append(types[m])
+    return types
 
 
 def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeTypeAutomaton:
@@ -256,19 +279,22 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     states = _root_states(act)
     table, moore_rounds = _minimize(states)
     state_type = _state_types(table, _admissible_perms(params))
-    K = int(state_type.max()) + 1
-    succ = table[np.unique(state_type, return_index=True)[1]]
-    M = np.zeros((K, K), dtype=np.int64)
-    rows, gens = np.nonzero(succ >= 0)
-    np.add.at(M, (rows, state_type[succ[rows, gens]]), 1)
+    K = max(state_type) + 1
+    # the first state of each type, met in type order, gives its row of M
+    cells, i = [], 0
+    for row, t in zip(table, state_type):
+        if t == i:
+            cells += [i * K + state_type[u] for u in row if u >= 0]
+            i += 1
+    M = np.bincount(cells, minlength=K * K).reshape(K, K)
     if diag is not None:
         diag["roots"] = act.shape[1]
         diag["closure_rounds"] = closure_rounds
         diag["states"] = {"before": len(states), "after": len(table)}
         diag["moore_rounds"] = moore_rounds
     return ConeTypeAutomaton(params=params, K_total=K, M=M, degree=3,
-                             root_type=int(state_type[0]), transitions=table,
-                             state_type=state_type)
+                             root_type=state_type[0], transitions=np.array(table, dtype=np.int64),
+                             state_type=np.array(state_type, dtype=np.int64))
 
 
 def types_on_ball(a: ConeTypeAutomaton, ball: CayleyBall) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
 the post-fixed-point and below-least checks in Fractions, the root path one
-root and one generator at a time in the exact cosine field with np.unique
-minimization, dense reflection tensors for the oracles that multiply whole
-matrices, the reduction with one matrix power per unit of the primitivity
-exponent, and helpers only the tests read.
+root and one generator at a time in the exact cosine field with bit-scanned
+states and np.unique minimization, dense reflection tensors for the oracles
+that multiply whole matrices, the reduction with one matrix power per unit
+of the primitivity exponent, and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -38,7 +38,7 @@ from conetypes import (
     build_ball,
     types_on_ball,
 )
-from conetypes.automaton import _admissible_perms, _root_states
+from conetypes.automaton import _admissible_perms
 from conetypes.ring import _cyclotomic
 
 
@@ -992,11 +992,34 @@ def array_state_types(table: np.ndarray, perms) -> np.ndarray:
     return np.unique(least, return_inverse=True)[1].reshape(-1)
 
 
+def bitscan_root_states(act: np.ndarray) -> np.ndarray:
+    """Transitions of the states D(w) reachable from D(e) = {}, in BFS order,
+    each state's members found by testing every bit below its top bit.
+
+    A state is a bitset over E in a Python int; bit s is alpha_s.  Row q
+    holds the state of ws, or -1 when alpha_s is in D(w).
+    """
+    # bit[s][j] is the bit of s beta_j, or 0 when s beta_j is not in E
+    bit = [[1 << j if j >= 0 else 0 for j in row] for row in act.tolist()]
+    states, index, table = [0], {0: 0}, []
+    for D in states:  # grows while it is read
+        members = [j for j in range(D.bit_length()) if D >> j & 1]
+        row = [-1, -1, -1]
+        for s in range(3):
+            if not D >> s & 1:
+                nxt = sum(bit[s][j] for j in members) | 1 << s
+                row[s] = index.setdefault(nxt, len(states))
+                if row[s] == len(states):
+                    states.append(nxt)
+        table.append(row)
+    return np.array(table, dtype=np.int64)
+
+
 def root_automaton_reference(params: GroupParams) -> tuple[np.ndarray, ConeTypeAutomaton]:
-    """act and the root-path automaton from the scalar closure, np.unique
-    minimization and array orbits; the states D(w) are the library's."""
+    """act and the root-path automaton from the scalar closure, bit-scanned
+    states, np.unique minimization and array orbits."""
     act = scalar_elementary_roots(params)
-    table = unique_minimize(_root_states(act))
+    table = unique_minimize(bitscan_root_states(act))
     state_type = array_state_types(table, _admissible_perms(params))
     K = int(state_type.max()) + 1
     succ = table[np.unique(state_type, return_index=True)[1]]

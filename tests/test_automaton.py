@@ -31,7 +31,7 @@ from conetypes import (
     to_digraph_dot,
     types_on_ball,
 )
-from conetypes.automaton import _admissible_perms, _elementary_roots
+from conetypes.automaton import _admissible_perms, _elementary_roots, _root_states
 from conftest import DOCUMENTS, EXPECTED_COUNTS, HYPERBOLIC_12, TABLE
 from reference import (
     LabelLayers,
@@ -505,9 +505,10 @@ def test_root_automaton_equals_ball_reference(triple):
 
 
 def test_root_path_equals_its_scalar_oracles():
-    # the closed-form roots, the keyed Moore refinement and the list-based
-    # orbits give the scalar BFS's act table, np.unique's minimized table,
-    # the array orbits and a byte-identical cta-1 document, in two orders;
+    # the closed-form roots, the member-list states, the keyed Moore
+    # refinement and the list-based orbits give the scalar BFS's act table,
+    # the bit scan's states minimized by np.unique, the array orbits and a
+    # byte-identical cta-1 document, in two orders;
     # E is the three chains, l + m + n - 3 roots, plus one root for a
     # commuting pair and two more for (2,3,q)
     for triple in HYPERBOLIC_12:
@@ -528,15 +529,30 @@ def test_root_path_equals_its_scalar_oracles():
 
 def test_root_path_work_over_hyperbolic_12():
     # tripwire: the root layers closed and the Moore rounds over the 269
-    # triples when this test was written; more of either fails here
+    # triples when this test was written; more of either fails here.  The
+    # state totals, before and after minimization, are the automata's own
+    # sizes and must stay exactly these
     totals = Counter()
     for triple in HYPERBOLIC_12:
         diag = {}
         extract_automaton(new_params(*triple), diag)
-        totals.update(closure=diag["closure_rounds"], moore=diag["moore_rounds"])
+        totals.update(closure=diag["closure_rounds"], moore=diag["moore_rounds"],
+                      before=diag["states"]["before"], after=diag["states"]["after"])
     assert len(HYPERBOLIC_12) == 269
     assert totals["closure"] <= 1366
     assert totals["moore"] <= 2677
+    assert totals["before"] == 11454
+    assert totals["after"] == 11380
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 97), (2, 4, 101), (3, 89, 97),
+                                    (61, 67, 71), (89, 97, 101)])
+def test_root_states_equal_the_bit_scan(triple):
+    # the states D(w) with members listed once give the table of the scan of
+    # every bit below each state's top bit; the mean state holds 42-45% of E
+    # on (2,3,97) and (2,4,101), and 17-25% of it on the other three
+    act, _ = _elementary_roots(new_params(*triple).orders())
+    assert _root_states(act) == reference.bitscan_root_states(act).tolist()
 
 
 @pytest.mark.parametrize("triple", [(12, 16, 18), (12, 16, 20), (12, 18, 20),
