@@ -31,11 +31,7 @@ from .errors import (
     ZeroPredecessor,
 )
 from .lower import LowerBoundResult, lower_bound, perron, symmetrize, tilde_matrix
-from .oracle import (
-    ReturnSeries,
-    empirical_envelope,
-    return_probabilities,
-)
+from .oracle import empirical_envelope, return_probabilities
 from .pipeline import (
     BoundReport,
     RunConfig,
@@ -49,7 +45,6 @@ from .pipeline import (
     table_to_csv,
     table_to_markdown,
 )
-from .ring import minpoly_2cos
 from .upper import (
     Diverged,
     FixedPointSolution,

@@ -74,18 +74,12 @@ class ReducedAutomaton(_Regular):
 
 def _admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
     """Generator permutations preserving all pairwise rotation orders, in
-    lexicographic order, so the identity comes first."""
-    orders = params.orders()
-    out = []
-    for p in permutations(range(3)):
-        if all(
-            orders[(p[a], p[b])] == orders[(a, b)]
-            for a in range(3)
-            for b in range(3)
-            if a != b
-        ):
-            out.append(p)
-    return out
+    lexicographic order, so the identity comes first: the p with t[p(k)] =
+    t[k] for the exponent triple t.  The order m(s,u) of a pair is t[k], the
+    exponent of the third generator k, and p maps k to the third generator
+    of {p(s), p(u)}, so m(p(s), p(u)) = t[p(k)]."""
+    t = params.triple()
+    return [p for p in permutations(range(3)) if all(t[p[k]] == t[k] for k in range(3))]
 
 
 def _elementary_roots(orders: dict) -> tuple[np.ndarray, int]:

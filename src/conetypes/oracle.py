@@ -9,7 +9,6 @@ p^(2n)^(1/2n) is a rigorous lower bound for the spectral radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,21 +17,8 @@ from .coxeter import CayleyBall
 from .errors import HorizonExceedsBall
 
 
-@dataclass
-class ReturnSeries:
-    n_max: int
-    values: list
-
-    def envelope_sequence(self) -> list[float]:
-        """e_n = p^(2n) ** (1/(2n)) for 2n <= n_max."""
-        out = []
-        for n in range(1, self.n_max // 2 + 1):
-            out.append(float(self.values[2 * n]) ** (1.0 / (2 * n)))
-        return out
-
-
-def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
-    """p^(k)(x0, x0) for k = 0..n_max as exact Fractions.
+def return_probabilities(ball: CayleyBall, n_max: int) -> list[Fraction]:
+    """The list of p^(k)(x0, x0) for k = 0..n_max, as exact Fractions.
 
     With c_k the integer counts of the k-step walks from x0 at each vertex,
     p^(2k) = sum_v c_k(v)^2 / 9^k for 2k <= n_max (the walk is symmetric), and
@@ -54,11 +40,11 @@ def return_probabilities(ball: CayleyBall, n_max: int) -> ReturnSeries:
     for k, hi in enumerate(ball.offsets[2:n_max // 2 + 2].tolist(), 1):
         vec[:hi] = vec[n0[:hi]] + vec[n1[:hi]] + vec[n2[:hi]]
         values += [Fraction(0), Fraction(int(vec[:hi] @ vec[:hi]), 9 ** k)]
-    return ReturnSeries(n_max=n_max, values=(values + [Fraction(0)])[:n_max + 1])
+    return (values + [Fraction(0)])[:n_max + 1]
 
 
-def empirical_envelope(rs: ReturnSeries) -> float:
-    """max_n p^(2n)^(1/2n), a lower bound for the spectral radius."""
-    seq = rs.envelope_sequence()
-    return max(seq) if seq else 0.0
-
+def empirical_envelope(ball: CayleyBall) -> float:
+    """max_n p^(2n)^(1/2n) over the ball's whole exact range 2n <= 2R, a
+    lower bound for the spectral radius."""
+    p = return_probabilities(ball, 2 * ball.radius)
+    return max(float(p[2 * n]) ** (1.0 / (2 * n)) for n in range(1, ball.radius + 1))

@@ -25,7 +25,7 @@ from .automaton import (
 from .coxeter import GroupParams, build_ball, new_params
 from .errors import ConeTypesError
 from .lower import lower_bound
-from .oracle import empirical_envelope, return_probabilities
+from .oracle import empirical_envelope
 from .upper import upper_bound
 
 BOUND_SCHEMA = "bnd-1"
@@ -37,8 +37,9 @@ TABLE_PARAMS = [
     (3, 4, 4), (3, 4, 5), (3, 5, 7), (4, 4, 4), (7, 7, 7),
 ]
 
-# default walk length of the envelope; its ball has radius ORACLE_STEPS // 2
-ORACLE_STEPS = 20
+# default radius of the check and envelope ball; its envelope reads walks
+# of up to twice it
+BALL_RADIUS = 10
 
 
 @dataclass
@@ -85,9 +86,9 @@ def table_params() -> list[GroupParams]:
 def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundReport:
     """Full pipeline for one group; stages fail soft into diagnostics.
 
-    The ball has radius config.radius, ORACLE_STEPS // 2 by default; the
+    The ball has radius config.radius, BALL_RADIUS by default; the
     automaton is checked against it (check_on_ball) and the envelope is
-    taken over walks of up to twice its radius, all of them exact.
+    taken over its whole exact range (empirical_envelope).
     """
     config = config or RunConfig()
     diag: dict = {"timings": {}, "residuals": {}, "errors": {}}
@@ -96,12 +97,12 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     report = _report(params, a, ra, diag)
     if ra is None:
         return report
-    radius = ORACLE_STEPS // 2 if config.radius is None else config.radius
+    radius = BALL_RADIUS if config.radius is None else config.radius
     ball = _stage(diag, "ball", build_ball, params, radius)
     if ball is not None:
         diag["oracle_radius"] = ball.radius
         _stage(diag, "guard", check_on_ball, a, ball)
-        report.envelope = _stage(diag, "oracle", _envelope, ball)
+        report.envelope = _stage(diag, "oracle", empirical_envelope, ball)
     return report
 
 
@@ -115,11 +116,6 @@ def _stage(diag: dict, name: str, fn, *args, **kwargs):
         return None
     finally:
         diag["timings"][name] = time.perf_counter() - t0
-
-
-def _envelope(ball) -> float:
-    # a walk returning at step k stays within distance k/2
-    return empirical_envelope(return_probabilities(ball, 2 * ball.radius))
 
 
 def _report(params: GroupParams | None, a: ConeTypeAutomaton | None,
@@ -227,11 +223,9 @@ def table_to_markdown(reports: list[BoundReport]) -> str:
     ]
     for r in reports:
         name = r.params.name() if r.params else "?"
-        cur = ""
-        if r.curvature is not None:
-            q = r.curvature
-            cur = f"{q.numerator}pi/{q.denominator}" if q.denominator != 1 \
-                else f"{q.numerator}pi"
+        # a hyperbolic curvature lies strictly between -1 and 0: never whole
+        q = r.curvature
+        cur = f"{q.numerator}pi/{q.denominator}" if q is not None else ""
         lo = f"{r.lower:.10f}" if r.lower is not None else "-"
         hi = f"{r.upper:.10f}" if r.upper is not None else "-"
         lines.append(

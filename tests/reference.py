@@ -1,6 +1,7 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
-the post-fixed-point and below-least checks in Fractions, the root path one
+the admissible permutations from every pairwise rotation order, the
+post-fixed-point and below-least checks in Fractions, the root path one
 root and one generator at a time in the exact cosine field with bit-scanned
 states and np.unique minimization, dense reflection tensors for the oracles
 that multiply whole matrices, the reduction with one matrix power per unit
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -33,12 +34,10 @@ from conetypes import (
     MultipleTerminalSCCs,
     NotPrimitive,
     ReducedAutomaton,
-    ReturnSeries,
     VerificationFailed,
     build_ball,
     types_on_ball,
 )
-from conetypes.automaton import _admissible_perms
 from conetypes.ring import _cyclotomic
 
 
@@ -448,7 +447,7 @@ def verify_classes_per_depth(ball, lab: np.ndarray, depth: int) -> list[int]:
     permutation confirmed; raises VerificationFailed naming the first member
     no permutation confirms, in (label, vertex id) order.
     """
-    perms = [np.array(p) for p in _admissible_perms(ball.params)]
+    perms = [np.array(p) for p in pairwise_admissible_perms(ball.params)]
     dom = int(ball.offsets[ball.radius - depth + 1])
     order = np.argsort(lab[:dom], kind="stable")
     sl = lab[order]
@@ -517,7 +516,23 @@ def representative_words(ball) -> list[tuple[int, ...]]:
     return words
 
 
-def stepwise_returns(ball, n_max: int) -> ReturnSeries:
+def pairwise_admissible_perms(params: GroupParams) -> list[tuple[int, int, int]]:
+    """Reference for the admissible generator permutations: those that
+    preserve the rotation order of every ordered generator pair, in
+    lexicographic order."""
+    orders = params.orders()
+    return [p for p in permutations(range(3))
+            if all(orders[(p[a], p[b])] == orders[(a, b)]
+                   for a in range(3) for b in range(3) if a != b)]
+
+
+def envelope_sequence(values: list) -> list[float]:
+    """e_n = p^(2n) ** (1/(2n)) for each 2n < len(values), from the return
+    probabilities p^(k) = values[k]."""
+    return [float(values[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(values) + 1) // 2)]
+
+
+def stepwise_returns(ball, n_max: int) -> list[Fraction]:
     """Reference for return_probabilities: p^(k) for k = 0..n_max from the
     walk counts after each of n_max steps, read at the base point; int64
     while 3^n_max < 2^63 bounds the counts, Python integers beyond."""
@@ -531,10 +546,10 @@ def stepwise_returns(ball, n_max: int) -> ReturnSeries:
     for k in range(1, n_max + 1):
         vec[:V] = vec[n0] + vec[n1] + vec[n2]
         values.append(Fraction(int(vec[0]), 3 ** k))
-    return ReturnSeries(n_max=n_max, values=values)
+    return values
 
 
-def tree_return_series(n_max: int) -> ReturnSeries:
+def tree_return_series(n_max: int) -> list[Fraction]:
     """Exact SRW return probabilities on the 3-regular tree.
 
     Walks from the root are counted by their distance profile, a lattice
@@ -552,7 +567,7 @@ def tree_return_series(n_max: int) -> ReturnSeries:
                 new[h - 1] = new.get(h - 1, 0) + c
         counts = new
         values.append(Fraction(counts.get(0, 0), 3 ** k))
-    return ReturnSeries(n_max=n_max, values=values)
+    return values
 
 
 def post_fixed_point_fractions(spec, z: Fraction, w: np.ndarray) -> bool:
@@ -797,7 +812,7 @@ def verify_classes(ball, lab: np.ndarray, reps: np.ndarray,
     permutation confirmed.  An entry none confirms raises VerificationFailed,
     naming the first in (depth + 1 before depth, label, vertex id) order.
     """
-    perms = [np.array(p) for p in _admissible_perms(ball.params)]
+    perms = [np.array(p) for p in pairwise_admissible_perms(ball.params)]
     dom = int(ball.offsets[ball.radius - depth + 1])
     order = np.argsort(lab[:dom], kind="stable")
     is_rep = np.zeros(dom, dtype=bool)
@@ -1020,7 +1035,7 @@ def root_automaton_reference(params: GroupParams) -> tuple[np.ndarray, ConeTypeA
     states, np.unique minimization and array orbits."""
     act = scalar_elementary_roots(params)
     table = unique_minimize(bitscan_root_states(act))
-    state_type = array_state_types(table, _admissible_perms(params))
+    state_type = array_state_types(table, pairwise_admissible_perms(params))
     K = int(state_type.max()) + 1
     succ = table[np.unique(state_type, return_index=True)[1]]
     M = np.zeros((K, K), dtype=np.int64)

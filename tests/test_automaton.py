@@ -555,6 +555,17 @@ def test_root_states_equal_the_bit_scan(triple):
     assert _root_states(act) == reference.bitscan_root_states(act).tolist()
 
 
+def test_admissible_perms_equal_the_pairwise_orders():
+    # the permutations fixing the exponent triple are those that preserve
+    # the rotation order of every ordered generator pair
+    ordered = {p for t in HYPERBOLIC_12 for p in permutations(t)}
+    assert len(ordered) == 1275
+    for triple in sorted(ordered):
+        params = new_params(*triple)
+        assert _admissible_perms(params) == \
+            reference.pairwise_admissible_perms(params), triple
+
+
 @pytest.mark.parametrize("triple", [(12, 16, 18), (12, 16, 20), (12, 18, 20),
                                     (15, 16, 20), (15, 18, 20)])
 def test_root_automaton_on_one_large_field_factor(triple):

@@ -3,6 +3,9 @@ definition and public function or method it defines is read elsewhere in
 the library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import conetypes
@@ -110,10 +113,10 @@ def test_no_field_only_tests_read():
     assert sorted(dead) == sorted(UNREAD_FIELDS)
 
 
-def test_only_the_package_reexport_reads_the_ring_module():
+def test_no_library_module_reads_the_ring_module():
     # the balls and the elementary roots are built from the exponents, so
-    # no library module does field arithmetic; the package re-exports
-    # minpoly_2cos for the benchmark's warm-up
+    # no library module does field arithmetic; the benchmark's warm-up
+    # imports conetypes.ring itself
     reads = set()
     for name, tree in library_trees().items():
         for node in ast.walk(tree):
@@ -122,4 +125,16 @@ def test_only_the_package_reexport_reads_the_ring_module():
                 reads.update((name, a.name) for a in node.names
                              if module in (".ring", "conetypes.ring")
                              or module in (".", "conetypes") and a.name == "ring")
-    assert reads == {("__init__.py", "minpoly_2cos")}
+    assert reads == set()
+
+
+def test_package_import_leaves_the_ring_module_unloaded():
+    """`import conetypes` loads no conetypes.ring.
+
+    A subprocess, because other test modules import conetypes.ring here."""
+    script = "import sys, conetypes\nprint('conetypes.ring' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["False"]

@@ -14,7 +14,7 @@ from conetypes import (
     return_probabilities,
 )
 from conftest import HYPERBOLIC_12
-from reference import stepwise_returns, tits_equal, tree_return_series
+from reference import envelope_sequence, stepwise_returns, tits_equal, tree_return_series
 
 TREE_RHO = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -30,16 +30,16 @@ def brute_force_returns(params, length):
 
 def test_first_steps_exact(data444):
     rs = return_probabilities(data444["ball"], 4)
-    assert rs.values[0] == 1
-    assert rs.values[1] == 0
-    assert rs.values[2] == Fraction(1, 3)
-    assert rs.values[3] == 0
+    assert rs[0] == 1
+    assert rs[1] == 0
+    assert rs[2] == Fraction(1, 3)
+    assert rs[3] == 0
 
 
 def test_odd_returns_vanish(data444, data237):
     for data in [data444, data237]:
         rs = return_probabilities(data["ball"], 9)
-        assert all(rs.values[k] == 0 for k in range(1, 10, 2))
+        assert all(rs[k] == 0 for k in range(1, 10, 2))
 
 
 def test_step4_matches_word_enumeration(data444, data237):
@@ -48,14 +48,14 @@ def test_step4_matches_word_enumeration(data444, data237):
     assert brute_force_returns(new_params(2, 3, 7), 4) == Fraction(17, 81)
     rs4 = return_probabilities(data444["ball"], 4)
     rs7 = return_probabilities(data237["ball"], 4)
-    assert rs4.values[4] == Fraction(15, 81)
-    assert rs7.values[4] == Fraction(17, 81)
+    assert rs4[4] == Fraction(15, 81)
+    assert rs7[4] == Fraction(17, 81)
 
 
 def test_step6_matches_word_enumeration(data237):
     expected = brute_force_returns(new_params(2, 3, 7), 6)
     rs = return_probabilities(data237["ball"], 6)
-    assert rs.values[6] == expected
+    assert rs[6] == expected
 
 
 def test_ball_radius_does_not_matter():
@@ -63,7 +63,7 @@ def test_ball_radius_does_not_matter():
     params = new_params(4, 4, 4)
     rs10 = return_probabilities(build_ball(params, 10), 10)
     rs13 = return_probabilities(build_ball(params, 13), 10)
-    assert rs10.values == rs13.values
+    assert rs10 == rs13
 
 
 def test_horizon_guard():
@@ -79,8 +79,7 @@ def test_half_radius_ball_is_exact(census_data, triple):
     big = census_data[triple][0]
     assert big.radius >= 20
     small = build_ball(big.params, 10)
-    assert return_probabilities(small, 20).values == \
-        return_probabilities(big, 20).values
+    assert return_probabilities(small, 20) == return_probabilities(big, 20)
 
 
 def loop_returns(ball, n_max):
@@ -105,10 +104,10 @@ def test_counts_beyond_int64_are_exact():
     assert 3 ** 41 >= 2 ** 63 > 3 ** 39
     ball = build_ball(params, 21)
     rs = return_probabilities(ball, 41)
-    assert rs.values == loop_returns(ball, 41)
-    assert rs.values == return_probabilities(build_ball(params, 24), 41).values
-    assert rs.values[:40] == return_probabilities(build_ball(params, 20), 39).values
-    assert all(rs.values[k] == 0 for k in range(1, 42, 2))
+    assert rs == loop_returns(ball, 41)
+    assert rs == return_probabilities(build_ball(params, 24), 41)
+    assert rs[:40] == return_probabilities(build_ball(params, 20), 39)
+    assert all(rs[k] == 0 for k in range(1, 42, 2))
 
 
 HYPERBOLIC_8 = [t for t in HYPERBOLIC_12 if max(t) <= 8]
@@ -120,38 +119,53 @@ def test_half_length_walks_equal_stepwise_counts(n_max):
     assert len(HYPERBOLIC_8) == 71
     for triple in HYPERBOLIC_8:
         ball = build_ball(new_params(*triple), 6)
-        assert return_probabilities(ball, n_max).values == \
-            stepwise_returns(ball, n_max).values, triple
+        assert return_probabilities(ball, n_max) == stepwise_returns(ball, n_max), triple
 
 
 def test_tree_series_closed_values():
     rs = tree_return_series(6)
-    assert rs.values[0] == 1
-    assert rs.values[2] == Fraction(1, 3)
-    assert rs.values[3] == 0
-    assert rs.values[4] == Fraction(15, 81)
-    assert rs.values[6] == Fraction(87, 729)
+    assert rs[0] == 1
+    assert rs[2] == Fraction(1, 3)
+    assert rs[3] == 0
+    assert rs[4] == Fraction(15, 81)
+    assert rs[6] == Fraction(87, 729)
 
 
 def test_tree_envelope_monotone_below_rho():
-    rs = tree_return_series(60)
-    env = rs.envelope_sequence()
+    env = envelope_sequence(tree_return_series(60))
     assert all(b >= a - 1e-15 for a, b in zip(env, env[1:]))
     assert env[-1] <= TREE_RHO + 1e-12
     # convergence is slow (polynomial correction), so only a loose floor
     assert env[-1] > 0.85
-    assert empirical_envelope(rs) == env[-1]
+
+
+def test_envelope_of_a_tree_ball():
+    # Delta(11,11,11) has no cycle shorter than 22, so the walks that return
+    # within 20 steps are the tree's, and the radius-10 envelope is the
+    # tree's at n = 10
+    ball = build_ball(new_params(11, 11, 11), 10)
+    tree = tree_return_series(20)
+    assert return_probabilities(ball, 20) == tree
+    assert empirical_envelope(ball) == envelope_sequence(tree)[-1]
+
+
+@pytest.mark.parametrize("radius", [2, 10])
+def test_envelope_reads_the_whole_exact_range(data237, radius):
+    ball = build_ball(data237["params"], radius)
+    env = envelope_sequence(return_probabilities(ball, 2 * radius))
+    assert len(env) == radius
+    assert empirical_envelope(ball) == max(env)
 
 
 def test_envelope_lower_bounds_walk():
     # the envelope never exceeds the certified range of the true spectral radius
-    rs = return_probabilities(build_ball(new_params(4, 4, 4), 10), 20)
     from conftest import UPPER_BOUNDS
 
-    assert empirical_envelope(rs) <= UPPER_BOUNDS[(4, 4, 4)] + 1e-12
+    assert empirical_envelope(build_ball(new_params(4, 4, 4), 10)) <= \
+        UPPER_BOUNDS[(4, 4, 4)] + 1e-12
 
 
-def test_empty_envelope():
-    rs = tree_return_series(1)
-    assert rs.envelope_sequence() == []
-    assert empirical_envelope(rs) == 0.0
+def test_smallest_ball_envelope():
+    # a radius-1 ball's exact range is the one return p^(2) = 1/3
+    assert empirical_envelope(build_ball(new_params(4, 4, 4), 1)) == \
+        float(Fraction(1, 3)) ** 0.5

@@ -239,6 +239,13 @@ def test_table_csv_digest_is_pinned():
     assert digest == "ece246b39920b4a90ae8bb9d8b248fe506b8d3c291ed7ec319960fdea90795d9"
 
 
+def test_table_markdown_digest_is_pinned():
+    # sha256 of `conetypes table --format markdown`, recorded before the
+    # curvature column lost its branch for a whole multiple of pi
+    digest = hashlib.sha256(table_to_markdown(run_table()).encode()).hexdigest()
+    assert digest == "172f2c17f5cb6df83e8b77ef0ecf07a767447eccf9e7eabeb29e9ad6716b5866"
+
+
 @pytest.mark.parametrize("triple", TABLE)
 def test_guard_accepts_the_table_groups(triple):
     params = new_params(*triple)

@@ -16,7 +16,7 @@ from conetypes import (
     tree_walk_spec,
 )
 from conetypes.errors import NonHyperbolic
-from reference import free_reduce, tits_equal, tree_return_series
+from reference import envelope_sequence, free_reduce, tits_equal, tree_return_series
 
 words = st.lists(st.integers(0, 2), max_size=8)
 small_params = st.sampled_from([(4, 4, 4), (2, 3, 7), (3, 3, 4)])
@@ -68,7 +68,7 @@ def test_tree_fixed_point_monotone(tree_reduced, z1, z2):
 
 @given(st.integers(2, 60))
 def test_tree_envelope_monotone(n):
-    env = tree_return_series(n).envelope_sequence()
+    env = envelope_sequence(tree_return_series(n))
     assert all(b >= a - 1e-15 for a, b in zip(env, env[1:]))
     if env:
         assert env[-1] <= 2.0 * math.sqrt(2.0) / 3.0 + 1e-12

@@ -10,7 +10,8 @@ import pytest
 import sympy
 
 import reference
-from conetypes import IdentificationAmbiguity, minpoly_2cos, new_params
+from conetypes import IdentificationAmbiguity, new_params
+from conetypes.ring import minpoly_2cos
 from reference import CosineRing, mul_by_2cos, reflection_rep, reflection_tensors, scalar_sign
 
 mpmath.mp.dps = 50
