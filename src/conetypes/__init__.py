@@ -20,7 +20,6 @@ from .errors import (
     HorizonExceedsBall,
     IdentificationAmbiguity,
     InvalidParameter,
-    InvalidRoot,
     MemoryCap,
     MultipleTerminalSCCs,
     NonHyperbolic,

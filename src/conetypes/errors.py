@@ -35,10 +35,6 @@ class NotPrimitive(ConeTypesError):
     """No power of the reduced matrix up to K^2 is entrywise positive."""
 
 
-class InvalidRoot(ConeTypesError):
-    """Chosen start type is outside the reduced set."""
-
-
 class NotConverged(ConeTypesError):
     """A numeric result failed its check: the fold search, F(R_F) < 1, the
     Perron vector's positivity or residual, or the residual of lambda's

@@ -63,12 +63,14 @@ class BoundReport:
 
     @property
     def ok(self) -> bool:
+        """No stage failed, the count matches where expected, and lower is
+        at most the proven upper bound: float against Fraction, exactly."""
         return (
             not self.diagnostics.get("errors")
             and self.theorem_match is not False
             and self.lower is not None
             and self.upper is not None
-            and self.lower <= self.upper + 1e-12
+            and self.lower <= self.diagnostics["upper_certified"]
         )
 
 

@@ -4,6 +4,9 @@ The nearest-neighbour walk on the tree of geodesics has first-return series
 w_i = F_{-i}(z) solving the monotone polynomial system
 w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
 Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
+The system has no root, so neither has R_F: the walk is rooted once, at
+default_root_type, and the root enters only F and the certificate's root
+row below.
 
 R_F is found by Newton on the bordered fold system (Phi(w) - w,
 J(w) u - u, sum(u) - 1) in (w, u, z), started at the fold of the radial
@@ -53,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from .automaton import ReducedAutomaton
-from .errors import InvalidRoot, NotConverged
+from .errors import NotConverged
 
 STEP_CAP = 100
 DIVERGENCE_CAP = 1e6
@@ -85,8 +88,8 @@ class TreeWalkSpec:
 
 @dataclass
 class FixedPointSolution:
-    """The least fixed point w; its Jacobian's Collatz-Wielandt bound at
-    the x > 0 of the last Newton step, max_i (J x)_i / x_i, is below 1."""
+    """The least fixed point w, where Newton's step fell below its roundoff
+    floor (see minimal_fixed_point); iterations is the Newton steps made."""
 
     w: np.ndarray
     iterations: int
@@ -94,8 +97,10 @@ class FixedPointSolution:
 
 @dataclass
 class Diverged:
-    """Evidence that no least fixed point exists (see minimal_fixed_point);
-    iterations is the Newton steps made."""
+    """Evidence that no least fixed point exists: a singular I - J, an x
+    with a component <= 0, a step below -floor or an iterate above
+    DIVERGENCE_CAP (see minimal_fixed_point); iterations is the Newton
+    steps made."""
 
     iterations: int
 
@@ -147,26 +152,17 @@ def default_root_type(ra: ReducedAutomaton) -> int:
     return ra.types[0]
 
 
-def tree_walk_spec(ra: ReducedAutomaton, root_type: int) -> TreeWalkSpec:
-    """Probabilities p_{-i} = r_i/d and p_{i,j} = 1/d over the reduced set."""
-    if root_type not in ra.types:
-        raise InvalidRoot(f"type {root_type} is not in the reduced set {ra.types}")
+def tree_walk_spec(ra: ReducedAutomaton) -> TreeWalkSpec:
+    """Probabilities p_{-i} = r_i/d and p_{i,j} = 1/d over the reduced set,
+    rooted at default_root_type(ra).  R_F does not depend on the root:
+    only first_return_value and the root row of is_post_fixed_point read it."""
     r = ra.r
     rows, cols = np.nonzero(ra.M)
-    return TreeWalkSpec(ra=ra, root=ra.types.index(root_type), p_minus=r / ra.degree,
+    return TreeWalkSpec(ra=ra, root=ra.types.index(default_root_type(ra)), p_minus=r / ra.degree,
                         Mp=ra.M * (1.0 / ra.degree),
                         M_nonzeros=list(zip(rows.tolist(), cols.tolist(),
                                             ra.M[rows, cols].tolist())),
                         r=r.tolist())
-
-
-def _jacobian_bound(spec: TreeWalkSpec, z: float, w: np.ndarray, v: np.ndarray,
-                    x: np.ndarray) -> float:
-    """Collatz-Wielandt bound max_i (J(w) x)_i / x_i >= rho(J(w)), for x > 0.
-
-    J(w) >= 0 for w >= 0, so the bound holds for any positive x; v = Mp w.
-    """
-    return float(np.max(z * (v * x + w * (spec.Mp @ x)) / x))
 
 
 def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = None):
@@ -175,15 +171,14 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     On this monotone system Newton from 0, or from any pre-fixed point below
     the least fixed point (such as the least fixed point at a smaller z),
     increases to the least fixed point when one exists, with no slowdown
-    near the fold (Esparza, Kiefer and Luttenberger, JACM 2010).  Each step
-    also solves (I - J) x = 1.  As J >= 0, a solution x > 0 proves
-    rho(J) < 1, and max(x) is ||(I - J)^-1||_inf, which sets the roundoff
-    floor of the step.  A singular system, a solution x with a component
-    <= 0, a step below -floor or a blow-up means z is past the fold.  Once
-    the step is below the floor, the last x > 0 bounds rho(J) at the new w
-    by Collatz-Wielandt, max_i (J x)_i / x_i: a bound below 1 proves
-    rho(J) < 1 there, with no eigen-solve; a bound >= 1 gives Diverged.
-    STEP_CAP steps with neither outcome are no evidence: NotConverged.
+    near the fold, and converges only when one exists (Esparza, Kiefer and
+    Luttenberger, JACM 2010).  Each step also solves (I - J) x = 1.  As
+    J >= 0, a solution x > 0 proves rho(J) < 1, and max(x) is
+    ||(I - J)^-1||_inf, which sets the roundoff floor of the step.  A step
+    below the floor gives FixedPointSolution.  A singular system, a solution
+    x with a component <= 0, a step below -floor or an iterate above
+    DIVERGENCE_CAP means z is past the fold: Diverged.  STEP_CAP steps with
+    neither outcome are no evidence: NotConverged.
     """
     Mp = spec.Mp
     K = Mp.shape[0]
@@ -218,8 +213,6 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
         if w_max > DIVERGENCE_CAP:
             return Diverged(iterations=it)
         if max(step_max, -step_min) <= floor:
-            if _jacobian_bound(spec, z, w, Mp @ w, sol[:, 1]) >= 1.0:
-                return Diverged(iterations=it)
             return FixedPointSolution(w=w, iterations=it)
     raise NotConverged(f"{STEP_CAP} Newton steps at z = {z} neither converged nor diverged")
 
@@ -420,13 +413,13 @@ def is_below_least(spec: TreeWalkSpec, z: Fraction, v: np.ndarray, x: np.ndarray
     return True
 
 
-def upper_bound(ra: ReducedAutomaton, root_type: int | None = None) -> UpperBoundResult:
-    """rho_T = 1/R_F, with 1/z certified exactly just above it by fold_point."""
-    root = default_root_type(ra) if root_type is None else root_type
-    spec = tree_walk_spec(ra, root)
+def upper_bound(ra: ReducedAutomaton) -> UpperBoundResult:
+    """rho_T = 1/R_F, with 1/z certified exactly just above it by fold_point,
+    on the tree walk rooted at default_root_type(ra)."""
+    spec = tree_walk_spec(ra)
     fold = fold_point(spec)
     F_rf = first_return_value(spec, fold.R_F, fold.w)
     if F_rf >= 1.0:
         raise NotConverged(f"first-return value {F_rf} >= 1 at the fold point")
-    return UpperBoundResult(rho_T=1.0 / fold.R_F, F_at_RF=F_rf, root_type=root,
+    return UpperBoundResult(rho_T=1.0 / fold.R_F, F_at_RF=F_rf, root_type=ra.types[spec.root],
                             certified_upper=1 / fold.certified_z, fold=fold)

@@ -20,7 +20,6 @@ import pytest
 from conetypes import (
     build_ball,
     curvature,
-    default_root_type,
     empirical_envelope,
     fold_point,
     lower_bound,
@@ -157,7 +156,7 @@ def test_criterion_6_algebraic_certificate(graph_data):
         assert 0 < gap <= 2e-9, (triple, float(gap))
     # the fold of (4,4,4) is a double root in w5 of the reference quintic
     ra = graph_data[(4, 4, 4)]["reduced"]
-    spec = tree_walk_spec(ra, default_root_type(ra))
+    spec = tree_walk_spec(ra)
     fold = fold_point(spec)
     w5 = Fraction(fold.w[ra.types.index(5)])
     z = Fraction(fold.R_F)
@@ -193,12 +192,12 @@ def test_criterion_8_property_suite(graph_data, census_data):
     # transition rows are stochastic for every group
     for triple in TABLE:
         ra = graph_data[triple]["reduced"]
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         balance = spec.p_minus + spec.Mp.sum(axis=1)
         assert np.allclose(balance, 1.0, atol=1e-12)
 
     # the minimal fixed point grows monotonically with z
-    spec = tree_walk_spec(graph_data[(4, 4, 4)]["reduced"], 4)
+    spec = tree_walk_spec(graph_data[(4, 4, 4)]["reduced"])
     prev = np.zeros(4)
     for z in np.linspace(0.1, 1.0, 8):
         sol = minimal_fixed_point(spec, float(z))

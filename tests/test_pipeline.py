@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from conetypes import (
     table_params,
     table_to_csv,
     table_to_markdown,
+    upper_bound,
 )
 from conetypes import cli, pipeline
 from conetypes.cli import main
@@ -121,6 +123,8 @@ def test_run_group_444():
                 "verifier"):
         assert key not in diag
     assert 0 < diag["upper_certified"] - Fraction(report.upper) <= 2e-9
+    # the tree walk is rooted at the lowest r = 2 type of the reduced set
+    assert diag["root_type"] == 4
     # the fold search: its one solve is the confirm just above the fold,
     # Diverged
     fold = diag["fold"]
@@ -328,6 +332,34 @@ def test_bounds_and_from_automaton_fail_a_stage_alike(data444, tmp_path, monkeyp
     assert set(diag["timings"]) == {"upper", "lower"}
     assert diag["theorem_expected"] == 6
     assert diag["primitivity_power"] == data444["reduced"].p
+
+
+def test_ok_rests_on_the_certified_upper_bound(data444, monkeypatch):
+    # a lower bound above the proven upper bound fails, however close to the
+    # float upper: halfway between upper_certified and upper + 1e-12 exits 1,
+    # and the largest float not above upper_certified exits 0
+    ub = upper_bound(data444["reduced"])
+    cert, rho_T = ub.certified_upper, ub.rho_T
+    at_cert = float(cert)
+    if Fraction(at_cert) > cert:
+        at_cert = math.nextafter(at_cert, 0.0)
+    above = (float(cert) + rho_T + 1e-12) / 2.0
+    assert Fraction(above) > cert and above <= rho_T + 1e-12
+    lower = pipeline.lower_bound
+    for bound, code in [(above, 1), (at_cert, 0)]:
+        monkeypatch.setattr(pipeline, "lower_bound",
+                            lambda ra, bound=bound: replace(lower(ra), bound=bound))
+        result = CliRunner().invoke(main, ["bounds", "4", "4", "4", "--format", "json"])
+        assert result.exit_code == code, bound
+        assert json.loads(result.output)["lower"] == bound
+    # on (60,60,60) the float lower lies 2 ulps above the float upper, but
+    # below the proven bound
+    monkeypatch.setattr(pipeline, "lower_bound", lower)
+    result = CliRunner().invoke(main, ["bounds", "60", "60", "60", "--format", "json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    cert = doc["diagnostics"]["upper_certified"]
+    assert doc["upper"] < doc["lower"] <= Fraction(cert["num"], cert["den"])
 
 
 def test_run_from_automaton_rejects_inconsistent_block(data444):

@@ -60,7 +60,7 @@ def test_curvature_negative_iff_hyperbolic(l, m, n):
 @given(z1=st.floats(0.05, 1.05), z2=st.floats(0.05, 1.05))
 def test_tree_fixed_point_monotone(tree_reduced, z1, z2):
     assume(z1 < z2)
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     w1 = minimal_fixed_point(spec, z1)
     w2 = minimal_fixed_point(spec, z2)
     assert w1.w[0] <= w2.w[0] + 1e-13

@@ -6,6 +6,7 @@ import re
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,9 @@ from hypothesis import strategies as st
 from conetypes import (
     Diverged,
     FixedPointSolution,
-    InvalidRoot,
     NotConverged,
     ReducedAutomaton,
     automaton_from_json,
-    default_root_type,
     extract_automaton,
     first_return_value,
     fold_point,
@@ -38,7 +37,7 @@ from conetypes import (
     upper_bound,
 )
 from conetypes.cli import main
-from conetypes.upper import CERT_MARGIN, _jacobian_bound
+from conetypes.upper import CERT_MARGIN
 from conftest import DOCUMENTS, HYPERBOLIC_12, TABLE, UPPER_BOUNDS, counted_solves
 from reference import below_least_fractions, post_fixed_point_fractions
 
@@ -68,29 +67,14 @@ def recorded_polish():
         yield polished
 
 
-@contextmanager
-def recorded_x():
-    """The x > 0 of the last Newton step of every converged solve inside:
-    the solver hands it to _jacobian_bound, once per converged solve."""
-    import conetypes.upper as upper
-
-    bound, xs = upper._jacobian_bound, []
-
-    def recorded(spec, z, w, v, x):
-        xs.append(x.copy())
-        return bound(spec, z, w, v, x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(upper, "_jacobian_bound", recorded)
-        yield xs
-
-
 def solve_with_x(spec, z, w0=None):
-    """A converged minimal_fixed_point solve and its x = (I - J)^-1 1 > 0."""
-    with recorded_x() as xs:
-        sol = minimal_fixed_point(spec, z, w0)
+    """A converged minimal_fixed_point solve below the fold and
+    x = (I - J(w))^-1 1 > 0 at its w, where rho(J(w)) < 1."""
+    sol = minimal_fixed_point(spec, z, w0)
     assert isinstance(sol, FixedPointSolution)
-    [x] = xs
+    J = jacobian(spec, z, sol.w)
+    x = np.linalg.solve(np.eye(J.shape[0]) - J, np.ones(J.shape[0]))
+    assert (x > 0).all() and eig_radius(spec, z, sol.w) < 1.0
     return sol, x
 
 
@@ -100,16 +84,25 @@ def start_below(w, u, offset):
     return w - offset * w.max() / u.max() * u
 
 
-def eig_radius(spec, z, w):
-    """max |eig J(w)|, with J_ij = z (delta_ij sum_k M_ik w_k + w_i M_ij) / d
-    built from the integer M and the degree."""
+def jacobian(spec, z, w):
+    """J(w)_ij = z (delta_ij sum_k M_ik w_k + w_i M_ij) / d, built from the
+    integer M and the degree."""
     M = spec.ra.M
-    J = z * (np.diag(M @ w) + w[:, None] * M) / spec.ra.degree
-    return float(np.max(np.abs(np.linalg.eigvals(J))))
+    return z * (np.diag(M @ w) + w[:, None] * M) / spec.ra.degree
 
 
-def default_spec(ra):
-    return tree_walk_spec(ra, default_root_type(ra))
+def eig_radius(spec, z, w):
+    """max |eig J(w)|."""
+    return float(np.max(np.abs(np.linalg.eigvals(jacobian(spec, z, w)))))
+
+
+def bound_from_root(ra, i):
+    """upper_bound with the tree walk rooted at the i-th reduced type:
+    (rho_T, certified_upper, fold), checking F(R_F) < 1 from that root."""
+    spec = replace(tree_walk_spec(ra), root=i)
+    fold = fold_point(spec)
+    assert first_return_value(spec, fold.R_F, fold.w) < 1.0, (ra.types, i)
+    return 1.0 / fold.R_F, 1 / fold.certified_z, fold
 
 
 def singular(a, b):
@@ -117,28 +110,23 @@ def singular(a, b):
 
 
 def test_spec_probabilities(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     assert spec.p_minus == pytest.approx([1.0 / 3.0])
     assert spec.Mp == pytest.approx(np.array([[2.0 / 3.0]]))  # two arcs, 1/3 each
     assert spec.ra.degree == 3
-
-
-def test_spec_rejects_unknown_root(tree_reduced):
-    with pytest.raises(InvalidRoot):
-        tree_walk_spec(tree_reduced, 5)
 
 
 def test_spec_balance_all_groups(graph_data):
     # p_{-i} + sum_j M_ij / d = 1 holds for every group's reduced set
     for triple in TABLE:
         ra = graph_data[triple]["reduced"]
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         balance = spec.p_minus + spec.Mp.sum(axis=1)
         assert np.allclose(balance, 1.0, atol=1e-12)
 
 
 def test_tree_fixed_point_closed_form(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     for z in [0.2, 0.5, 0.9, 1.0, 1.05]:
         sol = minimal_fixed_point(spec, z)
         assert isinstance(sol, FixedPointSolution)
@@ -149,7 +137,7 @@ def test_tree_fixed_point_closed_form(tree_reduced):
 
 def test_fixed_point_monotone_in_z(tree_reduced, data444):
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         prev = np.zeros(len(ra.types))
         for z in np.linspace(0.1, 1.0, 10):
             sol = minimal_fixed_point(spec, float(z))
@@ -158,7 +146,7 @@ def test_fixed_point_monotone_in_z(tree_reduced, data444):
 
 
 def test_divergence_past_fold(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     out = minimal_fixed_point(spec, 1.2)
     assert isinstance(out, Diverged)
 
@@ -167,19 +155,18 @@ def test_newton_fast_just_below_fold(tree_reduced, data444):
     # Newton from 0 needs a few dozen steps next to the fold; plain
     # fixed-point iteration needs ~3e5 there
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         z = fold_point(spec).R_F * (1.0 - 1e-9)
-        sol, x = solve_with_x(spec, z)
+        sol, _ = solve_with_x(spec, z)
         assert sol.iterations <= 60
         w = sol.w
         residual = np.max(np.abs(z * (spec.p_minus + w * (spec.Mp @ w)) - w))
         assert residual < 1e-13
-        assert _jacobian_bound(spec, z, w, spec.Mp @ w, x) < 1.0
 
 
 def test_newton_diverges_just_above_fold(tree_reduced, data444):
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         R_F = fold_point(spec).R_F
         out = minimal_fixed_point(spec, R_F * (1.0 + 1e-9))
         assert isinstance(out, Diverged)
@@ -187,7 +174,7 @@ def test_newton_diverges_just_above_fold(tree_reduced, data444):
 
 
 def test_newton_tree_closed_form_near_fold(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     # below the fold the solution is accurate to its roundoff floor,
     # about eps / sqrt(1 - z/R_F)
     for gap in [1e-3, 1e-6, 1e-9]:
@@ -202,7 +189,7 @@ def test_newton_tree_closed_form_near_fold(tree_reduced):
 
 
 def test_tree_fold_point(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     with recorded_polish() as polished:
         fold = fold_point(spec)
     assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
@@ -221,14 +208,26 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
     # 1e-6 short of it the start check above it; a z not above 1 or a u not
     # positive is refused; so is a polish stopped short of the fold, at
     # z = R_F (1 - 1e-4) with the least solution there: it passes both
-    # exact checks, but the confirm just above it converges
+    # exact checks, but the confirm just above it converges.  A converged
+    # confirm is refused on convergence alone: also with a Collatz-Wielandt
+    # bound on rho(J), should the solver consult one as _jacobian_bound,
+    # forced to 1 (the least solutions are solved before it is forced)
     import conetypes.upper as upper
 
-    polish = upper._fold_newton
+    polish, least = upper._fold_newton, {}
 
     def short(spec, w, u, z):
         z *= 1.0 - 1e-4
-        return minimal_fixed_point(spec, z).w, u, z
+        if z not in least:
+            least[z] = minimal_fixed_point(spec, z).w
+        return least[z], u, z
+
+    def changed_by(change):
+        def changed(spec, w0, u0, z0):
+            w, u, z, res, steps = polish(spec, w0, u0, z0)
+            return (*change(spec, w, u, z), res, steps)
+
+        return changed
 
     cases = [(lambda spec, w, u, z: (w, u, z + 1e-6), "is no post-fixed point"),
              (lambda spec, w, u, z: (w, u, z - 1e-6), "^no start proven below"),
@@ -237,13 +236,14 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
              (short, "^minimal fixed point just above the polished fold")]
     for ra in [tree_reduced, data444["reduced"]]:
         for change, message in cases:
-            def changed(spec, w0, u0, z0, change=change):
-                w, u, z, res, steps = polish(spec, w0, u0, z0)
-                return (*change(spec, w, u, z), res, steps)
-
-            monkeypatch.setattr(upper, "_fold_newton", changed)
+            monkeypatch.setattr(upper, "_fold_newton", changed_by(change))
             with pytest.raises(NotConverged, match=message):
-                fold_point(default_spec(ra))
+                fold_point(tree_walk_spec(ra))
+    monkeypatch.setattr(upper, "_fold_newton", changed_by(short))
+    monkeypatch.setattr(upper, "_jacobian_bound", lambda *args: 1.0, raising=False)
+    for ra in [tree_reduced, data444["reduced"]]:
+        with pytest.raises(NotConverged, match=cases[-1][1]):
+            fold_point(tree_walk_spec(ra))
 
 
 def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch):
@@ -254,7 +254,7 @@ def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch
     monkeypatch.setattr(upper, "is_post_fixed_point", lambda spec, z, w: False)
     for ra in [tree_reduced, data444["reduced"]]:
         with pytest.raises(NotConverged):
-            fold_point(tree_walk_spec(ra, default_root_type(ra)))
+            fold_point(tree_walk_spec(ra))
 
 
 def test_fold_refused_without_a_proven_start(tree_reduced, data444, monkeypatch):
@@ -265,7 +265,7 @@ def test_fold_refused_without_a_proven_start(tree_reduced, data444, monkeypatch)
     monkeypatch.setattr(upper, "is_below_least", lambda spec, z, v, x: False)
     for ra in [tree_reduced, data444["reduced"]]:
         with pytest.raises(NotConverged):
-            fold_point(tree_walk_spec(ra, default_root_type(ra)))
+            fold_point(tree_walk_spec(ra))
 
 
 def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
@@ -275,7 +275,7 @@ def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
     # fold cut at 1 step is not taken for a divergence
     import conetypes.upper as upper
 
-    spec = default_spec(data444["reduced"])
+    spec = tree_walk_spec(data444["reduced"])
     assert minimal_fixed_point(spec, 1.0).iterations == 7
     monkeypatch.setattr(upper, "STEP_CAP", 3)
     with pytest.raises(NotConverged, match="^3 Newton steps at z = 1.0 neither converged"):
@@ -288,7 +288,7 @@ def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
 def test_fixed_point_singular_system_diverges(data444, monkeypatch):
     # a singular I - J at the current w puts z past the fold
     monkeypatch.setattr(np.linalg, "solve", singular)
-    assert minimal_fixed_point(default_spec(data444["reduced"]), 1.0) == Diverged(iterations=1)
+    assert minimal_fixed_point(tree_walk_spec(data444["reduced"]), 1.0) == Diverged(iterations=1)
 
 
 def test_fixed_point_blow_up_diverges(tree_reduced, monkeypatch):
@@ -298,20 +298,11 @@ def test_fixed_point_blow_up_diverges(tree_reduced, monkeypatch):
     # sign, so the first result is the blow-up exit's
     import conetypes.upper as upper
 
-    spec, z = tree_walk_spec(tree_reduced, 0), 1.2
+    spec, z = tree_walk_spec(tree_reduced), 1.2
     w0 = np.array([3.0 / (4.0 * z) - 1e-9])
     assert minimal_fixed_point(spec, z, w0) == Diverged(iterations=1)
     monkeypatch.setattr(upper, "DIVERGENCE_CAP", 1e9)
     assert minimal_fixed_point(spec, z, w0) == Diverged(iterations=2)
-
-
-def test_fixed_point_collatz_wielandt_bound_of_one_diverges(data444, monkeypatch):
-    # a converged step whose Collatz-Wielandt bound is not below 1 does not
-    # prove rho(J) < 1: Diverged, at the step where the solve converges
-    import conetypes.upper as upper
-
-    monkeypatch.setattr(upper, "_jacobian_bound", lambda spec, z, w, v, x: 1.0)
-    assert minimal_fixed_point(default_spec(data444["reduced"]), 1.0) == Diverged(iterations=7)
 
 
 def test_bordered_newton_failures(data444, monkeypatch):
@@ -320,7 +311,7 @@ def test_bordered_newton_failures(data444, monkeypatch):
     # residual below FOLD_TOL; fold_point raises on None
     import conetypes.upper as upper
 
-    spec = default_spec(data444["reduced"])
+    spec = tree_walk_spec(data444["reduced"])
     start = (spec, *upper._radial_fold(spec))
     z0 = start[-1]
     assert upper._fold_newton(*start) is not None
@@ -381,10 +372,10 @@ def test_fold_needs_no_eigen_solve(tree_reduced, data444, monkeypatch):
         raise AssertionError("np.linalg.eig called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
-    fold = fold_point(tree_walk_spec(tree_reduced, 0))
+    fold = fold_point(tree_walk_spec(tree_reduced))
     assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
     ra = data444["reduced"]
-    fold = fold_point(tree_walk_spec(ra, default_root_type(ra)))
+    fold = fold_point(tree_walk_spec(ra))
     assert 1.0 / fold.R_F == pytest.approx(UPPER_BOUNDS[(4, 4, 4)], abs=1e-9)
 
 
@@ -396,7 +387,7 @@ def test_warm_start_matches_cold_solve(tree_reduced, data444):
     # the two agree to 1e-12 or to four times that, whichever is larger
     eps = np.finfo(float).eps
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         R_F = fold_point(spec).R_F
         gaps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
         prev = minimal_fixed_point(spec, 1.0)
@@ -411,21 +402,21 @@ def test_warm_start_matches_cold_solve(tree_reduced, data444):
 
 
 def test_fold_search_solve_count(tree_reduced, data444, data237):
-    # one solve, the confirm above the fold, Diverged, as on every root type
-    # of the committed documents; the bordered Newton starts in closed form
-    runs = [(tree_reduced, 0)] + [(data["reduced"], t) for data in [data444, data237]
-                                  for t in data["reduced"].types]
-    for ra, t in runs:
+    # one solve, the confirm above the fold, Diverged, from every root type,
+    # as on the committed documents; the bordered Newton starts in closed form
+    runs = [(tree_reduced, 0)] + [(data["reduced"], i) for data in [data444, data237]
+                                  for i in range(len(data["reduced"].types))]
+    for ra, i in runs:
         with counted_solves() as solves:
-            res = upper_bound(ra, root_type=int(t))
+            _, _, fold = bound_from_root(ra, i)
         [(z, confirm)] = solves
-        assert z > res.fold.R_F, (ra.types, t)
-        assert isinstance(confirm, Diverged), (ra.types, t)
-        assert res.fold.newton_steps == confirm.iterations >= 1
+        assert z > fold.R_F, (ra.types, i)
+        assert isinstance(confirm, Diverged), (ra.types, i)
+        assert fold.newton_steps == confirm.iterations >= 1
 
 
 def test_tree_first_return_value(tree_reduced):
-    spec = tree_walk_spec(tree_reduced, 0)
+    spec = tree_walk_spec(tree_reduced)
     # F(z) = z * 2 w(z) / 3; at the fold this equals 1/2
     sol = minimal_fixed_point(spec, 1.0)
     assert first_return_value(spec, 1.0, sol.w) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -446,17 +437,18 @@ def test_tree_upper_bound(tree_reduced):
 def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
     # the polished fold solves J u = u with u > 0, so rho(J(R_F, w)) = 1;
     # also on the 269 triples of the atlas, each in 1 solve, where a solve
-    # just below R_F from the z = 1 solution converges, and where, at
-    # R_F (1 - CERT_MARGIN), a start built as the confirm's but 100 times
-    # further from the fold passes the exact check and its solve converges:
-    # so neither the check nor the Diverged confirm just above R_F is vacuous.
+    # just below R_F from the z = 1 solution converges with rho(J) < 1, and
+    # where, at R_F (1 - CERT_MARGIN), a start built as the confirm's but
+    # 100 times further from the fold passes the exact check and its solve
+    # converges: so neither the check nor the Diverged confirm just above
+    # R_F is vacuous.
     # From the radial walk's fold the bordered Newton makes at most 5
     # linear solves on a triple, 1,108 over the atlas (from z = 1 it made
     # up to 6, 1,539 in all)
     atlas = [reduce_automaton(extract_automaton(new_params(*t))) for t in HYPERBOLIC_12]
     bordered = []
     for ra in [tree_reduced, data444["reduced"], *atlas]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         with recorded_polish() as polished:
             fold = fold_point(spec)
         [(_, u, _, _, _)] = polished
@@ -469,6 +461,7 @@ def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
         start = minimal_fixed_point(spec, 1.0)
         below = minimal_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start.w)
         assert isinstance(below, FixedPointSolution), ra.types
+        assert eig_radius(spec, fold.R_F * (1.0 - 1e-7), below.w) < 1.0, ra.types
         z = fold.R_F * (1.0 - CERT_MARGIN)
         v = start_below(fold.w, u, 100.0 * math.sqrt(CERT_MARGIN))
         assert is_below_least(spec, Fraction(z), v, u), ra.types
@@ -485,8 +478,9 @@ def test_upper_bound_root_independent(data444, data237):
     # the certified radius does not depend on which type roots the tree walk
     for data in [data444, data237]:
         ra = data["reduced"]
-        values = [upper_bound(ra, root_type=t).rho_T for t in ra.types]
+        values = [bound_from_root(ra, i)[0] for i in range(len(ra.types))]
         assert max(values) - min(values) < 1e-9
+        assert upper_bound(ra).rho_T in values
 
 
 def test_all_groups_match_reference(graph_data):
@@ -506,7 +500,7 @@ def test_tree_certified_upper(tree_reduced):
 
 def test_certificate_rejects_non_post_fixed_points(tree_reduced, data444):
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         fold = fold_point(spec)
         z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
         assert is_post_fixed_point(spec, z, fold.w)
@@ -526,7 +520,7 @@ def test_certificate_demands_first_return_below_one():
     # with r_root = 0 the root row allows F = 1; only the strict root check
     # rejects w = 1/z, where Phi(z, w) = z w^2 = w
     ra = ReducedAutomaton(types=(0,), M=np.array([[3]]), degree=3, p=1)
-    spec = tree_walk_spec(ra, 0)
+    spec = tree_walk_spec(ra)
     assert first_return_value(spec, 1.0, np.array([1.0])) == 1.0
     assert not is_post_fixed_point(spec, Fraction(1), np.array([1.0]))
     assert is_post_fixed_point(spec, Fraction(1), np.array([0.5]))
@@ -535,20 +529,19 @@ def test_certificate_demands_first_return_below_one():
 def test_every_summit_root_is_certified(data444, data237):
     for data in [data444, data237]:
         ra = data["reduced"]
-        for t, rv in zip(ra.types, ra.r):
+        for i, rv in enumerate(ra.r):
             if rv != 2:
                 continue
-            res = upper_bound(ra, root_type=int(t))
-            assert res.certified_upper is not None, t
-            gap = res.certified_upper - Fraction(res.rho_T)
-            assert 0 < gap <= 2e-9, (t, float(gap))
+            rho_T, certified_upper, _ = bound_from_root(ra, i)
+            gap = certified_upper - Fraction(rho_T)
+            assert 0 < gap <= 2e-9, (ra.types[i], float(gap))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_certificate_refuses_non_finite_w(tree_reduced, data444, bad):
     # a non-finite w proves nothing; the check fails instead of raising
     for ra in [tree_reduced, data444["reduced"]]:
-        spec = tree_walk_spec(ra, default_root_type(ra))
+        spec = tree_walk_spec(ra)
         fold = fold_point(spec)
         z = Fraction(fold.R_F * (1.0 - CERT_MARGIN))
         w = fold.w.copy()
@@ -564,15 +557,15 @@ def test_every_root_of_the_committed_documents_is_certified():
     for path in DOCUMENTS:
         _, ra = automaton_from_json(path.read_text())
         values = []
-        for t in ra.types:
+        for i in range(len(ra.types)):
             with counted_solves() as solves:
-                res = upper_bound(ra, root_type=int(t))
-            assert isinstance(res.certified_upper, Fraction), (path.name, t)
-            assert 0 < res.certified_upper - Fraction(res.rho_T) <= 2e-9, (path.name, t)
+                rho_T, certified_upper, fold = bound_from_root(ra, i)
+            assert isinstance(certified_upper, Fraction), (path.name, i)
+            assert 0 < certified_upper - Fraction(rho_T) <= 2e-9, (path.name, i)
             [(_, confirm)] = solves
-            assert isinstance(confirm, Diverged), (path.name, t)
-            assert res.fold.bordered_steps <= 5, (path.name, t)
-            values.append(res.rho_T)
+            assert isinstance(confirm, Diverged), (path.name, i)
+            assert fold.bordered_steps <= 5, (path.name, i)
+            values.append(rho_T)
             pairs += 1
         assert max(values) - min(values) <= 1e-12 * max(values), path.name
     assert pairs == 402
@@ -594,10 +587,10 @@ def start_points(R_F):
 def committed_folds(tree_reduced):
     """(spec, polished fold, polished u) of the tree and of every committed
     document at each r = 2 root."""
-    specs = [tree_walk_spec(tree_reduced, 0)]
+    specs = [tree_walk_spec(tree_reduced)]
     for path in DOCUMENTS:
         _, ra = automaton_from_json(path.read_text())
-        specs += [tree_walk_spec(ra, int(t)) for t, rv in zip(ra.types, ra.r) if rv == 2]
+        specs += [replace(tree_walk_spec(ra), root=i) for i, rv in enumerate(ra.r) if rv == 2]
     with recorded_polish() as polished:
         folds = [fold_point(spec) for spec in specs]
     return [(spec, fold, u) for spec, fold, (_, u, _, _, _) in zip(specs, folds, polished)]
@@ -659,8 +652,8 @@ def test_start_check_refuses_points_above_the_least_solution(tree_reduced, data4
     # > 0 from its solve: no point above w passes, as the check proves its
     # point below every fixed point; w - 1e-6 x passes, since there
     # Phi(v) - v = 1e-6 (I - J) x + O(1e-12) = 1e-6 + O(1e-12)
-    tree_spec = tree_walk_spec(tree_reduced, 0)
-    for spec in [tree_spec, tree_walk_spec(data444["reduced"], default_root_type(data444["reduced"]))]:
+    tree_spec = tree_walk_spec(tree_reduced)
+    for spec in [tree_spec, tree_walk_spec(data444["reduced"])]:
         z = fold_point(spec).R_F * (1.0 - 1e-4)
         sol, x = solve_with_x(spec, z)
         w, z = sol.w, Fraction(z)
@@ -692,42 +685,6 @@ def test_start_check_refuses_x_with_a_zero_entry(committed_folds):
         x = u.copy()
         x[0] = 0.0
         assert is_below_least(spec, start_points(fold.R_F)[0], v, x) is False
-
-
-def test_collatz_wielandt_bound_is_an_upper_bound(graph_data, monkeypatch):
-    # every converged solve checks a bound on rho(J) below 1 that is at
-    # least the eigenvalue radius; a bound >= 1 (Diverged) only where rho is
-    # 1, though no solve on the table groups reaches that branch.  The fold
-    # search makes no converged solve, so the solves are made here, at z = 1
-    # and at R_F (1 - 1e-4), on every root type of the table groups
-    import conetypes.upper as upper
-
-    bound, calls = upper._jacobian_bound, []
-
-    def recorded_bound(spec, z, w, v, x):
-        rad = bound(spec, z, w, v, x)
-        calls.append((spec, z, w.copy(), rad))
-        return rad
-
-    monkeypatch.setattr(upper, "_jacobian_bound", recorded_bound)
-    solutions = []
-    for triple in TABLE:
-        ra = graph_data[triple]["reduced"]
-        for t in ra.types:
-            spec = tree_walk_spec(ra, int(t))
-            R_F = upper_bound(ra, root_type=int(t)).fold.R_F
-            for z in [1.0, R_F * (1.0 - 1e-4)]:
-                before = len(calls)
-                if isinstance(minimal_fixed_point(spec, z), FixedPointSolution):
-                    [solution] = calls[before:]
-                    solutions.append(solution)
-    assert solutions
-    for spec, z, w, rad in solutions:
-        assert rad < 1.0
-        assert eig_radius(spec, z, w) <= rad + 1e-12, (spec.ra.types, spec.root, z)
-    for spec, z, w, rad in calls:
-        if rad >= 1.0:
-            assert eig_radius(spec, z, w) >= 1.0 - 1e-9, (spec.ra.types, spec.root, z)
 
 
 def test_fold_search_work_on_committed_documents():
@@ -774,8 +731,8 @@ def test_upper_bound_on_large_triples():
         assert isinstance(confirm, Diverged), triple
         assert upper.fold.newton_steps == 2, triple
         assert upper.fold.bordered_steps <= 6, triple
-        # the proven upper bound: at (64,64,64) lower and rho_T agree to
-        # within their rounding (the float lower lies 3e-16 above rho_T)
+        # the proven upper bound: at (60,60,60) lower and rho_T agree to
+        # within their rounding (the float lower lies 2 ulps above rho_T)
         assert lower.bound <= upper.certified_upper, triple
         assert float(upper.certified_upper - Fraction(upper.rho_T)) <= 2e-12, triple
         T = tilde_matrix(ra)
