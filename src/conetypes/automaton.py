@@ -203,19 +203,18 @@ def _minimize(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """Moore-minimized table of a BFS-ordered table, in BFS order again, and
     the number of refinement rounds, the last of which splits no class.
 
-    States are merged when they accept the same words.  The first round
-    splits the states by the steps they refuse, and each later one keys a
-    dict on (class, successor classes): every round costs O(1) per state.
+    States are merged when they accept the same words.  Refinement starts
+    from one class, and each round keys a dict on (class, successor
+    classes), with -1 for a refused step: every round costs O(1) per state.
     Every round numbers the classes by their first state, so the final
     numbering is that of the classes' shortlex-least words: the BFS follows
-    the generators in order.  The identity's state refuses no step and every
-    other state refuses its last one, so the first round splits and a keyed
-    round follows; the keys of the last round, which splits no class, are
-    the minimized rows in class order.
+    the generators in order.  The first round splits the states by the steps
+    they refuse, and the identity's state refuses none while every other
+    state refuses its last one, so it always splits; the keys of the last
+    round, which splits no class, are the minimized rows in class order.
     """
-    ids: dict = {}
-    new = [ids.setdefault((a < 0, b < 0, d < 0), len(ids)) for a, b, d in rows]
-    n_cls, rounds = 1, 1
+    # the one-class partition, with n_cls = 0 so that the first round runs
+    new, ids, n_cls, rounds = [0] * len(rows), {(): 0}, 0, 0
     while len(ids) != n_cls:
         # cls ends in -1, the class of the missing successor -1
         cls, n_cls, ids = new + [-1], len(ids), {}
@@ -231,16 +230,13 @@ def _state_types(rows: list[list[int]], perms) -> list[int]:
     p maps the cone type of w to that of p(w), so it maps state q to pi(q),
     with pi(0) = 0 and pi(rows[q][s]) = rows[pi(q)][p(s)].  The
     permutations form a group, so the least image of q is the least state
-    of its orbit, and the types are numbered in that order.  The identity,
-    which _admissible_perms yields first, is skipped: each other
-    permutation costs O(1) per arc, and a triple with distinct exponents has
-    none, so its states are its types.
+    of its orbit, and the types are numbered in that order.  perms[0] is the
+    identity, as _admissible_perms yields it first, and is skipped: each
+    other permutation costs O(1) per arc, and a triple with distinct
+    exponents has none, so its states are its types.
     """
     least = list(range(len(rows)))
-    for p in perms:
-        if p == (0, 1, 2):
-            continue
-        p0, p1, p2 = p
+    for p0, p1, p2 in perms[1:]:
         pi = [0] * len(rows)
         for q, (a, b, d) in enumerate(rows):  # q is reached from a smaller state
             image = rows[pi[q]]

@@ -49,15 +49,13 @@ def main(ctx, radius):
 
 
 @main.command()
-@click.argument("l", type=int)
-@click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("exponents", nargs=3, type=int, metavar="L M N")
 @format_option("json", "csv")
 @click.pass_context
-def ball(ctx, l, m, n, fmt):
+def ball(ctx, exponents, fmt):
     """Build the Cayley-graph ball and export it."""
     config = _config(ctx)
-    params = new_params(l, m, n)
+    params = new_params(*exponents)
     radius = config.radius if config.radius is not None else 6
     b = build_ball(params, radius)
     if fmt == "json":
@@ -72,13 +70,11 @@ def ball(ctx, l, m, n, fmt):
 
 
 @main.command("cone-types")
-@click.argument("l", type=int)
-@click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("exponents", nargs=3, type=int, metavar="L M N")
 @format_option("json", "dot")
-def cone_types(l, m, n, fmt):
+def cone_types(exponents, fmt):
     """Compute the cone-type automaton from the root system."""
-    params = new_params(l, m, n)
+    params = new_params(*exponents)
     diag: dict = {}
     a = extract_automaton(params, diag)
     ra = reduce_automaton(a)
@@ -103,14 +99,12 @@ def cone_types(l, m, n, fmt):
 
 
 @main.command()
-@click.argument("l", type=int)
-@click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("exponents", nargs=3, type=int, metavar="L M N")
 @format_option("json", "csv")
 @click.pass_context
-def bounds(ctx, l, m, n, fmt):
+def bounds(ctx, exponents, fmt):
     """Lower and upper spectral-radius bounds for one group."""
-    _emit([run_group(new_params(l, m, n), _config(ctx))], fmt)
+    _emit([run_group(new_params(*exponents), _config(ctx))], fmt)
 
 
 def _emit(reports, fmt):
@@ -154,12 +148,10 @@ def table(ctx, fmt):
 
 
 @main.command("curvature")
-@click.argument("l", type=int)
-@click.argument("m", type=int)
-@click.argument("n", type=int)
-def curvature_cmd(l, m, n):
+@click.argument("exponents", nargs=3, type=int, metavar="L M N")
+def curvature_cmd(exponents):
     """Exact combinatorial curvature as a rational multiple of pi."""
-    q = curvature(new_params(l, m, n))
+    q = curvature(new_params(*exponents))
     click.echo(f"{q.numerator}/{q.denominator} * pi")
 
 

@@ -108,11 +108,11 @@ def run_group(params: GroupParams, config: RunConfig | None = None) -> BoundRepo
     return report
 
 
-def _stage(diag: dict, name: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), timed into diag; a ConeTypesError is recorded, giving None."""
+def _stage(diag: dict, name: str, fn, *args):
+    """fn(*args), timed into diag; a ConeTypesError is recorded, giving None."""
     t0 = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except ConeTypesError as exc:
         diag["errors"][name] = str(exc)
         return None

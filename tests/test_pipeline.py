@@ -529,6 +529,16 @@ def test_console_shim_exits_2_on_a_library_error(monkeypatch, capsys):
     assert proc.stderr.startswith("error: 1/l+1/m+1/n")
 
 
+@pytest.mark.parametrize("command", ["ball", "cone-types", "bounds", "curvature"])
+def test_cli_takes_exactly_three_exponents(command):
+    runner = CliRunner()
+    for exponents in (["4", "4"], ["4", "4", "4", "4"]):
+        result = runner.invoke(main, [command, *exponents])
+        assert result.exit_code == 2, (exponents, result.output)
+    usage = runner.invoke(main, [command, "--help"]).output.splitlines()[0]
+    assert usage.endswith(" L M N"), usage
+
+
 def test_cli_rejects_nonhyperbolic():
     runner = CliRunner()
     result = runner.invoke(main, ["bounds", "2", "3", "6"])
