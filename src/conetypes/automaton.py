@@ -224,15 +224,17 @@ def _minimize(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     return [list(key[1:]) for key in ids], rounds
 
 
-def _state_types(rows: list[list[int]], perms) -> list[int]:
-    """The cone type of each state: its orbit under the permutations.
+def _state_types(rows: list[list[int]], perms) -> tuple[list[int], list[int]]:
+    """The cone type of each state, its orbit under the permutations, and
+    the least state of each orbit, in type order.
 
     p maps the cone type of w to that of p(w), so it maps state q to pi(q),
     with pi(0) = 0 and pi(rows[q][s]) = rows[pi(q)][p(s)].  The
     permutations form a group, so the least image of q is the least state
-    of its orbit, and the types are numbered in that order.  perms[0] is the
-    identity, as _admissible_perms yields it first, and is skipped: each
-    other permutation costs O(1) per arc, and a triple with distinct
+    of its orbit, which is the first state of its type in BFS order; the
+    types are numbered in the order of these representatives.  perms[0] is
+    the identity, as _admissible_perms yields it first, and is skipped:
+    each other permutation costs O(1) per arc, and a triple with distinct
     exponents has none, so its states are its types.
     """
     least = list(range(len(rows)))
@@ -247,14 +249,9 @@ def _state_types(rows: list[list[int]], perms) -> list[int]:
             if d >= 0:
                 pi[d] = image[p2]
         least = list(map(min, least, pi))
-    types, n_types = [], 0
-    for q, m in enumerate(least):  # m <= q: an orbit's least state comes first
-        if m == q:
-            types.append(n_types)
-            n_types += 1
-        else:
-            types.append(types[m])
-    return types
+    reps = [q for q, m in enumerate(least) if m == q]
+    type_of = {q: t for t, q in enumerate(reps)}
+    return [type_of[m] for m in least], reps
 
 
 def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeTypeAutomaton:
@@ -268,14 +265,10 @@ def extract_automaton(params: GroupParams, diag: dict | None = None) -> ConeType
     act, closure_rounds = _elementary_roots(params.orders())
     states = _root_states(act)
     table, moore_rounds = _minimize(states)
-    state_type = _state_types(table, _admissible_perms(params))
-    K = max(state_type) + 1
-    # the first state of each type, met in type order, gives its row of M
-    cells, i = [], 0
-    for row, t in zip(table, state_type):
-        if t == i:
-            cells += [i * K + state_type[u] for u in row if u >= 0]
-            i += 1
+    state_type, reps = _state_types(table, _admissible_perms(params))
+    K = len(reps)
+    # every state of a type has the type's row of M, so its representative's is read
+    cells = [t * K + state_type[u] for t, q in enumerate(reps) for u in table[q] if u >= 0]
     M = np.bincount(cells, minlength=K * K).reshape(K, K)
     if diag is not None:
         diag["roots"] = act.shape[1]
@@ -352,8 +345,11 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
     """Restrict to the unique terminal strongly connected component.
 
     That component is the set of types every type reaches; the set is empty
-    when there are two or more terminal components.  The 0/1 matrix
-    products are float64 products clipped to 1, exact on 0/1 entries.
+    when there are two or more terminal components.  A type reaches another
+    along a simple path of at most K - 1 arcs, so ceil(log2 K) squarings of
+    the reflexive 0/1 matrix, covering 2^ceil(log2 K) >= K arcs, close
+    reachability.  The 0/1 matrix products are float64 products clipped to
+    1, exact on 0/1 entries.
 
     The primitivity exponent p, the least k with S^k > 0 for the component's
     0/1 matrix S, is found by binary lifting.  Positivity is monotone in k:
@@ -367,7 +363,7 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
     """
     K = a.K_total
     reach = np.maximum(a.M > 0, np.eye(K))
-    for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
+    for _ in range(int(np.ceil(np.log2(max(K, 2))))):
         reach = np.minimum(reach @ reach, 1.0)
     idx = np.flatnonzero(reach.all(axis=0))
     if idx.size == 0:

@@ -27,10 +27,6 @@ from .pipeline import (
 from .coxeter import build_ball, new_params
 
 
-def _config(ctx) -> RunConfig:
-    return ctx.obj["config"]
-
-
 def format_option(*formats: str):
     """--format offering text and the given formats, the ones the command renders."""
     return click.option("--format", "fmt", type=click.Choice(["text", *formats]),
@@ -44,17 +40,15 @@ def format_option(*formats: str):
 @click.pass_context
 def main(ctx, radius):
     """Cone-type automata and spectral-radius bounds for triangle groups."""
-    ctx.ensure_object(dict)
-    ctx.obj["config"] = RunConfig(radius=radius)
+    ctx.obj = RunConfig(radius=radius)
 
 
 @main.command()
 @click.argument("exponents", nargs=3, type=int, metavar="L M N")
 @format_option("json", "csv")
-@click.pass_context
-def ball(ctx, exponents, fmt):
+@click.pass_obj
+def ball(config, exponents, fmt):
     """Build the Cayley-graph ball and export it."""
-    config = _config(ctx)
     params = new_params(*exponents)
     radius = config.radius if config.radius is not None else 6
     b = build_ball(params, radius)
@@ -101,10 +95,10 @@ def cone_types(exponents, fmt):
 @main.command()
 @click.argument("exponents", nargs=3, type=int, metavar="L M N")
 @format_option("json", "csv")
-@click.pass_context
-def bounds(ctx, exponents, fmt):
+@click.pass_obj
+def bounds(config, exponents, fmt):
     """Lower and upper spectral-radius bounds for one group."""
-    _emit([run_group(new_params(*exponents), _config(ctx))], fmt)
+    _emit([run_group(new_params(*exponents), config)], fmt)
 
 
 def _emit(reports, fmt):
@@ -141,10 +135,10 @@ def _echo_report(report):
 
 @main.command()
 @format_option("json", "csv", "markdown")
-@click.pass_context
-def table(ctx, fmt):
+@click.pass_obj
+def table(config, fmt):
     """Reproduce the full ten-group bounds table."""
-    _emit(run_table(_config(ctx)), fmt)
+    _emit(run_table(config), fmt)
 
 
 @main.command("curvature")

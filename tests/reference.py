@@ -20,6 +20,7 @@ lexicographic ids, and its one-pass verifier against one depth at a time.
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1047,14 +1048,22 @@ def root_automaton_reference(params: GroupParams) -> tuple[np.ndarray, ConeTypeA
 
 
 def reduce_stepwise(a: ConeTypeAutomaton) -> ReducedAutomaton:
-    """reduce_automaton with the primitivity exponent found one power at a
-    time: S, S^2, S^3, ... until a power is positive, one dense product per
-    unit of p, and NotPrimitive past exponent KT^2."""
-    K = a.K_total
-    reach = np.maximum(a.M > 0, np.eye(K))
-    for _ in range(int(np.ceil(np.log2(max(K, 2)))) + 1):
-        reach = np.minimum(reach @ reach, 1.0)
-    idx = np.flatnonzero(reach.all(axis=0))
+    """reduce_automaton with the terminal types found by a BFS from every
+    type over the nonzeros of M, keeping the types every BFS reaches, and
+    the primitivity exponent found one power at a time: S, S^2, S^3, ...
+    until a power is positive, one dense product per unit of p, and
+    NotPrimitive past exponent KT^2."""
+    succ = [np.flatnonzero(row).tolist() for row in a.M]
+    common = set(range(a.K_total))
+    for start in range(a.K_total):
+        seen, queue = {start}, deque([start])
+        while queue:
+            for j in succ[queue.popleft()]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        common &= seen
+    idx = np.array(sorted(common), dtype=np.int64)
     if idx.size == 0:
         raise MultipleTerminalSCCs("no type is reached from every type")
     MT = a.M[np.ix_(idx, idx)]

@@ -173,6 +173,18 @@ def test_reduction_refuses_an_imprimitive_component():
             reduce(a)
 
 
+def test_reduction_closes_the_longest_chain():
+    # type i leads to type i + 1 and the last type to itself twice: type 0
+    # reaches the terminal type only along the chain's K - 1 arcs, the
+    # longest simple path there can be, and the closure must cover it
+    for K in range(1, 40):
+        M = np.zeros((K, K), dtype=np.int64)
+        M[np.arange(K - 1), np.arange(1, K)] = 1
+        M[K - 1, K - 1] = 2
+        ra = reduce_automaton(_automaton(M))
+        assert ra.types == (K - 1,) and ra.p == 1, K
+
+
 def test_reduction_equals_the_stepwise_oracle():
     # the primitivity exponent by binary lifting equals the one found a
     # power at a time, with the same types and M, on the atlas, the 28
@@ -525,6 +537,21 @@ def test_root_path_equals_its_scalar_oracles():
             assert got.root_type == want.root_type, order
             doc = automaton_to_json(got, reduce_automaton(got))
             assert doc == reference.cta1_reference(want), order
+
+
+def test_every_state_has_its_types_row():
+    # M is read off the least state of each type; every state of the type
+    # has the same successor-type counts, on the atlas and on two triples
+    # far beyond the radius the ball guard checks
+    states = 0
+    for triple in HYPERBOLIC_12 + [(2, 3, 97), (61, 67, 71)]:
+        a = extract_automaton(new_params(*triple))
+        succ, K = a.transitions, a.K_total
+        q, s = np.nonzero(succ >= 0)
+        got = np.bincount(q * K + a.state_type[succ[q, s]], minlength=len(succ) * K)
+        assert np.array_equal(got.reshape(-1, K), a.M[a.state_type]), triple
+        states += len(succ)
+    assert states == 11991
 
 
 def test_root_path_work_over_hyperbolic_12():

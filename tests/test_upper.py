@@ -212,10 +212,7 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
     # 1e-6 short of it the start check above it; a z not above 1 or a u not
     # positive is refused; so is a polish stopped short of the fold, at
     # z = R_F (1 - 1e-4) with the least solution there: it passes both
-    # exact checks, but the confirm just above it converges.  A converged
-    # confirm is refused on convergence alone: also with a Collatz-Wielandt
-    # bound on rho(J), should the solver consult one as _jacobian_bound,
-    # forced to 1 (the least solutions are solved before it is forced)
+    # exact checks, but the confirm just above it converges
     import conetypes.upper as upper
 
     polish, least = upper._fold_newton, {}
@@ -243,11 +240,6 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
             monkeypatch.setattr(upper, "_fold_newton", changed_by(change))
             with pytest.raises(NotConverged, match=message):
                 fold_point(tree_walk_spec(ra))
-    monkeypatch.setattr(upper, "_fold_newton", changed_by(short))
-    monkeypatch.setattr(upper, "_jacobian_bound", lambda *args: 1.0, raising=False)
-    for ra in [tree_reduced, data444["reduced"]]:
-        with pytest.raises(NotConverged, match=cases[-1][1]):
-            fold_point(tree_walk_spec(ra))
 
 
 def test_fold_refused_without_the_certificate(tree_reduced, data444, monkeypatch):
