@@ -390,7 +390,7 @@ def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
     if a == b == c:
         return "(i)", c + 2
     if a == b or b == c:
-        nn = a if a == b else b
+        nn = b
         ll = c if a == b else a
         if ll == 2:
             return "(ii.2)", 2 * nn + 5

@@ -197,10 +197,9 @@ def _fraction(obj) -> dict:
 
 
 def report_to_csv_row(report: BoundReport) -> str:
-    l, m, n = report.params.triple() if report.params else ("", "", "")
     cur = report.curvature
     fields = [
-        f"({l} {m} {n})" if report.params else "",
+        "({} {} {})".format(*report.params.triple()) if report.params else "",
         str(report.K_total if report.K_total is not None else ""),
         str(report.T_size if report.T_size is not None else ""),
         report.case,

@@ -225,7 +225,10 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
     J(w) u = J(u) w, so d(J(w) u)/dw = J(u)) is refilled in place each step,
     its three diagonals written through strided views of the flat array.
     fold_point starts it at the radial walk's fold (_radial_fold).
-    Returns (w, u, z, residual, linear solves made), or None on failure.
+    Returns (w, u, z, residual, linear solves made) once the residual falls
+    below FOLD_TOL.  A singular bordered matrix, a z stepped to a value not
+    finite or not positive, and 60 steps without reaching FOLD_TOL raise
+    NotConverged.
     """
     K = w0.size
     n = 2 * K + 1
@@ -260,13 +263,13 @@ def _fold_newton(spec: TreeWalkSpec, w0, u0, z0):
         try:
             step = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
-            return None
+            break
         w = w - step[:K]
         u = u - step[K:2 * K]
         z = z - float(step[2 * K])
         if not np.isfinite(z) or z <= 0:
-            return None
-    return None
+            break
+    raise NotConverged(f"bordered Newton failed from the radial-walk fold z = {z0}")
 
 
 def _radial_fold(spec: TreeWalkSpec):
@@ -296,7 +299,8 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     """Locate R_F: bordered Newton from a closed-form start, two-sided confirm.
 
     Newton on the fold system starts from the radial walk's fold
-    (_radial_fold).  The polished (w, u, z) is accepted only with z above 1
+    (_radial_fold), and a search that fails raises _fold_newton's
+    NotConverged.  The polished (w, u, z) is accepted only with z above 1
     and u > 0, when is_post_fixed_point proves w >= 0 a post-fixed point at
     z (1 - CERT_MARGIN), and when the solver diverges at z (1 + CERT_MARGIN)
     from the start v = w - t u, t = sqrt(CERT_MARGIN) max(w) / max(u), which
@@ -304,10 +308,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     NotConverged.  That confirm is the search's one fixed-point solve.
     """
     w0, u0, z0 = _radial_fold(spec)
-    polished = _fold_newton(spec, w0, u0, z0)
-    if polished is None:
-        raise NotConverged(f"bordered Newton failed from the radial-walk fold z = {z0}")
-    w, u, z, res, bordered_steps = polished
+    w, u, z, res, bordered_steps = _fold_newton(spec, w0, u0, z0)
     if not (z > 1.0 and (u > 0).all()):
         raise NotConverged(f"polished fold z = {z} not above 1 or u not positive")
     certified_z = Fraction(z * (1.0 - CERT_MARGIN))
@@ -334,9 +335,14 @@ def first_return_value(spec: TreeWalkSpec, z: float, w: np.ndarray) -> float:
 
 
 def _dyadic(a: np.ndarray):
-    """(A, S): Python ints A_i and one power of two S with a_i = A_i / S
-    exactly, or None when a holds NaN or an infinity."""
-    if not np.isfinite(a).all():
+    """(A, S): Python ints A_i >= 0 and one power of two S with a_i = A_i / S
+    exactly, or None when a holds NaN, an infinity or a negative entry.
+
+    Every exact check reads its floats through here and takes None as
+    failure: each of them holds for nonnegative dyadics only, so such an
+    entry proves nothing.
+    """
+    if not (np.isfinite(a) & (a >= 0)).all():
         return None
     ratios = [x.as_integer_ratio() for x in a.tolist()]
     S = max(den for _, den in ratios)
@@ -359,15 +365,13 @@ def is_post_fixed_point(spec: TreeWalkSpec, z: Fraction, w: np.ndarray) -> bool:
     on the exact binary values of w.  Each w_i is a dyadic W_i / S over one
     common power of two S, and z = zn / zd, so the rows are compared in
     integers as zn (r_i S^2 + W_i MW_i) <= zd d W_i S and
-    zn MW_root < zd d S, with MW = M W.  A w holding NaN or an infinity
-    proves nothing: the check fails.
+    zn MW_root < zd d S, with MW = M W.  A w that _dyadic refuses, holding
+    NaN, an infinity or a negative entry, proves nothing: the check fails.
     """
     dyadic = _dyadic(w)
     if dyadic is None:
         return False
     W, S = dyadic
-    if min(W) < 0:
-        return False
     zn, zd = z.as_integer_ratio()
     S2, d, MW = S * S, spec.ra.degree, _int_matvec(spec.M_nonzeros, W)
     for ri, Wi, MWi in zip(spec.r, W, MW):
@@ -383,8 +387,9 @@ def is_below_least(spec: TreeWalkSpec, z: Fraction, v: np.ndarray, x: np.ndarray
     J_z(v) = z (diag(Mp v) + v_i Mp_ij) >= 0 is Phi_z's Jacobian.  With v =
     V / S, x = X / T over powers of two (T cancels) and z = zn / zd, the
     rows read zn (r_i S^2 + V_i MV_i) >= zd d V_i S and
-    zn (MV_i X_i + V_i MX_i) < zd d X_i S in integers.  A NaN or an
-    infinity proves nothing: the check fails.
+    zn (MV_i X_i + V_i MX_i) < zd d X_i S in integers.  A v or x that
+    _dyadic refuses, holding NaN, an infinity or a negative entry, proves
+    nothing: the check fails, as it does for an x with a zero entry.
 
     Proof.  Suppose v <= w* fails for a fixed point w* >= 0.  Let
     t = max_i (v_i - w*_i) / x_i > 0 and s = v - t x; then s <= w*, with
@@ -398,11 +403,9 @@ def is_below_least(spec: TreeWalkSpec, z: Fraction, v: np.ndarray, x: np.ndarray
     JACM 2010): there, a Diverged solve from v shows that none exists.
     """
     dv, dx = _dyadic(v), _dyadic(x)
-    if dv is None or dx is None:
+    if dv is None or dx is None or min(dx[0]) == 0:
         return False
     (V, S), (X, _) = dv, dx
-    if min(V) < 0 or min(X) <= 0:
-        return False
     zn, zd = z.as_integer_ratio()
     S2, d, nz = S * S, spec.ra.degree, spec.M_nonzeros
     for ri, Vi, Xi, MVi, MXi in zip(spec.r, V, X, _int_matvec(nz, V), _int_matvec(nz, X)):

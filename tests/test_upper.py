@@ -302,19 +302,21 @@ def test_fixed_point_blow_up_diverges(tree_reduced, monkeypatch):
 
 
 def test_bordered_newton_failures(data444, monkeypatch):
-    # _fold_newton gives None on a singular bordered matrix, on a step that
-    # takes z to 0, below it or to NaN, and after 60 steps without a
-    # residual below FOLD_TOL; fold_point raises on None
+    # _fold_newton raises NotConverged on a singular bordered matrix, on a
+    # step that takes z to 0, below it or to NaN, and after 60 steps without
+    # a residual below FOLD_TOL; fold_point passes the same error on
     import conetypes.upper as upper
 
     spec = tree_walk_spec(data444["reduced"])
     start = (spec, *upper._radial_fold(spec))
     z0 = start[-1]
-    assert upper._fold_newton(*start) is not None
+    failed = "^" + re.escape(f"bordered Newton failed from the radial-walk fold z = {z0}") + "$"
+    assert upper._fold_newton(*start)[3] < upper.FOLD_TOL
     solve = np.linalg.solve
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "solve", singular)
-        assert upper._fold_newton(*start) is None
+        with pytest.raises(NotConverged, match=failed):
+            upper._fold_newton(*start)
     for z_step in [z0, z0 + 1.0, math.nan]:  # z = z0 - z_step: 0, -1, NaN
         def bad_z(a, b, z_step=z_step):
             step = solve(a, b)
@@ -323,7 +325,8 @@ def test_bordered_newton_failures(data444, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "solve", bad_z)
-            assert upper._fold_newton(*start) is None, z_step
+            with pytest.raises(NotConverged, match=failed):
+                upper._fold_newton(*start)
     solves = []
 
     def counted(a, b):
@@ -332,11 +335,11 @@ def test_bordered_newton_failures(data444, monkeypatch):
 
     monkeypatch.setattr(upper, "FOLD_TOL", 0.0)
     monkeypatch.setattr(np.linalg, "solve", counted)
-    assert upper._fold_newton(*start) is None
+    with pytest.raises(NotConverged, match=failed):
+        upper._fold_newton(*start)
     assert len(solves) == 60
     monkeypatch.setattr(np.linalg, "solve", solve)
-    with pytest.raises(NotConverged, match="^" + re.escape(
-            f"bordered Newton failed from the radial-walk fold z = {z0}") + "$"):
+    with pytest.raises(NotConverged, match=failed):
         fold_point(spec)
 
 
