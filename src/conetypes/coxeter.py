@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,7 +33,12 @@ from .errors import (
 
 # vertex budget of a ball; grow raises MemoryCap past it
 MAX_VERTICES = 8_000_000
-# column c of CayleyBall._len and _end is the walk along g, h, g, ... for
+# bit budget of a walk of CayleyBall._walk, end << _BITS | length: the end's
+# index on its sphere and the length, at most the radius, are both below
+# MAX_VERTICES whatever the exponents
+_BITS = MAX_VERTICES.bit_length()
+_LENGTH = (1 << _BITS) - 1
+# column c of CayleyBall._walk is the walk along g, h, g, ... for
 # (g, h) = (_PAIR_G[c], _PAIR_H[c]), so that a vertex w's two columns with
 # h = s are 2 s and 2 s + 1, and 6 w + c is twice the rank 3 w + s of the
 # candidate w s; _FLIP[c] is the column of (h, g) and _OUT[c] the
@@ -90,23 +95,41 @@ class CayleyBall:
     adjacency, from which `edges`, `parent` and `parent_gen` are derived, is
     the neighbour table `nbr`, which `grow` extends in place: nbr[v, g] is
     the g-neighbour of v, or -1 outside the ball, so the radius-R ball is a
-    prefix of the radius-(R+1) ball up to the last sphere's up-links.
+    prefix of the radius-(R+1) ball up to the last sphere's up-links.  The
+    spheres' bounds are Python ints, from which `offsets`, `radius`,
+    `n_vertices` and `norms` are read.
+
+    `grow` continues from the last sphere's walks, one int64 per vertex and
+    ordered pair: column c of `_walk` is the walk down from the vertex along
+    g, h, g, ... for (g, h) = (_PAIR_G[c], _PAIR_H[c]), packed as
+    end << _BITS | length, where end is the walk's last vertex numbered on
+    its own sphere, radius - length.  Both fields are below MAX_VERTICES <
+    2**_BITS, whatever the exponents.
     """
 
     params: GroupParams
-    radius: int
-    norms: np.ndarray
-    offsets: np.ndarray
     nbr: np.ndarray
-    # the last sphere, from which grow() continues: for each ordered pair
-    # (g, h) with g != h, the number of steps of the walk down from it along
-    # g, h, g, ... and the vertex where that walk ends
-    _len: np.ndarray | None = field(default=None, repr=False)
-    _end: np.ndarray | None = field(default=None, repr=False)
+    # sphere k is the ids _offsets[k]:_offsets[k + 1]
+    _offsets: list[int]
+    _walk: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def radius(self) -> int:
+        return len(self._offsets) - 2
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """The spheres' first ids and the vertex count, int64."""
+        return np.array(self._offsets, dtype=np.int64)
 
     @property
     def n_vertices(self) -> int:
-        return int(self.norms.size)
+        return self._offsets[-1]
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Each vertex's word length, its sphere, int16."""
+        return np.repeat(np.arange(self.radius + 1, dtype=np.int16), np.diff(self._offsets))
 
     @property
     def edges(self) -> np.ndarray:
@@ -128,6 +151,12 @@ class CayleyBall:
         """The normal form's prefix, int64: the neighbour along parent_gen."""
         return np.append(-1, reduce(np.minimum, self.nbr[1:].view(np.uint64).T).view(np.int64))
 
+    @cached_property
+    def _tops(self) -> np.ndarray:
+        """Per column, the length m(g, h) - 1 of a walk that pairs; an order
+        past the bit budget gives _LENGTH, which no length reaches."""
+        return np.array([min(m, _LENGTH + 1) - 1 for m in self.params.triple()])[_OUT]
+
     def sphere_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -135,16 +164,15 @@ class CayleyBall:
         doc = {
             "params": list(self.params.triple()),
             "radius": self.radius,
-            "vertices": [{"id": i, "norm": int(n)} for i, n in enumerate(self.norms)],
-            "edges": [[int(u), int(v), GEN_NAMES[g]] for u, v, g in self.edges],
+            "vertices": [{"id": i, "norm": n} for i, n in enumerate(self.norms.tolist())],
+            "edges": [[u, v, GEN_NAMES[g]] for u, v, g in self.edges.tolist()],
         }
         return json.dumps(doc, sort_keys=True)
 
     def to_adjacency_csv(self) -> str:
         lines = ["vertex,norm,neighbors"]
-        for v in range(self.n_vertices):
-            ns = " ".join(str(int(w)) for w in self.nbr[v] if w >= 0)
-            lines.append(f"{v},{int(self.norms[v])},{ns}")
+        for v, (n, row) in enumerate(zip(self.norms.tolist(), self.nbr.tolist())):
+            lines.append(f"{v},{n}," + " ".join(str(w) for w in row if w >= 0))
         return "\n".join(lines) + "\n"
 
     def grow(self) -> None:
@@ -156,76 +184,72 @@ class CayleyBall:
         missing links s; bipartiteness puts every candidate ws on the next
         sphere, and np.nonzero gives the candidates in shortlex rank 3 w + s.
         Candidate ws is paired through s' != s when the walk down from w
-        along s', s, s', ... takes m(s, s') - 1 steps; its key is that walk's
+        along s', s, s', ... takes m(s, s') - 1 steps.  Only candidates have
+        such walks: from a w with descent s the walk takes no step, or all
+        m(s, s') if s' is a descent too.  The key of a pairing is the walk's
         end and the pair {s, s'}, and the two candidates of one key are one
-        vertex.  Unless every key occurs exactly twice and no candidate
-        pairs through both other generators, IdentificationAmbiguity is
-        raised before anything changes.  A new vertex takes the least rank
-        of its candidates, which is its shortlex position.  The table gains
-        the new rows, holding their down-links, and the last sphere's
-        up-links; a new vertex's walk along g, h, ... with g a descent is one
-        step to the last sphere followed by that vertex's walk along
-        h, g, ....
+        vertex.
+
+        Keys are matched by counting.  The walks of {s, s'} that pair all
+        end on sphere k + 1 - m(s, s'), so a key is the end's index on that
+        sphere, times 3, plus the generator outside {s, s'}: the counts take
+        three entries per vertex of the largest of these at most three
+        spheres, not of the ball.  Unless every key occurs exactly twice and
+        no candidate pairs through both other generators,
+        IdentificationAmbiguity is raised, and MemoryCap past MAX_VERTICES,
+        before anything changes.  A key's two candidates are found from the
+        sum of their positions, and the new vertex takes the lesser rank,
+        which is its shortlex position.  The table gains the new rows,
+        holding their down-links, and the last sphere's up-links; a new
+        vertex's walk along g, h, ... with g a descent is one step to the
+        last sphere followed by that vertex's walk along h, g, ....
         """
-        k = self.radius
-        cand = self.nbr[self.offsets[-2]:] < 0
-        rank = np.flatnonzero(cand)
-        # column (s', s) of vertex w pairs the candidate w s through s' when
-        # its walk reaches m(s, s') - 1 steps; the key is the walk's end
-        # and the generator outside {s, s'}
-        tops = np.array(self.params.triple())[_OUT] - 1
-        at = np.flatnonzero((self._len == tops) & cand[:, _PAIR_H])
-        paired = at // 2
-        keys = 3 * self._end.take(at) + _OUT[at % 6]
-        order = np.argsort(keys)
-        gaps = np.diff(keys[order])
-        if keys.size % 2 or gaps[0::2].any() or not gaps[1::2].all() or not np.diff(paired).all():
+        offsets, walk = self._offsets, self._walk
+        k, base, first_id = len(offsets) - 2, offsets[-2], offsets[-1]
+        rank = (self.nbr[base:] < 0).ravel().nonzero()[0]
+        at = ((walk & _LENGTH) == self._tops).ravel().nonzero()[0]
+        keys = (walk.take(at) >> _BITS) * 3 + _OUT.take(at % 6)
+        pos = rank.searchsorted(at // 2)
+        count = np.bincount(keys)
+        if np.count_nonzero(count.take(keys) != 2) or np.count_nonzero(pos[1:] == pos[:-1]):
             raise IdentificationAmbiguity(
                 f"the rank-2 cosets do not pair the candidates at radius {k + 1}"
             )
-        first, second = paired[order[0::2]], paired[order[1::2]]
-        n_new = rank.size - first.size
-        if self.n_vertices + n_new > MAX_VERTICES:
+        twin = np.bincount(keys, pos).take(keys).astype(np.int64) - pos
+        n_new = rank.size - pos.size // 2
+        if first_id + n_new > MAX_VERTICES:
             raise MemoryCap(f"ball would exceed {MAX_VERTICES} vertices at radius {k + 1}")
-        # the later candidate of a pair is the vertex of the earlier one
-        dup = np.searchsorted(rank, np.maximum(first, second))
-        keep = np.ones(rank.size, dtype=bool)
-        keep[dup] = False
-        ids = np.cumsum(keep) - 1
-        ids[dup] = ids[np.searchsorted(rank, np.minimum(first, second))]
+        # the later candidate of a pair is the vertex of the earlier one;
+        # position 0 is never later, and carries the first id
+        later = np.maximum(pos, twin)
+        ids = np.ones(rank.size, dtype=np.int64)
+        ids[later] = 0
+        ids[0] = first_id
+        ids = ids.cumsum()
+        ids[later] = ids.take(np.minimum(pos, twin))
 
-        base, first_id = int(self.offsets[-2]), int(self.offsets[-1])
-        src, gens = np.divmod(rank, 3)
-        new_rows = np.full((n_new, 3), -1, dtype=np.int64)
-        new_rows[ids, gens] = base + src
-        nbr = np.concatenate([self.nbr, new_rows])
-        nbr.reshape(-1)[3 * base + rank] = first_id + ids
-
-        prev = new_rows[:, _PAIR_G] - base
-        step = prev >= 0
-        at = np.maximum(prev, 0) * 6 + _FLIP
-        self.radius = k + 1
-        self.norms = np.concatenate([self.norms, np.full(n_new, k + 1, dtype=np.int16)])
-        self.offsets = np.append(self.offsets, first_id + n_new)
-        self.nbr = nbr
-        self._len = np.where(step, self._len.take(at) + 1, 0)
-        self._end = np.where(step, self._end.take(at),
-                             np.arange(first_id, first_id + n_new)[:, None])
+        nbr = np.concatenate([self.nbr, np.full((n_new, 3), -1, dtype=np.int64)])
+        src = rank // 3
+        nbr[ids, rank - 3 * src] = src + base
+        nbr.reshape(-1)[rank + 3 * base] = ids
+        # a new vertex's walk along g, h, ... is one step to its g-neighbour
+        # and that vertex's walk along h, g, ..., or no step when g is not a
+        # descent: then it ends at the new vertex, numbered on its sphere
+        at = nbr[first_id:, _PAIR_G] * 6 + (_FLIP - 6 * base)
+        walk = walk.take(at, mode="clip")
+        walk += 1
+        np.copyto(walk, np.arange(0, n_new << _BITS, 1 << _BITS)[:, None], where=at < 0)
+        self.nbr, self._walk = nbr, walk
+        offsets.append(first_id + n_new)
 
 
 def build_ball(params: GroupParams, radius: int) -> CayleyBall:
-    """Exact radius-R ball, grown sphere by sphere from the identity."""
+    """Exact radius-R ball, grown sphere by sphere from the identity, whose
+    six walks take no step and end at it."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    ball = CayleyBall(
-        params=params,
-        radius=0,
-        norms=np.zeros(1, dtype=np.int16),
-        offsets=np.array([0, 1], dtype=np.int64),
-        nbr=np.full((1, 3), -1, dtype=np.int64),
-        _len=np.zeros((1, 6), dtype=np.int64),
-        _end=np.zeros((1, 6), dtype=np.int64),
-    )
+    ball = CayleyBall(params=params, nbr=np.full((1, 3), -1, dtype=np.int64),
+                      _offsets=[0, 1], _walk=np.zeros((1, 6), dtype=np.int64))
     while ball.radius < radius:
         ball.grow()
     return ball

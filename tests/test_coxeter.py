@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conetypes import (
     CayleyBall,
@@ -22,6 +23,7 @@ from conetypes import (
     new_params,
 )
 from conetypes import coxeter
+from conetypes.cli import main
 from reference import (
     CosineRing,
     NotStabilized,
@@ -207,6 +209,25 @@ def test_ball_parent_digest_is_pinned(triple, radius):
     assert got == PARENT_DIGESTS[triple, radius]
 
 
+# sha256 of the ball command's exports, recorded when both writers read
+# one numpy scalar at a time
+EXPORT_DIGESTS = {
+    ("ball 4 4 4", "csv"): "3452a03f485933d31bfbcad602e2e438bd2de4c389dbaea32408413237fb9895",
+    ("ball 4 4 4", "json"): "afb8c986c148e1773c1e15e703ca2778c9074656dbedd7237d9667995f29422e",
+    ("--radius 9 ball 2 3 7", "csv"):
+        "a563d502c92d61fc8eaf891774433561ceb5c17182c1317854c2eaef29a96159",
+    ("--radius 9 ball 2 3 7", "json"):
+        "ed89a160e6ab0d4c2acec0909f2ad8bd440b4faa24251f6bc2a3912f529ec915",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(EXPORT_DIGESTS))
+def test_ball_export_digest_is_pinned(command, fmt):
+    result = CliRunner().invoke(main, command.split() + ["--format", fmt])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == EXPORT_DIGESTS[command, fmt]
+
+
 def test_ball_growth_imports_no_numpy_random():
     """build_ball and run_group leave numpy.random unimported.
 
@@ -246,8 +267,8 @@ def test_grown_ball_equals_fresh_build(triple):
         # the last sphere's rows, whose links are its descent sets
         assert np.array_equal(*(b.nbr[b.offsets[-2]:] >= 0 for b in (ball, fresh))), "descents"
         # the walks of the last sphere, from which the next grow continues
-        for name in ("_len", "_end"):
-            assert np.array_equal(getattr(ball, name), getattr(fresh, name)), name
+        for name, got, want in zip(("length", "end"), walks(ball), walks(fresh)):
+            assert np.array_equal(got, want), name
 
 
 def test_representative_words_are_geodesics():
@@ -299,23 +320,50 @@ def test_monotone_growth_and_export():
     assert len(lines) == ball.n_vertices + 1
 
 
+def walks(ball):
+    """The last sphere's walks unpacked: their lengths and their ends as
+    vertex ids, each indexed by (vertex - offsets[-2], column)."""
+    length = ball._walk & coxeter._LENGTH
+    return length, (ball._walk >> coxeter._BITS) + ball.offsets[ball.radius - length]
+
+
+def set_walk(ball, x, c, length, end):
+    """Write walk c of the last sphere's vertex x through the packing."""
+    start = int(ball.offsets[ball.radius - length])
+    assert start <= end < int(ball.offsets[ball.radius - length + 1])
+    ball._walk[x, c] = (end - start) << coxeter._BITS | length
+
+
 def test_rank2_walks_match_words():
     """Each walk of the last sphere is the walk down the neighbour table
     along g, h, g, ...: the same number of steps, at most m(g, h), and the
     same end."""
     ball = build_ball(new_params(3, 4, 5), 7)
-    orders = ball.params.orders()
+    orders, norms = ball.params.orders(), ball.norms
     first = int(ball.offsets[-2])
+    length, end = walks(ball)
     for x in range(first, ball.n_vertices):
         for c, (g, h) in enumerate(zip(coxeter._PAIR_G, coxeter._PAIR_H)):
             steps, v = 0, x
             while True:
                 w = ball.nbr[v, (g, h)[steps % 2]]
-                if w < 0 or ball.norms[w] > ball.norms[v]:
+                if w < 0 or norms[w] > norms[v]:
                     break
                 steps, v = steps + 1, w
             assert steps <= orders[g, h]
-            assert (ball._len[x - first, c], ball._end[x - first, c]) == (steps, v)
+            assert (length[x - first, c], end[x - first, c]) == (steps, v)
+
+
+def assert_grow_refused(ball):
+    """grow raises IdentificationAmbiguity naming the next radius and
+    changes no field."""
+    before = {name: getattr(ball, name).copy()
+              for name in ("norms", "offsets", "nbr", "parent", "parent_gen")}
+    with pytest.raises(IdentificationAmbiguity, match=f"radius {ball.radius + 1}$"):
+        ball.grow()
+    for name, want in before.items():
+        got = getattr(ball, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("triple", [(4, 4, 4), (2, 3, 7)])
@@ -324,20 +372,67 @@ def test_pairing_guard_raises(triple):
     and changes no field."""
     params = new_params(*triple)
     ball = build_ball(params, 5)
-    before = {name: getattr(ball, name).copy()
-              for name in ("norms", "offsets", "nbr", "parent", "parent_gen")}
     # the column (g, h) of a vertex that h does not lead back from: its
     # last-sphere row has no h-link
     last = ball.nbr[ball.offsets[-2]:]
-    x, c = next((x, c) for x in range(ball._len.shape[0]) for c in range(6)
-                if ball._len[x, c] == 0 and last[x, coxeter._PAIR_H[c]] < 0)
+    length = walks(ball)[0]
+    x, c = next((x, c) for x in range(length.shape[0]) for c in range(6)
+                if length[x, c] == 0 and last[x, coxeter._PAIR_H[c]] < 0)
     g, h = coxeter._PAIR_G[c], coxeter._PAIR_H[c]
-    ball._len[x, c] = params.orders()[g, h] - 1
-    with pytest.raises(IdentificationAmbiguity, match="radius 6"):
-        ball.grow()
+    ball._walk[x, c] += params.orders()[g, h] - 1
+    assert_grow_refused(ball)
     assert ball.radius == 5
-    for name, want in before.items():
-        assert np.array_equal(getattr(ball, name), want), name
+
+
+def pairing_walks(ball):
+    """The last sphere's walks that pair a candidate, as (x, c); the
+    candidate columns (x, c) of the vertices with no such walk; and each
+    column's pairing length m(g, h) - 1."""
+    length, _ = walks(ball)
+    top = np.array([m - 1 for m in ball.params.triple()])[coxeter._OUT]
+    pairs = length == top
+    last = ball.nbr[ball.offsets[-2]:]
+    free = [(x, c) for x in range(len(last)) for c in range(6)
+            if last[x, coxeter._PAIR_H[c]] < 0 and not pairs[x].any()]
+    return [tuple(xc) for xc in np.argwhere(pairs)], free, top
+
+
+@pytest.mark.parametrize("triple", [(4, 4, 4), (2, 3, 7), (3, 5, 7)])
+@pytest.mark.parametrize("times", [3, 4])
+def test_pairing_guard_refuses_a_key_more_than_twice(triple, times):
+    """Walks rewritten to end where a pairing walk of the same pair ends
+    give its key three or four times; the even count is refused too."""
+    ball = build_ball(new_params(*triple), 7)
+    paired, free, top = pairing_walks(ball)
+    x, c = paired[0]
+    end = walks(ball)[1][x, c]
+    same = [(y, d) for y, d in free if coxeter._OUT[d] == coxeter._OUT[c]]
+    assert len(same) >= times - 2
+    for y, d in same[:times - 2]:
+        set_walk(ball, y, d, top[d], end)
+    assert_grow_refused(ball)
+
+
+@pytest.mark.parametrize("triple", [(4, 4, 4), (2, 3, 7), (3, 5, 7)])
+def test_pairing_guard_refuses_a_candidate_paired_twice(triple):
+    """A candidate paired through one generator is paired through the other
+    too, with a key that occurs exactly twice: every key count is right and
+    grow still refuses."""
+    ball = build_ball(new_params(*triple), 7)
+    paired, free, top = pairing_walks(ball)
+    end, k = walks(ball)[1], ball.radius
+    # a paired candidate x h, its other column c ^ 1 = (g', h), whose walks
+    # pair on sphere k - top[c ^ 1], and a free candidate column of that pair
+    x, c, y, e = next((x, c, y, e) for x, c in paired for y, e in free
+                      if coxeter._OUT[e] == coxeter._OUT[c ^ 1] and y != x and top[c ^ 1] < k)
+    # an end on that sphere that no pairing walk of the pair ends on
+    taken = {end[p] for p in paired if coxeter._OUT[p[1]] == coxeter._OUT[c ^ 1]}
+    sphere = k - top[c ^ 1]
+    fresh = next(v for v in range(ball.offsets[sphere], ball.offsets[sphere + 1])
+                 if v not in taken)
+    set_walk(ball, x, c ^ 1, top[c ^ 1], fresh)
+    set_walk(ball, y, e, top[e], fresh)
+    assert_grow_refused(ball)
 
 
 def test_large_exponents_give_the_tree_ball_fast():
@@ -349,6 +444,18 @@ def test_large_exponents_give_the_tree_ball_fast():
     assert time.process_time() - start < 0.5
     assert ball.sphere_sizes().tolist() == [1] + [3 * 2 ** (k - 1) for k in range(1, 11)]
     assert ball.n_vertices == 3070
+
+
+@pytest.mark.parametrize("huge,small,radius", [
+    ((2, 3, 2**62), (2, 3, 25), 12), ((3, 2**62, 5), (3, 13, 5), 12),
+    ((2**40, 2**41, 2**62), (61, 67, 71), 10),
+])
+def test_huge_exponents_leave_a_small_ball_unchanged(huge, small, radius):
+    """A rank-2 coset of order m > R closes outside the radius-R ball, so
+    exponents past the walks' bit budget give the ball of small ones."""
+    a, b = build_ball(new_params(*huge), radius), build_ball(new_params(*small), radius)
+    assert np.array_equal(a.nbr, b.nbr) and np.array_equal(a.offsets, b.offsets)
+    assert np.array_equal(a._walk, b._walk)
 
 
 @pytest.mark.parametrize("triple,radius", [((4, 4, 4), 9), ((2, 3, 7), 14), ((3, 5, 7), 9)])
@@ -419,8 +526,7 @@ def matrix_balls(params, radius):
         nbr = np.full((len(norms), 3), -1, dtype=np.int64)
         nbr[edges[:, 0], edges[:, 2]] = edges[:, 1]
         nbr[edges[:, 1], edges[:, 2]] = edges[:, 0]
-        yield CayleyBall(params=params, radius=k + 1, norms=np.array(norms),
-                         offsets=np.array(offsets), nbr=nbr)
+        yield CayleyBall(params=params, nbr=nbr, _offsets=list(offsets))
 
 
 def _extract(ball):
