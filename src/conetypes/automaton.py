@@ -446,18 +446,15 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _json_ints(value, name: str) -> np.ndarray:
-    """A JSON array of integers as a signed integer array, refused unless
-    numpy infers a signed integer dtype from the parsed values alone and
-    no value is a bool, which numpy reads as an integer among integers."""
-    arr = np.array(value)
-    if arr.dtype.kind != "i":
-        raise SchemaError(f"{name} is not an array of integers (read as {arr.dtype})")
-    # a vector is one row; any other shape is refused by the shape checks
-    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
-    if bool in set(map(type, chain.from_iterable(rows))):
-        raise SchemaError(f"{name} holds a boolean, not an integer")
-    return arr
+def _json_array(value, name: str, rows: bool = False) -> list:
+    """A JSON array of integers, or with rows an array of such arrays, as
+    parsed, refused unless every entry's type is int; a bool, which a list
+    comparison takes for 0 or 1, is named."""
+    kinds = set(map(type, chain.from_iterable(value) if rows else value))
+    if not kinds <= {int}:
+        why = "holds a boolean, not an integer" if bool in kinds else "is not an array of integers"
+        raise SchemaError(f"{name} {why}")
+    return value
 
 
 def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]:
@@ -465,7 +462,8 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
 
     Every count must be a JSON integer, r must be d - sum_j M_ij >= 0, and
     the reduced block (types, M, p) must be the reduction of M, which is
-    returned with the automaton.
+    returned with the automaton.  Only M becomes an int64 array: d, r and
+    the reduced block are compared as lists, and no count may exceed int64.
     """
     try:
         doc = json.loads(text)
@@ -475,33 +473,35 @@ def automaton_from_json(text: str) -> tuple[ConeTypeAutomaton, ReducedAutomaton]
         raise SchemaError("missing or unsupported schema field (expected cta-1)")
     try:
         K = _json_int(doc["K_total"], "K_total")
-        M = _json_ints(doc["M"], "M")
-        d = _json_ints(doc["d"], "d")
-        r = _json_ints(doc["r"], "r")
+        rows = _json_array(doc["M"], "M", rows=True)
+        M = np.array(rows, dtype=np.int64)
+        d = _json_array(doc["d"], "d")
+        r = _json_array(doc["r"], "r")
         root_type = _json_int(doc["root_type"], "root_type")
         red = doc["reduced"]
-        types = tuple(_json_ints(red["types"], "reduced.types").tolist())
-        MT = _json_ints(red["M"], "reduced.M")
+        types = _json_array(red["types"], "reduced.types")
+        MT = _json_array(red["M"], "reduced.M", rows=True)
         p = _json_int(red["p"], "reduced.p")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"malformed cta-1 document: {e}") from None
-    if M.shape != (K, K) or d.shape != (K,) or r.shape != (K,):
+    if M.shape != (K, K) or len(d) != K or len(r) != K:
         raise SchemaError("matrix/vector shapes disagree with K_total")
     if (M < 0).any() or not 0 <= root_type < K:
         raise SchemaError("negative multiplicities or root type out of range")
     # the lower bound holds for a d-regular graph only
-    if (d <= 0).any() or (d != d[0]).any():
-        raise SchemaError(f"degree vector {d.tolist()} is not one positive value")
+    if d != [d[0]] * K or not 0 < d[0] < 2 ** 63:
+        raise SchemaError(f"degree vector {d} is not one positive int64 value")
     params = doc.get("params")
     if params is not None:
         if not isinstance(params, list) or len(params) != 3:
             raise SchemaError(f"params {params!r} is not a list of three exponents")
         params = new_params(*(_json_int(v, "params") for v in params))
-    a = ConeTypeAutomaton(params=params, K_total=K, M=M, degree=int(d[0]), root_type=root_type)
-    if not np.array_equal(r, a.r) or (r < 0).any():
-        raise SchemaError(f"predecessor vector {r.tolist()} is not d - row sums "
-                          f"{a.r.tolist()}, or not >= 0")
+    a = ConeTypeAutomaton(params=params, K_total=K, M=M, degree=d[0], root_type=root_type)
+    # in Python ints: an int64 row sum of huge counts can wrap around
+    want = [d[0] - sum(row) for row in rows]
+    if r != want or min(r) < 0:
+        raise SchemaError(f"predecessor vector {r} is not d - row sums {want}, or not >= 0")
     ra = reduce_automaton(a)
-    if ra.types != types or ra.p != p or not np.array_equal(ra.M, MT):
+    if list(ra.types) != types or ra.p != p or ra.M.tolist() != MT:
         raise SchemaError("reduced block disagrees with the reduction of M")
     return a, ra

@@ -68,7 +68,8 @@ class GroupParams:
         return {(0, 1): n, (1, 0): n, (1, 2): l, (2, 1): l, (2, 0): m, (0, 2): m}
 
     def angle_sum(self) -> Fraction:
-        return Fraction(1, self.l) + Fraction(1, self.m) + Fraction(1, self.n)
+        l, m, n = self.l, self.m, self.n
+        return Fraction(l * m + m * n + n * l, l * m * n)
 
     def name(self) -> str:
         return f"Delta({self.l},{self.m},{self.n})"
@@ -76,11 +77,11 @@ class GroupParams:
 
 def new_params(l: int, m: int, n: int) -> GroupParams:
     """Validate a hyperbolic triple; order is preserved."""
-    for v in (l, m, n):
-        if not isinstance(v, (int, np.integer)) or v < 2:
-            raise InvalidParameter(f"exponents must be integers >= 2, got {(l, m, n)}")
+    if not all(isinstance(v, (int, np.integer)) and v >= 2 for v in (l, m, n)):
+        raise InvalidParameter(f"exponents must be integers >= 2, got {(l, m, n)}")
     p = GroupParams(int(l), int(m), int(n))
-    if p.angle_sum() >= 1:
+    a, b, c = p.triple()
+    if a * b + b * c + c * a >= a * b * c:  # 1/a + 1/b + 1/c >= 1, times abc, in ints
         raise NonHyperbolic(f"1/l+1/m+1/n = {p.angle_sum()} >= 1 for {(l, m, n)}")
     return p
 

@@ -14,6 +14,7 @@ import pytest
 import reference
 from conetypes import (
     ConeTypeAutomaton,
+    ConeTypesError,
     InvalidParameter,
     MultipleTerminalSCCs,
     NonHyperbolic,
@@ -743,6 +744,53 @@ def test_json_refuses_booleans_in_integer_arrays():
             automaton_from_json(_json.dumps(doc))
 
 
+MUTATION_VALUES = [None, True, False, 0, -1, 1, 2, 3, 4, 2 ** 63, 2 ** 70, 1.0, 1.5, "1",
+                   [], [1], [[1]], {}]
+
+
+def _json_paths(node, prefix=()):
+    """Every path below the root of a parsed JSON document, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def test_json_single_value_mutations_are_accepted_or_refused():
+    # each path of the (4,4,4) document set to each of MUTATION_VALUES but
+    # its own value: the reader accepts it or raises a ConeTypesError, and
+    # nothing else escapes.  It accepts another exponent triple, no triple,
+    # and another root type, since nothing yet ties a document to its group
+    import json as _json
+
+    good = _json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "automata"
+                        / "cta-4-4-4.json").read_text())
+    accepted, count = set(), 0
+    for path in _json_paths(good):
+        *keys, last = path
+        parent = good
+        for key in keys:
+            parent = parent[key]
+        for value in MUTATION_VALUES:
+            if type(value) is type(parent[last]) and value == parent[last]:
+                continue
+            doc = _json.loads(_json.dumps(good))
+            node = doc
+            for key in keys:
+                node = node[key]
+            node[last] = value
+            count += 1
+            try:
+                automaton_from_json(_json.dumps(doc))
+            except ConeTypesError:
+                continue
+            accepted.add((path, _json.dumps(value)))
+    assert count == 1585
+    assert accepted == ({(("params",), "null")}
+                        | {(("params", i), str(v)) for i in range(3) for v in (3, 2 ** 63, 2 ** 70)}
+                        | {(("root_type",), str(t)) for t in range(1, 5)})
+
+
 def test_root_types_are_the_reference_partition(graph_data):
     # the automaton run along the reference extraction ball types every
     # vertex as the reference does, on the reference's domain
@@ -886,4 +934,31 @@ def test_json_schema_errors(data444):
     doc = _json.loads(good)
     doc["d"], doc["r"] = [2] * 6, (2 - a.M.sum(axis=1)).tolist()
     with pytest.raises(SchemaError):
+        automaton_from_json(_json.dumps(doc))
+    # a count outside int64 is refused, not carried into int64 arithmetic:
+    # one degree of 2**70 for every type, with the r it gives, or a 2**63
+    # entry of M, r or the reduced M
+    for path, value in [(("d",), [2 ** 70] * 6), (("M", 0, 1), 2 ** 63),
+                        (("r", 1), 2 ** 63), (("reduced", "M", 0, 0), 2 ** 63)]:
+        doc = _json.loads(good)
+        if path == ("d",):
+            doc["r"] = (2 ** 70 - a.M.sum(axis=1).astype(object)).tolist()
+        *keys, last = path
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(SchemaError):
+            automaton_from_json(_json.dumps(doc))
+    # row 4 as four counts of 2**62 and a 1: its int64 sum wraps to 1, so r
+    # and the reduced block rewritten from the int64 M agree with it, but the
+    # row's true sum is far above the degree
+    doc = _json.loads(good)
+    doc["M"][4] = [2 ** 62] * 4 + [0, 1]
+    wrapped = replace(a, M=np.array(doc["M"], dtype=np.int64))
+    assert wrapped.M.sum(axis=1)[4] == 1
+    rw = reduce_automaton(wrapped)
+    doc["r"] = wrapped.r.tolist()
+    doc["reduced"] = {"types": list(rw.types), "M": rw.M.tolist(), "p": rw.p}
+    with pytest.raises(SchemaError, match="^predecessor vector"):
         automaton_from_json(_json.dumps(doc))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from conetypes import (
     NonHyperbolic,
     VerificationFailed,
     build_ball,
+    curvature,
     new_params,
 )
 from conetypes import coxeter
@@ -86,6 +89,30 @@ def test_angle_sum_below_one():
     p = new_params(3, 5, 7)
     assert p.angle_sum() < 1
     assert float(p.angle_sum()) == pytest.approx(1 / 3 + 1 / 5 + 1 / 7)
+
+
+def test_hyperbolic_exactly_when_the_angle_sum_is_below_one():
+    # new_params decides hyperbolicity in integers; the test sums Fractions
+    for triple in product(range(2, 31), repeat=3):
+        total = sum(Fraction(1, v) for v in triple)
+        if total < 1:
+            p = new_params(*triple)
+            assert p.angle_sum() == total and curvature(p) == total - 1, triple
+        else:
+            with pytest.raises(NonHyperbolic):
+                new_params(*triple)
+    # the Euclidean boundary, where the sum is exactly 1, and exponents whose
+    # products overflow int64, given as Python ints and as np.int64
+    for triple in [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2 ** 40, 2 ** 41, 2 ** 62), (2, 3, 2 ** 62)]:
+        total = sum(Fraction(1, v) for v in triple)
+        for given in (triple, tuple(np.int64(v) for v in triple)):
+            if total == 1:
+                with pytest.raises(NonHyperbolic):
+                    new_params(*given)
+                continue
+            p = new_params(*given)
+            assert p.triple() == triple and {type(v) for v in p.triple()} == {int}
+            assert p.angle_sum() == total and curvature(p) == total - 1
 
 
 def test_reflection_rep_is_involutive_with_symmetric_gram():
