@@ -385,7 +385,15 @@ def reduce_automaton(a: ConeTypeAutomaton) -> ReducedAutomaton:
 
 def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
     """Classification-case label and predicted cone-type count of a
-    hyperbolic triple; any other raises as new_params does."""
+    hyperbolic triple; any other raises as new_params does.
+
+    The count is the paper's, but for (iii.2), (2, b, c) with 4 <= b < c,
+    one below the paper's 2b + 2c + 7 when b >= 5.  On all 351 such triples
+    with c <= 30 the automaton's K_total is the paper's count less [b >= 5],
+    Moore minimization merges exactly one pair of root states, and for
+    b >= 5 the root states before it number exactly 2b + 2c + 7: the paper
+    counts one cone type twice.
+    """
     a, b, c = sorted(new_params(l, m, n).triple())
     if a == b == c:
         return "(i)", c + 2
@@ -398,7 +406,7 @@ def theorem_case(l: int, m: int, n: int) -> tuple[str, int]:
     if a >= 3:
         return "(iii.1)", 2 * (a + b + c) - 2
     if b >= 4:
-        return "(iii.2)", 2 * b + 2 * c + 7
+        return "(iii.2)", 2 * b + 2 * c + 7 - (b >= 5)
     return "(iii.3)", 2 * c + 21
 
 
@@ -411,10 +419,10 @@ def to_digraph_dot(a: ConeTypeAutomaton) -> str:
         if r[t] != 1:
             attr += f', xlabel="{int(r[t])}"'
         lines.append(f"  n{t} [{attr}];")
-    for i in range(a.K_total):
-        for j in range(a.K_total):
-            for _ in range(int(a.M[i, j])):
-                lines.append(f"  n{i} -> n{j};")
+    # np.nonzero runs in row-major order, as a scan of every cell would
+    rows, cols = np.nonzero(a.M)
+    for i, j, k in zip(rows.tolist(), cols.tolist(), a.M[rows, cols].tolist()):
+        lines += [f"  n{i} -> n{j};"] * k
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -59,7 +59,8 @@ def ball(config, exponents, fmt):
     else:
         sizes = " ".join(str(int(s)) for s in b.sphere_sizes())
         click.echo(f"group {params.name()} radius {radius}")
-        click.echo(f"vertices {b.n_vertices} edges {len(b.edges)}")
+        # nbr holds each edge twice, as an up-link and as a down-link
+        click.echo(f"vertices {b.n_vertices} edges {int((b.nbr >= 0).sum()) // 2}")
         click.echo(f"sphere sizes {sizes}")
 
 

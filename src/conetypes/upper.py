@@ -120,12 +120,13 @@ class FoldResult:
     w: np.ndarray  # the minimal fixed point at R_F
     residual: float
     certified_z: Fraction
-    # always False; kept only because the benchmark's trace hook reads it
-    fallback: bool
     # Newton steps of the search's one solve (the confirm), and the linear
     # solves of the bordered Newton
     newton_steps: int
     bordered_steps: int
+    # no field: the search has no fallback, and only the benchmark's trace
+    # hook (perfbench/tracing.py, _on_fold) reads this
+    fallback = False
 
 
 @dataclass
@@ -324,7 +325,7 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     confirm = minimal_fixed_point(spec, above, v)
     if not isinstance(confirm, Diverged):
         raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
-    return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z, fallback=False,
+    return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z,
                       newton_steps=confirm.iterations, bordered_steps=bordered_steps)
 
 

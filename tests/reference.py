@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -506,6 +506,73 @@ def census_refuses(ball, a) -> bool:
         if row != M[types[v]]:
             return True
     return False
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def steinberg_sphere_sizes(triple, n: int) -> list[int]:
+    """|S_0|, ..., |S_(n-1)| of Delta(l,m,n) from its growth series, in
+    Python ints and with no ball.
+
+    Steinberg's formula sums over the finite parabolic subgroups, here the
+    trivial group, three of order 2 and the dihedral groups of orders 2k for
+    k in (l, m, n) (Steinberg, "Endomorphisms of linear algebraic groups",
+    Mem. AMS 80, 1968; Humphreys, Reflection Groups and Coxeter Groups,
+    1990, 5.12):
+
+        1/W(t) = 1 - 3t/(1+t) + sum_k t^k (1-t) / ((1+t)(1-t^k)).
+
+    Times D = (1+t) prod_k (1-t^k) the right side is the polynomial
+    N = (1-2t) prod_k (1-t^k) + (1-t) sum_k t^k prod_(j != k) (1-t^j), with
+    N(0) = 1, so W = D/N expands as W_i = D_i - sum_(j >= 1) N_j W_(i-j).
+    """
+    factors = [[1] + [0] * (k - 1) + [-1] for k in triple]  # 1 - t^k
+    P = reduce(_poly_mul, factors)
+    N = _poly_mul([1, -2], P)
+    for i, k in enumerate(triple):
+        rest = reduce(_poly_mul, [f for j, f in enumerate(factors) if j != i], [1, -1])
+        for e, c in enumerate(rest, start=k):
+            N[e] += c
+    D = _poly_mul([1, 1], P) + [0] * n
+    W = []
+    for i in range(n):
+        W.append(D[i] - sum(N[j] * W[i - j] for j in range(1, min(i + 1, len(N)))))
+    return W
+
+
+def automaton_sphere_sizes(a, n: int) -> list[int]:
+    """|S_0|, ..., |S_(n-1)| by the count recursion r_j s_(k+1)(j) = sum_i
+    s_k(i) M_ij from the root type, in int64, exact through sphere 62; a
+    count that is not whole raises VerificationFailed."""
+    assert n <= 63
+    r = np.maximum(a.r, 1)
+    s = np.zeros(a.K_total, dtype=np.int64)
+    s[a.root_type] = 1
+    sizes = [1]
+    for k in range(1, n):
+        into = s @ a.M
+        if (into % r).any() or into[a.r <= 0].any():
+            raise VerificationFailed(f"M gives no whole type counts on sphere {k}")
+        s = into // r
+        sizes.append(int(s.sum()))
+    return sizes
+
+
+def tree_automaton(params) -> ConeTypeAutomaton:
+    """The 3-regular tree's automaton, which stabilization alone once gave
+    for (7,7,7) on small balls: state 0 is the identity, state 1 + s the
+    words ending in s."""
+    return ConeTypeAutomaton(
+        params=params, K_total=2, M=np.array([[0, 3], [0, 2]]), degree=3, root_type=0,
+        transitions=np.array([[1, 2, 3], [-1, 2, 3], [1, -1, 3], [1, 2, -1]]),
+        state_type=np.array([0, 1, 1, 1]),
+    )
 
 
 def representative_words(ball) -> list[tuple[int, ...]]:

@@ -823,19 +823,60 @@ def test_exponent_order_does_not_change_the_automaton(triple):
 
 def test_iii2_count_is_one_below_the_closed_form():
     # reproduction note: for (2, b, c) with 5 <= b < c the root path counts
-    # 2b + 2c + 6 cone types, one less than the paper's 2b + 2c + 7, which
-    # theorem_case keeps; the ball extraction agrees where it is cheap
+    # 2b + 2c + 6 cone types, one less than the paper's 2b + 2c + 7, and
+    # theorem_case gives that count; the ball extraction agrees where it is
+    # cheap
     checked = 0
     for b in range(5, 13):
         for c in range(b + 1, 13):
             params = new_params(2, b, c)
-            assert theorem_case(2, b, c) == ("(iii.2)", 2 * b + 2 * c + 7)
+            assert theorem_case(2, b, c) == ("(iii.2)", 2 * b + 2 * c + 6)
             K = extract_automaton(params).K_total
             assert K == 2 * b + 2 * c + 6, (b, c)
             if c <= 8:
                 assert extract_escalating(params).K_total == K, (b, c)
                 checked += 1
     assert checked == 6
+
+
+def test_iii2_count_is_the_paper_count_less_one_from_b_5():
+    # on all 351 triples (2, b, c) with 4 <= b < c <= 30, theorem_case gives
+    # the automaton's count, the paper's 2b + 2c + 7 less [b >= 5]: Moore
+    # minimization merges one pair of root states, and for b >= 5 the root
+    # states before it number exactly the paper's count
+    checked = 0
+    for b in range(4, 30):
+        for c in range(b + 1, 31):
+            paper, diag = 2 * b + 2 * c + 7, {}
+            K = extract_automaton(new_params(2, b, c), diag).K_total
+            assert theorem_case(c, 2, b) == ("(iii.2)", K) == ("(iii.2)", paper - (b >= 5))
+            states = diag["states"]
+            assert states["before"] - states["after"] == 1, (b, c)
+            assert b == 4 or states["before"] == paper, (b, c)
+            checked += 1
+    assert checked == 351
+
+
+def test_growth_series_counts_the_spheres():
+    # Steinberg's series gives the automaton's sphere counts on the atlas
+    # out to sphere 2 max + 2, and build_ball's on the table groups at
+    # radius 8
+    for t in HYPERBOLIC_12:
+        n = 2 * max(t) + 3
+        got = reference.automaton_sphere_sizes(extract_automaton(new_params(*t)), n)
+        assert got == reference.steinberg_sphere_sizes(t, n), t
+    for t in TABLE:
+        got = build_ball(new_params(*t), 8).sphere_sizes().tolist()
+        assert got == reference.steinberg_sphere_sizes(t, 9), t
+    # it refuses the 3-regular tree's automaton on (k,k,k) at sphere k,
+    # which check_on_ball accepts on the radius-10 ball for k = 11, 12
+    for k in (11, 12):
+        params = new_params(k, k, k)
+        tree = reference.tree_automaton(params)
+        check_on_ball(tree, build_ball(params, 10))
+        got = reference.automaton_sphere_sizes(tree, k + 1)
+        want = reference.steinberg_sphere_sizes((k, k, k), k + 1)
+        assert got[:k] == want[:k] and got[k] != want[k], k
 
 
 def test_dot_output(data444):

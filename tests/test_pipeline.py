@@ -16,7 +16,6 @@ import pytest
 from click.testing import CliRunner
 
 from conetypes import (
-    ConeTypeAutomaton,
     Diverged,
     NotConverged,
     RunConfig,
@@ -41,8 +40,8 @@ from conetypes import (
 from conetypes import cli, pipeline
 from conetypes.cli import main
 from conetypes.pipeline import CSV_HEADER
-from conftest import LOWER_BOUNDS, TABLE, UPPER_BOUNDS, counted_solves
-from reference import extract_escalating, extract_from_ball
+from conftest import DOCUMENTS, LOWER_BOUNDS, TABLE, UPPER_BOUNDS, counted_solves
+from reference import extract_escalating, extract_from_ball, tree_automaton
 
 # exact combinatorial curvature, as the rational multiple q of pi
 CURVATURES = {
@@ -189,25 +188,13 @@ def test_run_group_fails_soft_without_an_automaton(stage, fn, monkeypatch):
     assert json.loads(report_to_json(report))["K_total"] == report.K_total
 
 
-def _tree_automaton(params):
-    """The 3-regular tree's automaton, which stabilization alone once gave
-    for (7,7,7) on small balls: state 0 is the identity, state 1 + s the
-    words ending in s."""
-    M = np.array([[0, 3], [0, 2]])
-    return ConeTypeAutomaton(
-        params=params, K_total=2, M=M, degree=3, root_type=0,
-        transitions=np.array([[1, 2, 3], [-1, 2, 3], [1, -1, 3], [1, 2, -1]]),
-        state_type=np.array([0, 1, 1, 1]),
-    )
-
-
 def test_guard_rejects_the_tree_automaton(monkeypatch):
     params = new_params(7, 7, 7)
     ball = build_ball(params, 10)
     with pytest.raises(VerificationFailed, match="sphere 7"):
-        check_on_ball(_tree_automaton(params), ball)
+        check_on_ball(tree_automaton(params), ball)
     monkeypatch.setattr(pipeline, "extract_automaton",
-                        lambda p, diag=None: _tree_automaton(p))
+                        lambda p, diag=None: tree_automaton(p))
     report = run_group(params)
     assert report.K_total == 2
     assert "guard" in report.diagnostics["errors"]
@@ -510,6 +497,17 @@ def test_cli_cone_types_exits_1_on_a_count_mismatch(monkeypatch):
     doc = CliRunner().invoke(main, ["cone-types", "4", "4", "4", "--format", "json"])
     assert doc.exit_code == 1
     assert json.loads(doc.output)["K_total"] == 6
+
+
+def test_cli_exits_0_on_iii2_from_b_5():
+    # (2,5,6) has 28 cone types, one below the paper's 2b + 2c + 7 and the
+    # count theorem_case gives, so each command that compares them passes
+    [doc] = [p for p in DOCUMENTS if p.name == "cta-2-5-6.json"]
+    for args in (["bounds", "2", "5", "6"], ["cone-types", "2", "5", "6"],
+                 ["from-automaton", str(doc)]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        assert "match True" in result.output, args
 
 
 def test_console_shim_exits_2_on_a_library_error(monkeypatch, capsys):

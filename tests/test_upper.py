@@ -8,7 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,7 +197,8 @@ def test_tree_fold_point(tree_reduced):
     with recorded_polish() as polished:
         fold = fold_point(spec)
     assert fold.R_F == pytest.approx(TREE_RF, abs=1e-12)
-    assert not fold.fallback
+    # the search has no fallback: a constant the benchmark reads, not a field
+    assert not fold.fallback and "fallback" not in {f.name for f in fields(fold)}
     assert fold.residual < 1e-10
     # minimal solution at the fold: w = 1/sqrt(2), Jacobian has eigenvalue 1
     assert fold.w[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
