@@ -103,7 +103,7 @@ def bounds(config, exponents, fmt):
 
 
 def _emit(reports, fmt):
-    """Print the reports in fmt; exit 1 when any fails."""
+    """Print the reports in fmt and each failed stage on stderr; exit 1 when any fails."""
     if fmt == "json":
         for r in reports:
             click.echo(report_to_json(r))
@@ -114,6 +114,9 @@ def _emit(reports, fmt):
     else:
         for r in reports:
             _echo_report(r)
+    for r in reports:
+        for stage, msg in (r.diagnostics.get("errors") or {}).items():
+            click.echo(f"error[{stage}] {msg}", err=True)
     if not all(r.ok for r in reports):
         sys.exit(1)
 
@@ -129,9 +132,6 @@ def _echo_report(report):
     if report.curvature is not None:
         q = report.curvature
         click.echo(f"curvature {q.numerator}/{q.denominator} * pi")
-    errs = report.diagnostics.get("errors") or {}
-    for stage, msg in errs.items():
-        click.echo(f"error[{stage}] {msg}", err=True)
 
 
 @main.command()

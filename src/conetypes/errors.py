@@ -36,9 +36,9 @@ class NotPrimitive(ConeTypesError):
 
 
 class NotConverged(ConeTypesError):
-    """A numeric result failed its check: the fold search, F(R_F) < 1, the
-    Perron vector's positivity or residual, or the residual of lambda's
-    eigenpair."""
+    """A numeric result failed its check: the fold search, F(R_F) < 1, or
+    lower.perron's one check of an eigenpair, for nu or for lambda: a
+    positive vector whose every entry has relative residual below 1e-12."""
 
 
 class ZeroPredecessor(ConeTypesError):

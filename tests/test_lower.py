@@ -9,6 +9,7 @@ from conetypes import (
     NotConverged,
     ReducedAutomaton,
     ZeroPredecessor,
+    automaton_from_json,
     extract_automaton,
     lower_bound,
     new_params,
@@ -18,7 +19,7 @@ from conetypes import (
     tilde_matrix,
 )
 from conetypes import lower
-from conftest import HYPERBOLIC_12, LOWER_BOUNDS, TABLE
+from conftest import DOCUMENTS, HYPERBOLIC_12, LOWER_BOUNDS, TABLE
 
 TILDE_444 = np.array([
     [1.0, 1.0, 0.0, 0.0],
@@ -136,3 +137,27 @@ def test_all_groups_match_reference(graph_data):
         assert res.residual_lam < 1e-12
         assert res.nu > 1.0  # exponential sphere growth
         assert (perron(tilde_matrix(ra))[1] > 0).all()
+
+
+def test_perron_vector_is_accurate_entry_by_entry():
+    # every entry of A is checked against itself, down to the smallest, on
+    # every committed document and on (3,3,260): its primitivity exponent,
+    # 266, is past 2^FIRST_CHECK, and a vector whose absolute residual is
+    # below 1e-12 there can still have a relative residual of 110
+    ras = [reduce_automaton(extract_automaton(new_params(3, 3, 260)))]
+    ras += [automaton_from_json(path.read_text())[1] for path in DOCUMENTS]
+    assert len(ras) == 1 + 28
+    for ra in ras:
+        T = tilde_matrix(ra)
+        nu, A, _ = perron(T)
+        assert (abs(T @ A - nu * A) / A).max() < 1e-12, ra.types
+
+
+def test_bounds_past_primitivity_exponent_256():
+    # past p = 2^FIRST_CHECK the bound still follows its family: (300,300,300)
+    # gives the tree's 2 sqrt 2 / 3 to 1e-12, and (3,3,260) gives (3,3,97)'s
+    def bound(*triple):
+        return lower_bound(reduce_automaton(extract_automaton(new_params(*triple)))).bound
+
+    assert bound(300, 300, 300) == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+    assert bound(3, 3, 260) == pytest.approx(bound(3, 3, 97), abs=1e-12)

@@ -293,6 +293,22 @@ def test_run_from_automaton_round_trip(data444):
     assert report.diagnostics["upper_certified"] == direct.diagnostics["upper_certified"]
 
 
+@pytest.mark.parametrize("args", [
+    ["bounds", "4", "4", "4"],
+    ["bounds", "4", "4", "4", "--format", "csv"],
+    ["bounds", "4", "4", "4", "--format", "json"],
+    ["table", "--format", "markdown"],
+], ids=["bounds-text", "bounds-csv", "bounds-json", "table-markdown"])
+def test_every_format_reports_a_failed_stage_on_stderr(args):
+    # a ball of radius 0 fails the ball stage of every group: each format
+    # exits 1 and prints one error line per group on stderr, none on stdout
+    res = CliRunner().invoke(main, ["--radius", "0", *args], catch_exceptions=False)
+    assert res.exit_code == 1
+    groups = 10 if args[0] == "table" else 1
+    assert res.stderr == "error[ball] radius must be >= 1\n" * groups
+    assert "error[" not in res.stdout
+
+
 def test_bounds_and_from_automaton_fail_a_stage_alike(data444, tmp_path, monkeypatch):
     # a failing bound stage is recorded the same way on both paths: the
     # other bound is kept, the error is reported and the exit status is 1
