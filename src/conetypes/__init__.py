@@ -46,7 +46,6 @@ from .pipeline import (
 )
 from .upper import (
     Diverged,
-    FixedPointSolution,
     TreeWalkSpec,
     UpperBoundResult,
     default_root_type,

@@ -246,9 +246,10 @@ class CayleyBall:
 
 def build_ball(params: GroupParams, radius: int) -> CayleyBall:
     """Exact radius-R ball, grown sphere by sphere from the identity, whose
-    six walks take no step and end at it."""
-    if radius < 1:
-        raise InvalidParameter("radius must be >= 1")
+    six walks take no step and end at it.  A radius that is not an integer
+    >= 1, a bool among them, raises InvalidParameter."""
+    if isinstance(radius, bool) or not (isinstance(radius, (int, np.integer)) and radius >= 1):
+        raise InvalidParameter(f"radius must be an integer >= 1, got {radius!r}")
     ball = CayleyBall(params=params, nbr=np.full((1, 3), -1, dtype=np.int64),
                       _offsets=[0, 1], _walk=np.zeros((1, 6), dtype=np.int64))
     while ball.radius < radius:

@@ -6,7 +6,8 @@ class ConeTypesError(Exception):
 
 
 class InvalidParameter(ConeTypesError):
-    """A triangle-group exponent is smaller than 2."""
+    """A triangle-group exponent that is no integer >= 2, a ball radius that
+    is no integer >= 1, or a negative walk horizon."""
 
 
 class NonHyperbolic(ConeTypesError):
@@ -36,9 +37,11 @@ class NotPrimitive(ConeTypesError):
 
 
 class NotConverged(ConeTypesError):
-    """A numeric result failed its check: the fold search, F(R_F) < 1, or
-    lower.perron's one check of an eigenpair, for nu or for lambda: a
-    positive vector whose every entry has relative residual below 1e-12."""
+    """A numeric result failed its check: the fold search, its confirm above
+    the fold included (a Newton solve there that converges), F(R_F) < 1, or
+    lower.perron's one check of an eigenpair, for nu or for lambda: a matrix
+    whose largest entry is positive and finite, and a positive vector whose
+    every entry has relative residual below 1e-12."""
 
 
 class ZeroPredecessor(ConeTypesError):

@@ -66,21 +66,30 @@ def tilde_matrix(ra: ReducedAutomaton) -> np.ndarray:
 
 
 def perron(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Perron eigenpair of a nonnegative primitive matrix, by repeated squaring.
+    """Perron eigenpair of a nonnegative matrix, by repeated squaring.
 
     Returns (theta, v, residual): v sums to 1 and residual is the largest
-    relative residual max_i |(mat v)_i - theta v_i| / v_i.  P = mat / max(mat)
-    is squared and rescaled by its largest entry, so it tends to v w^T: v is
-    P 1, w = 1^T P, and theta is the two-sided Rayleigh quotient
-    w mat v / w v, whose error is second order in those of v and w.  The
-    first checked squaring (see FIRST_CHECK) whose v is positive and whose
-    residual is below EIGEN_TOL is accepted, so every entry of v is checked
-    against itself, however small.  If no check passes by SQUARING_CAP, a
-    last v with an entry <= 0 (a reducible matrix, or an underflow) raises
-    NotConverged, as does a residual not below EIGEN_TOL, which is what an
-    imprimitive matrix leaves: its squared powers never become rank one.
+    relative residual max_i |(mat v)_i - theta v_i| / v_i.  A matrix whose
+    largest entry is not positive and finite raises NotConverged.
+    P = mat / max(mat) is squared and rescaled by its largest entry, so for
+    a primitive matrix it tends to v w^T: v is P 1, w = 1^T P, and theta is
+    the two-sided Rayleigh quotient w mat v / w v, whose error is second
+    order in those of v and w.  The first checked squaring (see
+    FIRST_CHECK) whose v is positive and whose residual is below EIGEN_TOL
+    is accepted, so every entry of v is checked against itself, however
+    small.  An accepted pair gives the Perron root whatever the matrix, as
+    a positive eigenvector of a nonnegative matrix belongs to its spectral
+    radius: [[0, 1], [1, 0]] and the identity are accepted with theta = 1.
+    Primitivity is not checked here but by reduce_automaton (NotPrimitive).
+    If no check passes by SQUARING_CAP, a last v with an entry <= 0 (a
+    reducible matrix, or an underflow) raises NotConverged, as does a
+    residual not below EIGEN_TOL, such as the 0.5 of [[0, 2], [1, 0]], an
+    imprimitive matrix whose squared powers never become rank one.
     """
-    P = mat / mat.max()
+    top = float(mat.max())
+    if not 0.0 < top < np.inf:
+        raise NotConverged(f"the largest entry {top} is not positive and finite")
+    P = mat / top
     for k in range(1, SQUARING_CAP + 1):
         P = P @ P
         P /= P.max()

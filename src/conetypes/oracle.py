@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coxeter import CayleyBall
-from .errors import HorizonExceedsBall
+from .errors import HorizonExceedsBall, InvalidParameter
 
 
 def return_probabilities(ball: CayleyBall, n_max: int) -> list[Fraction]:
@@ -23,8 +23,11 @@ def return_probabilities(ball: CayleyBall, n_max: int) -> list[Fraction]:
     With c_k the integer counts of the k-step walks from x0 at each vertex,
     p^(2k) = sum_v c_k(v)^2 / 9^k for 2k <= n_max (the walk is symmetric), and
     p^(2k+1) = 0 (the Cayley graph is bipartite).  The counts are int64 while
-    3^n_max < 2^63 bounds the sums, Python integers beyond that.
+    3^n_max < 2^63 bounds the sums, Python integers beyond that.  A
+    negative n_max raises InvalidParameter.
     """
+    if n_max < 0:
+        raise InvalidParameter(f"horizon must be >= 0, got {n_max}")
     dtype = np.int64 if 3 ** n_max < 2 ** 63 else object
     if n_max > 2 * ball.radius:
         raise HorizonExceedsBall(

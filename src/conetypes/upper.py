@@ -2,8 +2,8 @@
 
 The nearest-neighbour walk on the tree of geodesics has first-return series
 w_i = F_{-i}(z) solving the monotone polynomial system
-w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution, found by
-Newton's method, exists up to a fold point R_F (Jacobian eigenvalue 1).
+w_i = p_{-i} z + z w_i sum_j M_ij p_ij w_j.  Its minimal solution exists
+up to a fold point R_F (Jacobian eigenvalue 1) and nowhere past it.
 The system has no root, so neither has R_F: the walk is rooted once, at
 default_root_type, and the root enters only F and the certificate's root
 row below.
@@ -20,9 +20,11 @@ post-fixed point at z (1 - 1e-12), and the minimal solution does not
 exist at z (1 + 1e-12).  That solve, the search's only one, starts just
 below the fold, from v = w - t u with t = sqrt(1e-12) max(w) / max(u),
 which a second exact check, is_below_least, first proves to lie below
-every fixed point at z (1 + 1e-12); Newton from it rises to the least
-solution wherever one exists, so its Diverged result shows there is none,
-in 2 steps.  There is no fallback: anything else raises NotConverged.
+every fixed point at z (1 + 1e-12).  Newton from it would rise to the
+least solution wherever one exists, so the solve (minimal_fixed_point)
+has one result, Diverged, which shows there is none, in 2 steps; it raises
+NotConverged if Newton converges instead.  No least solution is computed
+here.  There is no fallback: anything else raises NotConverged.
 
 The Green-kernel radius is R_F itself.  The graph is d-regular, and the
 root's own row of the system reads w_root = z r_root/d + w_root F(z), so the
@@ -87,19 +89,10 @@ class TreeWalkSpec:
 
 
 @dataclass
-class FixedPointSolution:
-    """The least fixed point w, where Newton's step fell below its roundoff
-    floor (see minimal_fixed_point); iterations is the Newton steps made."""
-
-    w: np.ndarray
-    iterations: int
-
-
-@dataclass
 class Diverged:
-    """Evidence that no least fixed point exists: a singular I - J, an x
-    with a component <= 0, a step below -floor or an iterate above
-    DIVERGENCE_CAP (see minimal_fixed_point); iterations is the Newton
+    """Evidence that no least fixed point exists, minimal_fixed_point's only
+    result: a singular I - J, an x with a component <= 0, a step below
+    -floor or an iterate above DIVERGENCE_CAP; iterations is the Newton
     steps made."""
 
     iterations: int
@@ -166,20 +159,23 @@ def tree_walk_spec(ra: ReducedAutomaton) -> TreeWalkSpec:
                         r=r.tolist())
 
 
-def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = None):
-    """Newton's method from w0 (0 when None); FixedPointSolution or Diverged.
+def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray) -> Diverged:
+    """Newton's method from w0, a start below every fixed point at z:
+    Diverged, the evidence that there is none.
 
-    On this monotone system Newton from 0, or from any pre-fixed point below
-    the least fixed point (such as the least fixed point at a smaller z),
-    increases to the least fixed point when one exists, with no slowdown
-    near the fold, and converges only when one exists (Esparza, Kiefer and
-    Luttenberger, JACM 2010).  Each step also solves (I - J) x = 1.  As
-    J >= 0, a solution x > 0 proves rho(J) < 1, and max(x) is
-    ||(I - J)^-1||_inf, which sets the roundoff floor of the step.  A step
-    below the floor gives FixedPointSolution.  A singular system, a solution
-    x with a component <= 0, a step below -floor or an iterate above
-    DIVERGENCE_CAP means z is past the fold: Diverged.  STEP_CAP steps with
-    neither outcome are no evidence: NotConverged.
+    fold_point's confirm above the fold is the one call, from a w0 that
+    is_below_least proves below every fixed point at z.  On this monotone
+    system Newton from such a w0 with Phi_z(w0) >= w0 increases to the least
+    fixed point when one exists, with no slowdown near the fold, and
+    converges only when one exists (Esparza, Kiefer and Luttenberger, JACM
+    2010).  Each step also solves (I - J) x = 1.  As J >= 0, a solution
+    x > 0 proves rho(J) < 1, and max(x) is ||(I - J)^-1||_inf, which sets
+    the roundoff floor of the step.  A singular system, a solution x with a
+    component <= 0, a step below -floor or an iterate above DIVERGENCE_CAP
+    means z is past the fold: Diverged.  A step below the floor means Newton
+    converged, so a least solution exists at z and z is not past the fold:
+    NotConverged, as do STEP_CAP steps with neither outcome, which are no
+    evidence either way.
     """
     Mp = spec.Mp
     K = Mp.shape[0]
@@ -190,7 +186,7 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
     A_diag = A.reshape(-1)[::K + 1]
     rhs = np.empty((K, 2))
     rhs[:, 1] = 1.0
-    w = np.zeros(K) if w0 is None else np.array(w0, dtype=float)
+    w = np.asarray(w0, dtype=float)
     w_max = float(w.max())
     for it in range(1, STEP_CAP + 1):
         # I - J and Phi - w from one nv = -z Mp w: entries
@@ -214,7 +210,7 @@ def minimal_fixed_point(spec: TreeWalkSpec, z: float, w0: np.ndarray | None = No
         if w_max > DIVERGENCE_CAP:
             return Diverged(iterations=it)
         if max(step_max, -step_min) <= floor:
-            return FixedPointSolution(w=w, iterations=it)
+            raise NotConverged(f"a least solution exists at z = {z}: converged in {it} steps")
     raise NotConverged(f"{STEP_CAP} Newton steps at z = {z} neither converged nor diverged")
 
 
@@ -306,7 +302,8 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     z (1 - CERT_MARGIN), and when the solver diverges at z (1 + CERT_MARGIN)
     from the start v = w - t u, t = sqrt(CERT_MARGIN) max(w) / max(u), which
     is_below_least first proves to lie below every fixed point there; else
-    NotConverged.  That confirm is the search's one fixed-point solve.
+    NotConverged, which minimal_fixed_point raises itself should the
+    confirm converge.  That confirm is the search's one fixed-point solve.
     """
     w0, u0, z0 = _radial_fold(spec)
     w, u, z, res, bordered_steps = _fold_newton(spec, w0, u0, z0)
@@ -323,8 +320,6 @@ def fold_point(spec: TreeWalkSpec) -> FoldResult:
     if not is_below_least(spec, Fraction(above), v, u):
         raise NotConverged(f"no start proven below the least solution just above z = {z}")
     confirm = minimal_fixed_point(spec, above, v)
-    if not isinstance(confirm, Diverged):
-        raise NotConverged(f"minimal fixed point just above the polished fold z = {z}")
     return FoldResult(R_F=z, w=w, residual=res, certified_z=certified_z,
                       newton_steps=confirm.iterations, bordered_steps=bordered_steps)
 

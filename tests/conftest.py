@@ -76,7 +76,7 @@ def counted_solves():
 
     solver, solves = upper.minimal_fixed_point, []
 
-    def counted(spec, z, w0=None):
+    def counted(spec, z, w0):
         solves.append((z, solver(spec, z, w0)))
         return solves[-1][1]
 

@@ -1,11 +1,12 @@
 """Independent references for the tests: the word problem, float
 reflections, truncated-cone isomorphism, the ball extraction of cone types,
 the admissible permutations from every pairwise rotation order, the
-post-fixed-point and below-least checks in Fractions, the root path one
-root and one generator at a time in the exact cosine field with bit-scanned
-states and np.unique minimization, dense reflection tensors for the oracles
-that multiply whole matrices, the reduction with one matrix power per unit
-of the primitivity exponent, and helpers only the tests read.
+post-fixed-point and below-least checks in Fractions, the tree walk's
+least fixed point below its fold, the root path one root and one generator
+at a time in the exact cosine field with bit-scanned states and np.unique
+minimization, dense reflection tensors for the oracles that multiply whole
+matrices, the reduction with one matrix power per unit of the primitivity
+exponent, and helpers only the tests read.
 
 Most work from the presentation alone (braid moves and free cancellation),
 in floating point, or by a backtracking graph-isomorphism search, so they
@@ -674,6 +675,38 @@ def below_least_fractions(spec, z: Fraction, v: np.ndarray, x: np.ndarray) -> bo
         if z * (ri + vi * mv) < d * vi or z * (xi * mv + vi * mx) >= d * xi:
             return False
     return True
+
+
+def least_fixed_point(spec, z: float, w0=None) -> tuple[np.ndarray, int]:
+    """The least fixed point w of the tree walk's system at a z below its
+    fold, by Newton's method from w0 (0 when None): (w, Newton steps).
+
+    The system is Phi_z(w)_i = z (r_i + w_i sum_j M_ij w_j) / d, built here
+    from the integer M, r and degree.  From a start below the least fixed
+    point with Phi_z(w0) >= w0, such as 0 or the least fixed point at a
+    smaller z, Newton rises to it where it exists, with no slowdown near
+    the fold (Esparza, Kiefer and Luttenberger, JACM 2010).  Each step also
+    solves (I - J) x = 1, whose max(x) = ||(I - J)^-1||_inf sets the
+    step's roundoff floor 1e-14 max(x) max(1, max(w)); the first step below
+    the floor ends the solve.  An x that is not positive, meaning z is past
+    the fold, or 100 steps fail an assertion.  The library computes no least
+    fixed point: upper.minimal_fixed_point only proves that none exists.
+    """
+    M, d = spec.ra.M.astype(float), spec.ra.degree
+    r = spec.ra.r.astype(float)
+    K = r.size
+    w = np.zeros(K) if w0 is None else np.asarray(w0, dtype=float)
+    for steps in range(1, 101):
+        Mw = M @ w
+        J = z * (np.diag(Mw) + w[:, None] * M) / d
+        rhs = np.column_stack([z * (r + w * Mw) / d - w, np.ones(K)])
+        step, x = np.linalg.solve(np.eye(K) - J, rhs).T
+        assert (x > 0).all(), f"z = {z} is past the fold"
+        floor = 1e-14 * x.max() * max(1.0, w.max())
+        w = w + step
+        if np.abs(step).max() <= floor:
+            return w, steps
+    raise AssertionError(f"100 Newton steps at z = {z} did not converge")
 
 
 # The ball extraction of cone types.

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -83,6 +84,16 @@ def test_params_validation():
         new_params(1, 4, 5)
     with pytest.raises(InvalidParameter):
         new_params(0, 4, 5)
+
+
+@pytest.mark.parametrize("radius", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_build_ball_refuses_a_radius_that_is_no_positive_integer(radius):
+    # as new_params refuses a float exponent: no radius-3 ball for 2.5 and
+    # no radius-1 ball for True; an np.int64 radius is an integer
+    with pytest.raises(InvalidParameter, match="^" + re.escape(
+            f"radius must be an integer >= 1, got {radius!r}") + "$"):
+        build_ball(new_params(4, 4, 4), radius)
+    assert build_ball(new_params(4, 4, 4), np.int64(3)).radius == 3
 
 
 def test_angle_sum_below_one():

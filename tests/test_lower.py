@@ -90,14 +90,31 @@ def test_tree_bound_is_exact(tree_reduced):
 
 @pytest.mark.parametrize("mat,message", [
     (np.array([[0.0, 0.0], [1.0, 1.0]]), "the Perron vector is not positive"),
-    (np.array([[0.0, 2.0], [1.0, 0.0]]), "Perron residual .* is not below"),
-], ids=["reducible", "imprimitive"])
+    (np.array([[0.0, 2.0], [1.0, 0.0]]), "Perron residual 0.5 is not below"),
+    (np.zeros((2, 2)), "^the largest entry 0.0 is not positive and finite$"),
+    (np.full((2, 2), -1.0), "^the largest entry -1.0 is not positive and finite$"),
+    (np.full((2, 2), math.nan), "^the largest entry nan is not positive and finite$"),
+    (np.full((2, 2), math.inf), "^the largest entry inf is not positive and finite$"),
+], ids=["reducible", "imprimitive", "zero", "negative", "nan", "inf"])
 def test_perron_refuses_a_bad_eigenvector(mat, message):
     # a reducible matrix whose dominant eigenvector has an exact zero, and an
     # imprimitive one, whose squared powers never become rank one (here they
-    # are the identity, so the residual stays 1/4), are refused
+    # are the identity, so the residual stays 0.5), are refused; so is a
+    # matrix whose largest entry is not positive and finite, before
+    # mat / max(mat) is formed
     with pytest.raises(NotConverged, match=message):
         perron(mat)
+
+
+@pytest.mark.parametrize("mat", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["swap", "identity"])
+def test_perron_accepts_a_positive_eigenvector_of_any_matrix(mat):
+    # a positive eigenvector of a nonnegative matrix belongs to its spectral
+    # radius, so these imprimitive matrices are accepted with theta = 1;
+    # primitivity is reduce_automaton's check
+    theta, v, residual = perron(np.array(mat))
+    assert theta == 1.0 and residual == 0.0
+    assert v.tolist() == [0.5, 0.5]
 
 
 def test_lambda_residual_is_checked(data444, monkeypatch):

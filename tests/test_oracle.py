@@ -8,6 +8,7 @@ import pytest
 
 from conetypes import (
     HorizonExceedsBall,
+    InvalidParameter,
     build_ball,
     empirical_envelope,
     new_params,
@@ -72,6 +73,14 @@ def test_horizon_guard():
     return_probabilities(ball, 10)
     with pytest.raises(HorizonExceedsBall):
         return_probabilities(ball, 11)
+
+
+def test_negative_horizon_guard():
+    # a negative horizon is refused, not answered with no values
+    ball = build_ball(new_params(4, 4, 4), 2)
+    assert return_probabilities(ball, 0) == [Fraction(1)]
+    with pytest.raises(InvalidParameter, match="^horizon must be >= 0, got -1$"):
+        return_probabilities(ball, -1)
 
 
 @pytest.mark.parametrize("triple", [(4, 4, 4), (3, 5, 7)])

@@ -125,12 +125,12 @@ def test_run_group_444():
     # the tree walk is rooted at the lowest r = 2 type of the reduced set
     assert diag["root_type"] == 4
     # the fold search: its one solve is the confirm just above the fold,
-    # Diverged
+    # Diverged in 2 Newton steps
     fold = diag["fold"]
     assert set(fold) == {"newton_steps", "bordered_steps"}
     [(_, confirm)] = solves
     assert isinstance(confirm, Diverged)
-    assert fold["newton_steps"] == confirm.iterations >= 1
+    assert fold["newton_steps"] == confirm.iterations == 2
     assert 1 <= fold["bordered_steps"] <= 5
     assert diag["residuals"]["lam"] < 1e-12
     assert not diag["errors"]
@@ -305,7 +305,7 @@ def test_every_format_reports_a_failed_stage_on_stderr(args):
     res = CliRunner().invoke(main, ["--radius", "0", *args], catch_exceptions=False)
     assert res.exit_code == 1
     groups = 10 if args[0] == "table" else 1
-    assert res.stderr == "error[ball] radius must be >= 1\n" * groups
+    assert res.stderr == "error[ball] radius must be an integer >= 1, got 0\n" * groups
     assert "error[" not in res.stdout
 
 
@@ -453,7 +453,7 @@ def test_cli_bounds():
     fold = doc["diagnostics"]["fold"]
     [(_, confirm)] = solves
     assert isinstance(confirm, Diverged)
-    assert fold["newton_steps"] == confirm.iterations >= 1
+    assert fold["newton_steps"] == confirm.iterations == 2
     # a second run agrees exactly
     again = json.loads(runner.invoke(main, args).output)
     assert again["lower"] == doc["lower"] and again["upper"] == doc["upper"]

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from conetypes import (
     curvature,
-    minimal_fixed_point,
     new_params,
     perron,
     tree_walk_spec,
 )
 from conetypes.errors import NonHyperbolic
-from reference import envelope_sequence, free_reduce, tits_equal, tree_return_series
+from reference import (
+    envelope_sequence,
+    free_reduce,
+    least_fixed_point,
+    tits_equal,
+    tree_return_series,
+)
 
 words = st.lists(st.integers(0, 2), max_size=8)
 small_params = st.sampled_from([(4, 4, 4), (2, 3, 7), (3, 3, 4)])
@@ -61,9 +66,9 @@ def test_curvature_negative_iff_hyperbolic(l, m, n):
 def test_tree_fixed_point_monotone(tree_reduced, z1, z2):
     assume(z1 < z2)
     spec = tree_walk_spec(tree_reduced)
-    w1 = minimal_fixed_point(spec, z1)
-    w2 = minimal_fixed_point(spec, z2)
-    assert w1.w[0] <= w2.w[0] + 1e-13
+    w1, _ = least_fixed_point(spec, z1)
+    w2, _ = least_fixed_point(spec, z2)
+    assert w1[0] <= w2[0] + 1e-13
 
 
 @given(st.integers(2, 60))

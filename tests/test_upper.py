@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import conetypes
 from conetypes import (
     Diverged,
-    FixedPointSolution,
     NotConverged,
     ReducedAutomaton,
     automaton_from_json,
@@ -43,7 +42,7 @@ from conetypes import (
 from conetypes.cli import main
 from conetypes.upper import CERT_MARGIN
 from conftest import DOCUMENTS, HYPERBOLIC_12, TABLE, UPPER_BOUNDS, counted_solves
-from reference import below_least_fractions, post_fixed_point_fractions
+from reference import below_least_fractions, least_fixed_point, post_fixed_point_fractions
 
 # on the trivalent tree everything is solvable in closed form:
 # Phi_z(w) = z/3 + (2z/3) w^2, fold at z = 3/(2 sqrt 2), rho = 2 sqrt 2 / 3
@@ -72,14 +71,21 @@ def recorded_polish():
 
 
 def solve_with_x(spec, z, w0=None):
-    """A converged minimal_fixed_point solve below the fold and
-    x = (I - J(w))^-1 1 > 0 at its w, where rho(J(w)) < 1."""
-    sol = minimal_fixed_point(spec, z, w0)
-    assert isinstance(sol, FixedPointSolution)
-    J = jacobian(spec, z, sol.w)
+    """The least fixed point w below the fold from the reference solve, its
+    Newton steps, and x = (I - J(w))^-1 1 > 0 at w, where rho(J(w)) < 1."""
+    w, steps = least_fixed_point(spec, z, w0)
+    J = jacobian(spec, z, w)
     x = np.linalg.solve(np.eye(J.shape[0]) - J, np.ones(J.shape[0]))
-    assert (x > 0).all() and eig_radius(spec, z, sol.w) < 1.0
-    return sol, x
+    assert (x > 0).all() and eig_radius(spec, z, w) < 1.0
+    return w, steps, x
+
+
+def least_solution_exists(z, steps=None):
+    """pytest.raises for minimal_fixed_point's refusal at a z where Newton
+    converged (in the given number of steps), so a least solution exists."""
+    tail = "" if steps is None else f"{steps} steps$"
+    return pytest.raises(NotConverged, match="^" + re.escape(
+        f"a least solution exists at z = {z}: converged in ") + tail)
 
 
 def start_below(w, u, offset):
@@ -130,60 +136,66 @@ def test_spec_balance_all_groups(graph_data):
 
 
 def test_tree_fixed_point_closed_form(tree_reduced):
+    # below the fold the reference solve's least fixed point is the closed
+    # form, and the library's solve, which only proves that none exists,
+    # refuses each z
     spec = tree_walk_spec(tree_reduced)
     for z in [0.2, 0.5, 0.9, 1.0, 1.05]:
-        sol = minimal_fixed_point(spec, z)
-        assert isinstance(sol, FixedPointSolution)
-        assert sol.w[0] == pytest.approx(tree_w(z), abs=1e-12)
-    sol1 = minimal_fixed_point(spec, 1.0)
-    assert sol1.w[0] == pytest.approx(0.5, abs=1e-13)
+        w, steps = least_fixed_point(spec, z)
+        assert w[0] == pytest.approx(tree_w(z), abs=1e-12)
+        with least_solution_exists(z, steps):
+            minimal_fixed_point(spec, z, np.zeros(1))
+    assert least_fixed_point(spec, 1.0)[0][0] == pytest.approx(0.5, abs=1e-13)
 
 
 def test_fixed_point_monotone_in_z(tree_reduced, data444):
+    # the reference solve's least fixed point grows with z
     for ra in [tree_reduced, data444["reduced"]]:
         spec = tree_walk_spec(ra)
         prev = np.zeros(len(ra.types))
         for z in np.linspace(0.1, 1.0, 10):
-            sol = minimal_fixed_point(spec, float(z))
-            assert (sol.w >= prev - 1e-13).all()
-            prev = sol.w
+            w, _ = least_fixed_point(spec, float(z))
+            assert (w >= prev - 1e-13).all()
+            prev = w
 
 
 def test_divergence_past_fold(tree_reduced):
     spec = tree_walk_spec(tree_reduced)
-    out = minimal_fixed_point(spec, 1.2)
+    out = minimal_fixed_point(spec, 1.2, np.zeros(1))
     assert isinstance(out, Diverged)
 
 
 def test_newton_fast_just_below_fold(tree_reduced, data444):
     # Newton from 0 needs a few dozen steps next to the fold; plain
-    # fixed-point iteration needs ~3e5 there
+    # fixed-point iteration needs ~3e5 there.  The library's solve from 0
+    # converges in as many steps as the reference solve, and so refuses z
     for ra in [tree_reduced, data444["reduced"]]:
         spec = tree_walk_spec(ra)
         z = fold_point(spec).R_F * (1.0 - 1e-9)
-        sol, _ = solve_with_x(spec, z)
-        assert sol.iterations <= 60
-        w = sol.w
+        w, steps, _ = solve_with_x(spec, z)
+        assert steps <= 60
         residual = np.max(np.abs(z * (spec.p_minus + w * (spec.Mp @ w)) - w))
         assert residual < 1e-13
+        with least_solution_exists(z, steps):
+            minimal_fixed_point(spec, z, np.zeros(len(ra.types)))
 
 
 def test_newton_diverges_just_above_fold(tree_reduced, data444):
     for ra in [tree_reduced, data444["reduced"]]:
         spec = tree_walk_spec(ra)
         R_F = fold_point(spec).R_F
-        out = minimal_fixed_point(spec, R_F * (1.0 + 1e-9))
+        out = minimal_fixed_point(spec, R_F * (1.0 + 1e-9), np.zeros(len(ra.types)))
         assert isinstance(out, Diverged)
         assert out.iterations <= 100
 
 
 def test_newton_tree_closed_form_near_fold(tree_reduced):
     spec = tree_walk_spec(tree_reduced)
-    # below the fold the solution is accurate to its roundoff floor,
+    # below the fold the reference solve is accurate to its roundoff floor,
     # about eps / sqrt(1 - z/R_F)
     for gap in [1e-3, 1e-6, 1e-9]:
         z = TREE_RF * (1.0 - gap)
-        assert minimal_fixed_point(spec, z).w[0] == pytest.approx(tree_w(z), abs=1e-10)
+        assert least_fixed_point(spec, z)[0][0] == pytest.approx(tree_w(z), abs=1e-10)
     # the confirmed fold, solvable just below and Diverged just above, holds
     # the exact fold; the value 1/sqrt(2) at the fold itself is checked on the
     # polished fold point, since at the rounded fold even the closed form is
@@ -212,8 +224,9 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
     # a polished z 1e-6 past the fold fails the exact check below it, and
     # 1e-6 short of it the start check above it; a z not above 1 or a u not
     # positive is refused; so is a polish stopped short of the fold, at
-    # z = R_F (1 - 1e-4) with the least solution there: it passes both
-    # exact checks, but the confirm just above it converges
+    # z = R_F (1 - 1e-4) with the least solution there from the reference
+    # solve: it passes both exact checks, but the confirm just above it
+    # converges, and minimal_fixed_point refuses it
     import conetypes.upper as upper
 
     polish, least = upper._fold_newton, {}
@@ -221,7 +234,7 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
     def short(spec, w, u, z):
         z *= 1.0 - 1e-4
         if z not in least:
-            least[z] = minimal_fixed_point(spec, z).w
+            least[z] = least_fixed_point(spec, z)[0]
         return least[z], u, z
 
     def changed_by(change):
@@ -235,7 +248,7 @@ def test_fold_off_the_fold_raises(tree_reduced, data444, monkeypatch):
              (lambda spec, w, u, z: (w, u, z - 1e-6), "^no start proven below"),
              (lambda spec, w, u, z: (w, u, 1.0), "not above 1 or u not positive"),
              (lambda spec, w, u, z: (w, -u, z), "not above 1 or u not positive"),
-             (short, "^minimal fixed point just above the polished fold")]
+             (short, "^a least solution exists at z = ")]
     for ra in [tree_reduced, data444["reduced"]]:
         for change, message in cases:
             monkeypatch.setattr(upper, "_fold_newton", changed_by(change))
@@ -267,16 +280,20 @@ def test_fold_refused_without_a_proven_start(tree_reduced, data444, monkeypatch)
 
 def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
     # running out of steps shows neither a solution nor its absence: at
-    # z = 1, below the fold, Newton from 0 converges in 7 steps, so cut at
-    # 3 it raises instead of reporting Diverged; and a confirm above the
-    # fold cut at 1 step is not taken for a divergence
+    # z = 1, below the fold, Newton from 0 converges in 7 steps, as in the
+    # reference solve, and is refused; cut at 3 it raises instead of
+    # reporting Diverged; and a confirm above the fold cut at 1 step is not
+    # taken for a divergence
     import conetypes.upper as upper
 
     spec = tree_walk_spec(data444["reduced"])
-    assert minimal_fixed_point(spec, 1.0).iterations == 7
+    zeros = np.zeros(len(spec.r))
+    assert least_fixed_point(spec, 1.0)[1] == 7
+    with least_solution_exists(1.0, 7):
+        minimal_fixed_point(spec, 1.0, zeros)
     monkeypatch.setattr(upper, "STEP_CAP", 3)
     with pytest.raises(NotConverged, match="^3 Newton steps at z = 1.0 neither converged"):
-        minimal_fixed_point(spec, 1.0)
+        minimal_fixed_point(spec, 1.0, zeros)
     monkeypatch.setattr(upper, "STEP_CAP", 1)
     with pytest.raises(NotConverged, match="^1 Newton steps at z = .* neither converged"):
         fold_point(spec)
@@ -285,7 +302,8 @@ def test_step_cap_is_no_evidence_of_divergence(data444, monkeypatch):
 def test_fixed_point_singular_system_diverges(data444, monkeypatch):
     # a singular I - J at the current w puts z past the fold
     monkeypatch.setattr(np.linalg, "solve", singular)
-    assert minimal_fixed_point(tree_walk_spec(data444["reduced"]), 1.0) == Diverged(iterations=1)
+    spec = tree_walk_spec(data444["reduced"])
+    assert minimal_fixed_point(spec, 1.0, np.zeros(len(spec.r))) == Diverged(iterations=1)
 
 
 def test_fixed_point_blow_up_diverges(tree_reduced, monkeypatch):
@@ -380,8 +398,8 @@ def test_fold_needs_no_eigen_solve(tree_reduced, data444, monkeypatch):
 
 
 def test_warm_start_matches_cold_solve(tree_reduced, data444):
-    # Newton from the least solution at a smaller z rises to the same least
-    # solution, in no more steps than from 0.  Within 1e-7 of the fold the
+    # the reference solve: Newton from the least solution at a smaller z
+    # rises to the same least solution, in no more steps than from 0.  Within 1e-7 of the fold the
     # fixed point itself is only defined to about eps ||(I - J)^-1||_inf
     # (5e-12 at 1e-9 on the tree, where both solves have residual 0), so
     # the two agree to 1e-12 or to four times that, whichever is larger
@@ -390,20 +408,20 @@ def test_warm_start_matches_cold_solve(tree_reduced, data444):
         spec = tree_walk_spec(ra)
         R_F = fold_point(spec).R_F
         gaps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
-        prev = minimal_fixed_point(spec, 1.0)
+        prev, _ = least_fixed_point(spec, 1.0)
         for z in [R_F * (1.0 - gap) for gap in gaps]:
-            cold, x = solve_with_x(spec, z)
-            warm = minimal_fixed_point(spec, z, prev.w)
-            assert isinstance(warm, FixedPointSolution)
+            cold, cold_steps, x = solve_with_x(spec, z)
+            warm, warm_steps = least_fixed_point(spec, z, prev)
             tol = max(1e-12, 4 * eps * x.max())
-            assert np.max(np.abs(warm.w - cold.w)) <= tol, z
-            assert warm.iterations <= cold.iterations, z
+            assert np.max(np.abs(warm - cold)) <= tol, z
+            assert warm_steps <= cold_steps, z
             prev = warm
 
 
 def test_fold_search_solve_count(tree_reduced, data444, data237):
-    # one solve, the confirm above the fold, Diverged, from every root type,
-    # as on the committed documents; the bordered Newton starts in closed form
+    # one solve, the confirm above the fold, Diverged in 2 Newton steps,
+    # from every root type, as on the committed documents; the bordered
+    # Newton starts in closed form
     runs = [(tree_reduced, 0)] + [(data["reduced"], i) for data in [data444, data237]
                                   for i in range(len(data["reduced"].types))]
     for ra, i in runs:
@@ -412,14 +430,14 @@ def test_fold_search_solve_count(tree_reduced, data444, data237):
         [(z, confirm)] = solves
         assert z > fold.R_F, (ra.types, i)
         assert isinstance(confirm, Diverged), (ra.types, i)
-        assert fold.newton_steps == confirm.iterations >= 1
+        assert fold.newton_steps == confirm.iterations == 2, (ra.types, i)
 
 
 def test_tree_first_return_value(tree_reduced):
     spec = tree_walk_spec(tree_reduced)
     # F(z) = z * 2 w(z) / 3; at the fold this equals 1/2
-    sol = minimal_fixed_point(spec, 1.0)
-    assert first_return_value(spec, 1.0, sol.w) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    w, _ = least_fixed_point(spec, 1.0)
+    assert first_return_value(spec, 1.0, w) == pytest.approx(1.0 / 3.0, abs=1e-12)
     fold = fold_point(spec)
     assert first_return_value(spec, fold.R_F, fold.w) == pytest.approx(0.5, abs=1e-10)
 
@@ -436,12 +454,12 @@ def test_tree_upper_bound(tree_reduced):
 
 def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
     # the polished fold solves J u = u with u > 0, so rho(J(R_F, w)) = 1;
-    # also on the 269 triples of the atlas, each in 1 solve, where a solve
-    # just below R_F from the z = 1 solution converges with rho(J) < 1, and
-    # where, at R_F (1 - CERT_MARGIN), a start built as the confirm's but
-    # 100 times further from the fold passes the exact check and its solve
-    # converges: so neither the check nor the Diverged confirm just above
-    # R_F is vacuous.
+    # also on the 269 triples of the atlas, each in 1 solve, where the
+    # reference solve just below R_F from the z = 1 solution converges with
+    # rho(J) < 1, and where, at R_F (1 - CERT_MARGIN), a start built as the
+    # confirm's but 100 times further from the fold passes the exact check
+    # and the library's solve from it converges and is refused: so neither
+    # the check nor the Diverged confirm just above R_F is vacuous.
     # From the radial walk's fold the bordered Newton makes at most 5
     # linear solves on a triple, 1,108 over the atlas (from z = 1 it made
     # up to 6, 1,539 in all)
@@ -458,14 +476,14 @@ def test_jacobian_radius_is_one_at_the_fold(tree_reduced, data444):
         assert fold.bordered_steps <= 5, ra.types
         bordered.append(fold.bordered_steps)
         assert eig_radius(spec, fold.R_F, fold.w) == pytest.approx(1.0, abs=1e-6)
-        start = minimal_fixed_point(spec, 1.0)
-        below = minimal_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start.w)
-        assert isinstance(below, FixedPointSolution), ra.types
-        assert eig_radius(spec, fold.R_F * (1.0 - 1e-7), below.w) < 1.0, ra.types
+        start, _ = least_fixed_point(spec, 1.0)
+        below, _ = least_fixed_point(spec, fold.R_F * (1.0 - 1e-7), start)
+        assert eig_radius(spec, fold.R_F * (1.0 - 1e-7), below) < 1.0, ra.types
         z = fold.R_F * (1.0 - CERT_MARGIN)
         v = start_below(fold.w, u, 100.0 * math.sqrt(CERT_MARGIN))
         assert is_below_least(spec, Fraction(z), v, u), ra.types
-        assert isinstance(minimal_fixed_point(spec, z, v), FixedPointSolution), ra.types
+        with least_solution_exists(z):
+            minimal_fixed_point(spec, z, v)
     assert sum(bordered[2:]) <= 1150
 
 
@@ -551,8 +569,9 @@ def test_certificate_refuses_non_finite_w(tree_reduced, data444, bad):
 
 def test_every_root_of_the_committed_documents_is_certified():
     # 402 (document, root type) pairs: each bound is certified from the
-    # closed-form start in one solve, the Diverged confirm, with at most 5
-    # bordered steps, and rho_T does not depend on the root
+    # closed-form start in one solve, the Diverged confirm in 2 Newton
+    # steps, with at most 5 bordered steps, and rho_T does not depend on
+    # the root
     pairs = 0
     for path in DOCUMENTS:
         _, ra = automaton_from_json(path.read_text())
@@ -564,6 +583,7 @@ def test_every_root_of_the_committed_documents_is_certified():
             assert 0 < certified_upper - Fraction(rho_T) <= 2e-9, (path.name, i)
             [(_, confirm)] = solves
             assert isinstance(confirm, Diverged), (path.name, i)
+            assert fold.newton_steps == confirm.iterations == 2, (path.name, i)
             assert fold.bordered_steps <= 5, (path.name, i)
             values.append(rho_T)
             pairs += 1
@@ -655,8 +675,8 @@ def test_start_check_refuses_points_above_the_least_solution(tree_reduced, data4
     tree_spec = tree_walk_spec(tree_reduced)
     for spec in [tree_spec, tree_walk_spec(data444["reduced"])]:
         z = fold_point(spec).R_F * (1.0 - 1e-4)
-        sol, x = solve_with_x(spec, z)
-        w, z = sol.w, Fraction(z)
+        w, _, x = solve_with_x(spec, z)
+        z = Fraction(z)
         assert not is_below_least(spec, z, w * (1.0 + 1e-6), x)
         assert not is_below_least(spec, z, w + 1e-6 * x, x)
         assert is_below_least(spec, z, w - 1e-6 * x, x)
@@ -688,8 +708,8 @@ def test_start_check_refuses_x_with_a_zero_entry(committed_folds):
 
 
 def test_fold_search_work_on_committed_documents():
-    # 1 solve per document, the Diverged confirm, as the README states; the
-    # Newton steps and the bordered Newton's linear solves are the search's
+    # 1 solve per document, the Diverged confirm in 2 Newton steps, as the
+    # README states; the bordered Newton's linear solves are the search's
     # work over the 28 documents when this test was written, so more fail
     # here.  The bordered Newton starts at the radial walk's fold: 4 or 5
     # solves a document, 114 in all (from Newton's first step from 0 at
@@ -701,11 +721,12 @@ def test_fold_search_work_on_committed_documents():
         [(_, confirm)] = solves
         assert isinstance(confirm, Diverged), path.name
         assert set(fold) == {"newton_steps", "bordered_steps"}, path.name
+        assert fold["newton_steps"] == confirm.iterations == 2, path.name
         assert fold["bordered_steps"] <= 5, path.name
         totals.update(fold, solves=1)
     assert len(DOCUMENTS) == 28
     assert totals["solves"] == 28
-    assert totals["newton_steps"] <= 56
+    assert totals["newton_steps"] == 56
     assert totals["bordered_steps"] <= 120
 
 
